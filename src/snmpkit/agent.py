@@ -4,10 +4,18 @@ Variables are served by handler functions attached at base OIDs.  Called
 with an empty rest-id list a handler enumerates its children (a ChildSpec:
 a count, a flat arc list, or a list of arc lists); called with rest ids it
 returns the value for that instance or None.
+
+Bases are kept sorted, so one bisect finds the handler that covers an OID
+or the next one after it.  GETNEXT and GETBULK ask a handler for its
+ChildSpec at most once per request, and only when the request reaches
+that handler.  A count N steps to the next instance in O(1); a list is
+expanded and sorted once per request, so a large table should answer
+with a count.
 """
 
 from __future__ import annotations
 
+import bisect
 import platform
 import socket
 import threading
@@ -19,7 +27,6 @@ from .messages import (
     GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST, RESPONSE, SET_REQUEST,
     Pdu, VarBind, V1, V2C,
 )
-from .oids import lexicographic_successor
 
 DEFAULT_AGENT_PORT = 8161
 
@@ -69,10 +76,15 @@ class AgentContext:
 
 
 class DispatchTree:
-    """Registered variable handlers keyed by base OID arcs."""
+    """Registered variable handlers keyed by base OID arcs.
+
+    The view is one immutable pair: the sorted bases and the matching
+    (base, handler, writable) entries.  register swaps in a new view under
+    the lock; readers take the current one without locking or copying.
+    """
 
     def __init__(self):
-        self._handlers = {}
+        self._view = ((), ())
         self._lock = threading.Lock()
 
     def register(self, oid_ref, handler, writable=False):
@@ -83,7 +95,8 @@ class DispatchTree:
         """
         base = tuple(oid_ref.arcs)
         with self._lock:
-            for existing in self._handlers:
+            bases, entries = self._view
+            for existing in bases:
                 if existing == base:
                     continue
                 shorter, longer = sorted((existing, base), key=len)
@@ -91,21 +104,26 @@ class DispatchTree:
                     raise SnmpError(
                         f"base {'.'.join(map(str, base))} nests with "
                         f"registered {'.'.join(map(str, existing))}")
-            self._handlers[base] = (handler, writable)
+            table = {entry[0]: entry for entry in entries}
+            table[base] = (base, handler, writable)
+            bases = tuple(sorted(table))
+            self._view = (bases, tuple(table[b] for b in bases))
 
     def snapshot(self):
-        with self._lock:
-            return dict(self._handlers)
+        return {base: (handler, writable)
+                for base, handler, writable in self._view[1]}
 
     def find(self, arcs):
-        """Longest registered base prefix of arcs -> (base, handler, writable)."""
+        """Registered base prefix of arcs -> (base, handler, writable).
+
+        Bases never nest, so the only candidate is the greatest base <= arcs.
+        """
         arcs = tuple(arcs)
-        best = None
-        for base, (handler, writable) in self.snapshot().items():
-            if arcs[:len(base)] == base:
-                if best is None or len(base) > len(best[0]):
-                    best = (base, handler, writable)
-        return best
+        bases, entries = self._view
+        i = bisect.bisect_right(bases, arcs) - 1
+        if i >= 0 and arcs[:len(bases[i])] == bases[i]:
+            return entries[i]
+        return None
 
 
 def register_variable(tree, oid_ref, handler, writable=False):
@@ -154,19 +172,38 @@ def _enumerate_instances(tree, ctx):
     return out
 
 
-def _get_value(tree, ctx, arcs):
-    """Value at an exact instance OID, or None."""
-    found = tree.find(arcs)
-    if found is None:
-        return None
-    base, handler, _ = found
-    rest = tuple(arcs[len(base):])
-    if not rest:
-        return None  # the base itself is not an instance
+def _read(handler, ctx, rest):
+    """handler's value for the instance at rest ids, or None."""
     try:
         return handler(ctx, rest)
     except Exception:
         return None
+
+
+def _children(handler, ctx):
+    """A handler's instances for one request, as sorted rest-id tuples.
+
+    A count N > 0 stays a range of the single arcs 1..N, never expanded.
+    None when the handler has no instances or its probe raises.
+    """
+    try:
+        spec = handler(ctx, ())
+    except Exception:
+        return None
+    if spec is None:
+        return None
+    if isinstance(spec, int) and spec:
+        return range(1, spec + 1)
+    return sorted(expand_children(spec))
+
+
+def _children_after(children, key):
+    """Rest ids in children greater than key, in order; all if key is None."""
+    if isinstance(children, range):
+        start = max(children.start, key[0] + 1) if key else children.start
+        return ((i,) for i in range(start, children.stop))
+    start = 0 if key is None else bisect.bisect_right(children, key)
+    return (children[i] for i in range(start, len(children)))
 
 
 def dispatch(tree, pdu, ctx, version=V2C):
@@ -191,12 +228,17 @@ def dispatch(tree, pdu, ctx, version=V2C):
 def _dispatch_get(tree, pdu, ctx, version):
     out = []
     for i, vb in enumerate(pdu.bindings):
-        value = _get_value(tree, ctx, vb.arcs)
+        found = tree.find(vb.arcs)
+        value = None
+        if found is not None:
+            base, handler, _ = found
+            rest = tuple(vb.arcs[len(base):])
+            if rest:  # the base itself is not an instance
+                value = _read(handler, ctx, rest)
         if value is None:
             if version == V1:
                 return messages.response_for(pdu, list(pdu.bindings),
                                              NO_SUCH_NAME, i + 1)
-            found = tree.find(vb.arcs)
             marker = ber.NO_SUCH_INSTANCE if found else ber.NO_SUCH_OBJECT
             out.append(VarBind(vb.name, marker))
         else:
@@ -204,27 +246,37 @@ def _dispatch_get(tree, pdu, ctx, version):
     return messages.response_for(pdu, out)
 
 
-def _next_pair(instances, arcs, ctx):
-    ordered = [item[0] for item in instances]
-    nxt = lexicographic_successor(ordered, arcs)
-    while nxt is not None:
-        idx = ordered.index(nxt)
-        _, handler, rest = instances[idx]
-        try:
-            value = handler(ctx, rest)
-        except Exception:
-            value = None
-        if value is not None:
-            return nxt, value
-        nxt = lexicographic_successor(ordered, nxt)
+def _next_pair(tree, arcs, ctx, memo):
+    """The first instance after arcs that reads a value -> (arcs, value).
+
+    Starts at the base covering arcs, or else the next base.  memo maps
+    each base probed during this request to its _children, so a request
+    probes a handler at most once.  (None, None) past the end of the view.
+    """
+    arcs = tuple(arcs)
+    bases, entries = tree._view
+    i = bisect.bisect_right(bases, arcs)
+    if i and arcs[:len(bases[i - 1])] == bases[i - 1]:
+        i -= 1
+    for base, handler, _ in entries[i:]:
+        if base not in memo:
+            memo[base] = _children(handler, ctx)
+        children = memo[base]
+        if children is None:
+            continue
+        key = arcs[len(base):] if arcs[:len(base)] == base else None
+        for rest in _children_after(children, key):
+            value = _read(handler, ctx, rest)
+            if value is not None:
+                return base + rest, value
     return None, None
 
 
 def _dispatch_next(tree, pdu, ctx, version):
-    instances = _enumerate_instances(tree, ctx)
+    memo = {}
     out = []
     for i, vb in enumerate(pdu.bindings):
-        arcs, value = _next_pair(instances, vb.arcs, ctx)
+        arcs, value = _next_pair(tree, vb.arcs, ctx, memo)
         if arcs is None:
             if version == V1:
                 return messages.response_for(pdu, list(pdu.bindings),
@@ -236,12 +288,12 @@ def _dispatch_next(tree, pdu, ctx, version):
 
 
 def _dispatch_bulk(tree, pdu, ctx):
-    instances = _enumerate_instances(tree, ctx)
+    memo = {}
     non_repeaters = max(0, pdu.non_repeaters)
     max_repetitions = max(0, pdu.max_repetitions)
     out = []
     for vb in pdu.bindings[:non_repeaters]:
-        arcs, value = _next_pair(instances, vb.arcs, ctx)
+        arcs, value = _next_pair(tree, vb.arcs, ctx, memo)
         if arcs is None:
             out.append(VarBind(ber.Oid(vb.arcs), ber.END_OF_MIB_VIEW))
         else:
@@ -249,7 +301,7 @@ def _dispatch_bulk(tree, pdu, ctx):
     for vb in pdu.bindings[non_repeaters:]:
         arcs = tuple(vb.arcs)
         for _ in range(max_repetitions):
-            arcs_next, value = _next_pair(instances, arcs, ctx)
+            arcs_next, value = _next_pair(tree, arcs, ctx, memo)
             if arcs_next is None:
                 out.append(VarBind(ber.Oid(arcs), ber.END_OF_MIB_VIEW))
                 break

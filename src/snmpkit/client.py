@@ -396,7 +396,12 @@ def _walk(session, subtree):
     done = False
     while not done:
         if session.version == V1:
-            step = get_next(session, [ber.Oid(cursor)])
+            try:
+                step = get_next(session, [ber.Oid(cursor)])
+            except SnmpStatusError as exc:
+                if exc.status_name != "noSuchName":
+                    raise
+                break  # a v1 agent's way of saying end of MIB view
         else:
             step = bulk(session, 0, WALK_BULK_REPETITIONS, [ber.Oid(cursor)])
         if not step:

@@ -1,8 +1,12 @@
 import socket
+import sys
+import threading
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from snmpkit import agent, ber, messages
+from snmpkit import agent, ber, client, harness, messages
 from snmpkit.errors import SnmpError
 from snmpkit.messages import (
     CommunityMessage, GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST,
@@ -55,6 +59,27 @@ class TestDispatchTree:
         _, handler, _ = tree.find(tuple(ref.arcs))
         assert handler(None, ()) == 2
 
+    def test_concurrent_registration_loses_none(self):
+        tree = agent.DispatchTree()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def register(worker):
+                for i in range(50):
+                    tree.register(ber.Oid((1, worker, i)), lambda ctx, ids: 0)
+
+            threads = [threading.Thread(target=register, args=(w,))
+                       for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(tree.snapshot()) == 8 * 50
+        assert all(tree.find((1, w, i, 0))[0] == (1, w, i)
+                   for w in range(8) for i in range(50))
 
 class TestGet:
     def test_scalar_get(self, registry, loopback_agent):
@@ -243,3 +268,187 @@ class TestService:
 
     def test_default_port_constant(self):
         assert agent.DEFAULT_AGENT_PORT == 8161
+
+
+# ---------------------------------------------------------------------------
+# Dispatch against a brute-force oracle, and the cost of a walk
+
+
+def _make_handler(base, probe, spec, bad_read, modulus):
+    """A handler with a fixed ChildSpec whose probe or reads may misbehave."""
+    def handler(ctx, ids):
+        ids = tuple(ids)
+        if not ids:
+            if probe == "raise":
+                raise RuntimeError("probe failed")
+            return None if probe == "none" else spec
+        if bad_read and sum(ids) % modulus == 0:
+            if bad_read == "raise":
+                raise RuntimeError("read failed")
+            return None
+        return (base, ids)
+    return handler
+
+
+def _oracle_next(instances, arcs, ctx):
+    """The first enumerated instance after arcs that reads a value."""
+    for full, handler, rest in instances:
+        if full > tuple(arcs):
+            try:
+                value = handler(ctx, rest)
+            except Exception:
+                value = None
+            if value is not None:
+                return full, value
+    return None, None
+
+
+def _oracle_get(tree, arcs, ctx):
+    """Longest registered prefix by linear scan, then a read; None if absent."""
+    covering = [(base, handler) for base, (handler, _) in tree.snapshot().items()
+                if arcs[:len(base)] == base]
+    if not covering:
+        return None, None
+    base, handler = max(covering, key=lambda item: len(item[0]))
+    if len(arcs) == len(base):
+        return base, None
+    try:
+        return base, handler(ctx, arcs[len(base):])
+    except Exception:
+        return base, None
+
+
+def _oracle_dispatch(tree, pdu, ctx, version):
+    """(error-status, error-index, [(arcs, value)]) the way RFC 3416 reads,
+    over agent._enumerate_instances, which probes and sorts everything."""
+    echoed = [(vb.arcs, vb.value) for vb in pdu.bindings]
+    if pdu.pdu_type == GET_REQUEST:
+        out = []
+        for i, vb in enumerate(pdu.bindings):
+            base, value = _oracle_get(tree, vb.arcs, ctx)
+            if value is None:
+                if version == V1:
+                    return agent.NO_SUCH_NAME, i + 1, echoed
+                value = ber.NO_SUCH_OBJECT if base is None \
+                    else ber.NO_SUCH_INSTANCE
+            out.append((vb.arcs, value))
+        return 0, 0, out
+    instances = agent._enumerate_instances(tree, ctx)
+    end = ber.END_OF_MIB_VIEW
+    if pdu.pdu_type == GET_NEXT_REQUEST:
+        out = []
+        for i, vb in enumerate(pdu.bindings):
+            full, value = _oracle_next(instances, vb.arcs, ctx)
+            if full is None:
+                if version == V1:
+                    return agent.NO_SUCH_NAME, i + 1, echoed
+                out.append((vb.arcs, end))
+            else:
+                out.append((full, value))
+        return 0, 0, out
+    if version == V1:
+        return agent.GEN_ERR, 0, echoed
+    non_repeaters = max(0, pdu.non_repeaters)
+    out = []
+    for vb in pdu.bindings[:non_repeaters]:
+        full, value = _oracle_next(instances, vb.arcs, ctx)
+        out.append((vb.arcs, end) if full is None else (full, value))
+    for vb in pdu.bindings[non_repeaters:]:
+        arcs = vb.arcs
+        for _ in range(max(0, pdu.max_repetitions)):
+            full, value = _oracle_next(instances, arcs, ctx)
+            if full is None:
+                out.append((arcs, end))
+                break
+            out.append((full, value))
+            arcs = full
+    return 0, 0, out
+
+
+_small_arcs = st.lists(st.integers(-1, 4), max_size=5).map(tuple)
+_child_specs = st.one_of(
+    st.integers(-2, 12),
+    st.lists(st.integers(-1, 12), max_size=8),
+    st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=8),
+)
+_handlers = st.tuples(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+    st.sampled_from(["spec", "spec", "raise", "none"]),
+    _child_specs,
+    st.sampled_from([None, None, "raise", "none"]),
+    st.integers(2, 4),
+)
+_requests = st.builds(
+    Pdu, st.sampled_from([GET_REQUEST, GET_NEXT_REQUEST, GET_BULK_REQUEST]),
+    st.just(1), st.integers(-2, 4), st.integers(-2, 6),
+    st.lists(_small_arcs.map(lambda arcs: VarBind(ber.Oid(arcs))),
+             max_size=4))
+
+
+class TestDispatchMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_handlers, max_size=7), _requests,
+           st.sampled_from([V1, V2C]))
+    def test_random_trees(self, handlers, pdu, version):
+        tree = agent.DispatchTree()
+        for base, probe, spec, bad_read, modulus in handlers:
+            try:
+                tree.register(ber.Oid(base),
+                              _make_handler(base, probe, spec, bad_read,
+                                            modulus))
+            except SnmpError:
+                pass  # nests with a base already registered
+        resp = agent.dispatch(tree, pdu, None, version)
+        got = (resp.error_status, resp.error_index,
+               [(vb.arcs, vb.value) for vb in resp.bindings])
+        assert got == _oracle_dispatch(tree, pdu, None, version)
+
+
+class TestWalkCostIsFlat:
+    """Walking one column probes it once per request, touches nothing
+    before the walk's start, and costs the same per varbind at any size."""
+
+    @pytest.mark.parametrize("rows", [100, 1600, 6400])
+    def test_column_walk(self, registry, rows):
+        calls = Counter()
+
+        def column(name):
+            def handler(ctx, ids):
+                calls[name, "read" if ids else "probe"] += 1
+                if not ids:
+                    return rows
+                return ids[0] * 10 if len(ids) == 1 and ids[0] <= rows \
+                    else None
+            return handler
+
+        tree = agent.DispatchTree()
+        for name in ("sysDescr", "ifIndex", "ifDescr", "ifType", "ifMtu"):
+            tree.register(registry.resolve(name), column(name))
+        ctx = _ctx(registry)
+        per_request = []
+
+        def responder(data):
+            before = sum(calls.values())
+            reply = agent.handle_datagram(tree, ctx, data)
+            returned = len(messages.decode_message(reply).pdu.bindings)
+            per_request.append((sum(calls.values()) - before, returned))
+            return reply
+
+        endpoint, channel, clock = harness.connect(responder)
+        session = client.open_session(
+            "loopback", registry=registry,
+            **harness.loopback_session_kwargs(endpoint, clock))
+        pairs = client.walk(session, "ifDescr")
+
+        reps = client.WALK_BULK_REPETITIONS
+        assert [value for _, value in pairs] == \
+            [10 * i for i in range(1, rows + 1)]
+        assert len(per_request) == rows // reps + 1
+        assert calls["ifDescr", "probe"] == len(per_request)
+        assert calls["ifDescr", "read"] == rows
+        assert not any(calls[name, kind] for name in ("sysDescr", "ifIndex")
+                       for kind in ("probe", "read"))
+        # every full request: one probe and one read per varbind; the last
+        # one leaves the column and reads the next column's first rows
+        assert set(per_request[:-1]) == {(reps + 1, reps)}
+        assert per_request[-1] == (reps + 2, reps)

@@ -143,6 +143,15 @@ class TestWalk:
         as_v1 = [(p[0].arcs, _plain(p[1])) for p in client.walk(v1, "ifTable")]
         assert as_v1 == as_v2
 
+    def test_v1_walk_of_last_subtree_ends(self, registry, fabric):
+        v2 = _open(registry, fabric)
+        v1 = _open(registry, fabric, version=V1)
+        as_v2 = [(p[0].arcs, _plain(p[1]))
+                 for p in client.walk(v2, "appFeatureName")]
+        as_v1 = [(p[0].arcs, _plain(p[1]))
+                 for p in client.walk(v1, "appFeatureName")]
+        assert as_v2 and as_v1 == as_v2
+
     def test_leaf_walk(self, registry, fabric):
         session = _open(registry, fabric)
         pairs = client.walk(session, "sysDescr")
