@@ -22,7 +22,7 @@ import threading
 import time
 
 from . import ber, messages
-from .errors import SnmpError, SnmpKitError, TransportError
+from .errors import EncodingError, SnmpError, SnmpKitError, TransportError
 from .messages import (
     GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST, RESPONSE, SET_REQUEST,
     Pdu, VarBind, V1, V2C,
@@ -332,7 +332,8 @@ def handle_datagram(tree, ctx, data, community=None):
     """Full message-level handling of one inbound datagram.
 
     Returns the response bytes, or None when the datagram is dropped
-    (bad community, undecodable, unsupported version).
+    (bad community, undecodable, unsupported version).  A response whose
+    values do not encode is answered with genErr instead.
     """
     ctx.in_pkts += 1
     if community is None:
@@ -348,8 +349,40 @@ def handle_datagram(tree, ctx, data, community=None):
     if not isinstance(msg.pdu, Pdu):
         return None
     response = dispatch(tree, msg.pdu, ctx, msg.version)
-    return messages.encode_message(
-        messages.CommunityMessage(msg.version, msg.community, response))
+    try:
+        return messages.encode_message(
+            messages.CommunityMessage(msg.version, msg.community, response))
+    except EncodingError:  # a handler's value has no BER form
+        response = messages.response_for(
+            msg.pdu, list(msg.pdu.bindings), GEN_ERR,
+            _unencodable_index(msg.pdu, response.bindings))
+        return messages.encode_message(
+            messages.CommunityMessage(msg.version, msg.community, response))
+
+
+def _unencodable_index(pdu, bindings):
+    """1-based index of the request binding whose answer in bindings does
+    not encode on its own; 0 when each one does.
+
+    A GETBULK response holds the non-repeaters' answers, then one run per
+    repeater of at most max-repetitions answers, a run ending early at
+    endOfMibView (see _dispatch_bulk).
+    """
+    origins = range(len(bindings))
+    if pdu.pdu_type == GET_BULK_REQUEST:
+        n = min(max(0, pdu.non_repeaters), len(pdu.bindings))
+        origins, origin, run = list(range(n)), n, 0
+        for vb in bindings[n:]:
+            origins.append(origin)
+            run += 1
+            if run == pdu.max_repetitions or vb.value is ber.END_OF_MIB_VIEW:
+                origin, run = origin + 1, 0
+    for origin, vb in zip(origins, bindings):
+        try:
+            ber.encode([vb.name, vb.value])
+        except EncodingError:
+            return origin + 1
+    return 0
 
 
 class ServiceHandle:

@@ -1,10 +1,22 @@
 """BER (Basic Encoding Rules) codec for the SNMP subset of ASN.1.
 
 Values are plain Python objects where possible (int, bytes, list) plus a
-few thin wrapper types for the application-tagged SNMP kinds.  Decoding
-dispatches on a (class, constructed, number) tag triple through a
-TypeRegistry; triples with no registration decode to Raw, which keeps the
-original bytes so re-encoding is byte-identical.
+few thin wrapper types for the application-tagged SNMP kinds.
+
+Decoding is a single pass over one buffer.  The input becomes ``bytes``
+once; each constructed value decodes its children through (start, end)
+offsets into that buffer, so no level copies its payload.  A
+TypeRegistry maps (class, constructed, number) tag triples to kind
+names, and compiles them, whenever a registration changes, into a table
+of decoder functions indexed by identifier octet.  Triples with no
+registration decode to Raw, which keeps the original bytes so
+re-encoding is byte-identical.  Input nested deeper than MAX_NESTING
+constructed levels is rejected with DecodingError.
+
+Encoding looks up the exact type of a value in a table of encoder
+functions, each holding its precomputed tag octets.  Subclasses, objects
+with an ``arcs`` attribute, and the rejection of bool go through an
+isinstance fallback.
 """
 
 from __future__ import annotations
@@ -150,6 +162,13 @@ class Oid:
         return "Oid(%s)" % ".".join(str(a) for a in self.arcs)
 
 
+def _oid(arcs):
+    """An Oid over a tuple of ints, skipping __init__'s per-arc int()."""
+    oid = object.__new__(Oid)
+    object.__setattr__(oid, "arcs", arcs)
+    return oid
+
+
 @dataclass(frozen=True)
 class TaggedSequence:
     """A constructed value under a non-universal tag (e.g. an SNMP PDU)."""
@@ -173,6 +192,9 @@ class Raw:
 
 # ---------------------------------------------------------------------------
 # Length and tag primitives
+
+_MAX_TAG_NUMBER = 2 ** 31
+
 
 def encode_length(n):
     """Definite-length field: short form for n <= 127, else minimal long form."""
@@ -216,24 +238,30 @@ def encode_tag(tag):
 
 def decode_tag(data, offset=0):
     """Return (Tag, consumed); supports the multi-byte high-tag form."""
-    if offset >= len(data):
-        raise TruncatedError(1, 0)
+    number, consumed = _tag_number(data, offset, len(data))
     first = data[offset]
-    cls = first >> 6
-    constructed = bool(first & 0x20)
-    number = first & 0x1F
+    return Tag(first >> 6, bool(first & 0x20), number), consumed
+
+
+def _tag_number(data, pos, end):
+    """(tag number, octets used) of the identifier at data[pos:end]."""
+    if pos >= end:
+        raise TruncatedError(1, 0)
+    number = data[pos] & 0x1F
     consumed = 1
     if number == 0x1F:
         number = 0
         while True:
-            if offset + consumed >= len(data):
+            if pos + consumed >= end:
                 raise TruncatedError(consumed + 1, consumed)
-            b = data[offset + consumed]
+            b = data[pos + consumed]
             consumed += 1
             number = (number << 7) | (b & 0x7F)
+            if number >= _MAX_TAG_NUMBER:
+                raise DecodingError("tag number does not fit 31 bits")
             if not b & 0x80:
                 break
-    return Tag(cls, constructed, number), consumed
+    return number, consumed
 
 
 def _encode_signed_int(n):
@@ -248,15 +276,20 @@ def _encode_oid_content(arcs):
     if not arcs:
         return b""
     if len(arcs) == 1:
-        subids = [arcs[0] * 40]
+        subids = (arcs[0] * 40,)
     else:
         if arcs[0] > 2 or (arcs[0] < 2 and arcs[1] > 39):
             raise EncodingError(f"invalid leading OID arcs {arcs[:2]}")
-        subids = [arcs[0] * 40 + arcs[1]] + list(arcs[2:])
+        subids = (arcs[0] * 40 + arcs[1],) + tuple(arcs[2:])
+    if min(subids) < 0:
+        raise EncodingError(f"negative OID arc {min(subids)}")
+    if max(subids) < 0x80:  # every sub-identifier fits one octet
+        return bytes(subids)
     out = bytearray()
     for sub in subids:
-        if sub < 0:
-            raise EncodingError(f"negative OID arc {sub}")
+        if sub < 0x80:
+            out.append(sub)
+            continue
         chunk = [sub & 0x7F]
         sub >>= 7
         while sub:
@@ -267,18 +300,19 @@ def _encode_oid_content(arcs):
 
 
 def _decode_oid_content(payload):
-    subids = []
-    cur = 0
-    pending = False
-    for b in payload:
-        cur = (cur << 7) | (b & 0x7F)
-        pending = True
-        if not b & 0x80:
-            subids.append(cur)
-            cur = 0
-            pending = False
-    if pending:
-        raise DecodingError("truncated OID sub-identifier")
+    if payload.isascii():  # every sub-identifier is one octet
+        subids = tuple(payload)
+    else:
+        if payload[-1] & 0x80:
+            raise DecodingError("truncated OID sub-identifier")
+        subids = []
+        cur = 0
+        for b in payload:
+            if b < 0x80:
+                subids.append(cur | b)
+                cur = 0
+            else:
+                cur = (cur | b & 0x7F) << 7
     if not subids:
         return ()
     first = subids[0]
@@ -289,6 +323,163 @@ def _decode_oid_content(payload):
     else:
         head = (2, first - 80)
     return head + tuple(subids[1:])
+
+
+# ---------------------------------------------------------------------------
+# Decoders.  Each takes (data, start, end, depth) and returns the value
+# whose content is data[start:end]; depth matters only to constructed kinds.
+
+MAX_NESTING = 64  # constructed levels; an SNMP message uses at most six
+
+
+def _decode_integer(data, start, end, depth):
+    if start == end:
+        raise DecodingError("empty INTEGER payload")
+    return int.from_bytes(data[start:end], "big", signed=True)
+
+
+def _decode_octet_string(data, start, end, depth):
+    return OctetString(data[start:end])
+
+
+def _decode_oid(data, start, end, depth):
+    return _oid(_decode_oid_content(data[start:end]))
+
+
+def _decode_ip_address(data, start, end, depth):
+    if end - start != 4:
+        raise DecodingError(f"IpAddress payload of {end - start} octets")
+    return bytes.__new__(IpAddress, data[start:end])
+
+
+def _decode_opaque(data, start, end, depth):
+    return Opaque(data[start:end])
+
+
+def _unsigned_decoder(cls):
+    limit = cls._limit
+
+    def decode_unsigned(data, start, end, depth):
+        value = int.from_bytes(data[start:end], "big")
+        if value >= limit:
+            raise DecodingError(f"{cls.__name__} out of range: {value}")
+        return int.__new__(cls, value)
+    return decode_unsigned
+
+
+def _constant_decoder(value):
+    def decode_constant(data, start, end, depth):
+        return value
+    return decode_constant
+
+
+def _unknown_kind_decoder(kind):
+    def decode_unknown(data, start, end, depth):
+        raise DecodingError(f"no decoder for registered kind {kind!r}")
+    return decode_unknown
+
+
+_PRIMITIVE_DECODERS = {
+    "integer": _decode_integer,
+    "octet-string": _decode_octet_string,
+    "null": _constant_decoder(NULL),
+    "oid": _decode_oid,
+    "ip-address": _decode_ip_address,
+    "counter32": _unsigned_decoder(Counter32),
+    "gauge32": _unsigned_decoder(Gauge32),
+    "timeticks": _unsigned_decoder(TimeTicks),
+    "opaque": _decode_opaque,
+    "counter64": _unsigned_decoder(Counter64),
+    "no-such-object": _constant_decoder(NO_SUCH_OBJECT),
+    "no-such-instance": _constant_decoder(NO_SUCH_INSTANCE),
+    "end-of-mib-view": _constant_decoder(END_OF_MIB_VIEW),
+}
+
+
+def _raw(data, pos, start, end):
+    tag, _ = decode_tag(data, pos)
+    return Raw(tag, data[start:end], data[pos:end])
+
+
+def _compile_decoder(kinds):
+    """The TLV decoder for a registry's {tag triple: kind} table.
+
+    Returns tlv(data, pos, end, depth) -> (value, end of that TLV), which
+    reads the TLV at data[pos:end].  One-octet identifiers index a
+    256-entry list; the high-tag form looks its triple up in a dict.
+    """
+    by_triple = {}
+
+    def sequence(data, pos, end, depth):
+        if depth >= MAX_NESTING:
+            raise DecodingError(f"nested deeper than {MAX_NESTING} levels")
+        depth += 1
+        out = []
+        append = out.append
+        while pos < end:
+            value, pos = tlv(data, pos, end, depth)
+            append(value)
+        return out
+
+    def tagged_sequence_decoder(tag):
+        def decode_tagged(data, start, end, depth):
+            return TaggedSequence(tag, sequence(data, start, end, depth))
+        return decode_tagged
+
+    for triple, kind in kinds.items():
+        if kind == "sequence":
+            by_triple[triple] = sequence
+        elif kind == "tagged-sequence":
+            by_triple[triple] = tagged_sequence_decoder(Tag(*triple))
+        else:
+            by_triple[triple] = _PRIMITIVE_DECODERS.get(kind) or \
+                _unknown_kind_decoder(kind)
+    by_octet = [None] * 256
+    for (cls, constructed, number), decoder in by_triple.items():
+        if number < 0x1F:
+            by_octet[cls << 6 | constructed << 5 | number] = decoder
+
+    def long_header(data, pos, end):
+        """(decoder, content start, length) for a high tag or long length."""
+        number, used = _tag_number(data, pos, end)
+        ident = data[pos]
+        if used == 1:
+            decoder = by_octet[ident]
+        else:
+            decoder = by_triple.get((ident >> 6, ident >> 5 & 1, number))
+        start = pos + used
+        if start >= end:
+            raise TruncatedError(1, 0)
+        n = data[start]
+        start += 1
+        if n & 0x80:
+            if n == 0x80:
+                raise UnsupportedFormError(
+                    "indefinite lengths are not used by SNMP")
+            k = n & 0x7F
+            if start + k > end:
+                raise TruncatedError(k, end - start)
+            n = int.from_bytes(data[start:start + k], "big")
+            start += k
+        return decoder, start, n
+
+    def tlv(data, pos, end, depth):
+        if end - pos < 2:
+            raise TruncatedError(2, max(0, end - pos))
+        ident = data[pos]
+        n = data[pos + 1]
+        if ident & 0x1F == 0x1F or n & 0x80:
+            decoder, start, n = long_header(data, pos, end)
+        else:
+            decoder, start = by_octet[ident], pos + 2
+        stop = start + n
+        if stop > end:
+            raise TruncatedError(n, end - start)
+        if decoder is None:
+            return _raw(data, pos, start, stop), stop
+        return decoder(data, start, stop, depth), stop
+
+    return tlv
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +502,17 @@ class TypeRegistry:
     """Maps (class, constructed, number) triples to decode kinds.
 
     Lookups of unregistered triples return None, which makes decode fall
-    back to Raw instead of failing.
+    back to Raw instead of failing.  Each registration recompiles the
+    decoder table that decode uses.
     """
 
     def __init__(self, initial=None):
         self._table = dict(initial._table) if initial is not None else {}
+        self._decode = _compile_decoder(self._table)
 
     def register(self, cls, constructed, number, kind):
         self._table[(cls, int(bool(constructed)), number)] = kind
+        self._decode = _compile_decoder(self._table)
 
     def lookup(self, tag):
         return self._table.get(tag.triple)
@@ -346,132 +540,130 @@ def _make_default_registry():
 DEFAULT_REGISTRY = _make_default_registry()
 
 
-def register_type(registry, cls, constructed, number, kind):
-    registry.register(cls, constructed, number, kind)
-
-
 # ---------------------------------------------------------------------------
-# Encoding
+# Encoding.  Each encoder takes one value and returns its whole TLV.
+
+def _headers(tag):
+    """Tag and length octets for each content length below 128."""
+    octets = encode_tag(tag)
+    return [octets + bytes((n,)) for n in range(0x80)]
+
+
+def _long_header(headers, n):
+    return headers[0][:-1] + encode_length(n)
+
 
 def _tlv(tag, content):
     return encode_tag(tag) + encode_length(len(content)) + content
 
 
-_MARKER_TAGS = {
-    id(NO_SUCH_OBJECT): Tag(CONTEXT, False, 0),
-    id(NO_SUCH_INSTANCE): Tag(CONTEXT, False, 1),
-    id(END_OF_MIB_VIEW): Tag(CONTEXT, False, 2),
+def _octets_encoder(tag):
+    headers = _headers(tag)
+
+    def encode_octets(value):
+        n = len(value)
+        return (headers[n] if n < 0x80 else _long_header(headers, n)) + value
+    return encode_octets
+
+
+def _integer_encoder(tag):
+    encode_octets = _octets_encoder(tag)
+    return lambda value: encode_octets(_encode_signed_int(value))
+
+
+_OID_HEADERS = _headers(TAG_OID)
+_SEQUENCE_HEADERS = _headers(TAG_SEQUENCE)
+_NULL_TLV = _tlv(TAG_NULL, b"")
+_MARKER_TLVS = {
+    id(NO_SUCH_OBJECT): _tlv(Tag(CONTEXT, False, 0), b""),
+    id(NO_SUCH_INSTANCE): _tlv(Tag(CONTEXT, False, 1), b""),
+    id(END_OF_MIB_VIEW): _tlv(Tag(CONTEXT, False, 2), b""),
 }
+_encode_octet_string = _octets_encoder(TAG_OCTET_STRING)
+
+
+def _encode_oid(value):
+    content = _encode_oid_content(value.arcs)
+    n = len(content)
+    return (_OID_HEADERS[n] if n < 0x80 else _long_header(_OID_HEADERS, n)) \
+        + content
+
+
+def _encode_elements(values):
+    """The TLVs of values, concatenated."""
+    get = _ENCODERS.get
+    return b"".join([(get(type(v)) or _fallback_encoder(v))(v)
+                     for v in values])
+
+
+def _encode_sequence(value):
+    content = _encode_elements(value)
+    n = len(content)
+    return (_SEQUENCE_HEADERS[n] if n < 0x80
+            else _long_header(_SEQUENCE_HEADERS, n)) + content
+
+
+def _encode_raw(value):
+    if value.encoded:
+        return bytes(value.encoded)
+    return _tlv(value.tag, value.payload)
+
+
+def _encode_arcs(value):
+    return _tlv(TAG_OID, _encode_oid_content(tuple(value.arcs)))
+
+
+_ENCODERS = {
+    type(None): lambda value: _NULL_TLV,
+    _Null: lambda value: _NULL_TLV,
+    _Marker: lambda value: _MARKER_TLVS[id(value)],
+    int: _integer_encoder(TAG_INTEGER),
+    Counter32: _integer_encoder(TAG_COUNTER32),
+    Gauge32: _integer_encoder(TAG_GAUGE32),
+    TimeTicks: _integer_encoder(TAG_TIMETICKS),
+    Counter64: _integer_encoder(TAG_COUNTER64),
+    bytes: _encode_octet_string,
+    OctetString: _encode_octet_string,
+    IpAddress: _octets_encoder(TAG_IPADDRESS),
+    Opaque: _octets_encoder(TAG_OPAQUE),
+    str: lambda value: _encode_octet_string(value.encode("utf-8")),
+    Oid: _encode_oid,
+    list: _encode_sequence,
+    tuple: _encode_sequence,
+    TaggedSequence: lambda value: _tlv(value.tag,
+                                       _encode_elements(value.elements)),
+    Raw: _encode_raw,
+}
+
+
+def _fallback_encoder(value):
+    """The encoder for a value whose exact type is not in _ENCODERS."""
+    if isinstance(value, bool):
+        raise EncodingError("cannot encode value kind 'bool'")
+    for kind in (int, bytes, str, list, tuple):
+        if isinstance(value, kind):
+            return _ENCODERS[kind]
+    if getattr(value, "arcs", None) is not None:
+        return _encode_arcs
+    raise EncodingError(f"cannot encode value kind {type(value).__name__!r}")
 
 
 def encode(value):
     """Encode one abstract value into a complete TLV octet string."""
-    if value is None or value is NULL:
-        return _tlv(TAG_NULL, b"")
-    t = type(value)
-    if t is Raw:
-        if value.encoded:
-            return bytes(value.encoded)
-        return _tlv(value.tag, value.payload)
-    if t is Counter32:
-        return _tlv(TAG_COUNTER32, _encode_signed_int(int(value)))
-    if t is Gauge32:
-        return _tlv(TAG_GAUGE32, _encode_signed_int(int(value)))
-    if t is TimeTicks:
-        return _tlv(TAG_TIMETICKS, _encode_signed_int(int(value)))
-    if t is Counter64:
-        return _tlv(TAG_COUNTER64, _encode_signed_int(int(value)))
-    if isinstance(value, bool):
-        raise EncodingError("cannot encode value kind 'bool'")
-    if isinstance(value, int):
-        return _tlv(TAG_INTEGER, _encode_signed_int(value))
-    if t is IpAddress:
-        return _tlv(TAG_IPADDRESS, bytes(value))
-    if t is Opaque:
-        return _tlv(TAG_OPAQUE, bytes(value))
-    if isinstance(value, bytes):
-        return _tlv(TAG_OCTET_STRING, bytes(value))
-    if isinstance(value, str):
-        return _tlv(TAG_OCTET_STRING, value.encode("utf-8"))
-    if t is Oid:
-        return _tlv(TAG_OID, _encode_oid_content(value.arcs))
-    if t is _Marker:
-        return _tlv(_MARKER_TAGS[id(value)], b"")
-    if t is TaggedSequence:
-        return _tlv(value.tag, b"".join(encode(e) for e in value.elements))
-    if isinstance(value, (list, tuple)):
-        return _tlv(TAG_SEQUENCE, b"".join(encode(e) for e in value))
-    arcs = getattr(value, "arcs", None)
-    if arcs is not None:
-        return _tlv(TAG_OID, _encode_oid_content(tuple(arcs)))
-    raise EncodingError(f"cannot encode value kind {type(value).__name__!r}")
+    return (_ENCODERS.get(type(value)) or _fallback_encoder(value))(value)
 
 
 # ---------------------------------------------------------------------------
 # Decoding
 
 def decode(data, offset=0, registry=None):
-    """Decode one TLV starting at offset; return (value, consumed)."""
+    """Decode one TLV starting at offset; return (value, consumed).
+
+    Malformed input of any kind raises DecodingError.
+    """
     if registry is None:
         registry = DEFAULT_REGISTRY
-    data = bytes(data) if not isinstance(data, (bytes, bytearray, memoryview)) else data
-    tag, tag_len = decode_tag(data, offset)
-    length, len_len = decode_length(data, offset + tag_len)
-    header = tag_len + len_len
-    if offset + header + length > len(data):
-        raise TruncatedError(length, len(data) - offset - header)
-    payload = bytes(data[offset + header:offset + header + length])
-    consumed = header + length
-    kind = registry.lookup(tag)
-    if kind is None:
-        encoded = bytes(data[offset:offset + consumed])
-        return Raw(tag, payload, encoded), consumed
-    return _decode_value(kind, tag, payload, registry), consumed
-
-
-def _decode_children(payload, registry):
-    out = []
-    pos = 0
-    while pos < len(payload):
-        value, used = decode(payload, pos, registry)
-        out.append(value)
-        pos += used
-    return out
-
-
-def _decode_value(kind, tag, payload, registry):
-    if kind == "integer":
-        if not payload:
-            raise DecodingError("empty INTEGER payload")
-        return int.from_bytes(payload, "big", signed=True)
-    if kind == "octet-string":
-        return OctetString(payload)
-    if kind == "null":
-        return NULL
-    if kind == "oid":
-        return Oid(_decode_oid_content(payload))
-    if kind == "sequence":
-        return _decode_children(payload, registry)
-    if kind == "ip-address":
-        if len(payload) != 4:
-            raise DecodingError(f"IpAddress payload of {len(payload)} octets")
-        return IpAddress(payload)
-    if kind == "counter32":
-        return Counter32(int.from_bytes(payload, "big"))
-    if kind == "gauge32":
-        return Gauge32(int.from_bytes(payload, "big"))
-    if kind == "timeticks":
-        return TimeTicks(int.from_bytes(payload, "big"))
-    if kind == "opaque":
-        return Opaque(payload)
-    if kind == "counter64":
-        return Counter64(int.from_bytes(payload, "big"))
-    if kind == "no-such-object":
-        return NO_SUCH_OBJECT
-    if kind == "no-such-instance":
-        return NO_SUCH_INSTANCE
-    if kind == "end-of-mib-view":
-        return END_OF_MIB_VIEW
-    if kind == "tagged-sequence":
-        return TaggedSequence(tag, _decode_children(payload, registry))
-    raise DecodingError(f"no decoder for registered kind {kind!r}")
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    value, end = registry._decode(data, offset, len(data), 0)
+    return value, end - offset

@@ -188,6 +188,14 @@ def pdu_to_ber(pdu):
     ])
 
 
+def _fields(value, kinds, what):
+    """value, if it is a list of one element of each type in kinds."""
+    if not isinstance(value, list) or len(value) != len(kinds) or \
+            not all(isinstance(v, k) for v, k in zip(value, kinds)):
+        raise DecodingError(f"malformed {what}")
+    return value
+
+
 def _binding_from_ber(item, registry):
     if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], ber.Oid):
         raise DecodingError(f"malformed variable binding {item!r}")
@@ -207,11 +215,9 @@ def pdu_from_ber(ts, registry=None, version=None):
         raise DecodingError(f"unknown PDU tag number {pdu_type}")
     els = list(ts.elements)
     if pdu_type == TRAP_V1:
-        if len(els) != 6:
-            raise DecodingError("trap-v1 PDU needs 6 elements")
-        ent, addr, generic, specific, stamp, bindings = els
-        if not isinstance(ent, ber.Oid) or not isinstance(addr, ber.IpAddress):
-            raise DecodingError("malformed trap-v1 header")
+        ent, addr, generic, specific, stamp, bindings = _fields(
+            els, (ber.Oid, ber.IpAddress, int, int, int, list),
+            "trap-v1 PDU")
         return TrapV1Pdu(ent if registry is None else registry.resolve(ent.arcs),
                          addr, int(generic), int(specific), int(stamp),
                          [_binding_from_ber(b, registry) for b in bindings])
@@ -275,11 +281,12 @@ def encode_scoped_pdu(scoped):
                        pdu_to_ber(scoped.pdu)])
 
 
+_SCOPED_PDU = (bytes, bytes, object)
+
+
 def decode_scoped_pdu(data, registry=None):
     value, consumed = ber.decode(data, registry=SNMP_REGISTRY)
-    if not isinstance(value, list) or len(value) != 3:
-        raise DecodingError("malformed scoped PDU")
-    engine_id, context, pdu_ts = value
+    engine_id, context, pdu_ts = _fields(value, _SCOPED_PDU, "scoped PDU")
     return ScopedPdu(bytes(engine_id), bytes(context),
                      pdu_from_ber(pdu_ts, registry)), consumed
 
@@ -305,15 +312,16 @@ def decode_message(data, registry=None, expected_version=None):
         if len(outer) != 4:
             raise DecodingError("v3 message needs 4 elements")
         _, global_data, sec_bytes, msg_data = outer
-        if not isinstance(global_data, list) or len(global_data) != 4:
-            raise DecodingError("malformed msgGlobalData")
-        msg_id, max_size, flags_octet, sec_model = global_data
-        if not isinstance(flags_octet, bytes) or len(flags_octet) != 1:
+        msg_id, max_size, flags_octet, sec_model = _fields(
+            global_data, (int, int, bytes, int), "msgGlobalData")
+        if len(flags_octet) != 1:
             raise DecodingError("malformed msgFlags")
         flags = flags_octet[0]
-        sec, _ = ber.decode(bytes(sec_bytes), registry=SNMP_REGISTRY)
-        if not isinstance(sec, list) or len(sec) != 6:
-            raise DecodingError("malformed USM security parameters")
+        if not isinstance(sec_bytes, bytes):
+            raise DecodingError("security parameters are not an OCTET STRING")
+        sec, _ = ber.decode(sec_bytes, registry=SNMP_REGISTRY)
+        sec = _fields(sec, (bytes, int, int, bytes, bytes, bytes),
+                      "USM security parameters")
         usm = UsmParams(bytes(sec[0]), int(sec[1]), int(sec[2]),
                         bytes(sec[3]), bytes(sec[4]), bytes(sec[5]))
         msg = V3Message(int(msg_id), flags, usm, msg_max_size=int(max_size),
@@ -327,9 +335,8 @@ def decode_message(data, registry=None, expected_version=None):
                 raise DecodingError("priv flag set but priv_params empty")
             msg.encrypted_pdu = bytes(msg_data)
         else:
-            if not isinstance(msg_data, list) or len(msg_data) != 3:
-                raise DecodingError("malformed scoped PDU")
-            engine_id, context, pdu_ts = msg_data
+            engine_id, context, pdu_ts = _fields(msg_data, _SCOPED_PDU,
+                                                 "scoped PDU")
             msg.scoped_pdu = ScopedPdu(bytes(engine_id), bytes(context),
                                        pdu_from_ber(pdu_ts, registry))
         return msg

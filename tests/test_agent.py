@@ -452,3 +452,65 @@ class TestWalkCostIsFlat:
         # one leaves the column and reads the next column's first rows
         assert set(per_request[:-1]) == {(reps + 1, reps)}
         assert per_request[-1] == (reps + 2, reps)
+
+
+class TestHostileInput:
+    def test_deeply_nested_datagram_dropped(self, loopback_agent):
+        tree, ctx = loopback_agent
+        data = b"\x30\x00"
+        for _ in range(4999):
+            data = b"\x30" + ber.encode_length(len(data)) + data
+        assert agent.handle_datagram(tree, ctx, data) is None
+
+    def _tree(self, registry, bad):
+        """sysDescr.0 and two 3-row columns; the value at bad, a (column,
+        row) pair, is True, which has no BER form."""
+        def column(name, value):
+            def fn(ctx, ids):
+                if not ids:
+                    return 3
+                if ids not in ((1,), (2,), (3,)):
+                    return None
+                return True if (name, ids[0]) == bad else value
+            agent.define_table_column(tree, registry, name, fn)
+
+        tree = agent.DispatchTree()
+        agent.define_scalar(tree, registry, "sysDescr",
+                            lambda ctx: ber.OctetString(b"ok"))
+        column("ifDescr", ber.OctetString(b"if"))
+        column("ifType", 6)
+        return tree
+
+    def _ask(self, registry, tree, pdu_type, names, a=0, b=0, version=V2C):
+        pdu = messages.make_request_pdu(pdu_type, names, registry, 9)
+        pdu.error_status, pdu.error_index = a, b
+        wire = messages.encode_message(CommunityMessage(version, b"public",
+                                                        pdu))
+        reply = agent.handle_datagram(tree, _ctx(registry), wire)
+        return pdu, messages.decode_message(reply).pdu
+
+    @pytest.mark.parametrize("version", [V1, V2C])
+    def test_unencodable_get_value_is_generr(self, registry, version):
+        tree = self._tree(registry, ("ifType", 2))
+        names = ["sysDescr.0", "ifType.1", "ifType.2", "ifType.3"]
+        pdu, resp = self._ask(registry, tree, GET_REQUEST, names,
+                              version=version)
+        assert (resp.error_status, resp.error_index) == (agent.GEN_ERR, 3)
+        assert [vb.arcs for vb in resp.bindings] == \
+            [vb.arcs for vb in pdu.bindings]
+
+    @pytest.mark.parametrize("names,reps,bad,index", [
+        (["ifDescr", "sysName"], 2, ("ifDescr", 1), 1),   # a non-repeater
+        (["sysName", "ifDescr", "ifType"], 4, ("ifType", 3), 3),
+        (["sysName", "ifDescr", "ifType"], 4, ("ifType", 1), 2),
+        # the ifType run ends early at endOfMibView
+        (["sysDescr", "ifType", "ifDescr"], 5, ("ifDescr", 1), 3),
+        (["sysName", "ifDescr", "ifType"], 4, None, 0),
+    ])
+    def test_unencodable_bulk_value_names_its_request_binding(
+            self, registry, names, reps, bad, index):
+        tree = self._tree(registry, bad)
+        _, resp = self._ask(registry, tree, GET_BULK_REQUEST, names,
+                            a=1, b=reps)
+        assert (resp.error_status, resp.error_index) == \
+            ((agent.GEN_ERR, index) if index else (0, 0))

@@ -234,3 +234,37 @@ class TestProperties:
         decoded, _ = ber.decode(data)
         assert isinstance(decoded, ber.Raw)
         assert ber.encode(decoded) == data
+
+
+def _nested_sequences(levels):
+    data = b"\x30\x00"
+    for _ in range(levels - 1):
+        data = b"\x30" + ber.encode_length(len(data)) + data
+    return data
+
+
+class TestNesting:
+    def test_deep_nesting_is_a_decoding_error(self):
+        data = _nested_sequences(5000)
+        assert 15000 < len(data) < 25000
+        with pytest.raises(DecodingError):
+            ber.decode(data)
+
+    def test_nesting_bound(self):
+        value, _ = ber.decode(_nested_sequences(ber.MAX_NESTING))
+        for _ in range(ber.MAX_NESTING - 1):
+            value, = value
+        assert value == []
+        with pytest.raises(DecodingError):
+            ber.decode(_nested_sequences(ber.MAX_NESTING + 1))
+
+
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize("data", [
+        bytes([0x41, 0x05, 0x01, 0, 0, 0, 0]),        # Counter32 = 2**32
+        bytes([0x46, 0x09, 0x01] + [0] * 8),           # Counter64 = 2**64
+        bytes([0x9F, 0x88, 0x80, 0x80, 0x80, 0x00, 0x00]),  # tag 2**31
+    ])
+    def test_rejected_as_decoding_errors(self, data):
+        with pytest.raises(DecodingError):
+            ber.decode(data)

@@ -1,0 +1,108 @@
+"""Fuzz properties: malformed input is rejected, never raised through.
+
+For any byte string, ``ber.decode`` and ``messages.decode_message`` give
+a value or raise ``DecodingError``, and ``agent.handle_datagram`` gives
+None or bytes.  Inputs are arbitrary bytes, and truncations and
+single-byte mutations of valid messages: the golden wire vectors and
+requests the test agent answers.
+"""
+
+import functools
+import json
+import os
+
+from hypothesis import given, settings, strategies as st
+
+from snmpkit import agent, ber, messages
+from snmpkit.errors import DecodingError
+from snmpkit.messages import (
+    CommunityMessage, FLAG_AUTH, FLAG_REPORTABLE, GET_BULK_REQUEST,
+    GET_NEXT_REQUEST, GET_REQUEST, Pdu, ScopedPdu, SET_REQUEST, UsmParams,
+    V1, V2C, V3Message, VarBind,
+)
+from snmpkit.mibs import load_core
+from snmpkit.oids import Registry
+
+with open(os.path.join(os.path.dirname(__file__), "golden_wire.json")) as _f:
+    _GOLDEN = [bytes.fromhex(h) for h in json.load(_f).values()]
+
+SYSTEM = (1, 3, 6, 1, 2, 1, 1)
+IF_DESCR_1 = (1, 3, 6, 1, 2, 1, 2, 2, 1, 2, 1)
+
+
+def _request(version, pdu_type, arcs, value=ber.NULL, a=0, b=0):
+    pdu = Pdu(pdu_type, 77, a, b, [VarBind(ber.Oid(arcs), value)])
+    return messages.encode_message(CommunityMessage(version, b"public", pdu))
+
+
+def _v3_plain():
+    scoped = ScopedPdu(b"\x80\x00\x1f\x88\x04", b"",
+                       Pdu(GET_REQUEST, 5, bindings=[VarBind(ber.Oid(SYSTEM))]))
+    params = UsmParams(b"\x80\x00\x1f\x88\x04", 3, 1200, b"user", bytes(12))
+    return messages.encode_message(
+        V3Message(9, FLAG_AUTH | FLAG_REPORTABLE, params, scoped))
+
+
+SEEDS = _GOLDEN + [
+    _request(V2C, GET_REQUEST, SYSTEM + (1, 0)),
+    _request(V1, GET_NEXT_REQUEST, SYSTEM),
+    _request(V2C, GET_BULK_REQUEST, IF_DESCR_1, a=0, b=10),
+    _request(V2C, SET_REQUEST, SYSTEM + (4, 0), ber.OctetString(b"ops")),
+    _v3_plain(),
+]
+
+
+def _mutations(wire):
+    return st.tuples(st.integers(0, len(wire) - 1), st.integers(0, 255)).map(
+        lambda m: wire[:m[0]] + bytes([m[1]]) + wire[m[0] + 1:])
+
+
+_inputs = st.one_of(
+    st.binary(max_size=300),
+    st.sampled_from(SEEDS).flatmap(
+        lambda w: st.integers(0, len(w) - 1).map(lambda n: w[:n])),
+    st.sampled_from(SEEDS).flatmap(_mutations),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _agent():
+    registry = load_core(Registry())
+    ctx = agent.AgentContext(registry=registry)
+    tree = agent.DispatchTree()
+    agent.install_system_group(tree, ctx)
+    agent.install_if_table(tree, registry, agent.demo_if_rows())
+    return tree, ctx
+
+
+def _value_or_decoding_error(fn, data):
+    try:
+        fn(data)
+    except DecodingError:
+        pass
+
+
+class TestFuzz:
+    def test_seeds_are_answered(self):
+        tree, ctx = _agent()
+        for wire in SEEDS[len(_GOLDEN):-1]:
+            assert agent.handle_datagram(tree, ctx, wire) is not None
+
+    @settings(max_examples=600, deadline=None)
+    @given(_inputs)
+    def test_ber_decode(self, data):
+        _value_or_decoding_error(ber.decode, data)
+        _value_or_decoding_error(
+            lambda d: ber.decode(d, registry=messages.SNMP_REGISTRY), data)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_inputs)
+    def test_decode_message(self, data):
+        _value_or_decoding_error(messages.decode_message, data)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_inputs)
+    def test_handle_datagram(self, data):
+        tree, ctx = _agent()
+        reply = agent.handle_datagram(tree, ctx, data)
+        assert reply is None or isinstance(reply, bytes)
