@@ -22,7 +22,7 @@ import threading
 import time
 
 from . import ber, messages
-from .errors import EncodingError, SnmpError, SnmpKitError, TransportError
+from .errors import SnmpError, SnmpKitError, TransportError
 from .messages import (
     GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST, RESPONSE, SET_REQUEST,
     Pdu, VarBind, V1, V2C,
@@ -288,9 +288,13 @@ def _dispatch_next(tree, pdu, ctx, version):
 
 
 def _dispatch_bulk(tree, pdu, ctx):
+    """Non-repeaters first, then the repeaters' answers repetition by
+    repetition (r1v1, r1v2, r2v1, ...; RFC 3416 section 4.2.3).  A repeater
+    past the end of the view answers endOfMibView in every later
+    repetition; the reply ends with the repetition in which the last
+    repeater reaches the end."""
     memo = {}
     non_repeaters = max(0, pdu.non_repeaters)
-    max_repetitions = max(0, pdu.max_repetitions)
     out = []
     for vb in pdu.bindings[:non_repeaters]:
         arcs, value = _next_pair(tree, vb.arcs, ctx, memo)
@@ -298,15 +302,22 @@ def _dispatch_bulk(tree, pdu, ctx):
             out.append(VarBind(ber.Oid(vb.arcs), ber.END_OF_MIB_VIEW))
         else:
             out.append(VarBind(ber.Oid(arcs), value))
-    for vb in pdu.bindings[non_repeaters:]:
-        arcs = tuple(vb.arcs)
-        for _ in range(max_repetitions):
-            arcs_next, value = _next_pair(tree, arcs, ctx, memo)
-            if arcs_next is None:
-                out.append(VarBind(ber.Oid(arcs), ber.END_OF_MIB_VIEW))
-                break
-            out.append(VarBind(ber.Oid(arcs_next), value))
-            arcs = arcs_next
+    cursors = [tuple(vb.arcs) for vb in pdu.bindings[non_repeaters:]]
+    ended = [False] * len(cursors)
+    live = len(cursors)
+    for _ in range(max(0, pdu.max_repetitions)):
+        if not live:
+            break
+        for j, arcs in enumerate(cursors):
+            if not ended[j]:
+                arcs_next, value = _next_pair(tree, arcs, ctx, memo)
+                if arcs_next is not None:
+                    out.append(VarBind(ber.Oid(arcs_next), value))
+                    cursors[j] = arcs_next
+                    continue
+                ended[j] = True
+                live -= 1
+            out.append(VarBind(ber.Oid(arcs), ber.END_OF_MIB_VIEW))
     return messages.response_for(pdu, out)
 
 
@@ -344,7 +355,7 @@ def handle_datagram(tree, ctx, data, community=None):
         return None
     if not isinstance(msg, messages.CommunityMessage):
         return None  # the agent speaks v1/v2c only
-    if msg.community != (community.encode() if isinstance(community, str) else community):
+    if msg.community != messages.community_octets(community):
         return None
     if not isinstance(msg.pdu, Pdu):
         return None
@@ -352,7 +363,7 @@ def handle_datagram(tree, ctx, data, community=None):
     try:
         return messages.encode_message(
             messages.CommunityMessage(msg.version, msg.community, response))
-    except EncodingError:  # a handler's value has no BER form
+    except Exception:  # a handler's value has no BER form
         response = messages.response_for(
             msg.pdu, list(msg.pdu.bindings), GEN_ERR,
             _unencodable_index(msg.pdu, response.bindings))
@@ -361,28 +372,23 @@ def handle_datagram(tree, ctx, data, community=None):
 
 
 def _unencodable_index(pdu, bindings):
-    """1-based index of the request binding whose answer in bindings does
-    not encode on its own; 0 when each one does.
+    """1-based index of the first request binding one of whose answers in
+    bindings does not encode on its own; 0 when each one does.
 
-    A GETBULK response holds the non-repeaters' answers, then one run per
-    repeater of at most max-repetitions answers, a run ending early at
-    endOfMibView (see _dispatch_bulk).
+    A GETBULK response holds the non-repeaters' answers, then one answer
+    per repeater in each repetition (see _dispatch_bulk).
     """
-    origins = range(len(bindings))
+    n = len(bindings)
     if pdu.pdu_type == GET_BULK_REQUEST:
         n = min(max(0, pdu.non_repeaters), len(pdu.bindings))
-        origins, origin, run = list(range(n)), n, 0
-        for vb in bindings[n:]:
-            origins.append(origin)
-            run += 1
-            if run == pdu.max_repetitions or vb.value is ber.END_OF_MIB_VIEW:
-                origin, run = origin + 1, 0
-    for origin, vb in zip(origins, bindings):
+    width = max(1, len(pdu.bindings) - n)
+    failed = []
+    for k, vb in enumerate(bindings):
         try:
             ber.encode([vb.name, vb.value])
-        except EncodingError:
-            return origin + 1
-    return 0
+        except Exception:
+            failed.append(k if k < n else n + (k - n) % width)
+    return min(failed) + 1 if failed else 0
 
 
 class ServiceHandle:

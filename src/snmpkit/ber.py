@@ -238,9 +238,19 @@ def encode_tag(tag):
 
 def decode_tag(data, offset=0):
     """Return (Tag, consumed); supports the multi-byte high-tag form."""
+    if offset < len(data):
+        tag = _ONE_OCTET_TAGS[data[offset]]
+        if tag is not None:
+            return tag, 1
     number, consumed = _tag_number(data, offset, len(data))
     first = data[offset]
     return Tag(first >> 6, bool(first & 0x20), number), consumed
+
+
+# The Tag of each identifier octet whose tag number fits in it; None
+# where the number continues in further octets.
+_ONE_OCTET_TAGS = [None if b & 0x1F == 0x1F else
+                   Tag(b >> 6, bool(b & 0x20), b & 0x1F) for b in range(256)]
 
 
 def _tag_number(data, pos, end):
@@ -299,6 +309,9 @@ def _encode_oid_content(arcs):
     return bytes(out)
 
 
+_MAX_SUBID_OCTETS = 5  # enough for 32 bits; longer ones cost quadratic time
+
+
 def _decode_oid_content(payload):
     if payload.isascii():  # every sub-identifier is one octet
         subids = tuple(payload)
@@ -306,12 +319,16 @@ def _decode_oid_content(payload):
         if payload[-1] & 0x80:
             raise DecodingError("truncated OID sub-identifier")
         subids = []
-        cur = 0
+        cur = used = 0
         for b in payload:
             if b < 0x80:
                 subids.append(cur | b)
-                cur = 0
+                cur = used = 0
             else:
+                used += 1
+                if used == _MAX_SUBID_OCTETS:
+                    raise DecodingError("OID sub-identifier longer than "
+                                        f"{_MAX_SUBID_OCTETS} octets")
                 cur = (cur | b & 0x7F) << 7
     if not subids:
         return ()

@@ -14,7 +14,8 @@ import time
 
 from . import ber, messages, transport, usm
 from .errors import (
-    AuthenticationError, SnmpError, SnmpStatusError, UsmProtocolError,
+    AuthenticationError, SnmpError, SnmpKitError, SnmpStatusError,
+    UsmProtocolError,
 )
 from .messages import (
     FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE,
@@ -148,9 +149,7 @@ def send_pdu(session, pdu, context=None):
 
 def _community_exchange(session, pdu):
     payload = messages.encode_message(
-        CommunityMessage(session.version, session.community.encode()
-                         if isinstance(session.community, str)
-                         else session.community, pdu))
+        CommunityMessage(session.version, session.community, pdu))
     matched = {}
 
     def match(data):
@@ -191,9 +190,8 @@ def _discover_engine(session):
     probe = Pdu(GET_REQUEST, session.next_request_id())
     msg = V3Message(session.next_request_id(), FLAG_REPORTABLE, UsmParams(),
                     ScopedPdu(pdu=probe))
-    reply = _raw_v3_exchange(session, msg)
-    if reply.scoped_pdu is None or reply.scoped_pdu.pdu is None or \
-            reply.scoped_pdu.pdu.pdu_type != REPORT:
+    reply, scoped = _raw_v3_exchange(session, msg)
+    if scoped.pdu.pdu_type != REPORT:
         raise UsmProtocolError("engine discovery did not yield a Report")
     usm_params = reply.usm
     if not usm_params.engine_id:
@@ -213,87 +211,57 @@ def _authenticated_exchange(session, pdu, context=None):
         flags |= FLAG_AUTH
     if cred.priv is not None:
         flags |= FLAG_PRIV
-
     usm_params = UsmParams(
         engine_id=engine.engine_id,
         engine_boots=engine.engine_boots,
         engine_time=engine.current_time(),
         user_name=cred.user.encode(),
     )
-    msg = V3Message(session.next_request_id(), flags, usm_params)
-    if flags & FLAG_PRIV:
-        plaintext = messages.encode_scoped_pdu(scoped)
-        msg.encrypted_pdu, usm_params.priv_params = usm.encrypt_scoped_pdu(
-            plaintext, engine.priv_key, engine.engine_boots)
-    else:
-        msg.scoped_pdu = scoped
-
-    if flags & FLAG_AUTH:
-        usm_params.auth_params = bytes(usm.MAC_LENGTH)
-        wire = messages.encode_message(msg)
-        mac = usm.sign(wire, engine.auth_key, cred.auth[0])
-        usm_params.auth_params = mac
-    reply = _raw_v3_exchange(session, msg, expected_request_id=pdu.request_id)
-    return _open_reply(session, reply)
+    msg = V3Message(session.next_request_id(), flags, usm_params, scoped)
+    _, scoped = _raw_v3_exchange(session, msg,
+                                 expected_request_id=pdu.request_id)
+    return scoped.pdu
 
 
 def _raw_v3_exchange(session, msg, expected_request_id=None):
-    payload = messages.encode_message(msg)
+    """Send msg secured by the session's engine keys; the opened reply.
+
+    A reply that echoes msg's id but fails authentication or the time
+    window ends the exchange with AuthenticationError.  Other undecodable
+    or unauthentic datagrams are ignored, and so is a reply other than a
+    Report whose security level differs from msg's (RFC 3412 section
+    7.2, step 13), such as a forged one in clear.
+    """
+    payload = usm.secure(msg, session.engine)
     matched = {}
 
     def match(data):
         try:
-            reply = messages.decode_message(data, session.registry)
-        except Exception:
+            reply, scoped = usm.open(data, session.engine, session.registry)
+        except AuthenticationError as exc:
+            if exc.msg.msg_id != msg.msg_id:
+                return False
+            matched["error"] = exc
+            return True
+        except SnmpKitError:
             return False
-        if not isinstance(reply, V3Message):
+        if (reply.flags ^ msg.flags) & (FLAG_AUTH | FLAG_PRIV) and \
+                scoped.pdu.pdu_type != REPORT:
             return False
         if reply.msg_id != msg.msg_id:
             # engines echo msg_id; reports about our request also match
-            # on the inner request id when readable
-            if expected_request_id is None or reply.scoped_pdu is None or \
-                    reply.scoped_pdu.pdu is None or \
-                    reply.scoped_pdu.pdu.request_id != expected_request_id:
+            # on the inner request id
+            if expected_request_id is None or \
+                    scoped.pdu.request_id != expected_request_id:
                 return False
-        matched["msg"] = reply
-        matched["wire"] = data
+        matched["reply"] = reply, scoped
         return True
 
     transport.exchange(session.endpoint, payload, session.estimator, match,
                        clock=session.clock)
-    return _verify_reply(session, matched["msg"], matched["wire"])
-
-
-def _verify_reply(session, reply, wire):
-    """Check the inbound MAC (when present) against the localized key."""
-    if reply.flags & FLAG_AUTH and session.engine.auth_key is not None:
-        mac = reply.usm.auth_params
-        if len(mac) != usm.MAC_LENGTH:
-            raise AuthenticationError("reply MAC has wrong length")
-        reply.usm.auth_params = bytes(usm.MAC_LENGTH)
-        blanked = messages.encode_message(reply)
-        reply.usm.auth_params = mac
-        if not usm.verify(blanked, session.engine.auth_key,
-                          session.credential.auth[0], mac):
-            raise AuthenticationError("reply failed message authentication")
-    return reply
-
-
-def _open_reply(session, reply):
-    """Decrypt if needed, track the engine clock, return the inner PDU."""
-    engine = session.engine
-    if reply.usm.engine_id and reply.usm.engine_id == engine.engine_id:
-        engine.adopt(reply.usm.engine_id, reply.usm.engine_boots,
-                     reply.usm.engine_time, session.credential)
-    if reply.flags & FLAG_PRIV:
-        plaintext = usm.decrypt_scoped_pdu(
-            reply.encrypted_pdu, engine.priv_key, reply.usm.priv_params)
-        scoped, _ = messages.decode_scoped_pdu(plaintext, session.registry)
-    else:
-        scoped = reply.scoped_pdu
-    if scoped is None or scoped.pdu is None:
-        raise UsmProtocolError("reply carries no PDU")
-    return scoped.pdu
+    if "error" in matched:
+        raise matched["error"]
+    return matched["reply"]
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +341,7 @@ def trap_v1(session, enterprise, generic, specific, bindings=()):
     pdu = TrapV1Pdu(session.registry.resolve(enterprise), addr,
                     int(generic), int(specific), ticks, vbs)
     payload = messages.encode_message(
-        CommunityMessage(V1, session.community.encode()
-                         if isinstance(session.community, str)
-                         else session.community, pdu))
+        CommunityMessage(V1, session.community, pdu))
     session.endpoint.send(payload)
 
 

@@ -97,7 +97,21 @@ class SnmpStatusError(SnmpError):
 
 
 class AuthenticationError(SnmpError):
-    """An SNMPv3 response failed MAC verification (key mismatch, not loss)."""
+    """An SNMPv3 message failed authentication: its MAC does not verify
+    (key mismatch, not loss) or it lies outside the time window.
+
+    msg is the decoded message that failed, so a caller can still tell
+    whose message it was.
+    """
+
+    def __init__(self, text, msg=None):
+        super().__init__(text)
+        self.msg = msg
+
+
+class NotInTimeWindowError(AuthenticationError):
+    """An authentic SNMPv3 message is older than the engine clock allows
+    (RFC 3414 section 3.2, step 7)."""
 
 
 class UsmProtocolError(SnmpError):

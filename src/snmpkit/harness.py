@@ -11,7 +11,10 @@ from __future__ import annotations
 import random
 
 from . import agent as agent_mod, ber, messages, usm
-from .errors import EndpointClosedError
+from .errors import (
+    AuthenticationError, EndpointClosedError, NotInTimeWindowError,
+    SnmpKitError,
+)
 from .messages import (
     FLAG_AUTH, FLAG_PRIV, REPORT,
     Pdu, ScopedPdu, UsmParams, V3Message, VarBind,
@@ -151,7 +154,11 @@ class ScriptedV3Responder:
     Serves variables from an agent dispatch tree, answers unknown-engine
     probes with a Report, and counts the two kinds of exchange so tests
     can assert the discovery flow (one Report, then authenticated
-    traffic only).
+    traffic only).  Requests are opened and replies secured by
+    usm.open and usm.secure, the client's own path, under self.engine:
+    the engine's keys and clock.  The clock does not tick by itself; it
+    moves forward with authentic requests only, and a request from
+    outside its time window gets an authenticated notInTimeWindow Report.
     """
 
     def __init__(self, tree, ctx, credential,
@@ -161,62 +168,56 @@ class ScriptedV3Responder:
         self.ctx = ctx
         self.credential = credential
         self.engine_id = engine_id
-        self.engine_boots = engine_boots
-        self.engine_time = engine_time
+        self.engine = usm.EngineState()
+        self.engine.adopt(engine_id, engine_boots, engine_time, credential)
         self.report_count = 0
         self.auth_count = 0
         self.unknown_engine_count = 0
-        auth_proto, auth_pass = credential.auth
-        self.auth_proto = auth_proto
-        self.auth_key = usm.localize_key(
-            usm.password_to_key(auth_pass, auth_proto), engine_id, auth_proto)
-        self.priv_key = None
-        if credential.priv is not None:
-            self.priv_key = usm.localize_key(
-                usm.password_to_key(credential.priv[1], auth_proto),
-                engine_id, auth_proto)
+
+    @property
+    def auth_key(self):
+        return self.engine.auth_key
+
+    @property
+    def priv_key(self):
+        return self.engine.priv_key
 
     def __call__(self, data):
         try:
-            msg = messages.decode_message(data)
-        except Exception:
+            msg, scoped = usm.open(data, self.engine)
+        except AuthenticationError as exc:
+            return self._refuse(exc)
+        except SnmpKitError:
             return None
-        if not isinstance(msg, V3Message):
-            return None
-        if not msg.usm.engine_id:
-            return self._report(msg, messages.USM_STATS_UNKNOWN_ENGINE_IDS,
-                                unknown_engine=True)
         if msg.usm.engine_id != self.engine_id:
             return self._report(msg, messages.USM_STATS_UNKNOWN_ENGINE_IDS,
                                 unknown_engine=True)
-        if msg.flags & FLAG_AUTH:
-            if not self._verify(msg, data):
-                return self._report(msg, messages.USM_STATS_WRONG_DIGESTS)
-        if msg.flags & FLAG_PRIV:
-            plaintext = usm.decrypt_scoped_pdu(
-                msg.encrypted_pdu, self.priv_key, msg.usm.priv_params)
-            scoped, _ = messages.decode_scoped_pdu(plaintext)
-        else:
-            scoped = msg.scoped_pdu
         self.auth_count += 1
         response = agent_mod.dispatch(self.tree, scoped.pdu, self.ctx)
-        return self._respond(msg, scoped, response)
+        reply = V3Message(msg.msg_id, msg.flags & (FLAG_AUTH | FLAG_PRIV),
+                          self._usm_params(msg),
+                          ScopedPdu(self.engine_id, scoped.context_name,
+                                    response))
+        return usm.secure(reply, self.engine)
 
-    def _verify(self, msg, wire):
-        mac = msg.usm.auth_params
-        if len(mac) != usm.MAC_LENGTH:
-            return False
-        msg.usm.auth_params = bytes(usm.MAC_LENGTH)
-        blanked = messages.encode_message(msg)
-        msg.usm.auth_params = mac
-        return usm.verify(blanked, self.auth_key, self.auth_proto, mac)
+    def _refuse(self, exc):
+        """The Report for a request that failed usm.open's checks."""
+        msg = exc.msg
+        if msg.usm.engine_id != self.engine_id:
+            return self._report(msg, messages.USM_STATS_UNKNOWN_ENGINE_IDS,
+                                unknown_engine=True)
+        if isinstance(exc, NotInTimeWindowError):
+            return self._report(msg, messages.USM_STATS_NOT_IN_TIME_WINDOWS,
+                                flags=FLAG_AUTH)
+        return self._report(msg, messages.USM_STATS_WRONG_DIGESTS)
 
-    def _usm_params(self, **extra):
+    def _usm_params(self, msg):
         return UsmParams(engine_id=self.engine_id,
-                         engine_boots=self.engine_boots,
-                         engine_time=self.engine_time, **extra)
+                         engine_boots=self.engine.engine_boots,
+                         engine_time=self.engine.engine_time,
+                         user_name=msg.usm.user_name)
 
-    def _report(self, msg, stats_oid, unknown_engine=False):
+    def _report(self, msg, stats_oid, unknown_engine=False, flags=0):
         self.report_count += 1
         if unknown_engine:
             self.unknown_engine_count += 1
@@ -225,25 +226,6 @@ class ScriptedV3Responder:
             request_id = msg.scoped_pdu.pdu.request_id
         report = Pdu(REPORT, request_id,
                      bindings=[VarBind(ber.Oid(stats_oid), ber.Counter32(1))])
-        reply = V3Message(msg.msg_id, 0, self._usm_params(),
+        reply = V3Message(msg.msg_id, flags, self._usm_params(msg),
                           ScopedPdu(self.engine_id, b"", report))
-        return messages.encode_message(reply)
-
-    def _respond(self, msg, scoped, response_pdu):
-        flags = msg.flags & (FLAG_AUTH | FLAG_PRIV)
-        usm_params = self._usm_params(user_name=msg.usm.user_name)
-        reply = V3Message(msg.msg_id, flags, usm_params)
-        out_scoped = ScopedPdu(self.engine_id, scoped.context_name, response_pdu)
-        if flags & FLAG_PRIV:
-            plaintext = messages.encode_scoped_pdu(out_scoped)
-            reply.encrypted_pdu, usm_params.priv_params = \
-                usm.encrypt_scoped_pdu(plaintext, self.priv_key,
-                                       self.engine_boots)
-        else:
-            reply.scoped_pdu = out_scoped
-        if flags & FLAG_AUTH:
-            usm_params.auth_params = bytes(usm.MAC_LENGTH)
-            wire = messages.encode_message(reply)
-            usm_params.auth_params = usm.sign(wire, self.auth_key,
-                                              self.auth_proto)
-        return messages.encode_message(reply)
+        return usm.secure(reply, self.engine)

@@ -241,12 +241,17 @@ def pdu_from_ber(ts, registry=None, version=None):
 # Messages <-> BER
 
 
+def community_octets(community):
+    """A community given as str or bytes, as the octets on the wire."""
+    return community if isinstance(community, bytes) \
+        else community.encode("utf-8")
+
+
 def encode_message(msg):
     """Serialize a CommunityMessage or V3Message to wire bytes."""
     if isinstance(msg, CommunityMessage):
-        community = msg.community if isinstance(msg.community, bytes) \
-            else msg.community.encode("utf-8")
-        return ber.encode([msg.version, ber.OctetString(community),
+        return ber.encode([msg.version,
+                           ber.OctetString(community_octets(msg.community)),
                            pdu_to_ber(msg.pdu)])
     if isinstance(msg, V3Message):
         if msg.flags & FLAG_PRIV and not msg.flags & FLAG_AUTH:

@@ -3,10 +3,18 @@
 Key derivation, HMAC message authentication (MD5/SHA1, 96-bit tags) and
 DES-CBC privacy.  Engine discovery itself lives in the client since it
 needs a transport; this module keeps the per-session engine state.
+
+secure and open are the one path by which the client and the harness
+responder protect an outgoing message and check an incoming one.  Both
+work on the wire octets: a message is encoded once, and its MAC is
+located by walking TLV headers, so a MAC is computed and checked over
+exactly the octets that travel.  Password-derived keys are cached per
+(protocol, passphrase), so sessions sharing a credential derive them once.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import secrets
@@ -20,7 +28,11 @@ try:  # single-DES moved to the decrepit module in newer releases
 except ImportError:  # pragma: no cover
     from cryptography.hazmat.primitives.ciphers.algorithms import TripleDES
 
-from .errors import SnmpError
+from . import ber, messages
+from .errors import (
+    AuthenticationError, DecodingError, NotInTimeWindowError, SnmpError,
+)
+from .messages import FLAG_AUTH, FLAG_PRIV, V3Message
 
 AUTH_MD5 = "md5"
 AUTH_SHA1 = "sha1"
@@ -71,15 +83,31 @@ def _coerce_secret(spec, default_protocol, known):
     return (protocol, passphrase)
 
 
+def _octets(passphrase):
+    return passphrase.encode("utf-8") if isinstance(passphrase, str) \
+        else bytes(passphrase)
+
+
 def password_to_key(passphrase, protocol):
     """Digest 1 MiB of the cyclically repeated passphrase (RFC 3414 style)."""
     if not passphrase:
         raise SnmpError("empty passphrase")
     digest = _DIGESTS[protocol]()
-    data = passphrase.encode("utf-8") if isinstance(passphrase, str) else bytes(passphrase)
+    data = _octets(passphrase)
     repeated = data * (_MEGABYTE // len(data) + 1)
     digest.update(repeated[:_MEGABYTE])
     return digest.digest()
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_key(protocol, passphrase):
+    return password_to_key(passphrase, protocol)
+
+
+def master_key(passphrase, protocol):
+    """password_to_key, computed once per (protocol, passphrase octets)
+    while the pair stays among the 64 most recently used."""
+    return _cached_key(protocol, _octets(passphrase))
 
 
 def localize_key(key, engine_id, protocol):
@@ -153,11 +181,12 @@ class EngineState:
 
     engine_id: bytes = b""
     engine_boots: int = 0
-    engine_time: int = 0
+    engine_time: int = 0  # the latest engine time received
     synced_at: float = field(default=0.0, compare=False)
 
     auth_key: bytes | None = None
     priv_key: bytes | None = None
+    auth_protocol: str | None = None
 
     @property
     def discovered(self):
@@ -167,17 +196,15 @@ class EngineState:
         """Take on a (new) engine identity; re-localizes keys when it changes."""
         engine_id = bytes(engine_id)
         if engine_id != self.engine_id:
-            self.auth_key = None
-            self.priv_key = None
+            self.auth_key = self.priv_key = self.auth_protocol = None
             if credential.auth is not None:
                 proto, passphrase = credential.auth
+                self.auth_protocol = proto
                 self.auth_key = localize_key(
-                    password_to_key(passphrase, proto), engine_id, proto)
+                    master_key(passphrase, proto), engine_id, proto)
             if credential.priv is not None:
-                auth_proto = credential.auth[0]
-                _, passphrase = credential.priv
                 self.priv_key = localize_key(
-                    password_to_key(passphrase, auth_proto), engine_id, auth_proto)
+                    master_key(credential.priv[1], proto), engine_id, proto)
         self.engine_id = engine_id
         self.engine_boots = boots
         self.engine_time = engine_time
@@ -192,3 +219,109 @@ class EngineState:
     def in_time_window(self, peer_boots, peer_time, now=None):
         return peer_boots == self.engine_boots and \
             abs(peer_time - self.current_time(now)) <= TIME_WINDOW
+
+    def advance(self, boots, engine_time, now=None):
+        """Take an authentic message's engine clock, forward only.
+
+        False, changing nothing, when the message is from an earlier boot
+        or more than TIME_WINDOW seconds behind the latest time received
+        (RFC 3414 section 3.2, step 7(b)).
+        """
+        if boots < self.engine_boots or boots == self.engine_boots and \
+                engine_time < self.engine_time - TIME_WINDOW:
+            return False
+        if boots > self.engine_boots or engine_time > self.engine_time:
+            self.engine_boots = boots
+            self.engine_time = engine_time
+            self.synced_at = time.monotonic() if now is None else now
+        return True
+
+
+# ---------------------------------------------------------------------------
+# The wire path: one encode to send, one decode to receive
+
+
+def _header(wire, pos):
+    """(content offset, content length) of the TLV at wire[pos]."""
+    _, used = ber.decode_tag(wire, pos)
+    length, more = ber.decode_length(wire, pos + used)
+    return pos + used + more, length
+
+
+def _mac_offset(wire):
+    """Offset of the msgAuthenticationParameters content in an encoded v3
+    message, by walking TLV headers: SEQUENCE { msgVersion, msgGlobalData,
+    OCTET STRING { SEQUENCE { engine id, boots, time, user name, MAC, ...
+    The caller has made sure the MAC there is MAC_LENGTH octets long.
+    """
+    pos, _ = _header(wire, 0)
+    for _ in range(2):  # msgVersion, msgGlobalData
+        start, length = _header(wire, pos)
+        pos = start + length
+    pos, _ = _header(wire, _header(wire, pos)[0])
+    for _ in range(4):  # engine id, boots, time, user name
+        start, length = _header(wire, pos)
+        pos = start + length
+    return _header(wire, pos)[0]
+
+
+def secure(msg, keys, salt=None):
+    """The wire octets of a V3Message, protected as its flags ask.
+
+    keys is an EngineState.  With the priv flag, msg.scoped_pdu is
+    encrypted into msg.encrypted_pdu (salt as for encrypt_scoped_pdu).
+    With the auth flag, the message is encoded once with a zero MAC, and
+    the MAC over those octets is written into them (RFC 3414 section
+    6.3.1).
+    """
+    params = msg.usm
+    if msg.flags & FLAG_PRIV:
+        msg.encrypted_pdu, params.priv_params = encrypt_scoped_pdu(
+            messages.encode_scoped_pdu(msg.scoped_pdu), keys.priv_key,
+            params.engine_boots, salt)
+    if not msg.flags & FLAG_AUTH:
+        return messages.encode_message(msg)
+    params.auth_params = bytes(MAC_LENGTH)
+    wire = bytearray(messages.encode_message(msg))
+    at = _mac_offset(wire)
+    params.auth_params = sign(wire, keys.auth_key, keys.auth_protocol)
+    wire[at:at + MAC_LENGTH] = params.auth_params
+    return bytes(wire)
+
+
+def open(wire, keys, registry=None):
+    """Decode a received v3 message and undo its protection.
+
+    Returns (msg, scoped PDU).  keys is an EngineState.  With the auth
+    flag, the MAC is checked over a copy of the received octets with the
+    MAC zeroed (RFC 3414 section 6.3.2), so a sender's non-minimal BER
+    verifies; the message's engine clock must then pass keys.advance.
+    With the priv flag, the scoped PDU is decrypted.  Raises
+    AuthenticationError, carrying the message, when its MAC or clock
+    fails, and DecodingError or SnmpError when the octets are not a v3
+    message or do not decrypt.
+    """
+    msg = messages.decode_message(wire, registry)
+    if not isinstance(msg, V3Message):
+        raise DecodingError("not an SNMPv3 message")
+    params = msg.usm
+    if msg.flags & FLAG_AUTH:
+        if keys.auth_key is None or params.engine_id != keys.engine_id:
+            raise AuthenticationError("no key for the message's engine", msg)
+        if len(params.auth_params) != MAC_LENGTH:
+            raise AuthenticationError("MAC has the wrong length", msg)
+        blanked = bytearray(wire)
+        at = _mac_offset(blanked)
+        blanked[at:at + MAC_LENGTH] = bytes(MAC_LENGTH)
+        if not verify(blanked, keys.auth_key, keys.auth_protocol,
+                      params.auth_params):
+            raise AuthenticationError("message failed authentication", msg)
+        if not keys.advance(params.engine_boots, params.engine_time):
+            raise NotInTimeWindowError("message outside the time window", msg)
+    if not msg.flags & FLAG_PRIV:
+        return msg, msg.scoped_pdu
+    if keys.priv_key is None:
+        raise SnmpError("no privacy key to decrypt with")
+    plaintext = decrypt_scoped_pdu(msg.encrypted_pdu, keys.priv_key,
+                                   params.priv_params)
+    return msg, messages.decode_scoped_pdu(plaintext, registry)[0]

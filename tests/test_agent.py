@@ -173,6 +173,32 @@ class TestGetBulk:
         resp = agent.dispatch(tree, pdu, ctx, V2C)
         assert resp.bindings[-1].value is ber.END_OF_MIB_VIEW
 
+    def test_multi_variable_reply_is_ordered_by_repetition(self, registry):
+        tree = agent.DispatchTree()
+        agent.define_scalar(tree, registry, "sysDescr",
+                            lambda ctx: ber.OctetString(b"ok"))
+        for name in ("ifDescr", "ifType"):
+            agent.define_table_column(
+                tree, registry, name,
+                lambda ctx, ids, name=name: 3 if not ids else
+                (name, ids[0]) if ids in ((1,), (2,), (3,)) else None)
+        pdu = messages.make_request_pdu(
+            GET_BULK_REQUEST, ["sysName", "ifType", "ifDescr"], registry, 9)
+        pdu.error_status, pdu.error_index = 1, 5
+        resp = agent.dispatch(tree, pdu, _ctx(registry), V2C)
+
+        def cell(name, row):
+            return tuple(registry.resolve(name).arcs) + (row,), (name, row)
+        ended = (cell("ifType", 3)[0], ber.END_OF_MIB_VIEW)
+        assert [(vb.arcs, vb.value) for vb in resp.bindings] == [
+            cell("ifDescr", 1),                        # the non-repeater
+            cell("ifType", 1), cell("ifDescr", 1),     # repetition 1
+            cell("ifType", 2), cell("ifDescr", 2),
+            cell("ifType", 3), cell("ifDescr", 3),
+            ended, cell("ifType", 1),                  # ifType has ended
+            ended, cell("ifType", 2),
+        ]
+
     def test_bulk_on_v1_is_generr(self, registry, loopback_agent):
         tree, ctx = loopback_agent
         pdu = Pdu(GET_BULK_REQUEST, 9, 0, 5,
@@ -353,15 +379,22 @@ def _oracle_dispatch(tree, pdu, ctx, version):
     for vb in pdu.bindings[:non_repeaters]:
         full, value = _oracle_next(instances, vb.arcs, ctx)
         out.append((vb.arcs, end) if full is None else (full, value))
+    # each repeater's run, ending at its first endOfMibView; then the runs
+    # side by side, repetition by repetition, an ended run repeating its
+    # endOfMibView until the longest run is done
+    runs = []
     for vb in pdu.bindings[non_repeaters:]:
-        arcs = vb.arcs
+        arcs, run = vb.arcs, []
         for _ in range(max(0, pdu.max_repetitions)):
             full, value = _oracle_next(instances, arcs, ctx)
             if full is None:
-                out.append((arcs, end))
+                run.append((arcs, end))
                 break
-            out.append((full, value))
+            run.append((full, value))
             arcs = full
+        runs.append(run)
+    for r in range(max(map(len, runs), default=0)):
+        out.extend(run[min(r, len(run) - 1)] for run in runs)
     return 0, 0, out
 
 
@@ -514,3 +547,19 @@ class TestHostileInput:
                             a=1, b=reps)
         assert (resp.error_status, resp.error_index) == \
             ((agent.GEN_ERR, index) if index else (0, 0))
+
+    @pytest.mark.parametrize("pdu_type,names,index", [
+        (GET_REQUEST, ["sysDescr.0", "sysName.0"], 2),
+        (GET_BULK_REQUEST, ["sysDescr", "sysContact", "sysDescr"], 2),
+    ])
+    def test_value_failing_to_encode_any_way_is_generr(
+            self, registry, pdu_type, names, index):
+        class BadOid:
+            arcs = ("1", "3")  # ber's OID encoder raises TypeError
+
+        tree = agent.DispatchTree()
+        agent.define_scalar(tree, registry, "sysDescr",
+                            lambda ctx: ber.OctetString(b"ok"))
+        agent.define_scalar(tree, registry, "sysName", lambda ctx: BadOid())
+        _, resp = self._ask(registry, tree, pdu_type, names, a=1, b=3)
+        assert (resp.error_status, resp.error_index) == (agent.GEN_ERR, index)

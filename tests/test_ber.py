@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -268,3 +270,20 @@ class TestOutOfRangeInput:
     def test_rejected_as_decoding_errors(self, data):
         with pytest.raises(DecodingError):
             ber.decode(data)
+
+
+class TestLongSubIdentifier:
+    def test_sub_identifier_octet_limit(self):
+        five = bytes([0x06, 0x06, 0x2B, 0x8F, 0xFF, 0xFF, 0xFF, 0x7F])
+        assert ber.decode(five)[0] == ber.Oid((1, 3, 2 ** 32 - 1))
+        with pytest.raises(DecodingError):
+            ber.decode(bytes([0x06, 0x07, 0x2B, 0x81, 0x80, 0x80, 0x80,
+                              0x80, 0x00]))
+
+    def test_60000_octet_sub_identifier_is_rejected_fast(self):
+        content = b"\x2b" + b"\x81" * 59999 + b"\x01"
+        data = b"\x06" + ber.encode_length(len(content)) + content
+        start = time.perf_counter()
+        with pytest.raises(DecodingError):
+            ber.decode(data)
+        assert time.perf_counter() - start < 0.01

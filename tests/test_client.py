@@ -1,10 +1,13 @@
 import pytest
 
-from snmpkit import agent, ber, client, harness, usm
+from snmpkit import agent, ber, client, harness, messages, usm
 from snmpkit.errors import (
     AuthenticationError, EndpointClosedError, SnmpError, SnmpStatusError,
 )
-from snmpkit.messages import V1, V2C, V3, defaults
+from snmpkit.messages import (
+    FLAG_AUTH, Pdu, RESPONSE, ScopedPdu, V1, V2C, V3, V3Message, VarBind,
+    defaults,
+)
 
 
 @pytest.fixture()
@@ -269,3 +272,126 @@ class TestV3:
             registry=registry,
             **harness.loopback_session_kwargs(endpoint, clock))
         assert isinstance(client.get(session, "sysName.0"), ber.OctetString)
+
+
+def _long_form_version(wire):
+    """wire with msgVersion's length in the long form: 02 81 01 03."""
+    _, used = ber.decode_tag(wire)
+    _, more = ber.decode_length(wire, used)
+    body = wire[used + more:]
+    assert body[:3] == b"\x02\x01\x03"
+    body = b"\x02\x81\x01\x03" + body[3:]
+    return wire[:used] + ber.encode_length(len(body)) + body
+
+
+class TestV3WirePath:
+    """Replies are authenticated over the octets that arrived and checked
+    against the engine clock; sessions share password-derived keys."""
+
+    CRED = TestV3.CRED
+
+    def _engine(self, loopback_agent, **clock):
+        tree, ctx = loopback_agent
+        return harness.ScriptedV3Responder(
+            tree, ctx, usm.Credential.create(
+                "alice", ("sha1", "authpass123"), ("des", "privpass123")),
+            **clock)
+
+    def _session(self, registry, responder):
+        endpoint, channel, clock = harness.connect(responder)
+        return client.open_session(
+            "loopback", version=V3, registry=registry, **self.CRED,
+            **harness.loopback_session_kwargs(endpoint, clock))
+
+    def test_reply_with_long_form_length_verifies(self, registry,
+                                                  loopback_agent):
+        engine = self._engine(loopback_agent)
+
+        def responder(data):
+            reply = engine(data)
+            mac = messages.decode_message(reply).usm.auth_params
+            if not any(mac):
+                return reply  # the discovery Report is not signed
+            wire = bytearray(_long_form_version(reply))
+            at = wire.index(mac)
+            wire[at:at + 12] = bytes(12)
+            wire[at:at + 12] = usm.sign(wire, engine.auth_key, usm.AUTH_SHA1)
+            return bytes(wire)
+
+        session = self._session(registry, responder)
+        assert isinstance(client.get(session, "sysName.0"), ber.OctetString)
+        assert engine.auth_count == 1
+
+    @pytest.mark.parametrize("later", [
+        {"engine_boots": 2}, {"engine_time": 1000 + 2 * usm.TIME_WINDOW}])
+    def test_replayed_older_reply_is_rejected(self, registry, loopback_agent,
+                                              later):
+        engine = self._engine(loopback_agent)
+        moved_on = self._engine(loopback_agent, **later)  # same engine id
+        serving, replies, replay = [engine], [], []
+
+        def responder(data):
+            reply = replay.pop() if replay else serving[0](data)
+            replies.append(reply)
+            return reply
+
+        session = self._session(registry, responder)
+        client.get(session, "sysName.0")
+        old = replies[-1]
+        serving[0] = moved_on
+        assert isinstance(client.get(session, "sysName.0"), ber.OctetString)
+        clock = (session.engine.engine_boots, session.engine.engine_time)
+
+        # the old reply answers a request that reuses its msgID
+        session._request_id = messages.decode_message(old).msg_id - 1
+        replay.append(old)
+        with pytest.raises(AuthenticationError):
+            client.get(session, "sysName.0")
+        assert (session.engine.engine_boots,
+                session.engine.engine_time) == clock
+        # the moved-on engine resynchronised the session with one
+        # authenticated notInTimeWindow Report
+        assert clock == (moved_on.engine.engine_boots,
+                         moved_on.engine.engine_time)
+        assert moved_on.report_count == 1
+
+    def test_sessions_sharing_a_credential_derive_keys_once(
+            self, registry, loopback_agent, monkeypatch):
+        calls = []
+        real = usm.password_to_key
+
+        def counting(passphrase, protocol):
+            calls.append(protocol)
+            return real(passphrase, protocol)
+
+        monkeypatch.setattr(usm, "password_to_key", counting)
+        usm._cached_key.cache_clear()
+        engine = self._engine(loopback_agent)
+        for _ in range(3):
+            client.get(self._session(registry, engine), "sysName.0")
+        assert calls == [usm.AUTH_SHA1, usm.AUTH_SHA1]  # auth and priv
+
+    def test_reply_below_the_request_security_level_is_ignored(
+            self, registry, loopback_agent):
+        engine = self._engine(loopback_agent)
+        forged = []
+
+        def responder(data):
+            msg = messages.decode_message(data)
+            if not msg.flags & FLAG_AUTH or forged:
+                return engine(data)
+            # the first authenticated request gets a Response in clear
+            forged.append(messages.encode_message(V3Message(
+                msg.msg_id, 0, messages.UsmParams(engine.engine_id, 1, 1000),
+                ScopedPdu(engine.engine_id, b"", Pdu(RESPONSE, 0, bindings=[
+                    VarBind(ber.Oid(registry.resolve("sysName.0").arcs),
+                            ber.OctetString(b"forged"))])))))
+            return forged[0]
+
+        endpoint, channel, clock = harness.connect(responder)
+        session = client.open_session(
+            "loopback", version=V3, registry=registry, **self.CRED,
+            **harness.loopback_session_kwargs(endpoint, clock))
+        value = client.get(session, "sysName.0")
+        assert value != b"forged" and engine.auth_count == 1
+        assert channel.client_sent == 3  # discovery, the get, its resend

@@ -1,10 +1,11 @@
 """Fuzz properties: malformed input is rejected, never raised through.
 
 For any byte string, ``ber.decode`` and ``messages.decode_message`` give
-a value or raise ``DecodingError``, and ``agent.handle_datagram`` gives
-None or bytes.  Inputs are arbitrary bytes, and truncations and
-single-byte mutations of valid messages: the golden wire vectors and
-requests the test agent answers.
+a value or raise ``DecodingError``, ``usm.open`` gives a message or
+raises an ``SnmpKitError``, and ``agent.handle_datagram`` gives None or
+bytes.  Inputs are arbitrary bytes, and truncations and single-byte
+mutations of valid messages: the golden wire vectors and requests the
+test agent answers.
 """
 
 import functools
@@ -13,8 +14,8 @@ import os
 
 from hypothesis import given, settings, strategies as st
 
-from snmpkit import agent, ber, messages
-from snmpkit.errors import DecodingError
+from snmpkit import agent, ber, messages, usm
+from snmpkit.errors import DecodingError, SnmpKitError
 from snmpkit.messages import (
     CommunityMessage, FLAG_AUTH, FLAG_REPORTABLE, GET_BULK_REQUEST,
     GET_NEXT_REQUEST, GET_REQUEST, Pdu, ScopedPdu, SET_REQUEST, UsmParams,
@@ -24,7 +25,9 @@ from snmpkit.mibs import load_core
 from snmpkit.oids import Registry
 
 with open(os.path.join(os.path.dirname(__file__), "golden_wire.json")) as _f:
-    _GOLDEN = [bytes.fromhex(h) for h in json.load(_f).values()]
+    _GOLDEN_HEX = json.load(_f)
+_GOLDEN = [bytes.fromhex(h) for h in _GOLDEN_HEX.values()]
+_V3_WIRE = bytes.fromhex(_GOLDEN_HEX["v3_auth_priv"])
 
 SYSTEM = (1, 3, 6, 1, 2, 1, 1)
 IF_DESCR_1 = (1, 3, 6, 1, 2, 1, 2, 2, 1, 2, 1)
@@ -75,6 +78,27 @@ def _agent():
     return tree, ctx
 
 
+def _v3_keys():
+    """The golden authPriv message's engine, as usm.open takes it."""
+    keys = usm.EngineState()
+    keys.adopt(bytes.fromhex("000000000000000000000002"), 7, 123456,
+               usm.Credential.create("authPrivUser", ("sha1", "maplesyrup"),
+                                     ("des", "privpassword")))
+    return keys
+
+
+def _signed_with_ciphertext(ciphertext):
+    """The golden authPriv message carrying other ciphertext, re-signed so
+    that its MAC verifies and usm.open goes on to decrypt."""
+    msg = messages.decode_message(_V3_WIRE)
+    msg.encrypted_pdu = ciphertext
+    msg.usm.auth_params = bytes(12)
+    wire = bytearray(messages.encode_message(msg))
+    at = usm._mac_offset(wire)
+    wire[at:at + 12] = usm.sign(wire, _v3_keys().auth_key, "sha1")
+    return bytes(wire)
+
+
 def _value_or_decoding_error(fn, data):
     try:
         fn(data)
@@ -106,3 +130,12 @@ class TestFuzz:
         tree, ctx = _agent()
         reply = agent.handle_datagram(tree, ctx, data)
         assert reply is None or isinstance(reply, bytes)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(_inputs, _mutations(_V3_WIRE),
+                     st.binary(max_size=96).map(_signed_with_ciphertext)))
+    def test_usm_open(self, data):
+        try:
+            usm.open(data, _v3_keys())
+        except SnmpKitError:
+            pass

@@ -168,3 +168,51 @@ class TestEngineState:
         assert not state.in_time_window(2, 1030 + usm.TIME_WINDOW + 1,
                                         now=130.0)
         assert not state.in_time_window(3, 1030, now=130.0)
+
+    def test_advance_moves_the_clock_forward_only(self):
+        state = usm.EngineState(engine_boots=2, engine_time=1000)
+        assert state.advance(2, 1000 - usm.TIME_WINDOW, now=5.0)
+        assert (state.engine_boots, state.engine_time) == (2, 1000)
+        assert state.advance(2, 1200, now=6.0)
+        assert (state.engine_time, state.synced_at) == (1200, 6.0)
+        assert not state.advance(2, 1200 - usm.TIME_WINDOW - 1)
+        assert not state.advance(1, 5000)
+        assert state.advance(3, 7)
+        assert (state.engine_boots, state.engine_time) == (3, 7)
+
+
+class TestKeyCache:
+    CRED = usm.Credential.create("u", ("sha1", "cache-auth-pass"),
+                                 ("des", "cache-priv-pass"))
+
+    def test_states_sharing_a_credential_derive_each_key_once(
+            self, monkeypatch):
+        calls = []
+        real = usm.password_to_key
+
+        def counting(passphrase, protocol):
+            calls.append((protocol, passphrase))
+            return real(passphrase, protocol)
+
+        monkeypatch.setattr(usm, "password_to_key", counting)
+        usm._cached_key.cache_clear()
+        states = []
+        for engine_id in (ENGINE_ID, b"\x80" + bytes(11), ENGINE_ID):
+            state = usm.EngineState()
+            state.adopt(engine_id, 1, 0, self.CRED)
+            states.append(state)
+        assert sorted(calls) == [(usm.AUTH_SHA1, b"cache-auth-pass"),
+                                 (usm.AUTH_SHA1, b"cache-priv-pass")]
+        assert states[0].auth_key == states[2].auth_key != states[1].auth_key
+        assert states[0].priv_key == usm.localize_key(
+            real("cache-priv-pass", usm.AUTH_SHA1), ENGINE_ID, usm.AUTH_SHA1)
+
+    def test_keyed_by_protocol_and_passphrase_octets(self):
+        assert usm.master_key("maplesyrup", usm.AUTH_MD5) == MD5_KU
+        assert usm.master_key(b"maplesyrup", usm.AUTH_SHA1) == SHA1_KU
+        assert usm.master_key("maplesyrup", usm.AUTH_SHA1) == SHA1_KU
+        assert usm.master_key("maplesyrup!", usm.AUTH_SHA1) != SHA1_KU
+
+    def test_empty_passphrase_still_rejected(self):
+        with pytest.raises(SnmpError):
+            usm.master_key("", usm.AUTH_SHA1)

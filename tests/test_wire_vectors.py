@@ -63,6 +63,15 @@ def _v3_keys():
     return auth, priv
 
 
+def _v3_engine():
+    """The golden message's engine as usm.secure and usm.open take it."""
+    keys = usm.EngineState()
+    keys.adopt(ENGINE_ID, 7, 123456, usm.Credential.create(
+        "authPrivUser", (usm.AUTH_SHA1, "maplesyrup"),
+        (usm.PRIV_DES, "privpassword")))
+    return keys
+
+
 def v3_auth_priv():
     auth_key, priv_key = _v3_keys()
     scoped = ScopedPdu(ENGINE_ID, b"", Pdu(GET_REQUEST, 4242, bindings=[
@@ -113,6 +122,19 @@ class TestGoldenWire:
         scoped, _ = messages.decode_scoped_pdu(plain)
         assert scoped.pdu.request_id == 4242
         assert [vb.arcs for vb in scoped.pdu.bindings][0] == SYSDESCR_0
+
+    def test_secure_reproduces_v3_vector(self):
+        keys = _v3_engine()
+        scoped = ScopedPdu(ENGINE_ID, b"", Pdu(GET_REQUEST, 4242, bindings=[
+            VarBind(ber.Oid(SYSDESCR_0)),
+            VarBind(ber.Oid((1, 3, 6, 1, 2, 1, 1, 3, 0)))]))
+        msg = V3Message(31337, FLAG_AUTH | FLAG_PRIV | FLAG_REPORTABLE,
+                        UsmParams(ENGINE_ID, 7, 123456, b"authPrivUser"),
+                        scoped)
+        wire = usm.secure(msg, keys, salt=0x01020304)
+        assert wire.hex() == GOLDEN["v3_auth_priv"]
+        opened, plain = usm.open(wire, keys)
+        assert opened.msg_id == 31337 and plain == scoped
 
     def test_bulk_vector_values(self):
         msg = messages.decode_message(bytes.fromhex(GOLDEN["bulk_response"]))
