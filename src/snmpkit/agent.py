@@ -184,17 +184,21 @@ def _children(handler, ctx):
     """A handler's instances for one request, as sorted rest-id tuples.
 
     A count N > 0 stays a range of the single arcs 1..N, never expanded.
-    None when the handler has no instances or its probe raises.
+    None when the handler has no instances, its probe raises or its
+    ChildSpec holds an arc that is not an int.
     """
     try:
         spec = handler(ctx, ())
+        if spec is None:
+            return None
+        if isinstance(spec, int) and spec:
+            return range(1, spec + 1)
+        children = expand_children(spec)
     except Exception:
         return None
-    if spec is None:
+    if not all(isinstance(a, int) for rest in children for a in rest):
         return None
-    if isinstance(spec, int) and spec:
-        return range(1, spec + 1)
-    return sorted(expand_children(spec))
+    return sorted(children)
 
 
 def _children_after(children, key):
@@ -246,12 +250,13 @@ def _dispatch_get(tree, pdu, ctx, version):
     return messages.response_for(pdu, out)
 
 
-def _next_pair(tree, arcs, ctx, memo):
-    """The first instance after arcs that reads a value -> (arcs, value).
+def _instances_after(tree, arcs, ctx, memo):
+    """The instances after arcs that read a value, in order, as
+    (arcs, value) pairs.
 
     Starts at the base covering arcs, or else the next base.  memo maps
     each base probed during this request to its _children, so a request
-    probes a handler at most once.  (None, None) past the end of the view.
+    probes a handler at most once.
     """
     arcs = tuple(arcs)
     bases, entries = tree._view
@@ -268,8 +273,13 @@ def _next_pair(tree, arcs, ctx, memo):
         for rest in _children_after(children, key):
             value = _read(handler, ctx, rest)
             if value is not None:
-                return base + rest, value
-    return None, None
+                yield base + rest, value
+
+
+def _next_pair(tree, arcs, ctx, memo):
+    """The first instance after arcs that reads a value -> (arcs, value);
+    (None, None) past the end of the view."""
+    return next(_instances_after(tree, arcs, ctx, memo), (None, None))
 
 
 def _dispatch_next(tree, pdu, ctx, version):
@@ -281,43 +291,45 @@ def _dispatch_next(tree, pdu, ctx, version):
             if version == V1:
                 return messages.response_for(pdu, list(pdu.bindings),
                                              NO_SUCH_NAME, i + 1)
-            out.append(VarBind(ber.Oid(vb.arcs), ber.END_OF_MIB_VIEW))
+            out.append(VarBind(ber._oid(vb.arcs), ber.END_OF_MIB_VIEW))
         else:
-            out.append(VarBind(ber.Oid(arcs), value))
+            out.append(VarBind(ber._oid(arcs), value))
     return messages.response_for(pdu, out)
 
 
 def _dispatch_bulk(tree, pdu, ctx):
     """Non-repeaters first, then the repeaters' answers repetition by
-    repetition (r1v1, r1v2, r2v1, ...; RFC 3416 section 4.2.3).  A repeater
-    past the end of the view answers endOfMibView in every later
-    repetition; the reply ends with the repetition in which the last
-    repeater reaches the end."""
+    repetition (r1v1, r1v2, r2v1, ...; RFC 3416 section 4.2.3).  Each
+    repeater steps one live _instances_after.  A repeater past the end of
+    the view answers endOfMibView in every later repetition; the reply
+    ends with the repetition in which the last repeater reaches the end."""
     memo = {}
     non_repeaters = max(0, pdu.non_repeaters)
     out = []
     for vb in pdu.bindings[:non_repeaters]:
         arcs, value = _next_pair(tree, vb.arcs, ctx, memo)
         if arcs is None:
-            out.append(VarBind(ber.Oid(vb.arcs), ber.END_OF_MIB_VIEW))
+            out.append(VarBind(ber._oid(vb.arcs), ber.END_OF_MIB_VIEW))
         else:
-            out.append(VarBind(ber.Oid(arcs), value))
-    cursors = [tuple(vb.arcs) for vb in pdu.bindings[non_repeaters:]]
-    ended = [False] * len(cursors)
-    live = len(cursors)
+            out.append(VarBind(ber._oid(arcs), value))
+    repeaters = pdu.bindings[non_repeaters:]
+    steps = [_instances_after(tree, vb.arcs, ctx, memo) for vb in repeaters]
+    cursors = [vb.arcs for vb in repeaters]
+    ended = [False] * len(steps)
+    live = len(steps)
     for _ in range(max(0, pdu.max_repetitions)):
         if not live:
             break
-        for j, arcs in enumerate(cursors):
+        for j, step in enumerate(steps):
             if not ended[j]:
-                arcs_next, value = _next_pair(tree, arcs, ctx, memo)
-                if arcs_next is not None:
-                    out.append(VarBind(ber.Oid(arcs_next), value))
-                    cursors[j] = arcs_next
+                arcs, value = next(step, (None, None))
+                if arcs is not None:
+                    out.append(VarBind(ber._oid(arcs), value))
+                    cursors[j] = arcs
                     continue
                 ended[j] = True
                 live -= 1
-            out.append(VarBind(ber.Oid(arcs), ber.END_OF_MIB_VIEW))
+            out.append(VarBind(ber._oid(cursors[j]), ber.END_OF_MIB_VIEW))
     return messages.response_for(pdu, out)
 
 

@@ -57,7 +57,7 @@ class Session:
         self.estimator = estimator
         self.context = context
         self.clock = clock
-        self.engine = usm.EngineState()
+        self.engine = usm.EngineState(clock=clock)
         self._request_id = secrets.randbelow(2 ** 31 - 1) + 1
         self._opened_at = time.monotonic()
 
@@ -134,14 +134,29 @@ def request(session, pdu_kind, bindings_spec, context=None):
 
     A non-zero error-status in the response raises SnmpStatusError.
     """
-    pdu = messages.make_request_pdu(pdu_kind, bindings_spec,
-                                    session.registry, session.next_request_id())
+    return _pairs(session, _request_pdu(session, pdu_kind, bindings_spec),
+                  context)
+
+
+def _request_pdu(session, pdu_kind, bindings_spec):
+    return messages.make_request_pdu(pdu_kind, bindings_spec,
+                                     session.registry,
+                                     session.next_request_id())
+
+
+def _pairs(session, pdu, context=None):
+    """Send pdu; the response's (OidRef, value) pairs, each name resolved
+    once here.  A non-zero error-status raises SnmpStatusError."""
     response = _check_status(send_pdu(session, pdu, context))
-    return [(vb.name, vb.value) for vb in response.bindings]
+    resolve = session.registry.resolve
+    return [(resolve(vb.name), vb.value) for vb in response.bindings]
 
 
 def send_pdu(session, pdu, context=None):
-    """Transmit a prebuilt PDU and return the matched response PDU."""
+    """Transmit a prebuilt PDU and return the matched response PDU.
+
+    The response's names are the Oids off the wire, not resolved.
+    """
     if session.version in (V1, V2C):
         return _community_exchange(session, pdu)
     return _v3_exchange(session, pdu, context)
@@ -154,7 +169,7 @@ def _community_exchange(session, pdu):
 
     def match(data):
         try:
-            msg = messages.decode_message(data, session.registry)
+            msg = messages.decode_message(data)
         except Exception:
             return False
         if not isinstance(msg, CommunityMessage) or \
@@ -206,11 +221,7 @@ def _authenticated_exchange(session, pdu, context=None):
     context_name = (session.context if context is None else context)
     scoped = ScopedPdu(engine.engine_id, context_name.encode()
                        if isinstance(context_name, str) else context_name, pdu)
-    flags = FLAG_REPORTABLE
-    if cred.auth is not None:
-        flags |= FLAG_AUTH
-    if cred.priv is not None:
-        flags |= FLAG_PRIV
+    flags = FLAG_REPORTABLE | cred.security_flags
     usm_params = UsmParams(
         engine_id=engine.engine_id,
         engine_boots=engine.engine_boots,
@@ -237,7 +248,7 @@ def _raw_v3_exchange(session, msg, expected_request_id=None):
 
     def match(data):
         try:
-            reply, scoped = usm.open(data, session.engine, session.registry)
+            reply, scoped = usm.open(data, session.engine)
         except AuthenticationError as exc:
             if exc.msg.msg_id != msg.msg_id:
                 return False
@@ -311,12 +322,10 @@ def bulk(session, non_repeaters, max_repetitions, oids):
     if session.version == V1:
         raise SnmpError("get-bulk requires SNMPv2c or later")
     specs = [oids] if _is_single_spec(oids) else list(oids)
-    pdu = messages.make_request_pdu(GET_BULK_REQUEST, specs,
-                                    session.registry, session.next_request_id())
+    pdu = _request_pdu(session, GET_BULK_REQUEST, specs)
     pdu.error_status = int(non_repeaters)
     pdu.error_index = int(max_repetitions)
-    response = _check_status(send_pdu(session, pdu))
-    return [(vb.name, vb.value) for vb in response.bindings]
+    return _pairs(session, pdu)
 
 
 def inform(session, bindings):
@@ -356,31 +365,31 @@ def walk(session_or_host, subtree, **session_kwargs):
 
 
 def _walk(session, subtree):
-    prefix = tuple(session.registry.resolve(subtree).arcs)
+    cursor = session.registry.resolve(subtree)
+    prefix = cursor.arcs
     out = []
-    cursor = prefix
     done = False
     while not done:
         if session.version == V1:
             try:
-                step = get_next(session, [ber.Oid(cursor)])
+                step = get_next(session, [cursor])
             except SnmpStatusError as exc:
                 if exc.status_name != "noSuchName":
                     raise
                 break  # a v1 agent's way of saying end of MIB view
         else:
-            step = bulk(session, 0, WALK_BULK_REPETITIONS, [ber.Oid(cursor)])
+            step = bulk(session, 0, WALK_BULK_REPETITIONS, [cursor])
         if not step:
             break
         progressed = False
         for name, value in step:
-            arcs = tuple(name.arcs)
+            arcs = name.arcs
             if value is ber.END_OF_MIB_VIEW or arcs[:len(prefix)] != prefix \
-                    or arcs <= cursor:
+                    or arcs <= cursor.arcs:
                 done = True
                 break
             out.append((name, value))
-            cursor = arcs
+            cursor = name
             progressed = True
         if not progressed:
             break
@@ -463,9 +472,8 @@ def _select(session, table_name):
 
     rows = []
     for index in indices:
-        specs = [ber.Oid(tuple(col.arcs) + index) for col in columns]
-        pdu = messages.make_request_pdu(GET_REQUEST, specs, registry,
-                                        session.next_request_id())
+        pdu = _request_pdu(session, GET_REQUEST,
+                           [col.child(*index) for col in columns])
         response = _check_status(send_pdu(session, pdu))
         cells = [(columns[i], vb.value)
                  for i, vb in enumerate(response.bindings)]

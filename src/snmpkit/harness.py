@@ -159,6 +159,8 @@ class ScriptedV3Responder:
     the engine's keys and clock.  The clock does not tick by itself; it
     moves forward with authentic requests only, and a request from
     outside its time window gets an authenticated notInTimeWindow Report.
+    A request whose security level is not the credential's gets a
+    usmStatsUnsupportedSecLevels Report (RFC 3414 section 3.2, step 5).
     """
 
     def __init__(self, tree, ctx, credential,
@@ -192,10 +194,13 @@ class ScriptedV3Responder:
         if msg.usm.engine_id != self.engine_id:
             return self._report(msg, messages.USM_STATS_UNKNOWN_ENGINE_IDS,
                                 unknown_engine=True)
+        level = msg.flags & (FLAG_AUTH | FLAG_PRIV)
+        if level != self.credential.security_flags:
+            return self._report(msg,
+                                messages.USM_STATS_UNSUPPORTED_SEC_LEVELS)
         self.auth_count += 1
         response = agent_mod.dispatch(self.tree, scoped.pdu, self.ctx)
-        reply = V3Message(msg.msg_id, msg.flags & (FLAG_AUTH | FLAG_PRIV),
-                          self._usm_params(msg),
+        reply = V3Message(msg.msg_id, level, self._usm_params(msg),
                           ScopedPdu(self.engine_id, scoped.context_name,
                                     response))
         return usm.secure(reply, self.engine)

@@ -49,6 +49,7 @@ DEFAULT_MAX_MSG_SIZE = MAX_UDP_PAYLOAD
 
 # USM statistics OIDs signalled in Report PDUs (RFC 3414 usmStats group)
 USM_STATS_PREFIX = (1, 3, 6, 1, 6, 3, 15, 1, 1)
+USM_STATS_UNSUPPORTED_SEC_LEVELS = USM_STATS_PREFIX + (1, 0)
 USM_STATS_UNKNOWN_ENGINE_IDS = USM_STATS_PREFIX + (4, 0)
 USM_STATS_NOT_IN_TIME_WINDOWS = USM_STATS_PREFIX + (2, 0)
 USM_STATS_WRONG_DIGESTS = USM_STATS_PREFIX + (5, 0)
@@ -164,22 +165,29 @@ class V3Message:
 # PDU <-> BER
 
 
+def _wire_oid(name):
+    """name, an Oid or anything with arcs, as an Oid.  A ref's arcs are
+    ints already, so they are taken as they are."""
+    if isinstance(name, ber.Oid):
+        return name
+    if isinstance(name, OidRef):
+        return ber._oid(name.arcs)
+    return ber.Oid(name.arcs)
+
+
 def _binding_to_ber(vb):
-    name = vb.name if isinstance(vb.name, ber.Oid) else ber.Oid(vb.name.arcs)
     value = vb.value
     if isinstance(value, OidRef):
-        value = ber.Oid(value.arcs)
-    return [name, value]
+        value = ber._oid(value.arcs)
+    return [_wire_oid(vb.name), value]
 
 
 def pdu_to_ber(pdu):
     tag = ber.Tag(ber.CONTEXT, True, pdu.pdu_type)
     if isinstance(pdu, TrapV1Pdu):
-        ent = pdu.enterprise if isinstance(pdu.enterprise, ber.Oid) \
-            else ber.Oid(pdu.enterprise.arcs)
         return ber.TaggedSequence(tag, [
-            ent, pdu.agent_addr, pdu.generic_trap, pdu.specific_trap,
-            ber.TimeTicks(pdu.timestamp),
+            _wire_oid(pdu.enterprise), pdu.agent_addr, pdu.generic_trap,
+            pdu.specific_trap, ber.TimeTicks(pdu.timestamp),
             [_binding_to_ber(vb) for vb in pdu.bindings],
         ])
     return ber.TaggedSequence(tag, [
@@ -201,7 +209,7 @@ def _binding_from_ber(item, registry):
         raise DecodingError(f"malformed variable binding {item!r}")
     name = item[0]
     if registry is not None:
-        name = registry.resolve(name.arcs)
+        name = registry.resolve(name)
     return VarBind(name, item[1])
 
 
@@ -218,7 +226,7 @@ def pdu_from_ber(ts, registry=None, version=None):
         ent, addr, generic, specific, stamp, bindings = _fields(
             els, (ber.Oid, ber.IpAddress, int, int, int, list),
             "trap-v1 PDU")
-        return TrapV1Pdu(ent if registry is None else registry.resolve(ent.arcs),
+        return TrapV1Pdu(ent if registry is None else registry.resolve(ent),
                          addr, int(generic), int(specific), int(stamp),
                          [_binding_from_ber(b, registry) for b in bindings])
     if len(els) != 4:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 
+from . import ber
 from .errors import OidConflictError, OidResolutionError
 
 NODE_KINDS = ("plain", "object-type", "module-identity", "other")
@@ -57,6 +58,15 @@ class OidRef:
         self.rest = tuple(int(a) for a in rest)
         self._arcs = None
 
+    @classmethod
+    def _known(cls, node, rest, arcs):
+        """A ref whose rest and full arcs are already tuples of ints."""
+        ref = object.__new__(cls)
+        ref.node = node
+        ref.rest = rest
+        ref._arcs = arcs
+        return ref
+
     @property
     def arcs(self):
         if self._arcs is None:
@@ -64,7 +74,10 @@ class OidRef:
         return self._arcs
 
     def child(self, *arcs):
-        return OidRef(self.node, self.rest + tuple(arcs))
+        if self._arcs is None:
+            return OidRef(self.node, self.rest + arcs)
+        arcs = tuple(int(a) for a in arcs)
+        return OidRef._known(self.node, self.rest + arcs, self._arcs + arcs)
 
     def __eq__(self, other):
         if not isinstance(other, OidRef):
@@ -187,6 +200,8 @@ class Registry:
         """Resolve any OID spelling (text, arc list, mixed list, node, ref)."""
         if isinstance(spec, OidRef):
             return spec
+        if isinstance(spec, ber.Oid):  # its arcs are ints by construction
+            return self._resolve_arcs(spec.arcs)
         if isinstance(spec, OidNode):
             return OidRef(spec)
         if isinstance(spec, str):
@@ -195,7 +210,7 @@ class Registry:
             return self._resolve_sequence(spec)
         arcs = getattr(spec, "arcs", None)
         if arcs is not None:
-            return self._resolve_arcs(tuple(arcs))
+            return self._resolve_arcs(tuple(int(a) for a in arcs))
         raise OidResolutionError(f"cannot resolve OID spec {spec!r}")
 
     def _resolve_text(self, text):
@@ -261,25 +276,26 @@ class Registry:
         return OidRef(node, rest)
 
     def _resolve_arcs(self, arcs):
+        """The ref of a tuple of ints, which already holds its arcs."""
         node = self.root
-        i = 0
         # A single leading 0 addresses the root itself when more arcs follow
         # and the first real arc exists beneath the root.
         if len(arcs) > 1 and arcs[0] == 0 and arcs[1] in self.root.children:
-            i = 1
+            arcs = arcs[1:]
+        i = 0
         while i < len(arcs):
             child = node.children.get(arcs[i])
             if child is None:
                 break
             node = child
             i += 1
-        return OidRef(node, arcs[i:])
+        return OidRef._known(node, arcs[i:], arcs)
 
     def _resolve_sequence(self, seq):
         if not seq:
             return OidRef(self.root)
         if all(isinstance(e, int) for e in seq):
-            return self._resolve_arcs(tuple(seq))
+            return self._resolve_arcs(tuple(int(e) for e in seq))
         base = self.resolve(seq[0])
         rest = list(base.rest)
         node = base.node

@@ -65,6 +65,12 @@ class Credential:
             return "authNoPriv"
         return "noAuthNoPriv"
 
+    @property
+    def security_flags(self):
+        """The msgFlags auth and priv bits of this user's security level."""
+        return (FLAG_AUTH if self.auth is not None else 0) | \
+            (FLAG_PRIV if self.priv is not None else 0)
+
     @classmethod
     def create(cls, user, auth=None, priv=None):
         """Accepts bare passphrases; the auth protocol defaults to md5."""
@@ -177,7 +183,11 @@ def decrypt_scoped_pdu(ciphertext, localized_priv_key, priv_params):
 
 @dataclass
 class EngineState:
-    """Discovered peer engine identity, clock and localized keys."""
+    """Discovered peer engine identity, clock and localized keys.
+
+    clock is the local time source the peer's engine time is extrapolated
+    from; methods read it wherever their now is omitted.
+    """
 
     engine_id: bytes = b""
     engine_boots: int = 0
@@ -187,6 +197,7 @@ class EngineState:
     auth_key: bytes | None = None
     priv_key: bytes | None = None
     auth_protocol: str | None = None
+    clock: object = field(default=time.monotonic, compare=False, repr=False)
 
     @property
     def discovered(self):
@@ -208,12 +219,12 @@ class EngineState:
         self.engine_id = engine_id
         self.engine_boots = boots
         self.engine_time = engine_time
-        self.synced_at = time.monotonic() if now is None else now
+        self.synced_at = self.clock() if now is None else now
 
     def current_time(self, now=None):
         """Extrapolate the peer's engine time from the local clock."""
         if now is None:
-            now = time.monotonic()
+            now = self.clock()
         return self.engine_time + int(now - self.synced_at)
 
     def in_time_window(self, peer_boots, peer_time, now=None):
@@ -233,7 +244,7 @@ class EngineState:
         if boots > self.engine_boots or engine_time > self.engine_time:
             self.engine_boots = boots
             self.engine_time = engine_time
-            self.synced_at = time.monotonic() if now is None else now
+            self.synced_at = self.clock() if now is None else now
         return True
 
 

@@ -548,6 +548,27 @@ class TestHostileInput:
         assert (resp.error_status, resp.error_index) == \
             ((agent.GEN_ERR, index) if index else (0, 0))
 
+    @pytest.mark.parametrize("pdu_type", [GET_NEXT_REQUEST,
+                                          GET_BULK_REQUEST])
+    @pytest.mark.parametrize("spec", [["x"], [1, "x"], [1.5], [[1, "a"]]])
+    def test_child_spec_with_arcs_not_ints_has_no_instances(
+            self, registry, spec, pdu_type):
+        tree = agent.DispatchTree()
+        agent.define_scalar(tree, registry, "sysDescr",
+                            lambda ctx: ber.OctetString(b"ok"))
+        agent.register_variable(
+            tree, registry.resolve("sysContact"),
+            lambda ctx, ids: ber.OctetString(b"bad") if ids else spec)
+        agent.define_scalar(tree, registry, "sysName",
+                            lambda ctx: ber.OctetString(b"name"))
+        _, resp = self._ask(registry, tree, pdu_type, ["sysDescr.0"], b=2)
+        name = registry.resolve("sysName.0").arcs
+        want = [(name, ber.OctetString(b"name"))]
+        if pdu_type == GET_BULK_REQUEST:
+            want.append((name, ber.END_OF_MIB_VIEW))
+        assert resp.error_status == 0
+        assert [(vb.arcs, vb.value) for vb in resp.bindings] == want
+
     @pytest.mark.parametrize("pdu_type,names,index", [
         (GET_REQUEST, ["sysDescr.0", "sysName.0"], 2),
         (GET_BULK_REQUEST, ["sysDescr", "sysContact", "sysDescr"], 2),

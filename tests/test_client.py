@@ -1,12 +1,12 @@
 import pytest
 
-from snmpkit import agent, ber, client, harness, messages, usm
+from snmpkit import agent, ber, client, harness, messages, oids, usm
 from snmpkit.errors import (
     AuthenticationError, EndpointClosedError, SnmpError, SnmpStatusError,
 )
 from snmpkit.messages import (
-    FLAG_AUTH, Pdu, RESPONSE, ScopedPdu, V1, V2C, V3, V3Message, VarBind,
-    defaults,
+    FLAG_AUTH, FLAG_REPORTABLE, GET_REQUEST, Pdu, REPORT, RESPONSE,
+    ScopedPdu, V1, V2C, V3, V3Message, VarBind, defaults,
 )
 
 
@@ -204,6 +204,32 @@ class TestSelect:
                            for p in client.walk(session, "ifTable"))
         assert from_select == from_walk
 
+    def test_row_gets_resolve_no_names(self, registry, monkeypatch):
+        """Resolutions in select: one per column and one per name in the
+        walk's GETBULK replies; the R per-row GETs add none."""
+        counts, walks = {}, {}
+        real = oids.Registry._resolve_arcs
+
+        def counting(self, arcs):
+            counts[rows] += 1
+            return real(self, arcs)
+
+        monkeypatch.setattr(oids.Registry, "_resolve_arcs", counting)
+        for rows in (8, 32):
+            tree, ctx = agent.DispatchTree(), agent.AgentContext(
+                registry=registry)
+            agent.install_if_table(tree, registry,
+                                   agent.demo_if_rows()[1:] * rows)
+            endpoint, channel, clock = harness.connect(
+                harness.agent_responder(tree, ctx))
+            session = _open(registry, (endpoint, channel, clock))
+            counts[rows] = 0
+            assert len(client.select("ifTable", session)) == rows
+            walks[rows] = channel.exchanges - rows
+        bulk = client.WALK_BULK_REPETITIONS
+        assert walks == {8: 1, 32: 2}
+        assert counts == {8: 22 + bulk, 32: 22 + 2 * bulk}
+
     def test_dynamic_table(self, registry, fabric):
         session = _open(registry, fabric)
         rows = client.select("appFeatureTable", session)
@@ -395,3 +421,37 @@ class TestV3WirePath:
         value = client.get(session, "sysName.0")
         assert value != b"forged" and engine.auth_count == 1
         assert channel.client_sent == 3  # discovery, the get, its resend
+
+    def test_engine_time_follows_the_session_clock(self, registry,
+                                                   loopback_agent):
+        engine = self._engine(loopback_agent)
+        endpoint, channel, clock = harness.connect(engine)
+        session = client.open_session(
+            "loopback", version=V3, registry=registry, **self.CRED,
+            **harness.loopback_session_kwargs(endpoint, clock))
+        client.get(session, "sysName.0")
+        sent = session.engine.current_time()
+        clock.advance(1000)
+        assert session.engine.current_time() == sent + 1000
+        assert isinstance(client.get(session, "sysName.0"), ber.OctetString)
+        # the responder took the request's engine time as authentic
+        assert engine.engine.engine_time == sent + 1000
+        assert engine.report_count == 1  # discovery only
+
+    def test_request_below_the_user_security_level_gets_a_report(
+            self, registry, loopback_agent):
+        engine = self._engine(loopback_agent)
+        name = ber.Oid(registry.resolve("sysName.0").arcs)
+        request = V3Message(
+            7, FLAG_REPORTABLE,
+            messages.UsmParams(engine.engine_id, 1, 1000, b"alice"),
+            ScopedPdu(engine.engine_id, b"",
+                      Pdu(GET_REQUEST, 8, bindings=[VarBind(name)])))
+        reply = messages.decode_message(
+            engine(messages.encode_message(request)))
+        pdu = reply.scoped_pdu.pdu
+        assert (reply.msg_id, reply.flags, pdu.pdu_type, pdu.request_id) == \
+            (7, 0, REPORT, 8)
+        assert [vb.arcs for vb in pdu.bindings] == \
+            [messages.USM_STATS_UNSUPPORTED_SEC_LEVELS]
+        assert engine.auth_count == 0

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snmpkit import ber
 from snmpkit.errors import OidConflictError, OidResolutionError
+from snmpkit.mibs import load_core
 from snmpkit.oids import (
     Registry, lexicographic_successor, list_children, name_list, number_list,
 )
@@ -166,3 +168,41 @@ class TestFreshRegistryIndependence:
         r1.register("T", "only-in-r1", "enterprises", 4242)
         with pytest.raises(OidResolutionError):
             r2.resolve("only-in-r1")
+
+
+_CORE = load_core(Registry())
+_ARC = st.integers(0, 12) | st.integers(0, 2 ** 32 - 1)
+# arcs below named nodes, beside them and outside the registry, with or
+# without the leading 0 that addresses the root
+_ARCS = st.builds(
+    lambda lead, base, tail: lead + base + tuple(tail),
+    st.sampled_from([(), (0,)]),
+    st.sampled_from([(), (0,), (1,), (1, 3, 6, 1, 2, 1, 1, 1),
+                     (1, 3, 6, 1, 2, 1, 2, 2, 1), (1, 3, 6, 1, 4, 1),
+                     (2, 999)]),
+    st.lists(_ARC, max_size=6))
+
+
+class TestArcsCarriedThrough:
+    """A ref resolved from an Oid, or made by child, carries arcs equal to
+    the ones its parent links give, and is the ref other spellings give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ARCS, st.lists(_ARC, max_size=4))
+    def test_oid_resolves_like_a_list(self, arcs, more):
+        ref = _CORE.resolve(ber.Oid(arcs))
+        same = _CORE.resolve(list(arcs))
+        assert (ref.node, ref.rest) == (same.node, same.rest)
+        assert ref.arcs == number_list(ref)
+        child = ref.child(*more)
+        assert (child.node, child.rest) == (ref.node, ref.rest + tuple(more))
+        assert child.arcs == number_list(child)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["sysDescr", "ifTable", "iso", "sysDescr.0"]),
+           st.lists(_ARC, max_size=4))
+    def test_child_of_a_named_ref(self, name, more):
+        ref = _CORE.resolve(name)
+        child = ref.child(*more)
+        assert child.arcs == number_list(child)
+        assert child.arcs == ref.arcs + tuple(more)
