@@ -134,14 +134,10 @@ def request(session, pdu_kind, bindings_spec, context=None):
 
     A non-zero error-status in the response raises SnmpStatusError.
     """
-    return _pairs(session, _request_pdu(session, pdu_kind, bindings_spec),
-                  context)
-
-
-def _request_pdu(session, pdu_kind, bindings_spec):
-    return messages.make_request_pdu(pdu_kind, bindings_spec,
-                                     session.registry,
-                                     session.next_request_id())
+    pdu = messages.make_request_pdu(pdu_kind, bindings_spec,
+                                    session.registry,
+                                    session.next_request_id())
+    return _pairs(session, pdu, context)
 
 
 def _pairs(session, pdu, context=None):
@@ -322,7 +318,9 @@ def bulk(session, non_repeaters, max_repetitions, oids):
     if session.version == V1:
         raise SnmpError("get-bulk requires SNMPv2c or later")
     specs = [oids] if _is_single_spec(oids) else list(oids)
-    pdu = _request_pdu(session, GET_BULK_REQUEST, specs)
+    pdu = messages.make_request_pdu(GET_BULK_REQUEST, specs,
+                                    session.registry,
+                                    session.next_request_id())
     pdu.error_status = int(non_repeaters)
     pdu.error_index = int(max_repetitions)
     return _pairs(session, pdu)
@@ -472,8 +470,9 @@ def _select(session, table_name):
 
     rows = []
     for index in indices:
-        pdu = _request_pdu(session, GET_REQUEST,
-                           [col.child(*index) for col in columns])
+        pdu = messages.make_request_pdu(
+            GET_REQUEST, [col.child(*index) for col in columns],
+            session.registry, session.next_request_id())
         response = _check_status(send_pdu(session, pdu))
         cells = [(columns[i], vb.value)
                  for i, vb in enumerate(response.bindings)]

@@ -74,10 +74,8 @@ class OidRef:
         return self._arcs
 
     def child(self, *arcs):
-        if self._arcs is None:
-            return OidRef(self.node, self.rest + arcs)
         arcs = tuple(int(a) for a in arcs)
-        return OidRef._known(self.node, self.rest + arcs, self._arcs + arcs)
+        return OidRef._known(self.node, self.rest + arcs, self.arcs + arcs)
 
     def __eq__(self, other):
         if not isinstance(other, OidRef):

@@ -300,7 +300,7 @@ def secure(msg, keys, salt=None):
     return bytes(wire)
 
 
-def open(wire, keys, registry=None):
+def open(wire, keys):
     """Decode a received v3 message and undo its protection.
 
     Returns (msg, scoped PDU).  keys is an EngineState.  With the auth
@@ -312,7 +312,7 @@ def open(wire, keys, registry=None):
     fails, and DecodingError or SnmpError when the octets are not a v3
     message or do not decrypt.
     """
-    msg = messages.decode_message(wire, registry)
+    msg = messages.decode_message(wire)
     if not isinstance(msg, V3Message):
         raise DecodingError("not an SNMPv3 message")
     params = msg.usm
@@ -335,4 +335,4 @@ def open(wire, keys, registry=None):
         raise SnmpError("no privacy key to decrypt with")
     plaintext = decrypt_scoped_pdu(msg.encrypted_pdu, keys.priv_key,
                                    params.priv_params)
-    return msg, messages.decode_scoped_pdu(plaintext, registry)[0]
+    return msg, messages.decode_scoped_pdu(plaintext)[0]
