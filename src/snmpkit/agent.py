@@ -24,7 +24,7 @@ import time
 from . import ber, messages
 from .errors import SnmpError, SnmpKitError, TransportError
 from .messages import (
-    GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST, RESPONSE, SET_REQUEST,
+    GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST, SET_REQUEST,
     Pdu, VarBind, V1, V2C,
 )
 
@@ -156,22 +156,6 @@ def define_table_column(tree, registry, name, fn):
     return ref
 
 
-def _enumerate_instances(tree, ctx):
-    """All (full arcs, handler) pairs, sorted lexicographically."""
-    out = []
-    for base, (handler, _) in tree.snapshot().items():
-        try:
-            spec = handler(ctx, ())
-        except Exception:
-            continue
-        if spec is None:
-            continue
-        for rest in expand_children(spec):
-            out.append((base + rest, handler, rest))
-    out.sort(key=lambda item: item[0])
-    return out
-
-
 def _read(handler, ctx, rest):
     """handler's value for the instance at rest ids, or None."""
     try:
@@ -214,19 +198,13 @@ def dispatch(tree, pdu, ctx, version=V2C):
     """Process one request PDU and build the response PDU.
 
     Errors are in-band: v1 sets error-status/index, v2c uses per-binding
-    exception values.
+    exception values.  GETBULK under v1, and any other PDU type, answer
+    genErr.
     """
-    if pdu.pdu_type == GET_REQUEST:
-        return _dispatch_get(tree, pdu, ctx, version)
-    if pdu.pdu_type == GET_NEXT_REQUEST:
-        return _dispatch_next(tree, pdu, ctx, version)
-    if pdu.pdu_type == GET_BULK_REQUEST:
-        if version == V1:
-            return messages.response_for(pdu, list(pdu.bindings), GEN_ERR, 0)
-        return _dispatch_bulk(tree, pdu, ctx)
-    if pdu.pdu_type == SET_REQUEST:
-        return _dispatch_set(tree, pdu, ctx, version)
-    return messages.response_for(pdu, list(pdu.bindings), GEN_ERR, 0)
+    handler = _DISPATCH.get(pdu.pdu_type)
+    if handler is None or version == V1 and pdu.pdu_type == GET_BULK_REQUEST:
+        return messages.response_for(pdu, list(pdu.bindings), GEN_ERR, 0)
+    return handler(tree, pdu, ctx, version)
 
 
 def _dispatch_get(tree, pdu, ctx, version):
@@ -276,28 +254,29 @@ def _instances_after(tree, arcs, ctx, memo):
                 yield base + rest, value
 
 
-def _next_pair(tree, arcs, ctx, memo):
-    """The first instance after arcs that reads a value -> (arcs, value);
-    (None, None) past the end of the view."""
-    return next(_instances_after(tree, arcs, ctx, memo), (None, None))
+def _next_instances(tree, bindings, ctx, memo, version):
+    """GETNEXT's answer to each of bindings, in order, as VarBinds: the
+    first instance after it that reads a value, or endOfMibView past the
+    end of the view.  Under v1 the end of the view yields None instead and
+    stops, so no later binding is read."""
+    for vb in bindings:
+        found = next(_instances_after(tree, vb.arcs, ctx, memo), None)
+        if found is None and version == V1:
+            yield None
+            return
+        arcs, value = found or (vb.arcs, ber.END_OF_MIB_VIEW)
+        yield VarBind(ber._oid(arcs), value)
 
 
 def _dispatch_next(tree, pdu, ctx, version):
-    memo = {}
-    out = []
-    for i, vb in enumerate(pdu.bindings):
-        arcs, value = _next_pair(tree, vb.arcs, ctx, memo)
-        if arcs is None:
-            if version == V1:
-                return messages.response_for(pdu, list(pdu.bindings),
-                                             NO_SUCH_NAME, i + 1)
-            out.append(VarBind(ber._oid(vb.arcs), ber.END_OF_MIB_VIEW))
-        else:
-            out.append(VarBind(ber._oid(arcs), value))
+    out = list(_next_instances(tree, pdu.bindings, ctx, {}, version))
+    if out and out[-1] is None:
+        return messages.response_for(pdu, list(pdu.bindings),
+                                     NO_SUCH_NAME, len(out))
     return messages.response_for(pdu, out)
 
 
-def _dispatch_bulk(tree, pdu, ctx):
+def _dispatch_bulk(tree, pdu, ctx, version):
     """Non-repeaters first, then the repeaters' answers repetition by
     repetition (r1v1, r1v2, r2v1, ...; RFC 3416 section 4.2.3).  Each
     repeater steps one live _instances_after.  A repeater past the end of
@@ -305,13 +284,8 @@ def _dispatch_bulk(tree, pdu, ctx):
     ends with the repetition in which the last repeater reaches the end."""
     memo = {}
     non_repeaters = max(0, pdu.non_repeaters)
-    out = []
-    for vb in pdu.bindings[:non_repeaters]:
-        arcs, value = _next_pair(tree, vb.arcs, ctx, memo)
-        if arcs is None:
-            out.append(VarBind(ber._oid(vb.arcs), ber.END_OF_MIB_VIEW))
-        else:
-            out.append(VarBind(ber._oid(arcs), value))
+    out = list(_next_instances(tree, pdu.bindings[:non_repeaters], ctx, memo,
+                               version))
     repeaters = pdu.bindings[non_repeaters:]
     steps = [_instances_after(tree, vb.arcs, ctx, memo) for vb in repeaters]
     cursors = [vb.arcs for vb in repeaters]
@@ -349,6 +323,14 @@ def _dispatch_set(tree, pdu, ctx, version):
             return messages.response_for(pdu, list(pdu.bindings), GEN_ERR, 0)
         out.append(VarBind(vb.name, value))
     return messages.response_for(pdu, out)
+
+
+_DISPATCH = {
+    GET_REQUEST: _dispatch_get,
+    GET_NEXT_REQUEST: _dispatch_next,
+    GET_BULK_REQUEST: _dispatch_bulk,
+    SET_REQUEST: _dispatch_set,
+}
 
 
 def handle_datagram(tree, ctx, data, community=None):
@@ -520,24 +502,19 @@ def install_enterprise_mib(tree, ctx):
                   lambda ctx: ber.OctetString(
                       time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()).encode()))
 
-    def feature_index(ctx, ids):
-        names = _feature_names()
-        if not ids:
-            return len(names)
-        if len(ids) == 1 and 1 <= ids[0] <= len(names):
-            return ids[0]
-        return None
+    def feature_column(as_name):
+        def column(ctx, ids):
+            names = _feature_names()
+            if not ids:
+                return len(names)
+            if len(ids) == 1 and 1 <= ids[0] <= len(names):
+                return ber.OctetString(names[ids[0] - 1].encode()) \
+                    if as_name else ids[0]
+            return None
+        return column
 
-    def feature_name(ctx, ids):
-        names = _feature_names()
-        if not ids:
-            return len(names)
-        if len(ids) == 1 and 1 <= ids[0] <= len(names):
-            return ber.OctetString(names[ids[0] - 1].encode())
-        return None
-
-    define_table_column(tree, registry, "appFeatureIndex", feature_index)
-    define_table_column(tree, registry, "appFeatureName", feature_name)
+    for name, as_name in (("appFeatureIndex", False), ("appFeatureName", True)):
+        define_table_column(tree, registry, name, feature_column(as_name))
 
 
 def install_if_table(tree, registry, rows):

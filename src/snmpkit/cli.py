@@ -171,24 +171,20 @@ def build_registry(mib_path=None):
     return registry
 
 
-def _open_session(args, registry):
+def _session(args, registry):
+    """A with_session context for the peer and options in args."""
     host, port = _split_host(args.host)
-    kwargs = {
-        "port": port,
-        "version": VERSION_FLAGS[args.snmp_version]
-        if args.snmp_version else None,
-        "community": args.community,
-        "registry": registry,
-    }
-    version = kwargs["version"] if kwargs["version"] is not None else defaults.version
-    if version == V3:
+    version = VERSION_FLAGS[args.snmp_version] if args.snmp_version else None
+    kwargs = {"port": port, "version": version, "community": args.community,
+              "registry": registry}
+    if (defaults.version if version is None else version) == V3:
         kwargs.update(user=args.user, auth=_split_secret(args.auth),
                       priv=_split_secret(args.priv))
     if args.timeout is not None:
         kwargs.update(rto_min=args.timeout, rto_max=args.timeout)
     if args.retries is not None:
         kwargs["max_retries"] = args.retries
-    return client.open_session(host, **kwargs)
+    return client.with_session(host, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -360,22 +356,6 @@ def cmd_agent(args, registry):
     finally:
         agent_mod.disable_service(handle)
     return EXIT_OK
-
-
-class _session:
-    """Open a session from parsed args; always closed on the way out."""
-
-    def __init__(self, args, registry):
-        self.args = args
-        self.registry = registry
-
-    def __enter__(self):
-        self.session = _open_session(self.args, self.registry)
-        return self.session
-
-    def __exit__(self, *exc):
-        client.close_session(self.session)
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -158,27 +158,36 @@ def send_pdu(session, pdu, context=None):
     return _v3_exchange(session, pdu, context)
 
 
-def _community_exchange(session, pdu):
-    payload = messages.encode_message(
-        CommunityMessage(session.version, session.community, pdu))
-    matched = {}
+def _exchange(session, payload, accept):
+    """Send payload, retransmitting as transport.exchange does, and return
+    the first reply accept makes of a datagram; accept returns None for a
+    datagram to skip, and may raise to end the exchange."""
+    reply = None
 
     def match(data):
-        try:
-            msg = messages.decode_message(data)
-        except Exception:
-            return False
-        if not isinstance(msg, CommunityMessage) or \
-                not isinstance(msg.pdu, Pdu) or \
-                msg.pdu.pdu_type != RESPONSE or \
-                msg.pdu.request_id != pdu.request_id:
-            return False
-        matched["pdu"] = msg.pdu
-        return True
+        nonlocal reply
+        reply = accept(data)
+        return reply is not None
 
     transport.exchange(session.endpoint, payload, session.estimator, match,
                        clock=session.clock)
-    return matched["pdu"]
+    return reply
+
+
+def _community_exchange(session, pdu):
+    def accept(data):
+        try:
+            msg = messages.decode_message(data)
+        except SnmpKitError:
+            return None
+        if isinstance(msg, CommunityMessage) and isinstance(msg.pdu, Pdu) \
+                and msg.pdu.pdu_type == RESPONSE \
+                and msg.pdu.request_id == pdu.request_id:
+            return msg.pdu
+        return None
+
+    return _exchange(session, messages.encode_message(
+        CommunityMessage(session.version, session.community, pdu)), accept)
 
 
 def _v3_exchange(session, pdu, context=None):
@@ -239,36 +248,26 @@ def _raw_v3_exchange(session, msg, expected_request_id=None):
     Report whose security level differs from msg's (RFC 3412 section
     7.2, step 13), such as a forged one in clear.
     """
-    payload = usm.secure(msg, session.engine)
-    matched = {}
-
-    def match(data):
+    def accept(data):
         try:
             reply, scoped = usm.open(data, session.engine)
         except AuthenticationError as exc:
-            if exc.msg.msg_id != msg.msg_id:
-                return False
-            matched["error"] = exc
-            return True
+            if exc.msg.msg_id == msg.msg_id:
+                raise
+            return None
         except SnmpKitError:
-            return False
+            return None
         if (reply.flags ^ msg.flags) & (FLAG_AUTH | FLAG_PRIV) and \
                 scoped.pdu.pdu_type != REPORT:
-            return False
-        if reply.msg_id != msg.msg_id:
-            # engines echo msg_id; reports about our request also match
-            # on the inner request id
-            if expected_request_id is None or \
-                    scoped.pdu.request_id != expected_request_id:
-                return False
-        matched["reply"] = reply, scoped
-        return True
+            return None
+        # engines echo msg_id; reports about our request also match on the
+        # inner request id
+        if reply.msg_id == msg.msg_id or expected_request_id is not None \
+                and scoped.pdu.request_id == expected_request_id:
+            return reply, scoped
+        return None
 
-    transport.exchange(session.endpoint, payload, session.estimator, match,
-                       clock=session.clock)
-    if "error" in matched:
-        raise matched["error"]
-    return matched["reply"]
+    return _exchange(session, usm.secure(msg, session.engine), accept)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import random
 from . import agent as agent_mod, ber, messages, usm
 from .errors import (
     AuthenticationError, EndpointClosedError, NotInTimeWindowError,
-    SnmpKitError,
+    SnmpKitError, UnsupportedSecLevelError,
 )
 from .messages import (
     FLAG_AUTH, FLAG_PRIV, REPORT,
@@ -159,8 +159,9 @@ class ScriptedV3Responder:
     the engine's keys and clock.  The clock does not tick by itself; it
     moves forward with authentic requests only, and a request from
     outside its time window gets an authenticated notInTimeWindow Report.
-    A request whose security level is not the credential's gets a
-    usmStatsUnsupportedSecLevels Report (RFC 3414 section 3.2, step 5).
+    A request whose security level is not the credential's, authPriv for
+    a user without privacy included, gets a usmStatsUnsupportedSecLevels
+    Report (RFC 3414 section 3.2, step 5).
     """
 
     def __init__(self, tree, ctx, credential,
@@ -189,6 +190,9 @@ class ScriptedV3Responder:
             msg, scoped = usm.open(data, self.engine)
         except AuthenticationError as exc:
             return self._refuse(exc)
+        except UnsupportedSecLevelError as exc:
+            return self._report(exc.msg,
+                                messages.USM_STATS_UNSUPPORTED_SEC_LEVELS)
         except SnmpKitError:
             return None
         if msg.usm.engine_id != self.engine_id:

@@ -204,16 +204,13 @@ def _fields(value, kinds, what):
     return value
 
 
-def _binding_from_ber(item, registry):
+def _binding_from_ber(item):
     if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], ber.Oid):
         raise DecodingError(f"malformed variable binding {item!r}")
-    name = item[0]
-    if registry is not None:
-        name = registry.resolve(name)
-    return VarBind(name, item[1])
+    return VarBind(item[0], item[1])
 
 
-def pdu_from_ber(ts, registry=None, version=None):
+def pdu_from_ber(ts, version=None):
     if isinstance(ts, ber.Raw):
         raise DecodingError(f"unknown PDU tag {ts.tag!r}")
     if not isinstance(ts, ber.TaggedSequence) or ts.tag.cls != ber.CONTEXT:
@@ -226,9 +223,8 @@ def pdu_from_ber(ts, registry=None, version=None):
         ent, addr, generic, specific, stamp, bindings = _fields(
             els, (ber.Oid, ber.IpAddress, int, int, int, list),
             "trap-v1 PDU")
-        return TrapV1Pdu(ent if registry is None else registry.resolve(ent),
-                         addr, int(generic), int(specific), int(stamp),
-                         [_binding_from_ber(b, registry) for b in bindings])
+        return TrapV1Pdu(ent, addr, int(generic), int(specific), int(stamp),
+                         [_binding_from_ber(b) for b in bindings])
     if len(els) != 4:
         raise DecodingError(f"PDU needs 4 elements, got {len(els)}")
     request_id, error_status, error_index, bindings = els
@@ -236,7 +232,7 @@ def pdu_from_ber(ts, registry=None, version=None):
         raise DecodingError("malformed PDU header")
     if not isinstance(bindings, list):
         raise DecodingError("malformed variable-bindings list")
-    vbs = [_binding_from_ber(b, registry) for b in bindings]
+    vbs = [_binding_from_ber(b) for b in bindings]
     if version == V1:
         for vb in vbs:
             if vb.value in ber.EXCEPTION_MARKERS:
@@ -275,9 +271,7 @@ def encode_message(msg):
                 raise SnmpError("priv flag set but no encrypted scoped PDU")
             msg_data = ber.OctetString(msg.encrypted_pdu)
         else:
-            sp = msg.scoped_pdu
-            msg_data = [ber.OctetString(sp.context_engine_id),
-                        ber.OctetString(sp.context_name), pdu_to_ber(sp.pdu)]
+            msg_data = _scoped_to_ber(msg.scoped_pdu)
         return ber.encode([
             msg.msg_version,
             [msg.msg_id, msg.msg_max_size,
@@ -288,31 +282,32 @@ def encode_message(msg):
     raise SnmpError(f"cannot encode message of type {type(msg).__name__}")
 
 
+def _scoped_to_ber(scoped):
+    return [ber.OctetString(scoped.context_engine_id),
+            ber.OctetString(scoped.context_name), pdu_to_ber(scoped.pdu)]
+
+
+def _scoped_from_ber(value):
+    engine_id, context, pdu_ts = _fields(value, (bytes, bytes, object),
+                                         "scoped PDU")
+    return ScopedPdu(bytes(engine_id), bytes(context), pdu_from_ber(pdu_ts))
+
+
 def encode_scoped_pdu(scoped):
-    return ber.encode([ber.OctetString(scoped.context_engine_id),
-                       ber.OctetString(scoped.context_name),
-                       pdu_to_ber(scoped.pdu)])
+    return ber.encode(_scoped_to_ber(scoped))
 
 
-_SCOPED_PDU = (bytes, bytes, object)
-
-
-def decode_scoped_pdu(data, registry=None):
+def decode_scoped_pdu(data):
     value, consumed = ber.decode(data, registry=SNMP_REGISTRY)
-    engine_id, context, pdu_ts = _fields(value, _SCOPED_PDU, "scoped PDU")
-    return ScopedPdu(bytes(engine_id), bytes(context),
-                     pdu_from_ber(pdu_ts, registry)), consumed
+    return _scoped_from_ber(value), consumed
 
 
-def decode_message(data, registry=None, expected_version=None):
+def decode_message(data):
     """Parse one complete SNMP message; inverse of encode_message."""
     outer, consumed = ber.decode(data, registry=SNMP_REGISTRY)
     if not isinstance(outer, list) or not outer or not isinstance(outer[0], int):
         raise DecodingError("message is not SEQUENCE { version, ... }")
     version = outer[0]
-    if expected_version is not None and version != expected_version:
-        raise DecodingError(
-            f"version mismatch: got {version}, expected {expected_version}")
     if version in (V1, V2C):
         if len(outer) != 3:
             raise DecodingError("community message needs 3 elements")
@@ -320,7 +315,7 @@ def decode_message(data, registry=None, expected_version=None):
         if not isinstance(community, bytes):
             raise DecodingError("community is not an OCTET STRING")
         return CommunityMessage(version, bytes(community),
-                                pdu_from_ber(pdu_ts, registry, version))
+                                pdu_from_ber(pdu_ts, version))
     if version == V3:
         if len(outer) != 4:
             raise DecodingError("v3 message needs 4 elements")
@@ -348,10 +343,7 @@ def decode_message(data, registry=None, expected_version=None):
                 raise DecodingError("priv flag set but priv_params empty")
             msg.encrypted_pdu = bytes(msg_data)
         else:
-            engine_id, context, pdu_ts = _fields(msg_data, _SCOPED_PDU,
-                                                 "scoped PDU")
-            msg.scoped_pdu = ScopedPdu(bytes(engine_id), bytes(context),
-                                       pdu_from_ber(pdu_ts, registry))
+            msg.scoped_pdu = _scoped_from_ber(msg_data)
         return msg
     raise DecodingError(f"unsupported SNMP version {version}")
 
@@ -366,10 +358,7 @@ def make_request_pdu(kind, bindings_spec, registry, request_id):
         raise SnmpError("empty variable-bindings list")
     bindings = []
     for item in bindings_spec:
-        if isinstance(item, tuple) and len(item) == 2 and \
-                not all(isinstance(e, int) for e in item):
-            oid_spec, value = item
-        elif isinstance(item, list) and len(item) == 2 and \
+        if isinstance(item, (tuple, list)) and len(item) == 2 and \
                 not all(isinstance(e, int) for e in item):
             oid_spec, value = item
         else:

@@ -262,9 +262,7 @@ class Registry:
             elif seg.isdigit():
                 arc = int(seg)
                 child = node.children.get(arc)
-                if child is not None and child.name is None:
-                    node = child
-                elif child is not None:
+                if child is not None:
                     node = child
                 else:
                     rest.append(arc)

@@ -301,7 +301,7 @@ class _Parser:
                                  node_kind="other", description=desc)
         if tok.text == "TRAP-TYPE":
             self.next()
-            self._skip_macro_body(stop_at_path=False)
+            self._skip_macro_body()
             self.expect(kind="number")  # v1 trap number, not a tree arc
             self.warn(f"TRAP-TYPE {name} skipped (no OID arc)")
             return None
@@ -432,7 +432,7 @@ class _Parser:
             parts.append(tok.text)
         return " ".join(parts)
 
-    def _skip_macro_body(self, stop_at_path=True):
+    def _skip_macro_body(self):
         """Skip macro clauses up to the closing ``::=``; keep any DESCRIPTION."""
         description = None
         while True:
@@ -442,18 +442,12 @@ class _Parser:
             if tok.text == "::=":
                 self.next()
                 return description
+            if tok.text in ("{", "("):
+                self._skip_balanced(tok.text, "}" if tok.text == "{" else ")")
+                continue
             self.next()
             if tok.text == "DESCRIPTION" and self.peek() and self.peek().kind == "string":
                 description = _normalize_ws(self.next().text)
-            elif tok.text in ("{", "("):
-                close = "}" if tok.text == "{" else ")"
-                depth = 1
-                while depth:
-                    t = self.next()
-                    if t.text == tok.text:
-                        depth += 1
-                    elif t.text == close:
-                        depth -= 1
 
     def _parse_oid_path(self):
         """Parse ``{ parent n ... }``; return (parent spec text, final arc)."""
@@ -532,7 +526,6 @@ def _unescape(text):
     if text == "-":
         return None
     out = []
-    it = iter(range(len(text)))
     i = 0
     while i < len(text):
         c = text[i]

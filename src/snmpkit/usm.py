@@ -31,6 +31,7 @@ except ImportError:  # pragma: no cover
 from . import ber, messages
 from .errors import (
     AuthenticationError, DecodingError, NotInTimeWindowError, SnmpError,
+    UnsupportedSecLevelError,
 )
 from .messages import FLAG_AUTH, FLAG_PRIV, V3Message
 
@@ -309,8 +310,9 @@ def open(wire, keys):
     verifies; the message's engine clock must then pass keys.advance.
     With the priv flag, the scoped PDU is decrypted.  Raises
     AuthenticationError, carrying the message, when its MAC or clock
-    fails, and DecodingError or SnmpError when the octets are not a v3
-    message or do not decrypt.
+    fails, UnsupportedSecLevelError, carrying it too, when it asks for
+    privacy and keys hold no privacy key, and DecodingError or SnmpError
+    when the octets are not a v3 message or do not decrypt.
     """
     msg = messages.decode_message(wire)
     if not isinstance(msg, V3Message):
@@ -332,7 +334,7 @@ def open(wire, keys):
     if not msg.flags & FLAG_PRIV:
         return msg, msg.scoped_pdu
     if keys.priv_key is None:
-        raise SnmpError("no privacy key to decrypt with")
+        raise UnsupportedSecLevelError("no privacy key to decrypt with", msg)
     plaintext = decrypt_scoped_pdu(msg.encrypted_pdu, keys.priv_key,
                                    params.priv_params)
     return msg, messages.decode_scoped_pdu(plaintext)[0]

@@ -5,6 +5,24 @@ from snmpkit.mibs import load_core
 from snmpkit.oids import Registry
 
 
+def enumerate_instances(tree, ctx):
+    """All (full arcs, handler, rest ids) triples of a dispatch tree, sorted
+    lexicographically: the brute-force oracle that agent dispatch, which
+    probes only the handlers a request reaches, is checked against."""
+    out = []
+    for base, (handler, _) in tree.snapshot().items():
+        try:
+            spec = handler(ctx, ())
+        except Exception:
+            continue
+        if spec is None:
+            continue
+        for rest in agent.expand_children(spec):
+            out.append((base + rest, handler, rest))
+    out.sort(key=lambda item: item[0])
+    return out
+
+
 @pytest.fixture()
 def registry():
     """A fresh registry with the bundled corpus; safe to mutate."""

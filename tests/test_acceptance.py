@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from conftest import enumerate_instances
 from snmpkit import agent, ber, cli, client, harness, messages, smi, transport, usm
 from snmpkit.messages import (
     CommunityMessage, Pdu, ScopedPdu, TrapV1Pdu, UsmParams, V3Message,
@@ -371,7 +372,7 @@ def test_criterion_10_getnext_totality():
 
         # brute force: enumerate every registered instance and sort
         expected = sorted(
-            arcs for arcs, _, _ in agent._enumerate_instances(tree, ctx))
+            arcs for arcs, _, _ in enumerate_instances(tree, ctx))
 
         # iterated get-next from the root of the numbering tree
         session, _ = _loopback_session(registry, tree, ctx)

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import enumerate_instances
 from snmpkit import agent, ber, client, harness, messages
 from snmpkit.errors import SnmpError
 from snmpkit.messages import (
@@ -249,7 +250,7 @@ class TestDatagramHandling:
     def test_round_trip(self, registry, loopback_agent):
         tree, ctx = loopback_agent
         reply = agent.handle_datagram(tree, ctx, self._wire(registry))
-        msg = messages.decode_message(reply, registry)
+        msg = messages.decode_message(reply)
         assert msg.pdu.request_id == 11
         assert isinstance(msg.pdu.bindings[0].value, ber.TimeTicks)
 
@@ -284,7 +285,7 @@ class TestService:
             sock.sendto(messages.encode_message(
                 CommunityMessage(V2C, b"public", pdu)), (host, port))
             data, _ = sock.recvfrom(65507)
-            msg = messages.decode_message(data, registry)
+            msg = messages.decode_message(data)
             assert msg.pdu.request_id == 21
             sock.close()
         finally:
@@ -346,7 +347,7 @@ def _oracle_get(tree, arcs, ctx):
 
 def _oracle_dispatch(tree, pdu, ctx, version):
     """(error-status, error-index, [(arcs, value)]) the way RFC 3416 reads,
-    over agent._enumerate_instances, which probes and sorts everything."""
+    over enumerate_instances, which probes and sorts everything."""
     echoed = [(vb.arcs, vb.value) for vb in pdu.bindings]
     if pdu.pdu_type == GET_REQUEST:
         out = []
@@ -359,7 +360,7 @@ def _oracle_dispatch(tree, pdu, ctx, version):
                     else ber.NO_SUCH_INSTANCE
             out.append((vb.arcs, value))
         return 0, 0, out
-    instances = agent._enumerate_instances(tree, ctx)
+    instances = enumerate_instances(tree, ctx)
     end = ber.END_OF_MIB_VIEW
     if pdu.pdu_type == GET_NEXT_REQUEST:
         out = []

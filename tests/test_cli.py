@@ -1,4 +1,6 @@
+import pathlib
 import re
+import shlex
 import socket
 
 import pytest
@@ -96,6 +98,20 @@ class TestCommands:
         assert len(lines) == 4  # header + 2 rows + exchange count
         count = int(lines[-1].split(":")[1])
         assert count <= 4
+
+
+class TestDocumentedCommands:
+    @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+    def test_command_line_examples_parse(self, doc):
+        text = (pathlib.Path(__file__).parent.parent / doc).read_text()
+        block = text.split("### Command line", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line) for line in block.splitlines()
+                 if line.startswith("snmpkit ")]
+        assert len(lines) == 7
+        for argv in lines:
+            args = cli.build_parser().parse_args(argv[1:])
+            assert args.command == argv[1]
 
 
 class TestExitCodes:

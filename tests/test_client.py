@@ -3,6 +3,7 @@ import pytest
 from snmpkit import agent, ber, client, harness, messages, oids, usm
 from snmpkit.errors import (
     AuthenticationError, EndpointClosedError, SnmpError, SnmpStatusError,
+    UsmProtocolError,
 )
 from snmpkit.messages import (
     FLAG_AUTH, FLAG_REPORTABLE, GET_REQUEST, Pdu, REPORT, RESPONSE,
@@ -55,6 +56,57 @@ class TestOpenSession:
                     **harness.loopback_session_kwargs(endpoint, clock)) as s:
                 raise RuntimeError("boom")
         assert endpoint.closed
+
+
+class _NoisyEndpoint:
+    """An endpoint that delivers noise(request) ahead of each reply."""
+
+    closed = False
+    local_address = ("127.0.0.1", 0)
+
+    def __init__(self, responder, noise):
+        self.responder = responder
+        self.noise = noise
+        self.sent = 0
+        self.queue = []
+
+    def send(self, payload):
+        self.sent += 1
+        self.queue += self.noise(payload) + [self.responder(payload)]
+
+    def receive(self, timeout):
+        return self.queue.pop(0) if self.queue else None
+
+    def close(self):
+        self.closed = True
+
+
+class TestReplyMatching:
+    def test_community_session_skips_datagrams_that_are_not_its_reply(
+            self, registry, loopback_agent):
+        tree, ctx = loopback_agent
+
+        def noise(payload):
+            request = messages.decode_message(payload).pdu
+            name = request.bindings[0].name
+            decoy = [VarBind(name, ber.OctetString(b"decoy"))]
+            return [
+                messages.encode_message(messages.CommunityMessage(
+                    V2C, b"public",
+                    Pdu(RESPONSE, request.request_id - 1, bindings=decoy))),
+                b"\x30\x03\x02\x01",  # truncated: does not decode
+                messages.encode_message(messages.CommunityMessage(
+                    V2C, b"public",
+                    Pdu(REPORT, request.request_id, bindings=decoy))),
+            ]
+
+        endpoint = _NoisyEndpoint(harness.agent_responder(tree, ctx), noise)
+        session = client.open_session(
+            "loopback", registry=registry,
+            **harness.loopback_session_kwargs(endpoint, harness.VirtualClock()))
+        assert client.get(session, ["sysName.0", "sysLocation.0"]) == [
+            ber.OctetString(ctx.name.encode()), ber.OctetString(b"")]
+        assert endpoint.sent == 1 and endpoint.queue == []
 
 
 class TestGetShapes:
@@ -437,6 +489,23 @@ class TestV3WirePath:
         # the responder took the request's engine time as authentic
         assert engine.engine.engine_time == sent + 1000
         assert engine.report_count == 1  # discovery only
+
+    def test_authpriv_for_a_user_without_privacy_gets_reports(
+            self, registry, loopback_agent):
+        tree, ctx = loopback_agent
+        engine = harness.ScriptedV3Responder(
+            tree, ctx, usm.Credential.create("bob", ("md5", "bobsecret99")))
+        endpoint, channel, clock = harness.connect(engine)
+        session = client.open_session(
+            "loopback", version=V3, user="bob", auth=("md5", "bobsecret99"),
+            priv=("des", "bobprivacy99"), registry=registry,
+            **harness.loopback_session_kwargs(endpoint, clock))
+        with pytest.raises(UsmProtocolError):
+            client.get(session, "sysName.0")
+        # discovery, then a usmStatsUnsupportedSecLevels Report for the
+        # request and for its one resend
+        assert (engine.report_count, engine.auth_count) == (3, 0)
+        assert channel.client_sent == channel.agent_sent == 3
 
     def test_request_below_the_user_security_level_gets_a_report(
             self, registry, loopback_agent):
