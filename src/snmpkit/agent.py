@@ -30,7 +30,8 @@ from .messages import (
 
 DEFAULT_AGENT_PORT = 8161
 
-# v1 error-status codes
+# error-status codes
+TOO_BIG = 1
 NO_SUCH_NAME = 2
 READ_ONLY = 4
 GEN_ERR = 5
@@ -338,7 +339,8 @@ def handle_datagram(tree, ctx, data, community=None):
 
     Returns the response bytes, or None when the datagram is dropped
     (bad community, undecodable, unsupported version).  A response whose
-    values do not encode is answered with genErr instead.
+    values do not encode is answered with genErr instead, and one longer
+    than messages.MAX_UDP_PAYLOAD is cut down or answered tooBig.
     """
     ctx.in_pkts += 1
     if community is None:
@@ -355,14 +357,46 @@ def handle_datagram(tree, ctx, data, community=None):
         return None
     response = dispatch(tree, msg.pdu, ctx, msg.version)
     try:
-        return messages.encode_message(
-            messages.CommunityMessage(msg.version, msg.community, response))
+        reply = _encode_reply(msg, response)
     except Exception:  # a handler's value has no BER form
         response = messages.response_for(
             msg.pdu, list(msg.pdu.bindings), GEN_ERR,
             _unencodable_index(msg.pdu, response.bindings))
-        return messages.encode_message(
-            messages.CommunityMessage(msg.version, msg.community, response))
+        reply = _encode_reply(msg, response)
+    return _bounded(msg, response, reply, messages.MAX_UDP_PAYLOAD)
+
+
+def _encode_reply(msg, response):
+    return messages.encode_message(
+        messages.CommunityMessage(msg.version, msg.community, response))
+
+
+def _bounded(msg, response, reply, limit):
+    """reply, or when it is longer than limit octets, a reply that fits
+    (RFC 3416 sections 4.2.1-4.2.3).  A GETBULK answer keeps as many whole
+    repetitions as fit, found by bisection; any other answer, or a GETBULK
+    one in which not even one repetition fits, becomes tooBig with no
+    bindings."""
+    pdu = msg.pdu
+    if len(reply) > limit and pdu.pdu_type == GET_BULK_REQUEST and \
+            not response.error_status:
+        head = min(max(0, pdu.non_repeaters), len(pdu.bindings))
+        width = max(1, len(pdu.bindings) - head)
+        bindings = response.bindings
+        fits, over = 0, (len(bindings) - head) // width  # repetitions
+        while over - fits > 1:
+            mid = (fits + over) // 2
+            response.bindings = bindings[:head + mid * width]
+            if len(_encode_reply(msg, response)) <= limit:
+                fits = mid
+            else:
+                over = mid
+        if fits:
+            response.bindings = bindings[:head + fits * width]
+            reply = _encode_reply(msg, response)
+    if len(reply) > limit:
+        reply = _encode_reply(msg, messages.response_for(pdu, [], TOO_BIG))
+    return reply
 
 
 def _unencodable_index(pdu, bindings):
@@ -379,7 +413,7 @@ def _unencodable_index(pdu, bindings):
     failed = []
     for k, vb in enumerate(bindings):
         try:
-            ber.encode([vb.name, vb.value])
+            ber.encode_bindings([vb])
         except Exception:
             failed.append(k if k < n else n + (k - n) % width)
     return min(failed) + 1 if failed else 0

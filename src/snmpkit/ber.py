@@ -11,12 +11,21 @@ names, and compiles them, whenever a registration changes, into a table
 of decoder functions indexed by identifier octet.  Triples with no
 registration decode to Raw, which keeps the original bytes so
 re-encoding is byte-identical.  Input nested deeper than MAX_NESTING
-constructed levels is rejected with DecodingError.
+constructed levels is rejected with DecodingError.  The "pdu" kind is a
+tagged sequence whose SEQUENCE elements are variable-bindings lists,
+read in one pass into (Oid, value) pairs: each binding's header, its OID
+TLV (identifier 0x06, anything else is a DecodingError) and exactly one
+value TLV.
 
 Encoding looks up the exact type of a value in a table of encoder
 functions, each holding its precomputed tag octets.  Subclasses, objects
 with an ``arcs`` attribute, and the rejection of bool go through an
-isinstance fallback.
+isinstance fallback.  An Encoded value is octets encoded already, written
+out as they are; encode_bindings builds one from a list of variable
+bindings in one pass, with no [Oid, value] list per binding.  An OID
+whose sub-identifiers all fit one octet becomes its content with one
+bytes() call and an isascii() check; otherwise sub-identifiers below
+16384 take two octets in one step.
 """
 
 from __future__ import annotations
@@ -181,6 +190,10 @@ class TaggedSequence:
         object.__setattr__(self, "elements", tuple(elements))
 
 
+class Encoded(bytes):
+    """Octets of complete TLVs, which encode writes out as they are."""
+
+
 @dataclass(frozen=True)
 class Raw:
     """Undecodable TLV kept verbatim; re-encoding returns the exact bytes."""
@@ -290,22 +303,29 @@ def _encode_oid_content(arcs):
     else:
         if arcs[0] > 2 or (arcs[0] < 2 and arcs[1] > 39):
             raise EncodingError(f"invalid leading OID arcs {arcs[:2]}")
-        subids = (arcs[0] * 40 + arcs[1],) + tuple(arcs[2:])
+        subids = (arcs[0] * 40 + arcs[1], *arcs[2:])
+    try:
+        octets = bytes(subids)
+    except ValueError:  # a sub-identifier is negative or above 255
+        pass
+    else:
+        if octets.isascii():  # every sub-identifier fits one octet
+            return octets
     if min(subids) < 0:
         raise EncodingError(f"negative OID arc {min(subids)}")
-    if max(subids) < 0x80:  # every sub-identifier fits one octet
-        return bytes(subids)
     out = bytearray()
     for sub in subids:
         if sub < 0x80:
             out.append(sub)
-            continue
-        chunk = [sub & 0x7F]
-        sub >>= 7
-        while sub:
-            chunk.append(0x80 | (sub & 0x7F))
+        elif sub < 0x4000:
+            out += bytes((0x80 | sub >> 7, sub & 0x7F))
+        else:
+            chunk = [sub & 0x7F]
             sub >>= 7
-        out.extend(reversed(chunk))
+            while sub:
+                chunk.append(0x80 | (sub & 0x7F))
+                sub >>= 7
+            out.extend(reversed(chunk))
     return bytes(out)
 
 
@@ -443,11 +463,62 @@ def _compile_decoder(kinds):
             return TaggedSequence(tag, sequence(data, start, end, depth))
         return decode_tagged
 
+    def header(data, pos, end, ident, what):
+        """(content start, content end) of the TLV at data[pos:end], whose
+        identifier octet must be ident."""
+        if end - pos < 2:
+            raise TruncatedError(2, max(0, end - pos))
+        if data[pos] != ident:
+            raise DecodingError(f"{what} is not tagged {ident:#04x}")
+        n = data[pos + 1]
+        start = pos + 2
+        if n & 0x80:
+            _, start, n = long_header(data, pos, end)
+        if start + n > end:
+            raise TruncatedError(n, end - start)
+        return start, start + n
+
+    def bindings(data, pos, end, depth):
+        """The variable-bindings list at data[pos:end] as (Oid, value) pairs
+        and the end of its TLV, read in one pass over each binding's
+        header, its OID TLV and exactly one value TLV."""
+        if depth + 1 >= MAX_NESTING:
+            raise DecodingError(f"nested deeper than {MAX_NESTING} levels")
+        depth += 2
+        pos, end = header(data, pos, end, 0x30, "variable-bindings list")
+        out = []
+        append = out.append
+        while pos < end:
+            start, pos = header(data, pos, end, 0x30, "variable binding")
+            at, start = header(data, start, pos, 0x06, "variable binding name")
+            name = _oid(_decode_oid_content(data[at:start]))
+            value, start = tlv(data, start, pos, depth)
+            if start != pos:
+                raise DecodingError("variable binding holds more than a name "
+                                    "and a value")
+            append((name, value))
+        return out, end
+
+    def pdu_decoder(tag):
+        def decode_pdu(data, pos, end, depth):
+            if depth >= MAX_NESTING:
+                raise DecodingError(f"nested deeper than {MAX_NESTING} levels")
+            depth += 1
+            out = []
+            while pos < end:
+                value, pos = (bindings if data[pos] == 0x30 else tlv)(
+                    data, pos, end, depth)
+                out.append(value)
+            return TaggedSequence(tag, out)
+        return decode_pdu
+
     for triple, kind in kinds.items():
         if kind == "sequence":
             by_triple[triple] = sequence
         elif kind == "tagged-sequence":
             by_triple[triple] = tagged_sequence_decoder(Tag(*triple))
+        elif kind == "pdu":
+            by_triple[triple] = pdu_decoder(Tag(*triple))
         else:
             by_triple[triple] = _PRIMITIVE_DECODERS.get(kind) or \
                 _unknown_kind_decoder(kind)
@@ -588,8 +659,8 @@ def _integer_encoder(tag):
     return lambda value: encode_octets(_encode_signed_int(value))
 
 
-_OID_HEADERS = _headers(TAG_OID)
-_SEQUENCE_HEADERS = _headers(TAG_SEQUENCE)
+_oid_tlv = _octets_encoder(TAG_OID)
+_sequence_tlv = _octets_encoder(TAG_SEQUENCE)
 _NULL_TLV = _tlv(TAG_NULL, b"")
 _MARKER_TLVS = {
     id(NO_SUCH_OBJECT): _tlv(Tag(CONTEXT, False, 0), b""),
@@ -600,10 +671,7 @@ _encode_octet_string = _octets_encoder(TAG_OCTET_STRING)
 
 
 def _encode_oid(value):
-    content = _encode_oid_content(value.arcs)
-    n = len(content)
-    return (_OID_HEADERS[n] if n < 0x80 else _long_header(_OID_HEADERS, n)) \
-        + content
+    return _oid_tlv(_encode_oid_content(value.arcs))
 
 
 def _encode_elements(values):
@@ -614,10 +682,7 @@ def _encode_elements(values):
 
 
 def _encode_sequence(value):
-    content = _encode_elements(value)
-    n = len(content)
-    return (_SEQUENCE_HEADERS[n] if n < 0x80
-            else _long_header(_SEQUENCE_HEADERS, n)) + content
+    return _sequence_tlv(_encode_elements(value))
 
 
 def _encode_raw(value):
@@ -627,7 +692,7 @@ def _encode_raw(value):
 
 
 def _encode_arcs(value):
-    return _tlv(TAG_OID, _encode_oid_content(tuple(value.arcs)))
+    return _oid_tlv(_encode_oid_content(tuple(value.arcs)))
 
 
 _ENCODERS = {
@@ -650,6 +715,7 @@ _ENCODERS = {
     TaggedSequence: lambda value: _tlv(value.tag,
                                        _encode_elements(value.elements)),
     Raw: _encode_raw,
+    Encoded: bytes,
 }
 
 
@@ -668,6 +734,20 @@ def _fallback_encoder(value):
 def encode(value):
     """Encode one abstract value into a complete TLV octet string."""
     return (_ENCODERS.get(type(value)) or _fallback_encoder(value))(value)
+
+
+def encode_bindings(bindings):
+    """A variable-bindings list, SEQUENCE OF SEQUENCE { OID, value }, as
+    Encoded octets built in one pass.  Each binding has a name, anything
+    whose arcs are ints, and a value, as messages.VarBind does."""
+    get = _ENCODERS.get
+    tlvs = []
+    for vb in bindings:
+        value = vb.value
+        tlvs.append(_sequence_tlv(
+            _oid_tlv(_encode_oid_content(vb.name.arcs))
+            + (get(type(value)) or _fallback_encoder(value))(value)))
+    return Encoded(_sequence_tlv(b"".join(tlvs)))
 
 
 # ---------------------------------------------------------------------------

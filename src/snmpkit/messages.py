@@ -1,4 +1,13 @@
-"""PDU and message structures for SNMPv1/v2c/v3 and their BER mapping."""
+"""PDU and message structures for SNMPv1/v2c/v3 and their BER mapping.
+
+Variable bindings have one codec for every message kind (v1, v2c, v3
+scoped PDUs and trap-v1), and it goes in one pass each way.
+ber.encode_bindings turns a list of VarBinds into the octets of its
+SEQUENCE OF SEQUENCE { name, value }, which the PDU carries as a
+ber.Encoded value.  SNMP_REGISTRY decodes each PDU with ber's "pdu" kind,
+which reads the bindings straight into (Oid, value) pairs; each pair
+becomes a VarBind with no generic list per binding to check again.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 from . import ber
 from .errors import DecodingError, SnmpError
-from .oids import OidRef
 
 V1 = 0
 V2C = 1
@@ -71,7 +79,7 @@ defaults = SnmpDefaults()
 def _snmp_registry():
     r = ber.DEFAULT_REGISTRY.copy()
     for n in range(9):
-        r.register(ber.CONTEXT, 1, n, "tagged-sequence")
+        r.register(ber.CONTEXT, 1, n, "pdu")
     r.register(ber.CONTEXT, 0, 0, "no-such-object")
     r.register(ber.CONTEXT, 0, 1, "no-such-instance")
     r.register(ber.CONTEXT, 0, 2, "end-of-mib-view")
@@ -165,34 +173,17 @@ class V3Message:
 # PDU <-> BER
 
 
-def _wire_oid(name):
-    """name, an Oid or anything with arcs, as an Oid.  A ref's arcs are
-    ints already, so they are taken as they are."""
-    if isinstance(name, ber.Oid):
-        return name
-    if isinstance(name, OidRef):
-        return ber._oid(name.arcs)
-    return ber.Oid(name.arcs)
-
-
-def _binding_to_ber(vb):
-    value = vb.value
-    if isinstance(value, OidRef):
-        value = ber._oid(value.arcs)
-    return [_wire_oid(vb.name), value]
-
-
 def pdu_to_ber(pdu):
     tag = ber.Tag(ber.CONTEXT, True, pdu.pdu_type)
     if isinstance(pdu, TrapV1Pdu):
         return ber.TaggedSequence(tag, [
-            _wire_oid(pdu.enterprise), pdu.agent_addr, pdu.generic_trap,
+            pdu.enterprise, pdu.agent_addr, pdu.generic_trap,
             pdu.specific_trap, ber.TimeTicks(pdu.timestamp),
-            [_binding_to_ber(vb) for vb in pdu.bindings],
+            ber.encode_bindings(pdu.bindings),
         ])
     return ber.TaggedSequence(tag, [
         pdu.request_id, pdu.error_status, pdu.error_index,
-        [_binding_to_ber(vb) for vb in pdu.bindings],
+        ber.encode_bindings(pdu.bindings),
     ])
 
 
@@ -202,12 +193,6 @@ def _fields(value, kinds, what):
             not all(isinstance(v, k) for v, k in zip(value, kinds)):
         raise DecodingError(f"malformed {what}")
     return value
-
-
-def _binding_from_ber(item):
-    if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], ber.Oid):
-        raise DecodingError(f"malformed variable binding {item!r}")
-    return VarBind(item[0], item[1])
 
 
 def pdu_from_ber(ts, version=None):
@@ -224,7 +209,7 @@ def pdu_from_ber(ts, version=None):
             els, (ber.Oid, ber.IpAddress, int, int, int, list),
             "trap-v1 PDU")
         return TrapV1Pdu(ent, addr, int(generic), int(specific), int(stamp),
-                         [_binding_from_ber(b) for b in bindings])
+                         [VarBind(name, value) for name, value in bindings])
     if len(els) != 4:
         raise DecodingError(f"PDU needs 4 elements, got {len(els)}")
     request_id, error_status, error_index, bindings = els
@@ -232,7 +217,7 @@ def pdu_from_ber(ts, version=None):
         raise DecodingError("malformed PDU header")
     if not isinstance(bindings, list):
         raise DecodingError("malformed variable-bindings list")
-    vbs = [_binding_from_ber(b) for b in bindings]
+    vbs = [VarBind(name, value) for name, value in bindings]
     if version == V1:
         for vb in vbs:
             if vb.value in ber.EXCEPTION_MARKERS:

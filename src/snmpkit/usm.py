@@ -304,20 +304,24 @@ def secure(msg, keys, salt=None):
 def open(wire, keys):
     """Decode a received v3 message and undo its protection.
 
-    Returns (msg, scoped PDU).  keys is an EngineState.  With the auth
-    flag, the MAC is checked over a copy of the received octets with the
-    MAC zeroed (RFC 3414 section 6.3.2), so a sender's non-minimal BER
-    verifies; the message's engine clock must then pass keys.advance.
-    With the priv flag, the scoped PDU is decrypted.  Raises
-    AuthenticationError, carrying the message, when its MAC or clock
-    fails, UnsupportedSecLevelError, carrying it too, when it asks for
-    privacy and keys hold no privacy key, and DecodingError or SnmpError
-    when the octets are not a v3 message or do not decrypt.
+    Returns (msg, scoped PDU).  keys is an EngineState.  The security
+    level is checked first (RFC 3414 section 3.2 step 5): a message that
+    asks for privacy when keys hold no privacy key raises
+    UnsupportedSecLevelError, carrying the message, before its MAC or
+    clock is looked at.  With the auth flag, the MAC is checked over a
+    copy of the received octets with the MAC zeroed (RFC 3414 section
+    6.3.2), so a sender's non-minimal BER verifies; the message's engine
+    clock must then pass keys.advance.  With the priv flag, the scoped PDU
+    is decrypted.  Raises AuthenticationError, carrying the message, when
+    its MAC or clock fails, and DecodingError or SnmpError when the octets
+    are not a v3 message or do not decrypt.
     """
     msg = messages.decode_message(wire)
     if not isinstance(msg, V3Message):
         raise DecodingError("not an SNMPv3 message")
     params = msg.usm
+    if msg.flags & FLAG_PRIV and keys.priv_key is None:
+        raise UnsupportedSecLevelError("no privacy key to decrypt with", msg)
     if msg.flags & FLAG_AUTH:
         if keys.auth_key is None or params.engine_id != keys.engine_id:
             raise AuthenticationError("no key for the message's engine", msg)
@@ -333,8 +337,6 @@ def open(wire, keys):
             raise NotInTimeWindowError("message outside the time window", msg)
     if not msg.flags & FLAG_PRIV:
         return msg, msg.scoped_pdu
-    if keys.priv_key is None:
-        raise UnsupportedSecLevelError("no privacy key to decrypt with", msg)
     plaintext = decrypt_scoped_pdu(msg.encrypted_pdu, keys.priv_key,
                                    params.priv_params)
     return msg, messages.decode_scoped_pdu(plaintext)[0]

@@ -1,6 +1,8 @@
 import pytest
 
-from snmpkit import agent
+from snmpkit import agent, ber
+from snmpkit.errors import DecodingError
+from snmpkit.messages import VarBind
 from snmpkit.mibs import load_core
 from snmpkit.oids import Registry
 
@@ -21,6 +23,50 @@ def enumerate_instances(tree, ctx):
             out.append((base + rest, handler, rest))
     out.sort(key=lambda item: item[0])
     return out
+
+
+def _tree_oid(name):
+    return name if isinstance(name, ber.Oid) else ber.Oid(name.arcs)
+
+
+def tree_encode_message(msg):
+    """A v1/v2c message's octets with every binding a [Oid, value] list
+    through the generic ber.encode: the formulation that the one-pass
+    bindings codec of messages is checked against."""
+    pdu = msg.pdu
+    bindings = [[_tree_oid(vb.name), vb.value] for vb in pdu.bindings]
+    return ber.encode([msg.version, ber.OctetString(msg.community),
+                       ber.TaggedSequence(
+                           ber.Tag(ber.CONTEXT, True, pdu.pdu_type),
+                           [pdu.request_id, pdu.error_status,
+                            pdu.error_index, bindings])])
+
+
+def _tree_registry():
+    r = ber.DEFAULT_REGISTRY.copy()
+    for n in range(9):
+        r.register(ber.CONTEXT, 1, n, "tagged-sequence")
+    for n, kind in enumerate(("no-such-object", "no-such-instance",
+                              "end-of-mib-view")):
+        r.register(ber.CONTEXT, 0, n, kind)
+    return r
+
+
+_TREE_REGISTRY = _tree_registry()
+
+
+def tree_decode_bindings(wire):
+    """The bindings of a v1/v2c message read from its generic decoded tree,
+    each checked to be a [Oid, value] list."""
+    message, _ = ber.decode(wire, registry=_TREE_REGISTRY)
+    items = message[2].elements[-1]
+    if not isinstance(items, list):
+        raise DecodingError("malformed variable-bindings list")
+    for item in items:
+        if not isinstance(item, list) or len(item) != 2 or \
+                not isinstance(item[0], ber.Oid):
+            raise DecodingError(f"malformed variable binding {item!r}")
+    return [VarBind(name, value) for name, value in items]
 
 
 @pytest.fixture()

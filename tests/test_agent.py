@@ -585,3 +585,57 @@ class TestHostileInput:
         agent.define_scalar(tree, registry, "sysName", lambda ctx: BadOid())
         _, resp = self._ask(registry, tree, pdu_type, names, a=1, b=3)
         assert (resp.error_status, resp.error_index) == (agent.GEN_ERR, index)
+
+
+class TestReplySize:
+    """No reply is longer than messages.MAX_UDP_PAYLOAD (RFC 3416 sections
+    4.2.1-4.2.3)."""
+
+    def _tree(self, registry, rows, value):
+        tree = agent.DispatchTree()
+
+        def column(ctx, ids):
+            if not ids:
+                return rows
+            return value if len(ids) == 1 and 1 <= ids[0] <= rows else None
+        agent.define_table_column(tree, registry, "ifDescr", column)
+        agent.register_variable(tree, registry.resolve("sysContact"),
+                                lambda ctx, ids, *new: value if ids else 0,
+                                writable=True)
+        return tree
+
+    def _ask(self, registry, tree, pdu_type, names, a=0, b=0):
+        pdu = messages.make_request_pdu(pdu_type, names, registry, 9)
+        pdu.error_status, pdu.error_index = a, b
+        wire = messages.encode_message(CommunityMessage(V2C, b"public", pdu))
+        reply = agent.handle_datagram(tree, _ctx(registry), wire)
+        assert len(reply) <= messages.MAX_UDP_PAYLOAD
+        return messages.decode_message(reply).pdu
+
+    def test_oversized_bulk_keeps_the_repetitions_that_fit(self, registry):
+        value = ber.OctetString(b"s" * 40)
+        tree = self._tree(registry, 3000, value)
+        names = ["sysContact.0", "ifDescr"]
+        resp = self._ask(registry, tree, GET_BULK_REQUEST, names, a=1, b=2000)
+        assert (resp.error_status, resp.error_index) == (0, 0)
+        column = registry.resolve("ifDescr").arcs
+        kept = len(resp.bindings) - 1
+        assert 0 < kept < 2000
+        assert [vb.arcs for vb in resp.bindings[1:]] == \
+            [column + (i,) for i in range(1, kept + 1)]
+        assert all(vb.value == value for vb in resp.bindings)
+        # one more repetition would not have fitted
+        resp.bindings.append(VarBind(ber.Oid(column + (kept + 1,)), value))
+        assert len(messages.encode_message(
+            CommunityMessage(V2C, b"public", resp))) > messages.MAX_UDP_PAYLOAD
+
+    @pytest.mark.parametrize("pdu_type,name", [
+        (GET_REQUEST, "ifDescr.1"), (GET_NEXT_REQUEST, "ifDescr"),
+        (SET_REQUEST, ("sysContact.0", ber.OctetString(b"x"))),
+        (GET_BULK_REQUEST, "ifDescr"),
+    ])
+    def test_oversized_value_is_too_big(self, registry, pdu_type, name):
+        tree = self._tree(registry, 3, ber.OctetString(bytes(70000)))
+        resp = self._ask(registry, tree, pdu_type, [name], b=5)
+        assert (resp.error_status, resp.error_index, resp.bindings) == \
+            (agent.TOO_BIG, 0, [])

@@ -507,6 +507,25 @@ class TestV3WirePath:
         assert (engine.report_count, engine.auth_count) == (3, 0)
         assert channel.client_sent == channel.agent_sent == 3
 
+    def test_refused_security_level_leaves_the_engine_clock(
+            self, registry, loopback_agent):
+        # RFC 3414 section 3.2: the level (step 5) is checked before
+        # authentication and timeliness (steps 6-7)
+        tree, ctx = loopback_agent
+        engine = harness.ScriptedV3Responder(
+            tree, ctx, usm.Credential.create("bob", ("md5", "bobsecret99")))
+        endpoint, channel, clock = harness.connect(engine)
+        session = client.open_session(
+            "loopback", version=V3, user="bob", auth=("md5", "bobsecret99"),
+            priv=("des", "bobprivacy99"), registry=registry,
+            **harness.loopback_session_kwargs(endpoint, clock))
+        with pytest.raises(UsmProtocolError):
+            client.get(session, "sysName.0")  # discovers the engine
+        clock.advance(100)
+        with pytest.raises(UsmProtocolError):
+            client.get(session, "sysName.0")
+        assert engine.engine.engine_time == 1000
+
     def test_request_below_the_user_security_level_gets_a_report(
             self, registry, loopback_agent):
         engine = self._engine(loopback_agent)

@@ -3,9 +3,10 @@
 For any byte string, ``ber.decode`` and ``messages.decode_message`` give
 a value or raise ``DecodingError``, ``usm.open`` gives a message or
 raises an ``SnmpKitError``, and ``agent.handle_datagram`` gives None or
-bytes.  Inputs are arbitrary bytes, and truncations and single-byte
-mutations of valid messages: the golden wire vectors and requests the
-test agent answers.
+at most ``messages.MAX_UDP_PAYLOAD`` bytes.  Inputs are arbitrary bytes,
+and truncations and single-byte mutations of valid messages: the golden
+wire vectors, requests the test agent answers and GETBULKs with large
+max-repetitions.
 """
 
 import functools
@@ -78,6 +79,37 @@ def _agent():
     return tree, ctx
 
 
+@functools.lru_cache(maxsize=None)
+def _big_agent():
+    """The system group and a column of 1,500 40-octet strings, more than
+    one datagram holds."""
+    registry = load_core(Registry())
+    ctx = agent.AgentContext(registry=registry)
+    tree = agent.DispatchTree()
+    agent.install_system_group(tree, ctx)
+    value = ber.OctetString(b"s" * 40)
+
+    def column(ctx, ids):
+        if not ids:
+            return 1500
+        return value if len(ids) == 1 and 1 <= ids[0] <= 1500 else None
+    agent.define_table_column(tree, registry, "ifDescr", column)
+    return tree, ctx
+
+
+def _bulk(request):
+    names, non_repeaters, max_repetitions = request
+    pdu = Pdu(GET_BULK_REQUEST, 77, non_repeaters, max_repetitions,
+              [VarBind(ber.Oid(arcs)) for arcs in names])
+    return messages.encode_message(CommunityMessage(V2C, b"public", pdu))
+
+
+_large_bulks = st.tuples(
+    st.lists(st.sampled_from([SYSTEM, IF_DESCR_1[:-2], IF_DESCR_1]),
+             min_size=1, max_size=3),
+    st.integers(0, 3), st.integers(1000, 2 ** 31 - 1)).map(_bulk)
+
+
 def _v3_keys():
     """The golden authPriv message's engine, as usm.open takes it."""
     keys = usm.EngineState()
@@ -130,6 +162,13 @@ class TestFuzz:
         tree, ctx = _agent()
         reply = agent.handle_datagram(tree, ctx, data)
         assert reply is None or isinstance(reply, bytes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(_inputs, _large_bulks, _large_bulks.flatmap(_mutations)))
+    def test_reply_fits_one_datagram(self, data):
+        tree, ctx = _big_agent()
+        reply = agent.handle_datagram(tree, ctx, data)
+        assert reply is None or len(reply) <= messages.MAX_UDP_PAYLOAD
 
     @settings(max_examples=600, deadline=None)
     @given(st.one_of(_inputs, _mutations(_V3_WIRE),

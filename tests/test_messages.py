@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import tree_decode_bindings, tree_encode_message
 from snmpkit import ber, messages
 from snmpkit.errors import DecodingError, SnmpError
 from snmpkit.messages import (
@@ -10,6 +11,7 @@ from snmpkit.messages import (
     RESPONSE, SET_REQUEST, SNMPV2_TRAP, TRAP_V1,
     FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE,
 )
+from snmpkit.oids import Registry
 
 
 # --- independent TLV oracle ------------------------------------------------
@@ -312,3 +314,93 @@ class TestMessageProperty:
             assert _pdu_equal(decoded.scoped_pdu.pdu, msg.scoped_pdu.pdu)
         # and re-encoding the decoded form is byte-identical
         assert messages.encode_message(decoded) == wire
+
+
+# --- the one-pass bindings codec against the generic value tree -------------
+
+
+class _Arcs:
+    """A plain holder of arcs, as a binding name or value."""
+
+    def __init__(self, arcs):
+        self.arcs = arcs
+
+
+_BARE_REGISTRY = Registry()
+_SUBIDS = st.one_of(
+    st.sampled_from([0, 127, 128, 16383, 16384, 2 ** 32 - 1, 2 ** 32]),
+    st.integers(0, 2 ** 32))
+_ARCS = st.tuples(
+    st.one_of(st.tuples(st.integers(0, 1), st.integers(0, 39)),
+              st.tuples(st.just(2), _SUBIDS)),
+    st.lists(_SUBIDS, max_size=10)).map(lambda t: t[0] + tuple(t[1]))
+# a ref drops a leading 0 arc that the registry reads as its root
+_NAMES = st.one_of(_ARCS.map(ber.Oid),
+                   _ARCS.filter(lambda arcs: arcs[0]).map(
+                       _BARE_REGISTRY.resolve),
+                   _ARCS.map(_Arcs))
+_VALUES = st.one_of(
+    st.integers(),
+    st.sampled_from([127, 128, 300]).map(lambda n: ber.OctetString(bytes(n))),
+    st.binary(max_size=40).map(ber.OctetString), st.binary(max_size=8),
+    st.text(max_size=8),
+    st.binary(min_size=4, max_size=4).map(ber.IpAddress),
+    st.integers(0, 2 ** 32 - 1).map(ber.Counter32),
+    st.integers(0, 2 ** 32 - 1).map(ber.Gauge32),
+    st.integers(0, 2 ** 32 - 1).map(ber.TimeTicks),
+    st.integers(0, 2 ** 64 - 1).map(ber.Counter64),
+    st.binary(max_size=20).map(ber.Opaque),
+    st.sampled_from([ber.NULL, None, *ber.EXCEPTION_MARKERS]),
+    st.binary(max_size=300).map(
+        lambda b: ber.Raw(ber.Tag(ber.PRIVATE, False, 9), b)),
+    st.lists(st.integers(), max_size=3),
+    _NAMES,
+)
+
+
+def _value_tree(value):
+    """value as the generic codec reads it back."""
+    return ber.decode(ber.encode(value), registry=messages.SNMP_REGISTRY)[0]
+
+
+def _seq(content):
+    return b"\x30" + ber.encode_length(len(content)) + content
+
+
+_NAME = ber.Oid((1, 3, 6, 1, 2, 1, 1, 5, 0))
+_BINDING = ber.encode([_NAME, ber.NULL])
+
+
+class TestBindingsCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_NAMES, _VALUES), max_size=6),
+           st.sampled_from([GET_REQUEST, RESPONSE, SNMPV2_TRAP]))
+    def test_matches_the_value_tree(self, pairs, pdu_type):
+        bindings = [VarBind(name, value) for name, value in pairs]
+        msg = CommunityMessage(V2C, b"public",
+                               Pdu(pdu_type, 5, 0, 0, bindings))
+        wire = messages.encode_message(msg)
+        assert wire == tree_encode_message(msg)
+        decoded = messages.decode_message(wire).pdu.bindings
+        assert [(vb.arcs, vb.value) for vb in decoded] == \
+            [(tuple(name.arcs), _value_tree(value)) for name, value in pairs]
+        assert decoded == tree_decode_bindings(wire)
+
+    @pytest.mark.parametrize("bindings", [
+        [[_NAME]],
+        [[_NAME, ber.NULL, ber.NULL]],
+        [[5, ber.NULL]],
+        [ber.OctetString(b"x"), _NAME],
+        [_NAME],
+        ber.Encoded(_seq(_BINDING[:-1])),
+        ber.Encoded(_seq(_seq(_BINDING[2:] + b"\x00"))),
+    ], ids=["one element", "three elements", "name not an OID",
+            "name after value", "not a SEQUENCE", "truncated",
+            "trailing octet"])
+    def test_malformed_binding_is_a_decoding_error(self, bindings):
+        wire = ber.encode([V2C, ber.OctetString(b"public"), ber.TaggedSequence(
+            ber.Tag(ber.CONTEXT, True, GET_REQUEST), [1, 0, 0, bindings])])
+        with pytest.raises(DecodingError):
+            messages.decode_message(wire)
+        with pytest.raises(DecodingError):
+            tree_decode_bindings(wire)
