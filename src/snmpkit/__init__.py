@@ -1,8 +1,9 @@
 """snmpkit: a self-contained SNMP protocol stack.
 
 BER codec, OID registry, SMI (MIB) compiler, SNMPv1/v2c/v3 client with
-USM security, an embeddable v1/v2c agent, a command-line front end, and
-a deterministic loopback test harness.
+USM security, an embeddable agent whose message path answers v1/v2c and,
+given an agent.LocalEngine, v3 (enable_service serves v1/v2c), a
+command-line front end, and a deterministic loopback test harness.
 """
 
 from . import agent, ber, cli, errors, harness, messages, smi, transport, usm

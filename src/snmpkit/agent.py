@@ -1,4 +1,7 @@
-"""Embeddable SNMPv1/v2c agent: handler dispatch tree and UDP service loop.
+"""Embeddable SNMP agent: dispatch tree, message path and UDP service.
+
+handle_datagram, the one message path, answers v1/v2c by community and
+v3 through a LocalEngine; enable_service serves v1/v2c over UDP.
 
 Variables are served by handler functions attached at base OIDs.  Called
 with an empty rest-id list a handler enumerates its children (a ChildSpec:
@@ -21,11 +24,15 @@ import socket
 import threading
 import time
 
-from . import ber, messages
-from .errors import SnmpError, SnmpKitError, TransportError
+from . import ber, messages, usm
+from .errors import (
+    AuthenticationError, NotInTimeWindowError, SnmpError, SnmpKitError,
+    TransportError,
+)
 from .messages import (
-    GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST, SET_REQUEST,
-    Pdu, VarBind, V1, V2C,
+    FLAG_AUTH, FLAG_PRIV, GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST,
+    MAX_UDP_PAYLOAD, REPORT, SET_REQUEST, Pdu, ScopedPdu, UsmParams,
+    V3Message, VarBind, V1, V2C, V3,
 )
 
 DEFAULT_AGENT_PORT = 8161
@@ -334,50 +341,112 @@ _DISPATCH = {
 }
 
 
-def handle_datagram(tree, ctx, data, community=None):
+class LocalEngine:
+    """An SNMPv3 engine with one user.  engine, a usm.EngineState, holds
+    the user's keys and the engine clock, which authentic requests alone
+    move forward.  report_count and auth_count count the Reports sent and
+    the requests that passed every check."""
+
+    def __init__(self, engine_id, credential, boots, engine_time):
+        self.engine_id = bytes(engine_id)
+        self.credential = credential
+        self.engine = usm.EngineState()
+        self.engine.adopt(engine_id, boots, engine_time, credential)
+        self.report_count = 0
+        self.auth_count = 0
+
+    def open(self, msg, wire):
+        """msg's scoped PDU, or the octets of the Report that refuses it,
+        after the checks of RFC 3414 section 3.2 in its order: engine id
+        (step 3), user (4), security level (5), digest (6), time window
+        (7).  Raises SnmpKitError when the scoped PDU does not decrypt."""
+        params, flags = msg.usm, 0
+        if params.engine_id != self.engine_id:
+            stats = messages.USM_STATS_UNKNOWN_ENGINE_IDS
+        elif params.user_name != self.credential.user.encode():
+            stats = messages.USM_STATS_UNKNOWN_USER_NAMES
+        elif msg.flags & (FLAG_AUTH | FLAG_PRIV) != \
+                self.credential.security_flags:
+            stats = messages.USM_STATS_UNSUPPORTED_SEC_LEVELS
+        else:
+            try:
+                scoped = usm.unprotect(msg, wire, self.engine)
+            except NotInTimeWindowError:  # an authenticated Report
+                stats = messages.USM_STATS_NOT_IN_TIME_WINDOWS
+                flags = FLAG_AUTH
+            except AuthenticationError:
+                stats = messages.USM_STATS_WRONG_DIGESTS
+            else:
+                self.auth_count += 1
+                return scoped
+        self.report_count += 1
+        request_id = getattr(getattr(msg.scoped_pdu, "pdu", None),
+                             "request_id", 0)
+        return self.seal(msg, flags, b"", Pdu(REPORT, request_id, bindings=[
+            VarBind(ber.Oid(stats), ber.Counter32(1))]))
+
+    def seal(self, msg, flags, context_name, pdu):
+        """The octets of a reply to msg carrying pdu, secured as flags ask."""
+        params = UsmParams(self.engine_id, self.engine.engine_boots,
+                           self.engine.engine_time, msg.usm.user_name)
+        return usm.secure(V3Message(msg.msg_id, flags, params, ScopedPdu(
+            self.engine_id, context_name, pdu)), self.engine)
+
+
+def handle_datagram(tree, ctx, data, engine=None):
     """Full message-level handling of one inbound datagram.
 
-    Returns the response bytes, or None when the datagram is dropped
-    (bad community, undecodable, unsupported version).  A response whose
-    values do not encode is answered with genErr instead, and one longer
-    than messages.MAX_UDP_PAYLOAD is cut down or answered tooBig.
+    Returns the reply bytes, or None when the datagram is dropped: it does
+    not decode or decrypt, its community is wrong, or it is v3 and engine,
+    the LocalEngine that answers v3, is None.  A response whose values do
+    not encode is answered with genErr instead, and one longer than
+    MAX_UDP_PAYLOAD, or than a v3 request's smaller msgMaxSize, is cut
+    down or answered tooBig.
     """
     ctx.in_pkts += 1
-    if community is None:
-        community = ctx.community
     try:
         msg = messages.decode_message(data)
+        if isinstance(msg, messages.CommunityMessage):
+            if msg.community != messages.community_octets(ctx.community):
+                return None
+            pdu, version, limit = msg.pdu, msg.version, MAX_UDP_PAYLOAD
+
+            def encode(response):
+                return messages.encode_message(messages.CommunityMessage(
+                    msg.version, msg.community, response))
+        elif engine is None:
+            return None
+        else:
+            scoped = engine.open(msg, data)
+            if isinstance(scoped, bytes):  # a Report
+                return scoped
+            pdu, version = scoped.pdu, V3
+            limit = min(msg.msg_max_size, MAX_UDP_PAYLOAD)
+
+            def encode(response):
+                return engine.seal(msg, engine.credential.security_flags,
+                                   scoped.context_name, response)
     except SnmpKitError:
         return None
-    if not isinstance(msg, messages.CommunityMessage):
-        return None  # the agent speaks v1/v2c only
-    if msg.community != messages.community_octets(community):
+    if not isinstance(pdu, Pdu):
         return None
-    if not isinstance(msg.pdu, Pdu):
-        return None
-    response = dispatch(tree, msg.pdu, ctx, msg.version)
+    response = dispatch(tree, pdu, ctx, version)
     try:
-        reply = _encode_reply(msg, response)
+        reply = encode(response)
     except Exception:  # a handler's value has no BER form
         response = messages.response_for(
-            msg.pdu, list(msg.pdu.bindings), GEN_ERR,
-            _unencodable_index(msg.pdu, response.bindings))
-        reply = _encode_reply(msg, response)
-    return _bounded(msg, response, reply, messages.MAX_UDP_PAYLOAD)
+            pdu, list(pdu.bindings), GEN_ERR,
+            _unencodable_index(pdu, response.bindings))
+        reply = encode(response)
+    return _bounded(pdu, response, reply, limit, encode)
 
 
-def _encode_reply(msg, response):
-    return messages.encode_message(
-        messages.CommunityMessage(msg.version, msg.community, response))
-
-
-def _bounded(msg, response, reply, limit):
+def _bounded(pdu, response, reply, limit, encode):
     """reply, or when it is longer than limit octets, a reply that fits
-    (RFC 3416 sections 4.2.1-4.2.3).  A GETBULK answer keeps as many whole
-    repetitions as fit, found by bisection; any other answer, or a GETBULK
-    one in which not even one repetition fits, becomes tooBig with no
-    bindings."""
-    pdu = msg.pdu
+    (RFC 3416 sections 4.2.1-4.2.3), encode(response) giving the octets.
+    A GETBULK answer keeps as many whole repetitions as fit, found by
+    bisection; any other answer, or a GETBULK one in which not even one
+    repetition fits, becomes tooBig with no bindings."""
     if len(reply) > limit and pdu.pdu_type == GET_BULK_REQUEST and \
             not response.error_status:
         head = min(max(0, pdu.non_repeaters), len(pdu.bindings))
@@ -387,15 +456,15 @@ def _bounded(msg, response, reply, limit):
         while over - fits > 1:
             mid = (fits + over) // 2
             response.bindings = bindings[:head + mid * width]
-            if len(_encode_reply(msg, response)) <= limit:
+            if len(encode(response)) <= limit:
                 fits = mid
             else:
                 over = mid
         if fits:
             response.bindings = bindings[:head + fits * width]
-            reply = _encode_reply(msg, response)
+            reply = encode(response)
     if len(reply) > limit:
-        reply = _encode_reply(msg, messages.response_for(pdu, [], TOO_BIG))
+        reply = encode(messages.response_for(pdu, [], TOO_BIG))
     return reply
 
 

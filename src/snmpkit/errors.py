@@ -114,16 +114,5 @@ class NotInTimeWindowError(AuthenticationError):
     (RFC 3414 section 3.2, step 7)."""
 
 
-class UnsupportedSecLevelError(SnmpError):
-    """An SNMPv3 message asks for a security level that its user's keys
-    cannot give, such as privacy without a privacy key (RFC 3414 section
-    3.2, step 5).  msg is the decoded message, as for AuthenticationError.
-    """
-
-    def __init__(self, text, msg=None):
-        super().__init__(text)
-        self.msg = msg
-
-
 class UsmProtocolError(SnmpError):
     """Malformed or unexpected USM/Report traffic during discovery."""

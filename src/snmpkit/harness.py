@@ -10,15 +10,8 @@ from __future__ import annotations
 
 import random
 
-from . import agent as agent_mod, ber, messages, usm
-from .errors import (
-    AuthenticationError, EndpointClosedError, NotInTimeWindowError,
-    SnmpKitError, UnsupportedSecLevelError,
-)
-from .messages import (
-    FLAG_AUTH, FLAG_PRIV, REPORT,
-    Pdu, ScopedPdu, UsmParams, V3Message, VarBind,
-)
+from . import agent as agent_mod
+from .errors import EndpointClosedError
 
 
 class VirtualClock:
@@ -148,34 +141,18 @@ def loopback_session_kwargs(endpoint, clock, **extra):
     return kwargs
 
 
-class ScriptedV3Responder:
-    """A miniature v3 engine for exercising discovery and USM handling.
-
-    Serves variables from an agent dispatch tree, answers unknown-engine
-    probes with a Report, and counts the two kinds of exchange so tests
-    can assert the discovery flow (one Report, then authenticated
-    traffic only).  Requests are opened and replies secured by
-    usm.open and usm.secure, the client's own path, under self.engine:
-    the engine's keys and clock.  The clock does not tick by itself; it
-    moves forward with authentic requests only, and a request from
-    outside its time window gets an authenticated notInTimeWindow Report.
-    A request whose security level is not the credential's, authPriv for
-    a user without privacy included, gets a usmStatsUnsupportedSecLevels
-    Report (RFC 3414 section 3.2, step 5).
-    """
+class ScriptedV3Responder(agent_mod.LocalEngine):
+    """A v3 agent over a dispatch tree, as a channel responder: wiring
+    over agent.handle_datagram with this engine.  Its counts let tests
+    assert the discovery flow (one Report, then authenticated traffic
+    only); see LocalEngine.open for the Reports it sends."""
 
     def __init__(self, tree, ctx, credential,
                  engine_id=b"\x80\x00\x13\x70\x05harness",
                  engine_boots=1, engine_time=1000):
+        super().__init__(engine_id, credential, engine_boots, engine_time)
         self.tree = tree
         self.ctx = ctx
-        self.credential = credential
-        self.engine_id = engine_id
-        self.engine = usm.EngineState()
-        self.engine.adopt(engine_id, engine_boots, engine_time, credential)
-        self.report_count = 0
-        self.auth_count = 0
-        self.unknown_engine_count = 0
 
     @property
     def auth_key(self):
@@ -186,55 +163,4 @@ class ScriptedV3Responder:
         return self.engine.priv_key
 
     def __call__(self, data):
-        try:
-            msg, scoped = usm.open(data, self.engine)
-        except AuthenticationError as exc:
-            return self._refuse(exc)
-        except UnsupportedSecLevelError as exc:
-            return self._report(exc.msg,
-                                messages.USM_STATS_UNSUPPORTED_SEC_LEVELS)
-        except SnmpKitError:
-            return None
-        if msg.usm.engine_id != self.engine_id:
-            return self._report(msg, messages.USM_STATS_UNKNOWN_ENGINE_IDS,
-                                unknown_engine=True)
-        level = msg.flags & (FLAG_AUTH | FLAG_PRIV)
-        if level != self.credential.security_flags:
-            return self._report(msg,
-                                messages.USM_STATS_UNSUPPORTED_SEC_LEVELS)
-        self.auth_count += 1
-        response = agent_mod.dispatch(self.tree, scoped.pdu, self.ctx)
-        reply = V3Message(msg.msg_id, level, self._usm_params(msg),
-                          ScopedPdu(self.engine_id, scoped.context_name,
-                                    response))
-        return usm.secure(reply, self.engine)
-
-    def _refuse(self, exc):
-        """The Report for a request that failed usm.open's checks."""
-        msg = exc.msg
-        if msg.usm.engine_id != self.engine_id:
-            return self._report(msg, messages.USM_STATS_UNKNOWN_ENGINE_IDS,
-                                unknown_engine=True)
-        if isinstance(exc, NotInTimeWindowError):
-            return self._report(msg, messages.USM_STATS_NOT_IN_TIME_WINDOWS,
-                                flags=FLAG_AUTH)
-        return self._report(msg, messages.USM_STATS_WRONG_DIGESTS)
-
-    def _usm_params(self, msg):
-        return UsmParams(engine_id=self.engine_id,
-                         engine_boots=self.engine.engine_boots,
-                         engine_time=self.engine.engine_time,
-                         user_name=msg.usm.user_name)
-
-    def _report(self, msg, stats_oid, unknown_engine=False, flags=0):
-        self.report_count += 1
-        if unknown_engine:
-            self.unknown_engine_count += 1
-        request_id = 0
-        if msg.scoped_pdu is not None and msg.scoped_pdu.pdu is not None:
-            request_id = msg.scoped_pdu.pdu.request_id
-        report = Pdu(REPORT, request_id,
-                     bindings=[VarBind(ber.Oid(stats_oid), ber.Counter32(1))])
-        reply = V3Message(msg.msg_id, flags, self._usm_params(msg),
-                          ScopedPdu(self.engine_id, b"", report))
-        return usm.secure(reply, self.engine)
+        return agent_mod.handle_datagram(self.tree, self.ctx, data, self)

@@ -60,6 +60,7 @@ USM_STATS_PREFIX = (1, 3, 6, 1, 6, 3, 15, 1, 1)
 USM_STATS_UNSUPPORTED_SEC_LEVELS = USM_STATS_PREFIX + (1, 0)
 USM_STATS_UNKNOWN_ENGINE_IDS = USM_STATS_PREFIX + (4, 0)
 USM_STATS_NOT_IN_TIME_WINDOWS = USM_STATS_PREFIX + (2, 0)
+USM_STATS_UNKNOWN_USER_NAMES = USM_STATS_PREFIX + (3, 0)
 USM_STATS_WRONG_DIGESTS = USM_STATS_PREFIX + (5, 0)
 
 
@@ -309,6 +310,8 @@ def decode_message(data):
             global_data, (int, int, bytes, int), "msgGlobalData")
         if len(flags_octet) != 1:
             raise DecodingError("malformed msgFlags")
+        if not 484 <= max_size <= 2 ** 31 - 1:  # RFC 3412 section 6
+            raise DecodingError(f"msgMaxSize {max_size} out of range")
         flags = flags_octet[0]
         if not isinstance(sec_bytes, bytes):
             raise DecodingError("security parameters are not an OCTET STRING")

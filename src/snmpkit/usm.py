@@ -4,11 +4,11 @@ Key derivation, HMAC message authentication (MD5/SHA1, 96-bit tags) and
 DES-CBC privacy.  Engine discovery itself lives in the client since it
 needs a transport; this module keeps the per-session engine state.
 
-secure and open are the one path by which the client and the harness
-responder protect an outgoing message and check an incoming one.  Both
-work on the wire octets: a message is encoded once, and its MAC is
-located by walking TLV headers, so a MAC is computed and checked over
-exactly the octets that travel.  Password-derived keys are cached per
+secure and open (unprotect, once decoded) are the one path by which the
+client and the agent protect an outgoing message and check an incoming
+one.  Both work on the wire octets: a message is encoded once, and its
+MAC is located by walking TLV headers, so a MAC is computed and checked
+over exactly the octets that travel.  Password-derived keys are cached per
 (protocol, passphrase), so sessions sharing a credential derive them once.
 """
 
@@ -31,7 +31,6 @@ except ImportError:  # pragma: no cover
 from . import ber, messages
 from .errors import (
     AuthenticationError, DecodingError, NotInTimeWindowError, SnmpError,
-    UnsupportedSecLevelError,
 )
 from .messages import FLAG_AUTH, FLAG_PRIV, V3Message
 
@@ -302,26 +301,29 @@ def secure(msg, keys, salt=None):
 
 
 def open(wire, keys):
-    """Decode a received v3 message and undo its protection.
-
-    Returns (msg, scoped PDU).  keys is an EngineState.  The security
-    level is checked first (RFC 3414 section 3.2 step 5): a message that
-    asks for privacy when keys hold no privacy key raises
-    UnsupportedSecLevelError, carrying the message, before its MAC or
-    clock is looked at.  With the auth flag, the MAC is checked over a
-    copy of the received octets with the MAC zeroed (RFC 3414 section
-    6.3.2), so a sender's non-minimal BER verifies; the message's engine
-    clock must then pass keys.advance.  With the priv flag, the scoped PDU
-    is decrypted.  Raises AuthenticationError, carrying the message, when
-    its MAC or clock fails, and DecodingError or SnmpError when the octets
-    are not a v3 message or do not decrypt.
-    """
+    """(msg, scoped PDU) of the octets of a v3 message: decode, then
+    unprotect.  Raises DecodingError when they are not a v3 message."""
     msg = messages.decode_message(wire)
     if not isinstance(msg, V3Message):
         raise DecodingError("not an SNMPv3 message")
+    return msg, unprotect(msg, wire, keys)
+
+
+def unprotect(msg, wire, keys):
+    """The scoped PDU of msg, decoded from wire, with protection undone.
+
+    keys is an EngineState.  A message asking for privacy when keys hold
+    no privacy key raises SnmpError before its MAC or clock is looked at
+    (RFC 3414 section 3.2 step 5).  With the auth flag, the MAC is checked
+    over a copy of wire with the MAC zeroed (RFC 3414 section 6.3.2), so a
+    sender's non-minimal BER verifies, and the engine clock must pass
+    keys.advance; AuthenticationError, carrying msg, when either fails.
+    With the priv flag, the scoped PDU is decrypted, or DecodingError or
+    SnmpError raised.
+    """
     params = msg.usm
     if msg.flags & FLAG_PRIV and keys.priv_key is None:
-        raise UnsupportedSecLevelError("no privacy key to decrypt with", msg)
+        raise SnmpError("no privacy key to decrypt with")
     if msg.flags & FLAG_AUTH:
         if keys.auth_key is None or params.engine_id != keys.engine_id:
             raise AuthenticationError("no key for the message's engine", msg)
@@ -336,7 +338,7 @@ def open(wire, keys):
         if not keys.advance(params.engine_boots, params.engine_time):
             raise NotInTimeWindowError("message outside the time window", msg)
     if not msg.flags & FLAG_PRIV:
-        return msg, msg.scoped_pdu
+        return msg.scoped_pdu
     plaintext = decrypt_scoped_pdu(msg.encrypted_pdu, keys.priv_key,
                                    params.priv_params)
-    return msg, messages.decode_scoped_pdu(plaintext)[0]
+    return messages.decode_scoped_pdu(plaintext)[0]

@@ -1,8 +1,11 @@
 import pytest
 
-from snmpkit import agent, ber
+from snmpkit import agent, ber, usm
 from snmpkit.errors import DecodingError
-from snmpkit.messages import VarBind
+from snmpkit.messages import (
+    DEFAULT_MAX_MSG_SIZE, FLAG_REPORTABLE, ScopedPdu, UsmParams, V3Message,
+    VarBind,
+)
 from snmpkit.mibs import load_core
 from snmpkit.oids import Registry
 
@@ -67,6 +70,24 @@ def tree_decode_bindings(wire):
                 not isinstance(item[0], ber.Oid):
             raise DecodingError(f"malformed variable binding {item!r}")
     return [VarBind(name, value) for name, value in items]
+
+
+def v3_request(responder, pdu, user=None, max_size=DEFAULT_MAX_MSG_SIZE):
+    """(wire, keys): pdu in a v3 request to responder, a v3 engine with
+    engine_id, engine and credential, from a client that has discovered
+    it and holds keys, at the credential's security level, as user (the
+    credential's user by default) and with msgMaxSize max_size.  usm.open
+    opens the reply with keys."""
+    state, cred = responder.engine, responder.credential
+    keys = usm.EngineState()
+    keys.adopt(responder.engine_id, state.engine_boots, state.engine_time,
+               cred)
+    msg = V3Message(
+        1, FLAG_REPORTABLE | cred.security_flags,
+        UsmParams(responder.engine_id, state.engine_boots, state.engine_time,
+                  user or cred.user.encode()),
+        ScopedPdu(responder.engine_id, b"", pdu), msg_max_size=max_size)
+    return usm.secure(msg, keys), keys
 
 
 @pytest.fixture()

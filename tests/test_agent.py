@@ -6,17 +6,24 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import enumerate_instances
-from snmpkit import agent, ber, client, harness, messages
+from conftest import enumerate_instances, v3_request
+from snmpkit import agent, ber, client, harness, messages, usm
 from snmpkit.errors import SnmpError
 from snmpkit.messages import (
     CommunityMessage, GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST,
-    Pdu, SET_REQUEST, VarBind, V1, V2C,
+    Pdu, SET_REQUEST, VarBind, V1, V2C, V3,
 )
+
+ALICE = usm.Credential.create("alice", ("sha1", "authpass123"),
+                              ("des", "privpass123"))
 
 
 def _ctx(registry):
     return agent.AgentContext(registry=registry)
+
+
+def _v3_responder(registry, tree):
+    return harness.ScriptedV3Responder(tree, _ctx(registry), ALICE)
 
 
 class TestChildSpec:
@@ -496,6 +503,26 @@ class TestHostileInput:
             data = b"\x30" + ber.encode_length(len(data)) + data
         assert agent.handle_datagram(tree, ctx, data) is None
 
+    def test_v3_trap_v1_pdu_is_reported_or_dropped(self, loopback_agent):
+        # a trap-v1 PDU has no request-id to echo and is not a request
+        tree, ctx = loopback_agent
+        responder = harness.ScriptedV3Responder(
+            tree, ctx, usm.Credential.create("alice"))
+        trap = messages.TrapV1Pdu(ber.Oid((1, 3, 6, 1)),
+                                  ber.IpAddress(bytes(4)), 1, 0, 0)
+        for engine_id in (b"", responder.engine_id):
+            wire = messages.encode_message(messages.V3Message(
+                3, messages.FLAG_REPORTABLE,
+                messages.UsmParams(engine_id, 1, 1000, b"alice"),
+                messages.ScopedPdu(engine_id, b"", trap)))
+            reply = responder(wire)
+            if engine_id:
+                assert reply is None
+            else:
+                assert messages.decode_message(reply).scoped_pdu.pdu \
+                    .request_id == 0
+        assert (responder.report_count, responder.auth_count) == (1, 1)
+
     def _tree(self, registry, bad):
         """sysDescr.0 and two 3-row columns; the value at bad, a (column,
         row) pair, is True, which has no BER form."""
@@ -518,12 +545,16 @@ class TestHostileInput:
     def _ask(self, registry, tree, pdu_type, names, a=0, b=0, version=V2C):
         pdu = messages.make_request_pdu(pdu_type, names, registry, 9)
         pdu.error_status, pdu.error_index = a, b
+        if version == V3:  # authPriv, through the v3 engine
+            responder = _v3_responder(registry, tree)
+            wire, keys = v3_request(responder, pdu)
+            return pdu, usm.open(responder(wire), keys)[1].pdu
         wire = messages.encode_message(CommunityMessage(version, b"public",
                                                         pdu))
         reply = agent.handle_datagram(tree, _ctx(registry), wire)
         return pdu, messages.decode_message(reply).pdu
 
-    @pytest.mark.parametrize("version", [V1, V2C])
+    @pytest.mark.parametrize("version", [V1, V2C, V3])
     def test_unencodable_get_value_is_generr(self, registry, version):
         tree = self._tree(registry, ("ifType", 2))
         names = ["sysDescr.0", "ifType.1", "ifType.2", "ifType.3"]
@@ -639,3 +670,38 @@ class TestReplySize:
         resp = self._ask(registry, tree, pdu_type, [name], b=5)
         assert (resp.error_status, resp.error_index, resp.bindings) == \
             (agent.TOO_BIG, 0, [])
+
+    @pytest.mark.parametrize("max_size", [messages.MAX_UDP_PAYLOAD, 1500])
+    def test_v3_bulk_keeps_the_repetitions_that_fit_msg_max_size(
+            self, registry, max_size):
+        value = ber.OctetString(b"s" * 100)
+        responder = _v3_responder(registry, self._tree(registry, 3000, value))
+        pdu = messages.make_request_pdu(
+            GET_BULK_REQUEST, ["sysContact.0", "ifDescr"], registry, 9)
+        pdu.error_status, pdu.error_index = 1, 2000
+        wire, keys = v3_request(responder, pdu, max_size=max_size)
+        reply = responder(wire)
+        assert len(reply) <= max_size
+        resp = usm.open(reply, keys)[1].pdu
+        assert (resp.error_status, resp.error_index) == (0, 0)
+        column = registry.resolve("ifDescr").arcs
+        kept = len(resp.bindings) - 1
+        assert 0 < kept < 2000
+        assert [vb.arcs for vb in resp.bindings[1:]] == \
+            [column + (i,) for i in range(1, kept + 1)]
+        assert all(vb.value == value for vb in resp.bindings)
+        # one more repetition would not have fitted
+        resp.bindings.append(VarBind(ber.Oid(column + (kept + 1,)), value))
+        request = messages.decode_message(wire)
+        assert len(responder.seal(request, ALICE.security_flags, b"",
+                                  resp)) > max_size
+
+    @pytest.mark.parametrize("max_size", [483, -5])
+    def test_v3_request_with_msg_max_size_out_of_range_is_dropped(
+            self, registry, max_size):
+        responder = _v3_responder(registry, self._tree(registry, 3, 1))
+        pdu = messages.make_request_pdu(GET_REQUEST, ["ifDescr.1"],
+                                        registry, 9)
+        wire, _ = v3_request(responder, pdu, max_size=max_size)
+        assert responder(wire) is None
+        assert responder.auth_count == 0

@@ -6,7 +6,7 @@ from snmpkit.errors import (
     UsmProtocolError,
 )
 from snmpkit.messages import (
-    FLAG_AUTH, FLAG_REPORTABLE, GET_REQUEST, Pdu, REPORT, RESPONSE,
+    FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE, GET_REQUEST, Pdu, REPORT, RESPONSE,
     ScopedPdu, V1, V2C, V3, V3Message, VarBind, defaults,
 )
 
@@ -340,6 +340,30 @@ class TestV3:
             client.get(session, "sysName.0")
         assert responder.auth_count == 0
 
+    def test_unknown_user_gets_a_report(self, registry, loopback_agent):
+        # RFC 3414 section 3.2 step 4: before the level and any key
+        tree, ctx = loopback_agent
+        responder = harness.ScriptedV3Responder(
+            tree, ctx, usm.Credential.create(**self.CRED))
+        replies = []
+
+        def recording(data):
+            replies.append(responder(data))
+            return replies[-1]
+
+        endpoint, channel, clock = harness.connect(recording)
+        session = client.open_session(
+            "loopback", version=V3, registry=registry,
+            **dict(self.CRED, user="mallory"),
+            **harness.loopback_session_kwargs(endpoint, clock))
+        with pytest.raises(UsmProtocolError):
+            client.get(session, "sysName.0")
+        assert responder.auth_count == 0
+        report = messages.decode_message(replies[-1])
+        assert report.flags == 0
+        assert [vb.arcs for vb in report.scoped_pdu.pdu.bindings] == \
+            [messages.USM_STATS_UNKNOWN_USER_NAMES]
+
     def test_authnopriv(self, registry, loopback_agent):
         tree, ctx = loopback_agent
         cred = usm.Credential.create("bob", ("md5", "bobsecret99"))
@@ -543,3 +567,37 @@ class TestV3WirePath:
         assert [vb.arcs for vb in pdu.bindings] == \
             [messages.USM_STATS_UNSUPPORTED_SEC_LEVELS]
         assert engine.auth_count == 0
+
+    def test_reports_follow_the_rfc_3414_order(self, registry,
+                                               loopback_agent):
+        # each request fails two of the checks of RFC 3414 section 3.2,
+        # steps 3-7, and gets the Report of the earlier one
+        engine = self._engine(loopback_agent)
+        name = ber.Oid(registry.resolve("sysName.0").arcs)
+        auth, priv = FLAG_AUTH, FLAG_AUTH | FLAG_PRIV
+        cases = [  # (engine id, user, flags, boots): the Report's OID
+            ((b"\x80other", b"mallory", 0, 1),
+             messages.USM_STATS_UNKNOWN_ENGINE_IDS),
+            ((engine.engine_id, b"mallory", 0, 1),
+             messages.USM_STATS_UNKNOWN_USER_NAMES),
+            ((engine.engine_id, b"alice", auth, 1),  # with a zero MAC
+             messages.USM_STATS_UNSUPPORTED_SEC_LEVELS),
+            ((engine.engine_id, b"alice", priv, 0),  # and an earlier boot
+             messages.USM_STATS_WRONG_DIGESTS),
+        ]
+        for (engine_id, user, flags, boots), stats in cases:
+            request = V3Message(
+                7, flags | FLAG_REPORTABLE,
+                messages.UsmParams(engine_id, boots, 1000, user,
+                                   bytes(12) if flags else b"",
+                                   bytes(8) if flags & FLAG_PRIV else b""),
+                ScopedPdu(engine_id, b"",
+                          Pdu(GET_REQUEST, 8, bindings=[VarBind(name)])))
+            if flags & FLAG_PRIV:
+                request.encrypted_pdu = bytes(16)
+            reply = messages.decode_message(
+                engine(messages.encode_message(request)))
+            assert [vb.arcs for vb in reply.scoped_pdu.pdu.bindings] == \
+                [stats]
+        assert (engine.report_count, engine.auth_count) == (4, 0)
+        assert engine.engine.engine_time == 1000

@@ -3,10 +3,10 @@
 For any byte string, ``ber.decode`` and ``messages.decode_message`` give
 a value or raise ``DecodingError``, ``usm.open`` gives a message or
 raises an ``SnmpKitError``, and ``agent.handle_datagram`` gives None or
-at most ``messages.MAX_UDP_PAYLOAD`` bytes.  Inputs are arbitrary bytes,
-and truncations and single-byte mutations of valid messages: the golden
-wire vectors, requests the test agent answers and GETBULKs with large
-max-repetitions.
+at most ``messages.MAX_UDP_PAYLOAD`` bytes, with a v3 engine or without.
+Inputs are arbitrary bytes, and truncations and single-byte mutations of
+valid messages: the golden wire vectors, requests the test agent answers,
+GETBULKs with large max-repetitions and authPriv requests.
 """
 
 import functools
@@ -18,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 from snmpkit import agent, ber, messages, usm
 from snmpkit.errors import DecodingError, SnmpKitError
 from snmpkit.messages import (
-    CommunityMessage, FLAG_AUTH, FLAG_REPORTABLE, GET_BULK_REQUEST,
-    GET_NEXT_REQUEST, GET_REQUEST, Pdu, ScopedPdu, SET_REQUEST, UsmParams,
-    V1, V2C, V3Message, VarBind,
+    CommunityMessage, FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE,
+    GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST, Pdu, ScopedPdu,
+    SET_REQUEST, UsmParams, V1, V2C, V3Message, VarBind,
 )
 from snmpkit.mibs import load_core
 from snmpkit.oids import Registry
@@ -131,6 +131,31 @@ def _signed_with_ciphertext(ciphertext):
     return bytes(wire)
 
 
+def _v3_engine():
+    """A fresh engine that accepts the golden authPriv request, as
+    handle_datagram takes it."""
+    keys = _v3_keys()
+    return agent.LocalEngine(keys.engine_id, usm.Credential.create(
+        "authPrivUser", ("sha1", "maplesyrup"), ("des", "privpassword")),
+        keys.engine_boots, keys.engine_time)
+
+
+def _v3_bulk():
+    """An authPriv GETBULK to the golden engine that asks for more of the
+    big agent's column than one datagram holds."""
+    keys = _v3_keys()
+    return usm.secure(V3Message(
+        9, FLAG_AUTH | FLAG_PRIV | FLAG_REPORTABLE,
+        UsmParams(keys.engine_id, keys.engine_boots, keys.engine_time,
+                  b"authPrivUser"),
+        ScopedPdu(keys.engine_id, b"", Pdu(
+            GET_BULK_REQUEST, 5, 0, 2000,
+            [VarBind(ber.Oid(IF_DESCR_1[:-2]))]))), keys, salt=1)
+
+
+_V3_REQUESTS = [_V3_WIRE, _v3_bulk()]
+
+
 def _value_or_decoding_error(fn, data):
     try:
         fn(data)
@@ -178,3 +203,23 @@ class TestFuzz:
             usm.open(data, _v3_keys())
         except SnmpKitError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=300),
+        st.sampled_from(_V3_REQUESTS).flatmap(
+            lambda w: st.integers(0, len(w) - 1).map(lambda n: w[:n])),
+        st.sampled_from(_V3_REQUESTS).flatmap(_mutations),
+        st.binary(max_size=96).map(_signed_with_ciphertext)))
+    def test_handle_datagram_with_an_engine(self, data):
+        tree, ctx = _big_agent()
+        reply = agent.handle_datagram(tree, ctx, data, _v3_engine())
+        assert reply is None or isinstance(reply, bytes) and \
+            len(reply) <= messages.MAX_UDP_PAYLOAD
+
+    def test_authpriv_seeds_are_answered(self):
+        tree, ctx = _big_agent()
+        for wire in _V3_REQUESTS:
+            engine = _v3_engine()
+            assert agent.handle_datagram(tree, ctx, wire, engine) is not None
+            assert engine.auth_count == 1

@@ -182,6 +182,18 @@ class TestV3Message:
         with pytest.raises(DecodingError):
             messages.decode_message(wire)
 
+    def test_msg_max_size_is_held_to_its_range(self):
+        # msgMaxSize is INTEGER (484..2147483647) (RFC 3412 section 6)
+        msg = self._sample()
+        for size in (484, 2 ** 31 - 1, 483, 0, -5, 2 ** 31):
+            msg.msg_max_size = size
+            wire = messages.encode_message(msg)
+            if 484 <= size < 2 ** 31:
+                assert messages.decode_message(wire).msg_max_size == size
+            else:
+                with pytest.raises(DecodingError):
+                    messages.decode_message(wire)
+
     def test_encrypted_round_trip(self):
         msg = self._sample(flags=FLAG_AUTH | FLAG_PRIV)
         msg.usm.priv_params = b"\x01" * 8
