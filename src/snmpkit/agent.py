@@ -502,13 +502,13 @@ class ServiceHandle:
             raise TransportError(
                 f"cannot bind {ctx.address}:{ctx.port}: {exc}") from exc
         self.bound_address = self._sock.getsockname()
+        self._sock.settimeout(0.2)
         self._running = True
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name=f"snmp-agent:{ctx.port}")
         self._thread.start()
 
     def _loop(self):
-        self._sock.settimeout(0.2)
         while self._running:
             try:
                 data, peer = self._sock.recvfrom(messages.MAX_UDP_PAYLOAD)
@@ -538,16 +538,22 @@ class ServiceHandle:
         return f"<SnmpService at {host}:{port}>"
 
 
-def enable_service(port=DEFAULT_AGENT_PORT, address="0.0.0.0",
-                   community="public", tree=None, ctx=None, registry=None):
-    """Start a background v1/v2c service; returns a stoppable handle."""
-    if registry is None:
-        from .mibs import default_registry
-        registry = default_registry()
+def enable_service(port=None, address=None, community=None, tree=None,
+                   ctx=None, registry=None):
+    """Start a background v1/v2c service; returns a stoppable handle.
+
+    A given ctx keeps its port, address and community, except those passed
+    here; without one, a new AgentContext's defaults apply.
+    """
     if ctx is None:
-        ctx = AgentContext(port, address, community, registry)
-    else:
-        ctx.port, ctx.address, ctx.community = port, address, community
+        if registry is None:
+            from .mibs import default_registry
+            registry = default_registry()
+        ctx = AgentContext(registry=registry)
+    for attr, value in (("port", port), ("address", address),
+                        ("community", community)):
+        if value is not None:
+            setattr(ctx, attr, value)
     if tree is None:
         tree = DispatchTree()
         install_system_group(tree, ctx)

@@ -254,36 +254,8 @@ def cmd_bulk(args, registry):
     return EXIT_OK
 
 
-class _CountingEndpoint:
-    """Endpoint proxy counting request datagrams (the exchange test hook)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.sends = 0
-
-    def send(self, payload):
-        self.sends += 1
-        self.inner.send(payload)
-
-    def receive(self, timeout):
-        return self.inner.receive(timeout)
-
-    def close(self):
-        self.inner.close()
-
-    @property
-    def closed(self):
-        return self.inner.closed
-
-    @property
-    def local_address(self):
-        return self.inner.local_address
-
-
 def cmd_table(args, registry):
     with _session(args, registry) as session:
-        counter = _CountingEndpoint(session.endpoint)
-        session.endpoint = counter
         rows = client.select(args.table, session)
         if rows:
             columns = [format_oid(ref).split("::")[-1]
@@ -303,7 +275,7 @@ def cmd_table(args, registry):
             print("  ".join(r.ljust(w)
                             for r, w in zip(rendered, widths)).rstrip())
         if args.count_exchanges:
-            print(f"exchanges: {counter.sends}")
+            print(f"exchanges: {session.exchanges}")
     return EXIT_OK
 
 
@@ -313,11 +285,7 @@ def cmd_mibc(args, _registry):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 module = smi.compile_text(fh.read())
-        except OSError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        except MibError as exc:
+        except (OSError, MibError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failures += 1
             continue
@@ -341,8 +309,7 @@ def cmd_agent(args, registry):
     if args.demo_table:
         agent_mod.install_if_table(tree, registry, agent_mod.demo_if_rows())
     try:
-        handle = agent_mod.enable_service(args.port, args.address,
-                                          ctx.community, tree, ctx, registry)
+        handle = agent_mod.enable_service(tree=tree, ctx=ctx)
     except TransportError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SNMP_ERROR

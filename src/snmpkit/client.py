@@ -58,6 +58,7 @@ class Session:
         self.context = context
         self.clock = clock
         self.engine = usm.EngineState(clock=clock)
+        self.exchanges = 0  # completed request/response exchanges
         self._request_id = secrets.randbelow(2 ** 31 - 1) + 1
         self._opened_at = time.monotonic()
 
@@ -161,7 +162,8 @@ def send_pdu(session, pdu, context=None):
 def _exchange(session, payload, accept):
     """Send payload, retransmitting as transport.exchange does, and return
     the first reply accept makes of a datagram; accept returns None for a
-    datagram to skip, and may raise to end the exchange."""
+    datagram to skip, and may raise to end the exchange.  A completed
+    exchange adds one to session.exchanges, however many sends it took."""
     reply = None
 
     def match(data):
@@ -171,6 +173,7 @@ def _exchange(session, payload, accept):
 
     transport.exchange(session.endpoint, payload, session.estimator, match,
                        clock=session.clock)
+    session.exchanges += 1
     return reply
 
 

@@ -1,5 +1,9 @@
 """SMI (MIB) compiler: tokenize, parse, and a loadable compiled format.
 
+The lexer is one regular expression with a named group per token kind,
+matched from each position to the next; a token's line and column come
+from its offset.
+
 The parser covers the SMI subset that real-world MIB files are written in:
 plain OBJECT IDENTIFIER assignments, OBJECT-TYPE / MODULE-IDENTITY macro
 invocations, SEQUENCE row schemas and IMPORTS.  Macro invocations it does
@@ -12,13 +16,13 @@ that loads back into an oid Registry.
 
 from __future__ import annotations
 
+import bisect
 import io
+import re
 from dataclasses import dataclass, field
 
 from .errors import MibLexError, MibLoadError, MibParseError, NotATableError
 from .oids import OidRef
-
-_PUNCT = {"{", "}", "(", ")", ",", ";", "|", "[", "]"}
 
 _KEYWORDS = {
     "DEFINITIONS", "BEGIN", "END", "IMPORTS", "EXPORTS", "FROM",
@@ -43,83 +47,42 @@ class MibToken:
         return int(self.text)
 
 
+# One alternative per token kind, tried in order at each position; the
+# unnamed first line is whitespace and comments, which run to a closing
+# "--" or to the end of the line.  A name ends before a "--".
+_TOKEN = re.compile(r"""
+      [ \t\n\r\f\v]+ | --.*?(?:--|$)
+    | "(?P<string>[^"]*)"
+    | (?P<assign>::=)
+    | (?P<range>\.\.)
+    | (?P<number>-?[0-9]+)
+    | (?P<name>[^\W\d_](?:\w|-(?!-))*)
+    | (?P<punctuation>[{}(),;|\[\]])
+""", re.VERBOSE | re.MULTILINE)
+
+
 def tokenize(source):
     """Turn MIB source text into a token list; comments and whitespace vanish."""
+    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
     tokens = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def advance(k):
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n\f\v":
-            advance(1)
-            continue
-        if source.startswith("--", i):
-            advance(2)
-            # comment runs to a closing "--" or to end of line
-            while i < n and source[i] != "\n":
-                if source.startswith("--", i):
-                    advance(2)
-                    break
-                advance(1)
-            continue
-        if c == '"':
-            start_line, start_col = line, col
-            advance(1)
-            begin = i
-            while i < n and source[i] != '"':
-                advance(1)
-            if i >= n:
-                raise MibLexError("unterminated string", start_line, start_col)
-            text = source[begin:i]
-            advance(1)
-            tokens.append(MibToken("string", text, start_line, start_col))
-            continue
-        if source.startswith("::=", i):
-            tokens.append(MibToken("assign", "::=", line, col))
-            advance(3)
-            continue
-        if source.startswith("..", i):
-            tokens.append(MibToken("range", "..", line, col))
-            advance(2)
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and source[i + 1].isdigit()):
-            start_line, start_col = line, col
-            begin = i
-            advance(1)
-            while i < n and source[i].isdigit():
-                advance(1)
-            tokens.append(MibToken("number", source[begin:i], start_line, start_col))
-            continue
-        if c.isalpha():
-            start_line, start_col = line, col
-            begin = i
-            while i < n and (source[i].isalnum() or source[i] in "-_"):
-                # "--" inside a word would start a comment; names end before it
-                if source.startswith("--", i):
-                    break
-                advance(1)
-            text = source[begin:i]
-            kind = "keyword" if text in _KEYWORDS else "name"
-            tokens.append(MibToken(kind, text, start_line, start_col))
-            continue
-        if c in _PUNCT:
-            tokens.append(MibToken("punctuation", c, line, col))
-            advance(1)
-            continue
-        raise MibLexError(f"unexpected character {c!r}", line, col)
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN.match(source, pos)
+        if m is None or m.lastgroup:
+            line = bisect.bisect_right(line_starts, pos)
+            column = pos - line_starts[line - 1] + 1
+            # \w also admits digits that are not decimal, such as superscript
+            # two; a name starts with a letter
+            if m is None or (m.lastgroup == "name" and not source[pos].isalpha()):
+                c = source[pos]
+                raise MibLexError("unterminated string" if c == '"' else
+                                  f"unexpected character {c!r}", line, column)
+            kind = m.lastgroup
+            text = m[kind]
+            if kind == "name" and text in _KEYWORDS:
+                kind = "keyword"
+            tokens.append(MibToken(kind, text, line, column))
+        pos = m.end()
     return tokens
 
 
@@ -266,9 +229,12 @@ class _Parser:
 
     # -- statements ---------------------------------------------------------
 
+    # macros whose body is skipped up to their OID path: macro -> node kind
     _SKIP_TO_PATH_MACROS = {
-        "OBJECT-IDENTITY", "NOTIFICATION-TYPE", "OBJECT-GROUP",
-        "NOTIFICATION-GROUP", "MODULE-COMPLIANCE", "AGENT-CAPABILITIES",
+        "MODULE-IDENTITY": "module-identity", "OBJECT-IDENTITY": "other",
+        "NOTIFICATION-TYPE": "other", "OBJECT-GROUP": "other",
+        "NOTIFICATION-GROUP": "other", "MODULE-COMPLIANCE": "other",
+        "AGENT-CAPABILITIES": "other",
     }
 
     def _parse_statement(self):
@@ -287,18 +253,13 @@ class _Parser:
         if tok.text == "OBJECT-TYPE":
             self.next()
             return self._parse_object_type(name)
-        if tok.text == "MODULE-IDENTITY":
-            self.next()
-            desc = self._skip_macro_body()
-            parent, arc = self._parse_oid_path()
-            return OidAssignment(self.module, name, parent, arc,
-                                 node_kind="module-identity", description=desc)
         if tok.text in self._SKIP_TO_PATH_MACROS:
             self.next()
             desc = self._skip_macro_body()
             parent, arc = self._parse_oid_path()
             return OidAssignment(self.module, name, parent, arc,
-                                 node_kind="other", description=desc)
+                                 node_kind=self._SKIP_TO_PATH_MACROS[tok.text],
+                                 description=desc)
         if tok.text == "TRAP-TYPE":
             self.next()
             self._skip_macro_body()
@@ -511,32 +472,19 @@ def compile_text(source):
 # ---------------------------------------------------------------------------
 # Compiled-MIB file format (CMIB 1)
 
-_ESCAPES = [("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n")]
+_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n"})
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n"}
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 
 
 def _escape(text):
-    if text is None:
-        return "-"
-    for raw, esc in _ESCAPES:
-        text = text.replace(raw, esc)
-    return text if text else "-"
+    return text.translate(_ESCAPES) if text else "-"
 
 
 def _unescape(text):
     if text == "-":
         return None
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n"}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[0]), text)
 
 
 def emit(module, sink):

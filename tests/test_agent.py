@@ -300,6 +300,38 @@ class TestService:
         assert not handle.running
         agent.disable_service(handle)  # idempotent
 
+    def test_given_ctx_keeps_address_and_community(self, registry,
+                                                   loopback_agent):
+        tree, _ = loopback_agent
+        ctx = agent.AgentContext(0, "127.0.0.1", "private", registry)
+        handle = agent.enable_service(tree=tree, ctx=ctx)
+        try:
+            host, port = handle.bound_address[:2]
+            assert host == "127.0.0.1"
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.settimeout(2)
+            for rid, community in ((21, b"public"), (22, b"private")):
+                pdu = messages.make_request_pdu(GET_REQUEST, ["sysName.0"],
+                                                registry, rid)
+                sock.sendto(messages.encode_message(
+                    CommunityMessage(V2C, community, pdu)), (host, port))
+            data, _ = sock.recvfrom(65507)
+            sock.close()
+            # replies come in request order: the first is not to public
+            assert messages.decode_message(data).pdu.request_id == 22
+        finally:
+            handle.stop()
+
+    def test_stop_at_once_raises_in_no_thread(self, loopback_agent,
+                                              monkeypatch):
+        tree, ctx = loopback_agent
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        for _ in range(20):
+            agent.enable_service(port=0, address="127.0.0.1", tree=tree,
+                                 ctx=ctx).stop()
+        assert raised == []
+
     def test_default_port_constant(self):
         assert agent.DEFAULT_AGENT_PORT == 8161
 

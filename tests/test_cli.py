@@ -170,6 +170,15 @@ END
         assert cli.main(["mibc", str(bad), "-o", str(tmp_path)]) == 1
         assert "line" in capsys.readouterr().err
 
+    def test_non_decimal_digit_is_a_mib_error(self, tmp_path, capsys):
+        bad = tmp_path / "DIGIT.txt"
+        bad.write_text("DIGIT DEFINITIONS ::= BEGIN\n"
+                       "a OBJECT IDENTIFIER ::= { b \u00b2 }\nEND\n",
+                       encoding="utf-8")
+        assert cli.main(["mibc", str(bad), "-o", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "unexpected character" in err and "line 2" in err
+
     def test_mib_path_loads_extra_modules(self, tmp_path, live_agent,
                                           monkeypatch, capsys):
         source = tmp_path / "Y-MIB.txt"

@@ -246,6 +246,18 @@ class TestSelect:
         rows = client.select("ifTable", session)
         assert channel.exchanges - before <= len(rows) + 2
 
+    def test_session_counts_exchanges_not_sends(self, registry,
+                                                loopback_agent):
+        """A retransmitted request is one exchange on the session."""
+        tree, ctx = loopback_agent
+        endpoint, channel, clock = harness.connect(
+            harness.agent_responder(tree, ctx), drop_requests={1})
+        session = _open(registry, (endpoint, channel, clock))
+        assert session.exchanges == 0
+        client.select("ifTable", session)
+        assert session.exchanges == channel.exchanges
+        assert channel.client_sent == session.exchanges + 1
+
     def test_agrees_with_walk(self, registry, fabric):
         session = _open(registry, fabric)
         rows = client.select("ifTable", session)

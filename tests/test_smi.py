@@ -1,6 +1,8 @@
+import hashlib
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snmpkit import smi
 from snmpkit.errors import MibLexError, MibParseError, NotATableError
@@ -84,6 +86,67 @@ class TestTokenizer:
         assert "assign" in kinds
 
 
+_LEX_CASES = [
+    ("a -- x -- b", [("name", "a", 1, 1), ("name", "b", 1, 11)]),
+    ("if-mib", [("name", "if-mib", 1, 1)]),
+    ("a--b", [("name", "a", 1, 1)]),
+    ("-5", [("number", "-5", 1, 1)]),
+    ("1..2", [("number", "1", 1, 1), ("range", "..", 1, 2),
+              ("number", "2", 1, 4)]),
+    ("x::={", [("name", "x", 1, 1), ("assign", "::=", 1, 2),
+               ("punctuation", "{", 1, 5)]),
+    ("a\tb\rc\fd\ve", [("name", t, 1, c)
+                         for t, c in zip("abcde", (1, 3, 5, 7, 9))]),
+    ('"one\ntwo" OBJECT', [("string", "one\ntwo", 1, 1),
+                           ("keyword", "OBJECT", 2, 6)]),
+]
+
+_LEX_ERRORS = [
+    ('a\n  "open', "unterminated string", 2, 3),
+    ("a\nb @", "unexpected character '@'", 2, 3),
+    ("{ b \u00b2 }", "unexpected character '\u00b2'", 1, 5),
+]
+
+
+class TestLexerEdges:
+    @pytest.mark.parametrize("source,expected", _LEX_CASES)
+    def test_tokens(self, source, expected):
+        assert [(t.kind, t.text, t.line, t.column)
+                for t in smi.tokenize(source)] == expected
+
+    @pytest.mark.parametrize("source,message,line,column", _LEX_ERRORS)
+    def test_errors(self, source, message, line, column):
+        with pytest.raises(MibLexError) as exc:
+            smi.tokenize(source)
+        assert str(exc.value).startswith(message)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+
+_SMI_PIECES = st.sampled_from(
+    ["a", "Z", "9", "0", "-", "_", ".", ":", "::=", "..", "--", '"', " ",
+     "\t", "\r", "\n", "\f", "\v", "{", "}", "(", ")", ",", ";", "|",
+     "[", "]", "OBJECT", "\u00b2", "\u0663", "\u00e9", "@"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=60),
+                 st.lists(_SMI_PIECES, max_size=40).map("".join)))
+def test_tokens_locate_themselves(source):
+    """tokenize gives tokens or a MibLexError; each token's line and
+    column point at its text, and each number parses as an int."""
+    try:
+        tokens = smi.tokenize(source)
+    except MibLexError:
+        return
+    line_starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+    for tok in tokens:
+        at = line_starts[tok.line - 1] + tok.column - 1
+        text = f'"{tok.text}"' if tok.kind == "string" else tok.text
+        assert source.startswith(text, at)
+        if tok.kind == "number":
+            int(tok.text)
+
+
 class TestCompile:
     def test_sample_module(self):
         module = smi.compile_text(SAMPLE)
@@ -156,7 +219,29 @@ class TestEmitReload:
         assert sink.getvalue() == smi.emit_bytes(module)
 
 
+# SHA-256 of the CMIB bytes of each core module and of SAMPLE
+_CMIB_SHA256 = {
+    "SNMPv2-SMI":
+        "da87299ca9fafedf0e9edcbe5c6a28f9e4ead2bd8974cf90580da9097ebcdb54",
+    "SNMPv2-MIB":
+        "77223453c7fda2ee2f9e3f2f5ebe189ff5e4c53419071bd70302d8f27c2969ac",
+    "IF-MIB":
+        "17928b630ac95ea2fcb6198d014d321568821885c24f511d558592326c2bf50f",
+    "APP-MIB":
+        "ede759cbd23d708fca3a2d20f73d292bd55fa9d93507830aa8e53b9e2339b63f",
+    "SAMPLE":
+        "4ed95370c03505c19111e91c771c5af9d85916242be74004edade29be54796c5",
+}
+
+
 class TestBundledCorpus:
+    @pytest.mark.parametrize("name", sorted(_CMIB_SHA256))
+    def test_cmib_golden(self, name):
+        module = smi.compile_text(SAMPLE) if name == "SAMPLE" \
+            else compile_bundled(name)
+        assert hashlib.sha256(smi.emit_bytes(module)).hexdigest() == \
+            _CMIB_SHA256[name]
+
     @pytest.mark.parametrize("name", CORE_MODULES)
     def test_compiles(self, name):
         module = compile_bundled(name)
