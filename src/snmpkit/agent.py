@@ -385,12 +385,17 @@ class LocalEngine:
         return self.seal(msg, flags, b"", Pdu(REPORT, request_id, bindings=[
             VarBind(ber.Oid(stats), ber.Counter32(1))]))
 
-    def seal(self, msg, flags, context_name, pdu):
-        """The octets of a reply to msg carrying pdu, secured as flags ask."""
+    def reply(self, msg, flags, context_name, pdu):
+        """The V3Message answering msg with pdu, before it is secured."""
         params = UsmParams(self.engine_id, self.engine.engine_boots,
                            self.engine.engine_time, msg.usm.user_name)
-        return usm.secure(V3Message(msg.msg_id, flags, params, ScopedPdu(
-            self.engine_id, context_name, pdu)), self.engine)
+        return V3Message(msg.msg_id, flags, params, ScopedPdu(
+            self.engine_id, context_name, pdu))
+
+    def seal(self, msg, flags, context_name, pdu):
+        """The octets of a reply to msg carrying pdu, secured as flags ask."""
+        return usm.secure(self.reply(msg, flags, context_name, pdu),
+                          self.engine)
 
 
 def handle_datagram(tree, ctx, data, engine=None):
@@ -414,6 +419,9 @@ def handle_datagram(tree, ctx, data, engine=None):
             def encode(response):
                 return messages.encode_message(messages.CommunityMessage(
                     msg.version, msg.community, response))
+
+            def measure(response):
+                return len(encode(response))
         elif engine is None:
             return None
         else:
@@ -426,6 +434,11 @@ def handle_datagram(tree, ctx, data, engine=None):
             def encode(response):
                 return engine.seal(msg, engine.credential.security_flags,
                                    scoped.context_name, response)
+
+            def measure(response):
+                return usm.secured_length(engine.reply(
+                    msg, engine.credential.security_flags,
+                    scoped.context_name, response))
     except SnmpKitError:
         return None
     if not isinstance(pdu, Pdu):
@@ -438,31 +451,37 @@ def handle_datagram(tree, ctx, data, engine=None):
             pdu, list(pdu.bindings), GEN_ERR,
             _unencodable_index(pdu, response.bindings))
         reply = encode(response)
-    return _bounded(pdu, response, reply, limit, encode)
+    return _bounded(pdu, response, reply, limit, encode, measure)
 
 
-def _bounded(pdu, response, reply, limit, encode):
+def _bounded(pdu, response, reply, limit, encode, measure):
     """reply, or when it is longer than limit octets, a reply that fits
-    (RFC 3416 sections 4.2.1-4.2.3), encode(response) giving the octets.
-    A GETBULK answer keeps as many whole repetitions as fit, found by
-    bisection; any other answer, or a GETBULK one in which not even one
-    repetition fits, becomes tooBig with no bindings."""
+    (RFC 3416 sections 4.2.1-4.2.3), encode(response) giving the octets
+    and measure(response) their length.  A GETBULK answer keeps as many
+    whole repetitions as fit, found by bisection over its bindings each
+    encoded once, and of the candidates only the one kept is secured; any
+    other answer, or one in which not even one repetition fits, becomes
+    tooBig."""
     if len(reply) > limit and pdu.pdu_type == GET_BULK_REQUEST and \
             not response.error_status:
         head = min(max(0, pdu.non_repeaters), len(pdu.bindings))
         width = max(1, len(pdu.bindings) - head)
-        bindings = response.bindings
-        fits, over = 0, (len(bindings) - head) // width  # repetitions
+        tlvs = [ber.Encoded(ber.encode([vb.name, vb.value]))
+                for vb in response.bindings]
+
+        def keep(reps):
+            response.bindings = ber.Encoded(ber.encode(
+                tlvs[:head + reps * width]))
+            return response
+        fits, over = 0, (len(tlvs) - head) // width  # repetitions
         while over - fits > 1:
             mid = (fits + over) // 2
-            response.bindings = bindings[:head + mid * width]
-            if len(encode(response)) <= limit:
+            if measure(keep(mid)) <= limit:
                 fits = mid
             else:
                 over = mid
         if fits:
-            response.bindings = bindings[:head + fits * width]
-            reply = encode(response)
+            reply = encode(keep(fits))
     if len(reply) > limit:
         reply = encode(messages.response_for(pdu, [], TOO_BIG))
     return reply

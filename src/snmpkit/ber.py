@@ -15,14 +15,17 @@ constructed levels is rejected with DecodingError.  The "pdu" kind is a
 tagged sequence whose SEQUENCE elements are variable-bindings lists,
 read in one pass into (Oid, value) pairs: each binding's header, its OID
 TLV (identifier 0x06, anything else is a DecodingError) and exactly one
-value TLV.
+value TLV.  header reads one such TLV header, checking its identifier
+octet; messages reads its fixed frames with it.
 
 Encoding looks up the exact type of a value in a table of encoder
-functions, each holding its precomputed tag octets.  Subclasses, objects
-with an ``arcs`` attribute, and the rejection of bool go through an
-isinstance fallback.  An Encoded value is octets encoded already, written
-out as they are; encode_bindings builds one from a list of variable
-bindings in one pass, with no [Oid, value] list per binding.  An OID
+functions, each holding its precomputed tag octets; tlv_encoder builds
+one for any tag, and encode_elements concatenates the TLVs of several
+values.  Subclasses, objects with an ``arcs`` attribute, and the
+rejection of bool go through an isinstance fallback.  An Encoded value
+is octets encoded already, written out as they are; encode_bindings
+builds one from a list of variable bindings in one pass, with no
+[Oid, value] list per binding.  An OID
 whose sub-identifiers all fit one octet becomes its content with one
 bytes() call and an isascii() check; otherwise sub-identifiers below
 16384 take two octets in one step.
@@ -221,17 +224,26 @@ def encode_length(n):
 
 def decode_length(data, offset=0):
     """Return (length, consumed).  Rejects the indefinite form 0x80."""
-    if offset >= len(data):
+    n, start = _length_at(data, offset, len(data))
+    return n, start - offset
+
+
+def _length_at(data, pos, end):
+    """(content length, content start) of the length at data[pos:end]."""
+    if pos >= end:
         raise TruncatedError(1, 0)
-    first = data[offset]
-    if first == 0x80:
-        raise UnsupportedFormError("indefinite lengths are not used by SNMP")
-    if first <= 0x7F:
-        return first, 1
-    k = first & 0x7F
-    if offset + 1 + k > len(data):
-        raise TruncatedError(k, len(data) - offset - 1)
-    return int.from_bytes(data[offset + 1:offset + 1 + k], "big"), 1 + k
+    n = data[pos]
+    pos += 1
+    if n & 0x80:
+        if n == 0x80:
+            raise UnsupportedFormError(
+                "indefinite lengths are not used by SNMP")
+        k = n & 0x7F
+        if pos + k > end:
+            raise TruncatedError(k, end - pos)
+        n = int.from_bytes(data[pos:pos + k], "big")
+        pos += k
+    return n, pos
 
 
 def encode_tag(tag):
@@ -264,6 +276,21 @@ def decode_tag(data, offset=0):
 # where the number continues in further octets.
 _ONE_OCTET_TAGS = [None if b & 0x1F == 0x1F else
                    Tag(b >> 6, bool(b & 0x20), b & 0x1F) for b in range(256)]
+
+
+def header(data, pos, end, ident, what):
+    """(content start, content end) of the TLV at data[pos:end], whose
+    identifier octet must be ident; what names it in the DecodingError."""
+    if end - pos < 2:
+        raise TruncatedError(2, max(0, end - pos))
+    if data[pos] != ident:
+        raise DecodingError(f"{what} is not tagged {ident:#04x}")
+    n, start = data[pos + 1], pos + 2
+    if n & 0x80:
+        n, start = _length_at(data, pos + 1, end)
+    if start + n > end:
+        raise TruncatedError(n, end - start)
+    return start, start + n
 
 
 def _tag_number(data, pos, end):
@@ -463,21 +490,6 @@ def _compile_decoder(kinds):
             return TaggedSequence(tag, sequence(data, start, end, depth))
         return decode_tagged
 
-    def header(data, pos, end, ident, what):
-        """(content start, content end) of the TLV at data[pos:end], whose
-        identifier octet must be ident."""
-        if end - pos < 2:
-            raise TruncatedError(2, max(0, end - pos))
-        if data[pos] != ident:
-            raise DecodingError(f"{what} is not tagged {ident:#04x}")
-        n = data[pos + 1]
-        start = pos + 2
-        if n & 0x80:
-            _, start, n = long_header(data, pos, end)
-        if start + n > end:
-            raise TruncatedError(n, end - start)
-        return start, start + n
-
     def bindings(data, pos, end, depth):
         """The variable-bindings list at data[pos:end] as (Oid, value) pairs
         and the end of its TLV, read in one pass over each binding's
@@ -535,20 +547,7 @@ def _compile_decoder(kinds):
             decoder = by_octet[ident]
         else:
             decoder = by_triple.get((ident >> 6, ident >> 5 & 1, number))
-        start = pos + used
-        if start >= end:
-            raise TruncatedError(1, 0)
-        n = data[start]
-        start += 1
-        if n & 0x80:
-            if n == 0x80:
-                raise UnsupportedFormError(
-                    "indefinite lengths are not used by SNMP")
-            k = n & 0x7F
-            if start + k > end:
-                raise TruncatedError(k, end - start)
-            n = int.from_bytes(data[start:start + k], "big")
-            start += k
+        n, start = _length_at(data, pos + used, end)
         return decoder, start, n
 
     def tlv(data, pos, end, depth):
@@ -645,7 +644,8 @@ def _tlv(tag, content):
     return encode_tag(tag) + encode_length(len(content)) + content
 
 
-def _octets_encoder(tag):
+def tlv_encoder(tag):
+    """The encoder of TLVs under tag: content octets to the whole TLV."""
     headers = _headers(tag)
 
     def encode_octets(value):
@@ -655,26 +655,26 @@ def _octets_encoder(tag):
 
 
 def _integer_encoder(tag):
-    encode_octets = _octets_encoder(tag)
+    encode_octets = tlv_encoder(tag)
     return lambda value: encode_octets(_encode_signed_int(value))
 
 
-_oid_tlv = _octets_encoder(TAG_OID)
-_sequence_tlv = _octets_encoder(TAG_SEQUENCE)
+_oid_tlv = tlv_encoder(TAG_OID)
+_sequence_tlv = tlv_encoder(TAG_SEQUENCE)
 _NULL_TLV = _tlv(TAG_NULL, b"")
 _MARKER_TLVS = {
     id(NO_SUCH_OBJECT): _tlv(Tag(CONTEXT, False, 0), b""),
     id(NO_SUCH_INSTANCE): _tlv(Tag(CONTEXT, False, 1), b""),
     id(END_OF_MIB_VIEW): _tlv(Tag(CONTEXT, False, 2), b""),
 }
-_encode_octet_string = _octets_encoder(TAG_OCTET_STRING)
+_encode_octet_string = tlv_encoder(TAG_OCTET_STRING)
 
 
 def _encode_oid(value):
     return _oid_tlv(_encode_oid_content(value.arcs))
 
 
-def _encode_elements(values):
+def encode_elements(values):
     """The TLVs of values, concatenated."""
     get = _ENCODERS.get
     return b"".join([(get(type(v)) or _fallback_encoder(v))(v)
@@ -682,7 +682,7 @@ def _encode_elements(values):
 
 
 def _encode_sequence(value):
-    return _sequence_tlv(_encode_elements(value))
+    return _sequence_tlv(encode_elements(value))
 
 
 def _encode_raw(value):
@@ -706,14 +706,14 @@ _ENCODERS = {
     Counter64: _integer_encoder(TAG_COUNTER64),
     bytes: _encode_octet_string,
     OctetString: _encode_octet_string,
-    IpAddress: _octets_encoder(TAG_IPADDRESS),
-    Opaque: _octets_encoder(TAG_OPAQUE),
+    IpAddress: tlv_encoder(TAG_IPADDRESS),
+    Opaque: tlv_encoder(TAG_OPAQUE),
     str: lambda value: _encode_octet_string(value.encode("utf-8")),
     Oid: _encode_oid,
     list: _encode_sequence,
     tuple: _encode_sequence,
     TaggedSequence: lambda value: _tlv(value.tag,
-                                       _encode_elements(value.elements)),
+                                       encode_elements(value.elements)),
     Raw: _encode_raw,
     Encoded: bytes,
 }
@@ -739,7 +739,10 @@ def encode(value):
 def encode_bindings(bindings):
     """A variable-bindings list, SEQUENCE OF SEQUENCE { OID, value }, as
     Encoded octets built in one pass.  Each binding has a name, anything
-    whose arcs are ints, and a value, as messages.VarBind does."""
+    whose arcs are ints, and a value, as messages.VarBind does; bindings
+    that are Encoded already are returned as they are."""
+    if isinstance(bindings, Encoded):
+        return bindings
     get = _ENCODERS.get
     tlvs = []
     for vb in bindings:

@@ -285,7 +285,7 @@ def cmd_mibc(args, _registry):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 module = smi.compile_text(fh.read())
-        except (OSError, MibError) as exc:
+        except (OSError, UnicodeDecodeError, MibError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failures += 1
             continue

@@ -1,17 +1,18 @@
 """PDU and message structures for SNMPv1/v2c/v3 and their BER mapping.
 
-Variable bindings have one codec for every message kind (v1, v2c, v3
-scoped PDUs and trap-v1), and it goes in one pass each way.
-ber.encode_bindings turns a list of VarBinds into the octets of its
-SEQUENCE OF SEQUENCE { name, value }, which the PDU carries as a
-ber.Encoded value.  SNMP_REGISTRY decodes each PDU with ber's "pdu" kind,
-which reads the bindings straight into (Oid, value) pairs; each pair
-becomes a VarBind with no generic list per binding to check again.
+Every frame goes in one pass each way: the v1/v2c message, the v3 header
+with its USM security parameters, the scoped PDU and the variable
+bindings.  Encoding concatenates TLVs from ber's precomputed encoders,
+with one header encoder per PDU type.  Decoding reads each header with
+ber.header, which checks its universal tag, and hands only the PDU TLV
+to SNMP_REGISTRY's "pdu" kind, which reads the bindings straight into
+(Oid, value) pairs.  Both directions record in V3Message.mac_offset where
+the MAC lies in the octets, so usm never walks the headers again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import ber
 from .errors import DecodingError, SnmpError
@@ -168,32 +169,30 @@ class V3Message:
     msg_max_size: int = DEFAULT_MAX_MSG_SIZE
     msg_version: int = V3
     msg_security_model: int = 3  # USM
+    # where the MAC's content starts in the octets last decoded or encoded
+    mac_offset: int | None = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
 # PDU <-> BER
 
+_SEQUENCE = ber.tlv_encoder(ber.TAG_SEQUENCE)
+_OCTETS = ber.tlv_encoder(ber.TAG_OCTET_STRING)
+_PDU_TLVS = {n: ber.tlv_encoder(ber.Tag(ber.CONTEXT, True, n))
+             for n in PDU_TYPE_NAMES}
+
 
 def pdu_to_ber(pdu):
-    tag = ber.Tag(ber.CONTEXT, True, pdu.pdu_type)
+    """The TLV of pdu, as ber.Encoded octets."""
     if isinstance(pdu, TrapV1Pdu):
-        return ber.TaggedSequence(tag, [
-            pdu.enterprise, pdu.agent_addr, pdu.generic_trap,
-            pdu.specific_trap, ber.TimeTicks(pdu.timestamp),
-            ber.encode_bindings(pdu.bindings),
-        ])
-    return ber.TaggedSequence(tag, [
-        pdu.request_id, pdu.error_status, pdu.error_index,
-        ber.encode_bindings(pdu.bindings),
-    ])
-
-
-def _fields(value, kinds, what):
-    """value, if it is a list of one element of each type in kinds."""
-    if not isinstance(value, list) or len(value) != len(kinds) or \
-            not all(isinstance(v, k) for v, k in zip(value, kinds)):
-        raise DecodingError(f"malformed {what}")
-    return value
+        head = (pdu.enterprise, pdu.agent_addr, pdu.generic_trap,
+                pdu.specific_trap, ber.TimeTicks(pdu.timestamp))
+    else:
+        head = (pdu.request_id, pdu.error_status, pdu.error_index)
+    tlv = _PDU_TLVS.get(pdu.pdu_type) or \
+        ber.tlv_encoder(ber.Tag(ber.CONTEXT, True, pdu.pdu_type))
+    return ber.Encoded(tlv(ber.encode_elements(head)
+                           + ber.encode_bindings(pdu.bindings)))
 
 
 def pdu_from_ber(ts, version=None):
@@ -206,9 +205,10 @@ def pdu_from_ber(ts, version=None):
         raise DecodingError(f"unknown PDU tag number {pdu_type}")
     els = list(ts.elements)
     if pdu_type == TRAP_V1:
-        ent, addr, generic, specific, stamp, bindings = _fields(
-            els, (ber.Oid, ber.IpAddress, int, int, int, list),
-            "trap-v1 PDU")
+        if len(els) != 6 or not all(isinstance(v, k) for v, k in zip(
+                els, (ber.Oid, ber.IpAddress, int, int, int, list))):
+            raise DecodingError("malformed trap-v1 PDU")
+        ent, addr, generic, specific, stamp, bindings = els
         return TrapV1Pdu(ent, addr, int(generic), int(specific), int(stamp),
                          [VarBind(name, value) for name, value in bindings])
     if len(els) != 4:
@@ -238,102 +238,131 @@ def community_octets(community):
 
 
 def encode_message(msg):
-    """Serialize a CommunityMessage or V3Message to wire bytes."""
+    """Serialize a CommunityMessage or V3Message to wire bytes; a
+    V3Message's mac_offset is set to where its MAC lies in them."""
     if isinstance(msg, CommunityMessage):
-        return ber.encode([msg.version,
-                           ber.OctetString(community_octets(msg.community)),
-                           pdu_to_ber(msg.pdu)])
-    if isinstance(msg, V3Message):
-        if msg.flags & FLAG_PRIV and not msg.flags & FLAG_AUTH:
+        return _SEQUENCE(ber.encode_elements((msg.version,))
+                         + _OCTETS(community_octets(msg.community))
+                         + pdu_to_ber(msg.pdu))
+    if not isinstance(msg, V3Message):
+        raise SnmpError(f"cannot encode message of type {type(msg).__name__}")
+    if msg.flags & FLAG_PRIV:
+        if not msg.flags & FLAG_AUTH:
             raise SnmpError("priv flag requires the auth flag")
-        usm = msg.usm
-        sec_params = ber.encode([
-            ber.OctetString(usm.engine_id), usm.engine_boots, usm.engine_time,
-            ber.OctetString(usm.user_name), ber.OctetString(usm.auth_params),
-            ber.OctetString(usm.priv_params),
-        ])
-        if msg.flags & FLAG_PRIV:
-            if msg.encrypted_pdu is None:
-                raise SnmpError("priv flag set but no encrypted scoped PDU")
-            msg_data = ber.OctetString(msg.encrypted_pdu)
-        else:
-            msg_data = _scoped_to_ber(msg.scoped_pdu)
-        return ber.encode([
-            msg.msg_version,
-            [msg.msg_id, msg.msg_max_size,
-             ber.OctetString(bytes([msg.flags])), msg.msg_security_model],
-            ber.OctetString(sec_params),
-            msg_data,
-        ])
-    raise SnmpError(f"cannot encode message of type {type(msg).__name__}")
+        if msg.encrypted_pdu is None:
+            raise SnmpError("priv flag set but no encrypted scoped PDU")
+        data = _OCTETS(msg.encrypted_pdu)
+    else:
+        data = _scoped_tlv(msg.scoped_pdu)
+    usm = msg.usm
+    priv = _OCTETS(usm.priv_params)
+    sec_params = _SEQUENCE(
+        _OCTETS(usm.engine_id)
+        + ber.encode_elements((usm.engine_boots, usm.engine_time))
+        + _OCTETS(usm.user_name) + _OCTETS(usm.auth_params) + priv)
+    wire = _SEQUENCE(ber.encode_elements((msg.msg_version, [
+        msg.msg_id, msg.msg_max_size, ber.OctetString(bytes([msg.flags])),
+        msg.msg_security_model])) + _OCTETS(sec_params) + data)
+    # the MAC's content is followed by the privacy parameters and msgData
+    msg.mac_offset = len(wire) - len(data) - len(priv) - len(usm.auth_params)
+    return wire
 
 
-def _scoped_to_ber(scoped):
-    return [ber.OctetString(scoped.context_engine_id),
-            ber.OctetString(scoped.context_name), pdu_to_ber(scoped.pdu)]
-
-
-def _scoped_from_ber(value):
-    engine_id, context, pdu_ts = _fields(value, (bytes, bytes, object),
-                                         "scoped PDU")
-    return ScopedPdu(bytes(engine_id), bytes(context), pdu_from_ber(pdu_ts))
+def _scoped_tlv(scoped):
+    return _SEQUENCE(_OCTETS(scoped.context_engine_id)
+                     + _OCTETS(scoped.context_name) + pdu_to_ber(scoped.pdu))
 
 
 def encode_scoped_pdu(scoped):
-    return ber.encode(_scoped_to_ber(scoped))
+    return _scoped_tlv(scoped)
+
+
+def _read(data, pos, end, idents, what):
+    """The contents of the TLVs at data[pos:end] whose identifier octets
+    are idents, in order, each an int (INTEGER, 0x02) or octets (OCTET
+    STRING, 0x04), and where the last one ends."""
+    values = []
+    for ident in idents:
+        start, pos = ber.header(data, pos, end, ident, what)
+        if ident == 0x04:
+            values.append(data[start:pos])
+        elif start == pos:
+            raise DecodingError(f"empty INTEGER in {what}")
+        else:
+            values.append(int.from_bytes(data[start:pos], "big", signed=True))
+    return values, pos
+
+
+def _read_pdu(data, pos, end, depth, version=None):
+    """The PDU TLV, decoded by SNMP_REGISTRY at nesting depth depth."""
+    value, stop = SNMP_REGISTRY._decode(data, pos, end, depth)
+    return pdu_from_ber(value, version), stop
+
+
+def _read_scoped(data, pos, end, depth):
+    """The scoped PDU TLV, its PDU at nesting depth depth."""
+    start, stop = ber.header(data, pos, end, 0x30, "scoped PDU")
+    (engine_id, context), at = _read(data, start, stop, b"\x04\x04",
+                                     "scoped PDU")
+    pdu, at = _read_pdu(data, at, stop, depth)
+    _last(at, stop, "scoped PDU")
+    return ScopedPdu(engine_id, context, pdu), stop
+
+
+def _last(pos, end, what):
+    if pos != end:
+        raise DecodingError(f"{what} has more elements than it needs")
 
 
 def decode_scoped_pdu(data):
-    value, consumed = ber.decode(data, registry=SNMP_REGISTRY)
-    return _scoped_from_ber(value), consumed
+    return _read_scoped(bytes(data), 0, len(data), 1)
 
 
 def decode_message(data):
-    """Parse one complete SNMP message; inverse of encode_message."""
-    outer, consumed = ber.decode(data, registry=SNMP_REGISTRY)
-    if not isinstance(outer, list) or not outer or not isinstance(outer[0], int):
-        raise DecodingError("message is not SEQUENCE { version, ... }")
-    version = outer[0]
+    """Parse one complete SNMP message; inverse of encode_message.  A v3
+    message's mac_offset is where its MAC lies in data.  Octets after the
+    message's SEQUENCE are ignored."""
+    data = bytes(data)
+    pos, end = ber.header(data, 0, len(data), 0x30, "message")
+    (version,), pos = _read(data, pos, end, b"\x02", "msgVersion")
     if version in (V1, V2C):
-        if len(outer) != 3:
-            raise DecodingError("community message needs 3 elements")
-        _, community, pdu_ts = outer
-        if not isinstance(community, bytes):
-            raise DecodingError("community is not an OCTET STRING")
-        return CommunityMessage(version, bytes(community),
-                                pdu_from_ber(pdu_ts, version))
-    if version == V3:
-        if len(outer) != 4:
-            raise DecodingError("v3 message needs 4 elements")
-        _, global_data, sec_bytes, msg_data = outer
-        msg_id, max_size, flags_octet, sec_model = _fields(
-            global_data, (int, int, bytes, int), "msgGlobalData")
-        if len(flags_octet) != 1:
-            raise DecodingError("malformed msgFlags")
-        if not 484 <= max_size <= 2 ** 31 - 1:  # RFC 3412 section 6
-            raise DecodingError(f"msgMaxSize {max_size} out of range")
-        flags = flags_octet[0]
-        if not isinstance(sec_bytes, bytes):
-            raise DecodingError("security parameters are not an OCTET STRING")
-        sec, _ = ber.decode(sec_bytes, registry=SNMP_REGISTRY)
-        sec = _fields(sec, (bytes, int, int, bytes, bytes, bytes),
-                      "USM security parameters")
-        usm = UsmParams(bytes(sec[0]), int(sec[1]), int(sec[2]),
-                        bytes(sec[3]), bytes(sec[4]), bytes(sec[5]))
-        msg = V3Message(int(msg_id), flags, usm, msg_max_size=int(max_size),
-                        msg_security_model=int(sec_model))
-        if flags & FLAG_PRIV:
-            if not flags & FLAG_AUTH:
-                raise DecodingError("priv flag set without auth flag")
-            if not isinstance(msg_data, bytes):
-                raise DecodingError("encrypted scoped PDU must be an OCTET STRING")
-            if len(usm.priv_params) == 0:
-                raise DecodingError("priv flag set but priv_params empty")
-            msg.encrypted_pdu = bytes(msg_data)
-        else:
-            msg.scoped_pdu = _scoped_from_ber(msg_data)
-        return msg
-    raise DecodingError(f"unsupported SNMP version {version}")
+        (community,), pos = _read(data, pos, end, b"\x04", "community")
+        pdu, pos = _read_pdu(data, pos, end, 1, version)
+        _last(pos, end, "community message")
+        return CommunityMessage(version, community, pdu)
+    if version != V3:
+        raise DecodingError(f"unsupported SNMP version {version}")
+    at, stop = ber.header(data, pos, end, 0x30, "msgGlobalData")
+    (msg_id, max_size, flags, sec_model), at = _read(
+        data, at, stop, b"\x02\x02\x04\x02", "msgGlobalData")
+    _last(at, stop, "msgGlobalData")
+    if len(flags) != 1:
+        raise DecodingError("malformed msgFlags")
+    if not 484 <= max_size <= 2 ** 31 - 1:  # RFC 3412 section 6
+        raise DecodingError(f"msgMaxSize {max_size} out of range")
+    flags = flags[0]
+    # the USM SEQUENCE inside msgSecurityParameters (RFC 3414 section 2.4);
+    # octets after it in that OCTET STRING are ignored
+    at, pos = ber.header(data, stop, end, 0x04, "msgSecurityParameters")
+    at, stop = ber.header(data, at, pos, 0x30, "USM security parameters")
+    fields, at = _read(data, at, stop, b"\x04\x02\x02\x04\x04",
+                       "USM security parameters")
+    (priv,), last = _read(data, at, stop, b"\x04", "msgPrivacyParameters")
+    _last(last, stop, "USM security parameters")
+    msg = V3Message(msg_id, flags, UsmParams(*fields, priv),
+                    msg_max_size=max_size, msg_security_model=sec_model,
+                    mac_offset=at - len(fields[-1]))
+    if flags & FLAG_PRIV:
+        if not flags & FLAG_AUTH:
+            raise DecodingError("priv flag set without auth flag")
+        if not priv:
+            raise DecodingError("priv flag set but priv_params empty")
+        (msg.encrypted_pdu,), pos = _read(data, pos, end, b"\x04",
+                                          "encrypted scoped PDU")
+    else:
+        msg.scoped_pdu, pos = _read_scoped(data, pos, end, 2)
+    _last(pos, end, "v3 message")
+    return msg
 
 
 # ---------------------------------------------------------------------------

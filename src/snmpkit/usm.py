@@ -6,10 +6,11 @@ needs a transport; this module keeps the per-session engine state.
 
 secure and open (unprotect, once decoded) are the one path by which the
 client and the agent protect an outgoing message and check an incoming
-one.  Both work on the wire octets: a message is encoded once, and its
-MAC is located by walking TLV headers, so a MAC is computed and checked
-over exactly the octets that travel.  Password-derived keys are cached per
-(protocol, passphrase), so sessions sharing a credential derive them once.
+one.  Both work on the wire octets: a message is encoded once, and the
+offset of its MAC is the one messages recorded while encoding or
+decoding it, so a MAC is computed and checked over exactly the octets
+that travel.  Password-derived keys are cached per (protocol,
+passphrase), so sessions sharing a credential derive them once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import hmac
 import secrets
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from cryptography.hazmat.primitives.ciphers import Cipher, modes
 try:  # single-DES moved to the decrepit module in newer releases
@@ -28,7 +29,7 @@ try:  # single-DES moved to the decrepit module in newer releases
 except ImportError:  # pragma: no cover
     from cryptography.hazmat.primitives.ciphers.algorithms import TripleDES
 
-from . import ber, messages
+from . import messages
 from .errors import (
     AuthenticationError, DecodingError, NotInTimeWindowError, SnmpError,
 )
@@ -252,38 +253,14 @@ class EngineState:
 # The wire path: one encode to send, one decode to receive
 
 
-def _header(wire, pos):
-    """(content offset, content length) of the TLV at wire[pos]."""
-    _, used = ber.decode_tag(wire, pos)
-    length, more = ber.decode_length(wire, pos + used)
-    return pos + used + more, length
-
-
-def _mac_offset(wire):
-    """Offset of the msgAuthenticationParameters content in an encoded v3
-    message, by walking TLV headers: SEQUENCE { msgVersion, msgGlobalData,
-    OCTET STRING { SEQUENCE { engine id, boots, time, user name, MAC, ...
-    The caller has made sure the MAC there is MAC_LENGTH octets long.
-    """
-    pos, _ = _header(wire, 0)
-    for _ in range(2):  # msgVersion, msgGlobalData
-        start, length = _header(wire, pos)
-        pos = start + length
-    pos, _ = _header(wire, _header(wire, pos)[0])
-    for _ in range(4):  # engine id, boots, time, user name
-        start, length = _header(wire, pos)
-        pos = start + length
-    return _header(wire, pos)[0]
-
-
 def secure(msg, keys, salt=None):
     """The wire octets of a V3Message, protected as its flags ask.
 
     keys is an EngineState.  With the priv flag, msg.scoped_pdu is
     encrypted into msg.encrypted_pdu (salt as for encrypt_scoped_pdu).
     With the auth flag, the message is encoded once with a zero MAC, and
-    the MAC over those octets is written into them (RFC 3414 section
-    6.3.1).
+    the MAC over those octets is written into them at the msg.mac_offset
+    the encoding recorded (RFC 3414 section 6.3.1).
     """
     params = msg.usm
     if msg.flags & FLAG_PRIV:
@@ -294,10 +271,21 @@ def secure(msg, keys, salt=None):
         return messages.encode_message(msg)
     params.auth_params = bytes(MAC_LENGTH)
     wire = bytearray(messages.encode_message(msg))
-    at = _mac_offset(wire)
+    at = msg.mac_offset
     params.auth_params = sign(wire, keys.auth_key, keys.auth_protocol)
     wire[at:at + MAC_LENGTH] = params.auth_params
     return bytes(wire)
+
+
+def secured_length(msg):
+    """len(secure(msg, keys)), found without encrypting or signing."""
+    msg = replace(msg, usm=replace(msg.usm))
+    if msg.flags & FLAG_AUTH:
+        msg.usm.auth_params = bytes(MAC_LENGTH)
+    if msg.flags & FLAG_PRIV:
+        n = len(messages.encode_scoped_pdu(msg.scoped_pdu))
+        msg.encrypted_pdu, msg.usm.priv_params = bytes(n + -n % 8), bytes(8)
+    return len(messages.encode_message(msg))
 
 
 def open(wire, keys):
@@ -310,16 +298,16 @@ def open(wire, keys):
 
 
 def unprotect(msg, wire, keys):
-    """The scoped PDU of msg, decoded from wire, with protection undone.
+    """The scoped PDU of msg, decode_message(wire), with protection undone.
 
     keys is an EngineState.  A message asking for privacy when keys hold
     no privacy key raises SnmpError before its MAC or clock is looked at
     (RFC 3414 section 3.2 step 5).  With the auth flag, the MAC is checked
-    over a copy of wire with the MAC zeroed (RFC 3414 section 6.3.2), so a
-    sender's non-minimal BER verifies, and the engine clock must pass
-    keys.advance; AuthenticationError, carrying msg, when either fails.
-    With the priv flag, the scoped PDU is decrypted, or DecodingError or
-    SnmpError raised.
+    over a copy of wire with the MAC at msg.mac_offset zeroed (RFC 3414
+    section 6.3.2), so a sender's non-minimal BER verifies, and the engine
+    clock must pass keys.advance; AuthenticationError, carrying msg, when
+    either fails.  With the priv flag, the scoped PDU is decrypted, or
+    DecodingError or SnmpError raised.
     """
     params = msg.usm
     if msg.flags & FLAG_PRIV and keys.priv_key is None:
@@ -330,7 +318,7 @@ def unprotect(msg, wire, keys):
         if len(params.auth_params) != MAC_LENGTH:
             raise AuthenticationError("MAC has the wrong length", msg)
         blanked = bytearray(wire)
-        at = _mac_offset(blanked)
+        at = msg.mac_offset
         blanked[at:at + MAC_LENGTH] = bytes(MAC_LENGTH)
         if not verify(blanked, keys.auth_key, keys.auth_protocol,
                       params.auth_params):

@@ -1,10 +1,11 @@
 import pytest
 
-from snmpkit import agent, ber, usm
+from snmpkit import agent, ber, messages, usm
 from snmpkit.errors import DecodingError
 from snmpkit.messages import (
-    DEFAULT_MAX_MSG_SIZE, FLAG_REPORTABLE, ScopedPdu, UsmParams, V3Message,
-    VarBind,
+    DEFAULT_MAX_MSG_SIZE, FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE,
+    CommunityMessage, ScopedPdu, TrapV1Pdu, UsmParams, V1, V2C, V3,
+    V3Message, VarBind,
 )
 from snmpkit.mibs import load_core
 from snmpkit.oids import Registry
@@ -32,17 +33,129 @@ def _tree_oid(name):
     return name if isinstance(name, ber.Oid) else ber.Oid(name.arcs)
 
 
-def tree_encode_message(msg):
-    """A v1/v2c message's octets with every binding a [Oid, value] list
-    through the generic ber.encode: the formulation that the one-pass
-    bindings codec of messages is checked against."""
-    pdu = msg.pdu
+def _tree_pdu(pdu):
     bindings = [[_tree_oid(vb.name), vb.value] for vb in pdu.bindings]
-    return ber.encode([msg.version, ber.OctetString(msg.community),
-                       ber.TaggedSequence(
-                           ber.Tag(ber.CONTEXT, True, pdu.pdu_type),
-                           [pdu.request_id, pdu.error_status,
-                            pdu.error_index, bindings])])
+    if isinstance(pdu, TrapV1Pdu):
+        fields = [pdu.enterprise, pdu.agent_addr, pdu.generic_trap,
+                  pdu.specific_trap, ber.TimeTicks(pdu.timestamp)]
+    else:
+        fields = [pdu.request_id, pdu.error_status, pdu.error_index]
+    return ber.TaggedSequence(ber.Tag(ber.CONTEXT, True, pdu.pdu_type),
+                              fields + [bindings])
+
+
+def tree_encode_message(msg):
+    """A message's octets as one value tree through the generic ber.encode,
+    every binding a [Oid, value] list: the formulation that the one-pass
+    frames and bindings codec of messages are checked against."""
+    if isinstance(msg, CommunityMessage):
+        return ber.encode([msg.version, ber.OctetString(msg.community),
+                           _tree_pdu(msg.pdu)])
+    params = msg.usm
+    sec_params = ber.encode([
+        ber.OctetString(params.engine_id), params.engine_boots,
+        params.engine_time, ber.OctetString(params.user_name),
+        ber.OctetString(params.auth_params),
+        ber.OctetString(params.priv_params)])
+    scoped = msg.scoped_pdu
+    msg_data = ber.OctetString(msg.encrypted_pdu) \
+        if msg.flags & FLAG_PRIV else [
+            ber.OctetString(scoped.context_engine_id),
+            ber.OctetString(scoped.context_name), _tree_pdu(scoped.pdu)]
+    return ber.encode([
+        msg.msg_version,
+        [msg.msg_id, msg.msg_max_size, ber.OctetString(bytes([msg.flags])),
+         msg.msg_security_model],
+        ber.OctetString(sec_params), msg_data])
+
+
+def _fields(value, kinds, what):
+    if not isinstance(value, list) or len(value) != len(kinds) or \
+            not all(isinstance(v, k) for v, k in zip(value, kinds)):
+        raise DecodingError(f"malformed {what}")
+    return value
+
+
+def _tree_scoped(value):
+    engine_id, context, pdu_ts = _fields(value, (bytes, bytes, object),
+                                         "scoped PDU")
+    return ScopedPdu(bytes(engine_id), bytes(context),
+                     messages.pdu_from_ber(pdu_ts))
+
+
+def tree_decode_message(data):
+    """A message read from its generic decoded value tree, its security
+    parameters decoded again from their OCTET STRING: the formulation
+    that messages.decode_message, which reads each frame in one pass, is
+    checked against."""
+    outer, _ = ber.decode(data, registry=messages.SNMP_REGISTRY)
+    if not isinstance(outer, list) or not outer or \
+            not isinstance(outer[0], int):
+        raise DecodingError("message is not SEQUENCE { version, ... }")
+    version = outer[0]
+    if version in (V1, V2C):
+        if len(outer) != 3:
+            raise DecodingError("community message needs 3 elements")
+        _, community, pdu_ts = outer
+        if not isinstance(community, bytes):
+            raise DecodingError("community is not an OCTET STRING")
+        return CommunityMessage(version, bytes(community),
+                                messages.pdu_from_ber(pdu_ts, version))
+    if version != V3:
+        raise DecodingError(f"unsupported SNMP version {version}")
+    if len(outer) != 4:
+        raise DecodingError("v3 message needs 4 elements")
+    _, global_data, sec_bytes, msg_data = outer
+    msg_id, max_size, flags_octet, sec_model = _fields(
+        global_data, (int, int, bytes, int), "msgGlobalData")
+    if len(flags_octet) != 1:
+        raise DecodingError("malformed msgFlags")
+    if not 484 <= max_size <= 2 ** 31 - 1:
+        raise DecodingError(f"msgMaxSize {max_size} out of range")
+    flags = flags_octet[0]
+    if not isinstance(sec_bytes, bytes):
+        raise DecodingError("security parameters are not an OCTET STRING")
+    sec, _ = ber.decode(sec_bytes, registry=messages.SNMP_REGISTRY)
+    sec = _fields(sec, (bytes, int, int, bytes, bytes, bytes),
+                  "USM security parameters")
+    msg = V3Message(int(msg_id), flags, UsmParams(
+        bytes(sec[0]), int(sec[1]), int(sec[2]), bytes(sec[3]),
+        bytes(sec[4]), bytes(sec[5])), msg_max_size=int(max_size),
+        msg_security_model=int(sec_model))
+    if flags & FLAG_PRIV:
+        if not flags & FLAG_AUTH:
+            raise DecodingError("priv flag set without auth flag")
+        if not isinstance(msg_data, bytes):
+            raise DecodingError("encrypted scoped PDU must be an OCTET STRING")
+        if len(msg.usm.priv_params) == 0:
+            raise DecodingError("priv flag set but priv_params empty")
+        msg.encrypted_pdu = bytes(msg_data)
+    else:
+        msg.scoped_pdu = _tree_scoped(msg_data)
+    return msg
+
+
+def _header(wire, pos):
+    """(content offset, content length) of the TLV at wire[pos]."""
+    _, used = ber.decode_tag(wire, pos)
+    length, more = ber.decode_length(wire, pos + used)
+    return pos + used + more, length
+
+
+def walk_mac_offset(wire):
+    """Offset of the msgAuthenticationParameters content in an encoded v3
+    message, found by walking TLV headers: SEQUENCE { msgVersion,
+    msgGlobalData, OCTET STRING { SEQUENCE { engine id, boots, time, user
+    name, MAC, ...: the oracle for the offset messages records."""
+    pos, _ = _header(wire, 0)
+    for _ in range(2):  # msgVersion, msgGlobalData
+        start, length = _header(wire, pos)
+        pos = start + length
+    pos, _ = _header(wire, _header(wire, pos)[0])
+    for _ in range(4):  # engine id, boots, time, user name
+        start, length = _header(wire, pos)
+        pos = start + length
+    return _header(wire, pos)[0]
 
 
 def _tree_registry():

@@ -1,3 +1,4 @@
+import functools
 import socket
 import sys
 import threading
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import enumerate_instances, v3_request
 from snmpkit import agent, ber, client, harness, messages, usm
 from snmpkit.errors import SnmpError
+from snmpkit.mibs import load_core
+from snmpkit.oids import Registry
 from snmpkit.messages import (
     CommunityMessage, GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST,
     Pdu, SET_REQUEST, VarBind, V1, V2C, V3,
@@ -737,3 +740,132 @@ class TestReplySize:
         wire, _ = v3_request(responder, pdu, max_size=max_size)
         assert responder(wire) is None
         assert responder.auth_count == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_registry():
+    """The bundled corpus, loaded once for the properties below, which only
+    resolve names in it."""
+    return load_core(Registry())
+
+
+_CREDENTIALS = {
+    "noAuthNoPriv": usm.Credential.create("alice"),
+    "authNoPriv": usm.Credential.create("alice", ("md5", "authpass123")),
+    "authPriv": ALICE,
+}
+
+
+def _sized_tree(registry, sizes):
+    """ifIndex, ifDescr and ifType columns of len(sizes) rows each; row i
+    holds an OCTET STRING of sizes[i - 1] octets."""
+    tree = agent.DispatchTree()
+
+    def column(ctx, ids):
+        if not ids:
+            return len(sizes)
+        if len(ids) == 1 and 1 <= ids[0] <= len(sizes):
+            return ber.OctetString(b"v" * sizes[ids[0] - 1])
+        return None
+    for name in ("ifIndex", "ifDescr", "ifType"):
+        agent.define_table_column(tree, registry, name, column)
+    return tree
+
+
+def _oracle_repetitions(pdu, full, limit, encode):
+    """The most repetitions of full, the unbounded GETBULK response, whose
+    reply encode makes no longer than limit octets: every candidate is
+    encoded in full, secured as it would be sent."""
+    head = min(max(0, pdu.non_repeaters), len(pdu.bindings))
+    width = max(1, len(pdu.bindings) - head)
+    candidates = range(1, (len(full.bindings) - head) // width + 1)
+    return head, width, max(
+        (reps for reps in candidates if len(encode(messages.response_for(
+            pdu, full.bindings[:head + reps * width]))) <= limit), default=0)
+
+
+_bulk_requests = st.tuples(
+    st.lists(st.sampled_from(["ifIndex", "ifDescr", "ifType"]), min_size=1,
+             max_size=3),
+    st.integers(0, 3))
+
+
+class TestBoundedRepetitions:
+    """A GETBULK reply cut down to fit keeps exactly the repetitions that
+    encoding each candidate reply in full finds, and is secured once."""
+
+    def _check(self, registry, tree, pdu, version, reply, limit, encode):
+        full = agent.dispatch(tree, pdu, _ctx(registry), version)
+        head, width, reps = _oracle_repetitions(pdu, full, limit, encode)
+        if len(encode(full)) <= limit:
+            assert reply == full
+        elif reps == 0:
+            assert (reply.error_status, reply.bindings) == (agent.TOO_BIG, [])
+        else:
+            assert reply.error_status == 0
+            assert reply.bindings == full.bindings[:head + reps * width]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.integers(2200, 5000), min_size=30, max_size=60),
+           _bulk_requests)
+    def test_community_reply(self, sizes, request):
+        registry = _shared_registry()
+        names, non_repeaters = request
+        tree = _sized_tree(registry, sizes)
+        pdu = messages.make_request_pdu(GET_BULK_REQUEST, names, registry, 9)
+        pdu.error_status, pdu.error_index = non_repeaters, len(sizes)
+
+        def encode(response):
+            return messages.encode_message(
+                CommunityMessage(V2C, b"public", response))
+        reply = agent.handle_datagram(tree, _ctx(registry), encode(pdu))
+        self._check(registry, tree, pdu, V2C,
+                    messages.decode_message(reply).pdu,
+                    messages.MAX_UDP_PAYLOAD, encode)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(sorted(_CREDENTIALS)),
+           st.lists(st.integers(50, 300), min_size=10, max_size=40),
+           _bulk_requests, st.integers(484, 3000))
+    def test_v3_reply(self, level, sizes, request, max_size):
+        registry = _shared_registry()
+        names, non_repeaters = request
+        tree = _sized_tree(registry, sizes)
+        responder = harness.ScriptedV3Responder(tree, _ctx(registry),
+                                                _CREDENTIALS[level])
+        pdu = messages.make_request_pdu(GET_BULK_REQUEST, names, registry, 9)
+        pdu.error_status, pdu.error_index = non_repeaters, len(sizes)
+        wire, keys = v3_request(responder, pdu, max_size=max_size)
+        request_msg = messages.decode_message(wire)
+        reply = usm.open(responder(wire), keys)[1].pdu
+
+        def encode(response):
+            return responder.seal(request_msg,
+                                  _CREDENTIALS[level].security_flags, b"",
+                                  response)
+        self._check(registry, tree, pdu, V3, reply, max_size, encode)
+
+    def test_authpriv_reply_is_encrypted_at_most_twice(self, registry,
+                                                        monkeypatch):
+        # 2,000 repetitions of 100-octet values: far more than one datagram
+        value = ber.OctetString(b"s" * 100)
+        tree = agent.DispatchTree()
+        agent.define_table_column(
+            tree, registry, "ifDescr",
+            lambda ctx, ids: 3000 if not ids else value)
+        responder = _v3_responder(registry, tree)
+        pdu = messages.make_request_pdu(GET_BULK_REQUEST, ["ifDescr"],
+                                        registry, 9)
+        pdu.error_index = 2000
+        wire, keys = v3_request(responder, pdu)
+        calls = Counter()
+        encrypt = usm.encrypt_scoped_pdu
+
+        def counting(*args, **kwargs):
+            calls["encrypt"] += 1
+            return encrypt(*args, **kwargs)
+        monkeypatch.setattr(usm, "encrypt_scoped_pdu", counting)
+        reply = responder(wire)
+        assert len(reply) <= messages.MAX_UDP_PAYLOAD
+        assert 0 < len(usm.open(reply, keys)[1].pdu.bindings) < 2000
+        assert calls["encrypt"] <= 2

@@ -179,6 +179,19 @@ END
         err = capsys.readouterr().err
         assert "unexpected character" in err and "line 2" in err
 
+    def test_undecodable_file_is_reported_and_others_compile(self, tmp_path,
+                                                             capsys):
+        latin = tmp_path / "LATIN.txt"
+        latin.write_bytes("-- caf\u00e9\nLATIN DEFINITIONS ::= BEGIN\nEND\n"
+                          .encode("latin-1"))
+        good = tmp_path / "Z-MIB.txt"
+        good.write_text("Z-MIB DEFINITIONS ::= BEGIN\nEND\n")
+        assert cli.main(["mibc", str(latin), str(good),
+                         "-o", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{latin}: ") and "utf-8" in err
+        assert (tmp_path / "Z-MIB.cmib").exists()
+
     def test_mib_path_loads_extra_modules(self, tmp_path, live_agent,
                                           monkeypatch, capsys):
         source = tmp_path / "Y-MIB.txt"

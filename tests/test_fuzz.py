@@ -126,7 +126,7 @@ def _signed_with_ciphertext(ciphertext):
     msg.encrypted_pdu = ciphertext
     msg.usm.auth_params = bytes(12)
     wire = bytearray(messages.encode_message(msg))
-    at = usm._mac_offset(wire)
+    at = msg.mac_offset
     wire[at:at + 12] = usm.sign(wire, _v3_keys().auth_key, "sha1")
     return bytes(wire)
 

@@ -1,7 +1,14 @@
+import functools
+import json
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tree_decode_bindings, tree_encode_message
+from conftest import (
+    tree_decode_bindings, tree_decode_message, tree_encode_message,
+    walk_mac_offset,
+)
 from snmpkit import ber, messages
 from snmpkit.errors import DecodingError, SnmpError
 from snmpkit.messages import (
@@ -416,3 +423,176 @@ class TestBindingsCodec:
             messages.decode_message(wire)
         with pytest.raises(DecodingError):
             tree_decode_bindings(wire)
+
+
+# --- one-pass message frames against the value-tree oracle ------------------
+
+_KINDS = ("v1", "v2c", "trap-v1", "noAuthNoPriv", "authNoPriv", "authPriv")
+_FLAGS = {"noAuthNoPriv": 0, "authNoPriv": FLAG_AUTH,
+          "authPriv": FLAG_AUTH | FLAG_PRIV}
+_octets = st.binary(max_size=20)
+_int32 = st.integers(0, 2 ** 31 - 1)
+
+with open(os.path.join(os.path.dirname(__file__), "golden_wire.json")) as _f:
+    _GOLDEN_WIRE = {name: bytes.fromhex(h)
+                    for name, h in json.load(_f).items()}
+_GOLDEN = list(_GOLDEN_WIRE.values())
+
+
+@st.composite
+def _framed(draw, kind):
+    """A message of kind, one of _KINDS, with any field values."""
+    bindings = draw(_bindings)
+    if kind in ("v1", "trap-v1"):
+        bindings = [vb for vb in bindings
+                    if vb.value not in ber.EXCEPTION_MARKERS]
+    if kind == "trap-v1":
+        return CommunityMessage(V1, draw(_octets), TrapV1Pdu(
+            ber.Oid(draw(_arcs)),
+            ber.IpAddress(draw(st.binary(min_size=4, max_size=4))),
+            draw(st.integers(0, 6)), draw(_int32),
+            draw(st.integers(0, 2 ** 32 - 1)), bindings))
+    pdu = Pdu(draw(st.sampled_from(
+        [k for k in messages.PDU_TYPE_NAMES if k != TRAP_V1])),
+        draw(st.integers(-2 ** 31, 2 ** 31 - 1)), draw(st.integers(0, 18)),
+        draw(st.integers(0, 2 ** 15)), bindings)
+    if kind in ("v1", "v2c"):
+        return CommunityMessage(V1 if kind == "v1" else V2C, draw(_octets),
+                                pdu)
+    flags = _FLAGS[kind] | draw(st.sampled_from([0, FLAG_REPORTABLE]))
+    msg = V3Message(
+        draw(_int32), flags,
+        UsmParams(draw(_octets), draw(_int32), draw(_int32), draw(_octets),
+                  draw(st.binary(min_size=12, max_size=12) if flags & FLAG_AUTH
+                       else _octets),
+                  draw(st.binary(min_size=8, max_size=8) if flags & FLAG_PRIV
+                       else _octets)),
+        msg_max_size=draw(st.integers(484, 2 ** 31 - 1)),
+        msg_security_model=draw(_int32))
+    if flags & FLAG_PRIV:
+        msg.encrypted_pdu = draw(st.binary(max_size=200))
+    else:
+        msg.scoped_pdu = ScopedPdu(draw(_octets), draw(_octets), pdu)
+    return msg
+
+
+def _mutations(wire):
+    return st.tuples(st.integers(0, len(wire) - 1), st.integers(0, 255)).map(
+        lambda m: wire[:m[0]] + bytes([m[1]]) + wire[m[0] + 1:])
+
+
+_any_wire = st.sampled_from(_KINDS).flatmap(_framed).map(
+    messages.encode_message)
+_suspect_wire = st.one_of(
+    st.binary(max_size=200),
+    st.one_of(st.sampled_from(_GOLDEN), _any_wire).flatmap(
+        lambda w: st.one_of(_mutations(w),
+                            st.integers(0, len(w)).map(lambda n: w[:n]))))
+
+
+class TestOnePassFrames:
+    @pytest.mark.parametrize("kind", _KINDS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_tree_oracle(self, kind, data):
+        msg = data.draw(_framed(kind))
+        wire = messages.encode_message(msg)
+        assert wire == tree_encode_message(msg)
+        decoded = messages.decode_message(wire)
+        assert decoded == tree_decode_message(wire) == msg
+        assert messages.encode_message(decoded) == wire
+        if isinstance(msg, V3Message):
+            assert msg.mac_offset == decoded.mac_offset == \
+                walk_mac_offset(wire)
+            # a non-minimal outer length moves the MAC
+            body = wire[ber.header(wire, 0, len(wire), 0x30, "message")[0]:]
+            stretched = b"\x30\x83" + len(body).to_bytes(3, "big") + body
+            assert messages.decode_message(stretched).mac_offset == \
+                walk_mac_offset(stretched)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_suspect_wire)
+    def test_accepts_only_what_the_tree_oracle_accepts(self, data):
+        try:
+            msg = messages.decode_message(data)
+        except DecodingError:
+            return
+        assert tree_decode_message(data) == msg
+        if isinstance(msg, V3Message):
+            assert msg.mac_offset == walk_mac_offset(data)
+
+    @pytest.mark.parametrize("name, at, tag, field", [
+        ("v2c_get_request", 2, 0x41, "msgVersion"),  # Counter32
+        ("v2c_get_request", 5, 0x44, "community"),  # Opaque
+        ("v3_discovery_probe", 7, 0x41, "msgGlobalData"),  # msgID
+        ("v3_discovery_probe", 16, 0x44, "msgGlobalData"),  # msgFlags
+    ])
+    def test_header_fields_carry_universal_tags(self, name, at, tag, field):
+        wire = bytearray(_GOLDEN_WIRE[name])
+        wire[at] = tag
+        tree_decode_message(bytes(wire))  # the value tree takes it
+        with pytest.raises(DecodingError, match=field):
+            messages.decode_message(bytes(wire))
+
+    @pytest.mark.parametrize("kind", ["v2c", "noAuthNoPriv", "scoped"])
+    def test_pdu_is_read_at_the_tree_nesting_depth(self, kind):
+        def accepts(decode, data):
+            try:
+                decode(data)
+            except DecodingError:
+                return False
+            return True
+
+        verdicts = set()
+        for depth in range(56, 66):
+            value = []
+            for _ in range(depth):
+                value = [value]
+            pdu = Pdu(RESPONSE, 1, bindings=[VarBind(ber.Oid(SYSDESCR_0),
+                                                     value)])
+            if kind == "v2c":
+                data = messages.encode_message(
+                    CommunityMessage(V2C, b"public", pdu))
+                oracle = tree_decode_message
+            elif kind == "noAuthNoPriv":
+                data = messages.encode_message(V3Message(
+                    1, 0, UsmParams(), ScopedPdu(b"e", b"", pdu)))
+                oracle = tree_decode_message
+            else:
+                data = messages.encode_scoped_pdu(ScopedPdu(b"e", b"", pdu))
+                oracle = functools.partial(
+                    ber.decode, registry=messages.SNMP_REGISTRY)
+            decode = messages.decode_scoped_pdu if kind == "scoped" \
+                else messages.decode_message
+            verdict = accepts(decode, data)
+            assert verdict == accepts(oracle, data)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}  # the bound lies in the range
+
+    @pytest.mark.parametrize("frame", [
+        None, "community message", "v3 message", "msgGlobalData",
+        "USM security parameters", "scoped PDU"])
+    def test_frame_with_an_element_too_many_is_rejected(self, frame):
+        def elements(name, *values):
+            return list(values) + ([ber.NULL] if name == frame else [])
+
+        pdu = messages.pdu_to_ber(Pdu(GET_REQUEST, 1))
+        empty = ber.OctetString(b"")
+        community = ber.encode(elements(
+            "community message", V2C, ber.OctetString(b"public"), pdu))
+        v3 = ber.encode(elements(
+            "v3 message", V3,
+            elements("msgGlobalData", 1, 484, ber.OctetString(b"\x04"), 3),
+            ber.OctetString(ber.encode(elements(
+                "USM security parameters", empty, 0, 0, empty, empty,
+                empty))),
+            elements("scoped PDU", empty, empty, pdu)))
+        if frame is None:
+            for wire in (community, v3):
+                assert messages.decode_message(wire) == \
+                    tree_decode_message(wire)
+            return
+        wire = community if frame == "community message" else v3
+        for decode in (messages.decode_message, tree_decode_message):
+            with pytest.raises(DecodingError):
+                decode(wire)

@@ -1,11 +1,16 @@
+import copy
 import hashlib
 import hmac as hmac_mod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snmpkit import usm
+from snmpkit import ber, usm
 from snmpkit.errors import SnmpError
+from snmpkit.messages import (
+    FLAG_AUTH, FLAG_PRIV, RESPONSE, Pdu, ScopedPdu, UsmParams, V3Message,
+    VarBind,
+)
 
 # Published key-derivation vectors: passphrase "maplesyrup",
 # engine id 00 00 00 00 00 00 00 00 00 00 00 02.
@@ -216,3 +221,26 @@ class TestKeyCache:
     def test_empty_passphrase_still_rejected(self):
         with pytest.raises(SnmpError):
             usm.master_key("", usm.AUTH_SHA1)
+
+
+class TestSecuredLength:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([0, FLAG_AUTH, FLAG_AUTH | FLAG_PRIV]),
+           st.lists(st.binary(max_size=200), max_size=4),
+           st.binary(min_size=1, max_size=32), st.integers(0, 2 ** 31 - 1))
+    def test_is_the_length_of_the_secured_octets(self, flags, values,
+                                                 engine_id, engine_time):
+        keys = usm.EngineState()
+        keys.adopt(engine_id, 3, engine_time, usm.Credential.create(
+            "user", ("sha1", "authpass"), ("des", "privpass")))
+        bindings = [VarBind(ber.Oid((1, 3, 6, 1, 2, 1, 1, i)),
+                            ber.OctetString(value))
+                    for i, value in enumerate(values)]
+        msg = V3Message(7, flags, UsmParams(engine_id, 3, engine_time,
+                                            b"user"),
+                        ScopedPdu(engine_id, b"", Pdu(RESPONSE, 5,
+                                                      bindings=bindings)))
+        before = copy.deepcopy(msg)
+        length = usm.secured_length(msg)
+        assert msg == before
+        assert length == len(usm.secure(msg, keys))

@@ -3,10 +3,13 @@
 ``golden_wire.json`` holds the hex encodings of three messages as the
 earlier, copy-per-level codec produced them: a 25-varbind v2c response
 to a GETBULK with sub-identifiers and lengths above 127, a v3 authPriv
-message with a fixed salt, and a v1 trap.  The codec must reproduce them
-byte for byte.  The second half checks that long-form lengths a real
-agent may send (``81 05``, ``82 00 05``) decode, at every nesting level,
-to the same value as the minimal form.
+message with a fixed salt, and a v1 trap.  Five more were taken from the
+tree-based message frames before frames were read and written in one
+pass: a v2c GET request, a v1 response carrying an error-status, a v3
+discovery probe, a v3 authNoPriv response and a usmStats Report.  The
+codec must reproduce them byte for byte.  The second half checks that
+long-form lengths a real agent may send (``81 05``, ``82 00 05``)
+decode, at every nesting level, to the same value as the minimal form.
 """
 
 import json
@@ -16,8 +19,8 @@ import pytest
 
 from snmpkit import ber, messages, usm
 from snmpkit.messages import (
-    CommunityMessage, GET_REQUEST, Pdu, RESPONSE, ScopedPdu, TrapV1Pdu,
-    UsmParams, V1, V2C, V3Message, VarBind,
+    CommunityMessage, GET_REQUEST, Pdu, REPORT, RESPONSE, ScopedPdu,
+    TrapV1Pdu, UsmParams, V1, V2C, V3Message, VarBind,
     FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE,
 )
 
@@ -26,6 +29,7 @@ with open(os.path.join(os.path.dirname(__file__), "golden_wire.json")) as _f:
 
 IF_ENTRY = (1, 3, 6, 1, 2, 1, 2, 2, 1)
 SYSDESCR_0 = (1, 3, 6, 1, 2, 1, 1, 1, 0)
+SYSUPTIME_0 = (1, 3, 6, 1, 2, 1, 1, 3, 0)
 ENGINE_ID = bytes.fromhex("000000000000000000000002")
 
 
@@ -95,8 +99,50 @@ def trap_v1():
     return messages.encode_message(CommunityMessage(V1, b"public", pdu))
 
 
+def v2c_get_request():
+    pdu = Pdu(GET_REQUEST, 1234, bindings=[VarBind(ber.Oid(SYSDESCR_0)),
+                                           VarBind(ber.Oid(SYSUPTIME_0))])
+    return messages.encode_message(CommunityMessage(V2C, b"public", pdu))
+
+
+def v1_error_response():
+    pdu = Pdu(RESPONSE, 77, 2, 2, [  # noSuchName at the second binding
+        VarBind(ber.Oid(SYSDESCR_0), ber.OctetString(b"snmpkit")),
+        VarBind(ber.Oid((1, 3, 6, 1, 2, 1, 1, 99, 0)))])
+    return messages.encode_message(CommunityMessage(V1, b"private", pdu))
+
+
+def v3_discovery_probe():
+    return messages.encode_message(V3Message(
+        4096, FLAG_REPORTABLE, UsmParams(),
+        ScopedPdu(pdu=Pdu(GET_REQUEST, 4095))))
+
+
+def v3_auth_response():
+    keys = usm.EngineState()
+    keys.adopt(ENGINE_ID, 7, 123456, usm.Credential.create(
+        "authUser", (usm.AUTH_SHA1, "maplesyrup")))
+    return usm.secure(V3Message(
+        31338, FLAG_AUTH, UsmParams(ENGINE_ID, 7, 123456, b"authUser"),
+        ScopedPdu(ENGINE_ID, b"", Pdu(RESPONSE, 4243, bindings=[
+            VarBind(ber.Oid(SYSDESCR_0), ber.OctetString(b"snmpkit agent")),
+            VarBind(ber.Oid(SYSUPTIME_0), ber.TimeTicks(4200))]))), keys)
+
+
+def usm_stats_report():
+    return messages.encode_message(V3Message(
+        4096, 0, UsmParams(ENGINE_ID, 7, 123456, b""),
+        ScopedPdu(ENGINE_ID, b"", Pdu(REPORT, 4095, bindings=[VarBind(
+            ber.Oid(messages.USM_STATS_UNKNOWN_ENGINE_IDS),
+            ber.Counter32(1))]))))
+
+
 VECTORS = {"bulk_response": bulk_response, "v3_auth_priv": v3_auth_priv,
-            "trap_v1": trap_v1}
+           "trap_v1": trap_v1, "v2c_get_request": v2c_get_request,
+           "v1_error_response": v1_error_response,
+           "v3_discovery_probe": v3_discovery_probe,
+           "v3_auth_response": v3_auth_response,
+           "usm_stats_report": usm_stats_report}
 
 
 class TestGoldenWire:
