@@ -380,7 +380,7 @@ class LocalEngine:
                 self.auth_count += 1
                 return scoped
         self.report_count += 1
-        request_id = getattr(getattr(msg.scoped_pdu, "pdu", None),
+        request_id = getattr(msg.scoped_pdu and msg.scoped_pdu.pdu,
                              "request_id", 0)
         return self.seal(msg, flags, b"", Pdu(REPORT, request_id, bindings=[
             VarBind(ber.Oid(stats), ber.Counter32(1))]))

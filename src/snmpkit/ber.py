@@ -8,15 +8,13 @@ once; each constructed value decodes its children through (start, end)
 offsets into that buffer, so no level copies its payload.  A
 TypeRegistry maps (class, constructed, number) tag triples to kind
 names, and compiles them, whenever a registration changes, into a table
-of decoder functions indexed by identifier octet.  Triples with no
-registration decode to Raw, which keeps the original bytes so
-re-encoding is byte-identical.  Input nested deeper than MAX_NESTING
-constructed levels is rejected with DecodingError.  The "pdu" kind is a
-tagged sequence whose SEQUENCE elements are variable-bindings lists,
-read in one pass into (Oid, value) pairs: each binding's header, its OID
-TLV (identifier 0x06, anything else is a DecodingError) and exactly one
-value TLV.  header reads one such TLV header, checking its identifier
-octet; messages reads its fixed frames with it.
+of decoder functions indexed by identifier octet.  DEFAULT_REGISTRY,
+the one value table, holds the universal and application types and the
+three exception markers.  Triples with no registration decode to Raw,
+which keeps the original bytes so re-encoding is byte-identical.  Input
+nested deeper than MAX_NESTING constructed levels is a DecodingError.
+header reads one TLV header, checking its identifier octet; messages
+reads its frames and PDUs with it.
 
 Encoding looks up the exact type of a value in a table of encoder
 functions, each holding its precomputed tag octets; tlv_encoder builds
@@ -25,10 +23,9 @@ values.  Subclasses, objects with an ``arcs`` attribute, and the
 rejection of bool go through an isinstance fallback.  An Encoded value
 is octets encoded already, written out as they are; encode_bindings
 builds one from a list of variable bindings in one pass, with no
-[Oid, value] list per binding.  An OID
-whose sub-identifiers all fit one octet becomes its content with one
-bytes() call and an isascii() check; otherwise sub-identifiers below
-16384 take two octets in one step.
+[Oid, value] list per binding.  An OID whose sub-identifiers all fit one
+octet becomes its content with one bytes() call and an isascii() check;
+otherwise sub-identifiers below 16384 take two octets in one step.
 """
 
 from __future__ import annotations
@@ -406,7 +403,8 @@ def _decode_octet_string(data, start, end, depth):
     return OctetString(data[start:end])
 
 
-def _decode_oid(data, start, end, depth):
+def decode_oid(data, start, end, depth=0):
+    """The Oid whose content octets are data[start:end]."""
     return _oid(_decode_oid_content(data[start:end]))
 
 
@@ -447,7 +445,7 @@ _PRIMITIVE_DECODERS = {
     "integer": _decode_integer,
     "octet-string": _decode_octet_string,
     "null": _constant_decoder(NULL),
-    "oid": _decode_oid,
+    "oid": decode_oid,
     "ip-address": _decode_ip_address,
     "counter32": _unsigned_decoder(Counter32),
     "gauge32": _unsigned_decoder(Gauge32),
@@ -490,47 +488,11 @@ def _compile_decoder(kinds):
             return TaggedSequence(tag, sequence(data, start, end, depth))
         return decode_tagged
 
-    def bindings(data, pos, end, depth):
-        """The variable-bindings list at data[pos:end] as (Oid, value) pairs
-        and the end of its TLV, read in one pass over each binding's
-        header, its OID TLV and exactly one value TLV."""
-        if depth + 1 >= MAX_NESTING:
-            raise DecodingError(f"nested deeper than {MAX_NESTING} levels")
-        depth += 2
-        pos, end = header(data, pos, end, 0x30, "variable-bindings list")
-        out = []
-        append = out.append
-        while pos < end:
-            start, pos = header(data, pos, end, 0x30, "variable binding")
-            at, start = header(data, start, pos, 0x06, "variable binding name")
-            name = _oid(_decode_oid_content(data[at:start]))
-            value, start = tlv(data, start, pos, depth)
-            if start != pos:
-                raise DecodingError("variable binding holds more than a name "
-                                    "and a value")
-            append((name, value))
-        return out, end
-
-    def pdu_decoder(tag):
-        def decode_pdu(data, pos, end, depth):
-            if depth >= MAX_NESTING:
-                raise DecodingError(f"nested deeper than {MAX_NESTING} levels")
-            depth += 1
-            out = []
-            while pos < end:
-                value, pos = (bindings if data[pos] == 0x30 else tlv)(
-                    data, pos, end, depth)
-                out.append(value)
-            return TaggedSequence(tag, out)
-        return decode_pdu
-
     for triple, kind in kinds.items():
         if kind == "sequence":
             by_triple[triple] = sequence
         elif kind == "tagged-sequence":
             by_triple[triple] = tagged_sequence_decoder(Tag(*triple))
-        elif kind == "pdu":
-            by_triple[triple] = pdu_decoder(Tag(*triple))
         else:
             by_triple[triple] = _PRIMITIVE_DECODERS.get(kind) or \
                 _unknown_kind_decoder(kind)
@@ -586,45 +548,38 @@ TAG_COUNTER64 = Tag(APPLICATION, False, 6)
 
 
 class TypeRegistry:
-    """Maps (class, constructed, number) triples to decode kinds.
+    """Maps (class, constructed, number) triples to decode kinds; decode
+    reads unregistered triples as Raw.  The decoder table is compiled on
+    creation and again on each registration."""
 
-    Lookups of unregistered triples return None, which makes decode fall
-    back to Raw instead of failing.  Each registration recompiles the
-    decoder table that decode uses.
-    """
-
-    def __init__(self, initial=None):
-        self._table = dict(initial._table) if initial is not None else {}
+    def __init__(self, kinds=None):
+        self._table = dict(kinds or {})
         self._decode = _compile_decoder(self._table)
 
     def register(self, cls, constructed, number, kind):
         self._table[(cls, int(bool(constructed)), number)] = kind
         self._decode = _compile_decoder(self._table)
 
-    def lookup(self, tag):
-        return self._table.get(tag.triple)
-
     def copy(self):
-        return TypeRegistry(self)
+        return TypeRegistry(self._table)
 
 
-def _make_default_registry():
-    r = TypeRegistry()
-    r.register(*TAG_INTEGER.triple, "integer")
-    r.register(*TAG_OCTET_STRING.triple, "octet-string")
-    r.register(*TAG_NULL.triple, "null")
-    r.register(*TAG_OID.triple, "oid")
-    r.register(*TAG_SEQUENCE.triple, "sequence")
-    r.register(*TAG_IPADDRESS.triple, "ip-address")
-    r.register(*TAG_COUNTER32.triple, "counter32")
-    r.register(*TAG_GAUGE32.triple, "gauge32")
-    r.register(*TAG_TIMETICKS.triple, "timeticks")
-    r.register(*TAG_OPAQUE.triple, "opaque")
-    r.register(*TAG_COUNTER64.triple, "counter64")
-    return r
-
-
-DEFAULT_REGISTRY = _make_default_registry()
+DEFAULT_REGISTRY = TypeRegistry({
+    TAG_INTEGER.triple: "integer",
+    TAG_OCTET_STRING.triple: "octet-string",
+    TAG_NULL.triple: "null",
+    TAG_OID.triple: "oid",
+    TAG_SEQUENCE.triple: "sequence",
+    TAG_IPADDRESS.triple: "ip-address",
+    TAG_COUNTER32.triple: "counter32",
+    TAG_GAUGE32.triple: "gauge32",
+    TAG_TIMETICKS.triple: "timeticks",
+    TAG_OPAQUE.triple: "opaque",
+    TAG_COUNTER64.triple: "counter64",
+    (CONTEXT, 0, 0): "no-such-object",
+    (CONTEXT, 0, 1): "no-such-instance",
+    (CONTEXT, 0, 2): "end-of-mib-view",
+})
 
 
 # ---------------------------------------------------------------------------

@@ -68,47 +68,57 @@ def _format_ticks(ticks):
             f"{hours}:{minutes:02d}:{seconds:02d}.{hundredths:02d}")
 
 
+_EXCEPTION_TEXT = {
+    ber.NO_SUCH_OBJECT: "No Such Object available on this agent at this OID",
+    ber.NO_SUCH_INSTANCE: "No Such Instance currently exists at this OID",
+    ber.END_OF_MIB_VIEW: "No more variables left in this MIB View "
+                         "(It is past the end of the MIB tree)",
+}
+_PRINTABLE = bytes(range(32, 127)) + b"\t\n\r"
+
+
+def _format_oid_value(value, registry):
+    if registry is not None:
+        try:
+            return "OID: " + format_oid(registry.resolve(value.arcs))
+        except OidResolutionError:
+            pass
+    return "OID: ." + ".".join(str(a) for a in value.arcs)
+
+
+def _format_octets(value, registry):
+    if value.translate(None, _PRINTABLE):
+        return "Hex-STRING: " + value.hex(" ").upper()
+    return "STRING: " + value.decode("ascii")
+
+
+# The rendering of each type of value, as f(value, registry); a type not
+# listed here takes that of its nearest listed base class, object at last.
+_VALUE_FORMATS = {
+    type(ber.NULL): lambda v, r: "NULL",
+    type(ber.NO_SUCH_OBJECT): lambda v, r: _EXCEPTION_TEXT[v],
+    ber.TimeTicks: lambda v, r: "Timeticks: " + _format_ticks(v),
+    ber.Counter64: lambda v, r: f"Counter64: {int(v)}",
+    ber.Counter32: lambda v, r: f"Counter32: {int(v)}",
+    ber.Gauge32: lambda v, r: f"Gauge32: {int(v)}",
+    ber.IpAddress: lambda v, r: "IpAddress: " + v.text(),
+    ber.Opaque: lambda v, r: "Opaque: 0x" + v.hex(),
+    ber.Oid: _format_oid_value,
+    ber.OctetString: _format_octets,
+    bool: lambda v, r: f"INTEGER: {int(v)}",
+    int: lambda v, r: f"INTEGER: {v}",
+    bytes: lambda v, r: "STRING: " + v.decode("utf-8", "replace"),
+    object: lambda v, r: f"UNKNOWN: {v!r}",
+}
+
+
 def format_value(value, registry=None):
     """Net-management style `TYPE: rendering` of one binding value."""
-    if value is ber.NO_SUCH_OBJECT:
-        return "No Such Object available on this agent at this OID"
-    if value is ber.NO_SUCH_INSTANCE:
-        return "No Such Instance currently exists at this OID"
-    if value is ber.END_OF_MIB_VIEW:
-        return "No more variables left in this MIB View (It is past the end of the MIB tree)"
-    if value is ber.NULL:
-        return "NULL"
-    if isinstance(value, ber.TimeTicks):
-        return f"Timeticks: {_format_ticks(value)}"
-    if isinstance(value, ber.Counter64):
-        return f"Counter64: {int(value)}"
-    if isinstance(value, ber.Counter32):
-        return f"Counter32: {int(value)}"
-    if isinstance(value, ber.Gauge32):
-        return f"Gauge32: {int(value)}"
-    if isinstance(value, ber.IpAddress):
-        return "IpAddress: " + ".".join(str(b) for b in bytes(value))
-    if isinstance(value, ber.Opaque):
-        return "Opaque: 0x" + bytes(value).hex()
-    if isinstance(value, ber.Oid):
-        if registry is not None:
-            try:
-                return "OID: " + format_oid(registry.resolve(value.arcs))
-            except OidResolutionError:
-                pass
-        return "OID: ." + ".".join(str(a) for a in value.arcs)
-    if isinstance(value, ber.OctetString):
-        raw = bytes(value)
-        if all(32 <= b < 127 or b in (9, 10, 13) for b in raw):
-            return "STRING: " + raw.decode("ascii")
-        return "Hex-STRING: " + raw.hex(" ").upper()
-    if isinstance(value, bool):
-        return f"INTEGER: {int(value)}"
-    if isinstance(value, int):
-        return f"INTEGER: {value}"
-    if isinstance(value, bytes):
-        return "STRING: " + value.decode("utf-8", "replace")
-    return f"UNKNOWN: {value!r}"
+    render = _VALUE_FORMATS.get(type(value))
+    if render is None:
+        render = next(_VALUE_FORMATS[base] for base in type(value).__mro__
+                      if base in _VALUE_FORMATS)
+    return render(value, registry)
 
 
 def format_binding(ref, value, registry=None):

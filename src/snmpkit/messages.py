@@ -1,13 +1,14 @@
 """PDU and message structures for SNMPv1/v2c/v3 and their BER mapping.
 
 Every frame goes in one pass each way: the v1/v2c message, the v3 header
-with its USM security parameters, the scoped PDU and the variable
-bindings.  Encoding concatenates TLVs from ber's precomputed encoders,
-with one header encoder per PDU type.  Decoding reads each header with
-ber.header, which checks its universal tag, and hands only the PDU TLV
-to SNMP_REGISTRY's "pdu" kind, which reads the bindings straight into
-(Oid, value) pairs.  Both directions record in V3Message.mac_offset where
-the MAC lies in the octets, so usm never walks the headers again.
+with its USM security parameters, the scoped PDU, the PDU and its
+variable bindings.  Encoding concatenates TLVs from ber's precomputed
+encoders, with one header encoder per PDU type.  Decoding reads each
+header with ber.header, which checks its identifier octet, and reads the
+PDU here too: its header fields, then its bindings straight into
+VarBinds, each value one TLV of ber.DEFAULT_REGISTRY's value table.  Both
+directions record in V3Message.mac_offset where the MAC lies in the
+octets, so usm never walks the headers again.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ber
-from .errors import DecodingError, SnmpError
+from .errors import DecodingError, EncodingError, SnmpError
 
 V1 = 0
 V2C = 1
@@ -76,19 +77,6 @@ class SnmpDefaults:
 
 
 defaults = SnmpDefaults()
-
-
-def _snmp_registry():
-    r = ber.DEFAULT_REGISTRY.copy()
-    for n in range(9):
-        r.register(ber.CONTEXT, 1, n, "pdu")
-    r.register(ber.CONTEXT, 0, 0, "no-such-object")
-    r.register(ber.CONTEXT, 0, 1, "no-such-instance")
-    r.register(ber.CONTEXT, 0, 2, "end-of-mib-view")
-    return r
-
-
-SNMP_REGISTRY = _snmp_registry()
 
 
 @dataclass
@@ -189,42 +177,11 @@ def pdu_to_ber(pdu):
                 pdu.specific_trap, ber.TimeTicks(pdu.timestamp))
     else:
         head = (pdu.request_id, pdu.error_status, pdu.error_index)
-    tlv = _PDU_TLVS.get(pdu.pdu_type) or \
-        ber.tlv_encoder(ber.Tag(ber.CONTEXT, True, pdu.pdu_type))
+    tlv = _PDU_TLVS.get(pdu.pdu_type)
+    if tlv is None:
+        raise EncodingError(f"unknown PDU type {pdu.pdu_type!r}")
     return ber.Encoded(tlv(ber.encode_elements(head)
                            + ber.encode_bindings(pdu.bindings)))
-
-
-def pdu_from_ber(ts, version=None):
-    if isinstance(ts, ber.Raw):
-        raise DecodingError(f"unknown PDU tag {ts.tag!r}")
-    if not isinstance(ts, ber.TaggedSequence) or ts.tag.cls != ber.CONTEXT:
-        raise DecodingError(f"expected a PDU, got {ts!r}")
-    pdu_type = ts.tag.number
-    if pdu_type not in PDU_TYPE_NAMES:
-        raise DecodingError(f"unknown PDU tag number {pdu_type}")
-    els = list(ts.elements)
-    if pdu_type == TRAP_V1:
-        if len(els) != 6 or not all(isinstance(v, k) for v, k in zip(
-                els, (ber.Oid, ber.IpAddress, int, int, int, list))):
-            raise DecodingError("malformed trap-v1 PDU")
-        ent, addr, generic, specific, stamp, bindings = els
-        return TrapV1Pdu(ent, addr, int(generic), int(specific), int(stamp),
-                         [VarBind(name, value) for name, value in bindings])
-    if len(els) != 4:
-        raise DecodingError(f"PDU needs 4 elements, got {len(els)}")
-    request_id, error_status, error_index, bindings = els
-    if not all(isinstance(x, int) for x in (request_id, error_status, error_index)):
-        raise DecodingError("malformed PDU header")
-    if not isinstance(bindings, list):
-        raise DecodingError("malformed variable-bindings list")
-    vbs = [VarBind(name, value) for name, value in bindings]
-    if version == V1:
-        for vb in vbs:
-            if vb.value in ber.EXCEPTION_MARKERS:
-                raise DecodingError(
-                    f"v2 exception value {vb.value!r} in a v1 message")
-    return Pdu(pdu_type, int(request_id), int(error_status), int(error_index), vbs)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +251,45 @@ def _read(data, pos, end, idents, what):
 
 
 def _read_pdu(data, pos, end, depth, version=None):
-    """The PDU TLV, decoded by SNMP_REGISTRY at nesting depth depth."""
-    value, stop = SNMP_REGISTRY._decode(data, pos, end, depth)
-    return pdu_from_ber(value, version), stop
+    """The PDU TLV at data[pos:end], at nesting depth depth, and where it
+    ends.  Binding values lie three levels deeper; a v1 PDU other than a
+    trap holds no exception values."""
+    ident = data[pos] if pos < end else 0
+    pdu_type = ident - 0xA0
+    if pdu_type not in PDU_TYPE_NAMES:
+        raise DecodingError(f"no PDU tag (0xa0-0xa8) at octet {pos}")
+    pos, end = ber.header(data, pos, end, ident, "PDU")
+    value_at = ber.DEFAULT_REGISTRY._decode
+    if pdu_type == TRAP_V1:
+        fields = []
+        for kind in (ber.Oid, ber.IpAddress, int, int, int):
+            value, pos = value_at(data, pos, end, depth + 1)
+            if not isinstance(value, kind):
+                raise DecodingError("malformed trap-v1 PDU")
+            fields.append(value)
+    else:
+        fields, pos = _read(data, pos, end, b"\x02\x02\x02", "PDU header")
+    at, stop = ber.header(data, pos, end, 0x30, "variable-bindings list")
+    _last(stop, end, "PDU")
+    bindings = []
+    while at < stop:
+        start, at = ber.header(data, at, stop, 0x30, "variable binding")
+        start, value_pos = ber.header(data, start, at, 0x06,
+                                      "variable binding name")
+        name = ber.decode_oid(data, start, value_pos)
+        value, start = value_at(data, value_pos, at, depth + 3)
+        if start != at:
+            raise DecodingError("variable binding holds more than a name "
+                                "and a value")
+        bindings.append(VarBind(name, value))
+    if pdu_type == TRAP_V1:
+        return TrapV1Pdu(*fields[:2], *map(int, fields[2:]), bindings), end
+    if version == V1:
+        for vb in bindings:
+            if vb.value in ber.EXCEPTION_MARKERS:
+                raise DecodingError(
+                    f"v2 exception value {vb.value!r} in a v1 message")
+    return Pdu(pdu_type, *fields, bindings), end
 
 
 def _read_scoped(data, pos, end, depth):

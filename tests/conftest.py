@@ -3,9 +3,9 @@ import pytest
 from snmpkit import agent, ber, messages, usm
 from snmpkit.errors import DecodingError
 from snmpkit.messages import (
-    DEFAULT_MAX_MSG_SIZE, FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE,
-    CommunityMessage, ScopedPdu, TrapV1Pdu, UsmParams, V1, V2C, V3,
-    V3Message, VarBind,
+    DEFAULT_MAX_MSG_SIZE, FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE, PDU_TYPE_NAMES,
+    TRAP_V1, CommunityMessage, Pdu, ScopedPdu, TrapV1Pdu, UsmParams, V1, V2C,
+    V3, V3Message, VarBind,
 )
 from snmpkit.mibs import load_core
 from snmpkit.oids import Registry
@@ -76,19 +76,96 @@ def _fields(value, kinds, what):
     return value
 
 
+def _tree_registry():
+    r = ber.DEFAULT_REGISTRY.copy()
+    for n in range(9):
+        r.register(ber.CONTEXT, 1, n, "tagged-sequence")
+    return r
+
+
+# The value tree of SNMP: ber's value table plus the PDU tags, each a
+# generic TaggedSequence.
+TREE_REGISTRY = _tree_registry()
+
+
+def _tree_bindings(items):
+    """VarBinds from a variable-bindings list of the value tree, each item
+    checked to be a [Oid, value] list."""
+    if not isinstance(items, list):
+        raise DecodingError("malformed variable-bindings list")
+    for item in items:
+        if not isinstance(item, list) or len(item) != 2 or \
+                not isinstance(item[0], ber.Oid):
+            raise DecodingError(f"malformed variable binding {item!r}")
+    return [VarBind(name, value) for name, value in items]
+
+
+def pdu_from_ber(ts, version=None):
+    """A Pdu or TrapV1Pdu from the TaggedSequence of its value tree, as
+    TREE_REGISTRY decodes it; v1 rejects exception values outside a trap:
+    the formulation that messages' PDU reader is checked against."""
+    if isinstance(ts, ber.Raw):
+        raise DecodingError(f"unknown PDU tag {ts.tag!r}")
+    if not isinstance(ts, ber.TaggedSequence) or \
+            ts.tag.cls != ber.CONTEXT or not ts.tag.constructed:
+        raise DecodingError(f"expected a PDU, got {ts!r}")
+    pdu_type = ts.tag.number
+    if pdu_type not in PDU_TYPE_NAMES:
+        raise DecodingError(f"unknown PDU tag number {pdu_type}")
+    els = list(ts.elements)
+    if pdu_type == TRAP_V1:
+        if len(els) != 6 or not all(isinstance(v, k) for v, k in zip(
+                els, (ber.Oid, ber.IpAddress, int, int, int, list))):
+            raise DecodingError("malformed trap-v1 PDU")
+        ent, addr, generic, specific, stamp, bindings = els
+        return TrapV1Pdu(ent, addr, int(generic), int(specific), int(stamp),
+                         _tree_bindings(bindings))
+    if len(els) != 4:
+        raise DecodingError(f"PDU needs 4 elements, got {len(els)}")
+    request_id, error_status, error_index, bindings = els
+    if not all(isinstance(x, int)
+               for x in (request_id, error_status, error_index)):
+        raise DecodingError("malformed PDU header")
+    vbs = _tree_bindings(bindings)
+    if version == V1:
+        for vb in vbs:
+            if vb.value in ber.EXCEPTION_MARKERS:
+                raise DecodingError(
+                    f"v2 exception value {vb.value!r} in a v1 message")
+    return Pdu(pdu_type, int(request_id), int(error_status),
+               int(error_index), vbs)
+
+
+def _tree_pdu_at(value, depth):
+    """The PDU that a message decoded by ber.DEFAULT_REGISTRY holds as Raw,
+    its elements decoded as the value tree holds those of a PDU at nesting
+    depth depth; a value under a PDU tag inside it stays Raw."""
+    if not isinstance(value, ber.Raw):
+        return value
+    wire = value.payload
+    for _ in range(depth + 1):
+        wire = ber.encode([ber.Encoded(wire)])
+    elements, _ = ber.decode(wire)
+    for _ in range(depth):
+        (elements,) = elements
+    return ber.TaggedSequence(value.tag, elements)
+
+
 def _tree_scoped(value):
+    """The scoped PDU of a v3 message, whose PDU lies at depth 2."""
     engine_id, context, pdu_ts = _fields(value, (bytes, bytes, object),
                                          "scoped PDU")
     return ScopedPdu(bytes(engine_id), bytes(context),
-                     messages.pdu_from_ber(pdu_ts))
+                     pdu_from_ber(_tree_pdu_at(pdu_ts, 2)))
 
 
 def tree_decode_message(data):
     """A message read from its generic decoded value tree, its security
     parameters decoded again from their OCTET STRING: the formulation
     that messages.decode_message, which reads each frame in one pass, is
-    checked against."""
-    outer, _ = ber.decode(data, registry=messages.SNMP_REGISTRY)
+    checked against.  The PDU is read from its TaggedSequence at the depth
+    the tree gives it; ber's value table decodes everything else."""
+    outer, _ = ber.decode(data)
     if not isinstance(outer, list) or not outer or \
             not isinstance(outer[0], int):
         raise DecodingError("message is not SEQUENCE { version, ... }")
@@ -100,7 +177,7 @@ def tree_decode_message(data):
         if not isinstance(community, bytes):
             raise DecodingError("community is not an OCTET STRING")
         return CommunityMessage(version, bytes(community),
-                                messages.pdu_from_ber(pdu_ts, version))
+                                pdu_from_ber(_tree_pdu_at(pdu_ts, 1), version))
     if version != V3:
         raise DecodingError(f"unsupported SNMP version {version}")
     if len(outer) != 4:
@@ -115,7 +192,7 @@ def tree_decode_message(data):
     flags = flags_octet[0]
     if not isinstance(sec_bytes, bytes):
         raise DecodingError("security parameters are not an OCTET STRING")
-    sec, _ = ber.decode(sec_bytes, registry=messages.SNMP_REGISTRY)
+    sec, _ = ber.decode(sec_bytes)
     sec = _fields(sec, (bytes, int, int, bytes, bytes, bytes),
                   "USM security parameters")
     msg = V3Message(int(msg_id), flags, UsmParams(
@@ -158,31 +235,11 @@ def walk_mac_offset(wire):
     return _header(wire, pos)[0]
 
 
-def _tree_registry():
-    r = ber.DEFAULT_REGISTRY.copy()
-    for n in range(9):
-        r.register(ber.CONTEXT, 1, n, "tagged-sequence")
-    for n, kind in enumerate(("no-such-object", "no-such-instance",
-                              "end-of-mib-view")):
-        r.register(ber.CONTEXT, 0, n, kind)
-    return r
-
-
-_TREE_REGISTRY = _tree_registry()
-
-
 def tree_decode_bindings(wire):
     """The bindings of a v1/v2c message read from its generic decoded tree,
     each checked to be a [Oid, value] list."""
-    message, _ = ber.decode(wire, registry=_TREE_REGISTRY)
-    items = message[2].elements[-1]
-    if not isinstance(items, list):
-        raise DecodingError("malformed variable-bindings list")
-    for item in items:
-        if not isinstance(item, list) or len(item) != 2 or \
-                not isinstance(item[0], ber.Oid):
-            raise DecodingError(f"malformed variable binding {item!r}")
-    return [VarBind(name, value) for name, value in items]
+    message, _ = ber.decode(wire, registry=TREE_REGISTRY)
+    return _tree_bindings(message[2].elements[-1])
 
 
 def v3_request(responder, pdu, user=None, max_size=DEFAULT_MAX_MSG_SIZE):

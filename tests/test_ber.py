@@ -153,6 +153,12 @@ class TestNullAndMarkers:
             decoded, _ = ber.decode(data, registry=registry)
             assert decoded is marker
 
+    def test_exception_markers_decode_by_default(self):
+        for marker, tag_byte in ((ber.NO_SUCH_OBJECT, 0x80),
+                                 (ber.NO_SUCH_INSTANCE, 0x81),
+                                 (ber.END_OF_MIB_VIEW, 0x82)):
+            assert ber.decode(bytes([tag_byte, 0x00]))[0] is marker
+
     def test_bool_rejected(self):
         with pytest.raises(EncodingError):
             ber.encode(True)

@@ -1,3 +1,4 @@
+import enum
 import pathlib
 import re
 import shlex
@@ -6,6 +7,7 @@ import socket
 import pytest
 
 from snmpkit import agent, ber, cli
+from snmpkit.errors import OidResolutionError
 from snmpkit.mibs import load_core
 from snmpkit.oids import Registry
 
@@ -55,6 +57,73 @@ class TestRendering:
         out = cli.format_value(ber.Oid((1, 3, 6, 1, 4, 1, 31609, 2, 1)),
                                registry)
         assert out == "OID: APP-MIB::appAgent"
+
+
+class _Unresolving:
+    """A registry that resolves nothing."""
+
+    def resolve(self, spec):
+        raise OidResolutionError(f"cannot resolve {spec!r}")
+
+
+_RAW = ber.Raw(ber.Tag(ber.PRIVATE, False, 9), b"x")
+
+
+class TestFormatValueOutput:
+    """The rendering of every kind of value, pinned."""
+
+    @pytest.mark.parametrize("value, names, expected", [
+        (ber.NO_SUCH_OBJECT, None,
+         "No Such Object available on this agent at this OID"),
+        (ber.NO_SUCH_INSTANCE, None,
+         "No Such Instance currently exists at this OID"),
+        (ber.END_OF_MIB_VIEW, None, "No more variables left in this MIB "
+         "View (It is past the end of the MIB tree)"),
+        (ber.NULL, None, "NULL"),
+        (ber.TimeTicks(2 * 8640000 + 150), None,
+         "Timeticks: (17280150) 2 days, 0:00:01.50"),
+        (ber.TimeTicks(0), None, "Timeticks: (0) 0 days, 0:00:00.00"),
+        (ber.Counter64(2 ** 64 - 1), None,
+         "Counter64: 18446744073709551615"),
+        (ber.Counter32(2 ** 32 - 1), None, "Counter32: 4294967295"),
+        (ber.Gauge32(7), None, "Gauge32: 7"),
+        (ber.IpAddress("10.0.255.1"), None, "IpAddress: 10.0.255.1"),
+        (ber.Opaque(b"\x01\xab"), None, "Opaque: 0x01ab"),
+        (ber.Oid((1, 3, 6, 1, 2, 1, 1, 1, 0)), "core",
+         "OID: SNMPv2-MIB::sysDescr.0"),
+        (ber.Oid((1, 3, 6, 1, 2, 1, 1, 1, 0)), "unresolving",
+         "OID: .1.3.6.1.2.1.1.1.0"),
+        (ber.Oid((1, 3, 6, 1, 2, 1, 1, 1, 0)), None,
+         "OID: .1.3.6.1.2.1.1.1.0"),
+        (ber.OctetString(b"a\tb\nc\r d~"), None, "STRING: a\tb\nc\r d~"),
+        (ber.OctetString(b""), None, "STRING: "),
+        (ber.OctetString(b"ab\x7f"), None, "Hex-STRING: 61 62 7F"),
+        (ber.OctetString(b"\x00\x1f"), None, "Hex-STRING: 00 1F"),
+        (True, None, "INTEGER: 1"),
+        (-12, None, "INTEGER: -12"),
+        (b"\xff\xfeab", None, "STRING: \ufffd\ufffdab"),
+        (_RAW, None, f"UNKNOWN: {_RAW!r}"),
+        ("text", None, "UNKNOWN: 'text'"),
+        (None, None, "UNKNOWN: None"),
+    ], ids=[
+        "noSuchObject", "noSuchInstance", "endOfMibView", "NULL",
+        "TimeTicks", "TimeTicks zero", "Counter64", "Counter32", "Gauge32",
+        "IpAddress", "Opaque", "OID resolved", "OID unresolvable",
+        "OID without registry", "OctetString with tab newline return",
+        "empty OctetString", "OctetString with 0x7F",
+        "OctetString with controls", "bool", "int", "non-UTF-8 bytes",
+        "Raw", "str", "None"])
+    def test_rendering(self, registry, value, names, expected):
+        names = {"core": registry, "unresolving": _Unresolving()}.get(names)
+        assert cli.format_value(value, names) == expected
+
+    def test_int_subclass_renders_as_integer(self):
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        assert cli.format_value(Level.HIGH) == "INTEGER: 3"
+        assert cli.format_binding(ber.Oid((1, 3, 6)), Level.HIGH) == \
+            ".1.3.6 = INTEGER: 3"
 
 
 class TestCommands:

@@ -15,6 +15,7 @@ import os
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import TREE_REGISTRY
 from snmpkit import agent, ber, messages, usm
 from snmpkit.errors import DecodingError, SnmpKitError
 from snmpkit.messages import (
@@ -174,7 +175,7 @@ class TestFuzz:
     def test_ber_decode(self, data):
         _value_or_decoding_error(ber.decode, data)
         _value_or_decoding_error(
-            lambda d: ber.decode(d, registry=messages.SNMP_REGISTRY), data)
+            lambda d: ber.decode(d, registry=TREE_REGISTRY), data)
 
     @settings(max_examples=600, deadline=None)
     @given(_inputs)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    tree_decode_bindings, tree_decode_message, tree_encode_message,
-    walk_mac_offset,
+    TREE_REGISTRY, pdu_from_ber, tree_decode_bindings, tree_decode_message,
+    tree_encode_message, walk_mac_offset,
 )
 from snmpkit import ber, messages
-from snmpkit.errors import DecodingError, SnmpError
+from snmpkit.errors import DecodingError, EncodingError, SnmpError
 from snmpkit.messages import (
     CommunityMessage, Pdu, ScopedPdu, TrapV1Pdu, UsmParams, V3Message,
     VarBind, V1, V2C, V3,
@@ -113,7 +113,7 @@ class TestPduRoundTrip:
                          REPORT):
             pdu = Pdu(pdu_type, 7, 1, 2,
                       [VarBind(ber.Oid(SYSDESCR_0), ber.OctetString(b"x"))])
-            decoded = messages.pdu_from_ber(
+            decoded = pdu_from_ber(
                 _reparse(messages.pdu_to_ber(pdu)))
             assert decoded.pdu_type == pdu_type
             assert decoded.request_id == 7
@@ -123,7 +123,7 @@ class TestPduRoundTrip:
         pdu = TrapV1Pdu(ber.Oid((1, 3, 6, 1, 4, 1, 31609)),
                         ber.IpAddress(b"\x7f\x00\x00\x01"), 6, 42, 12345,
                         [VarBind(ber.Oid(SYSDESCR_0), ber.OctetString(b"t"))])
-        decoded = messages.pdu_from_ber(_reparse(messages.pdu_to_ber(pdu)))
+        decoded = pdu_from_ber(_reparse(messages.pdu_to_ber(pdu)))
         assert isinstance(decoded, TrapV1Pdu)
         assert decoded.enterprise.arcs == (1, 3, 6, 1, 4, 1, 31609)
         assert decoded.generic_trap == 6 and decoded.specific_trap == 42
@@ -147,7 +147,7 @@ class TestPduRoundTrip:
 
 
 def _reparse(ts):
-    decoded, _ = ber.decode(ber.encode(ts), registry=messages.SNMP_REGISTRY)
+    decoded, _ = ber.decode(ber.encode(ts), registry=TREE_REGISTRY)
     return decoded
 
 
@@ -379,7 +379,7 @@ _VALUES = st.one_of(
 
 def _value_tree(value):
     """value as the generic codec reads it back."""
-    return ber.decode(ber.encode(value), registry=messages.SNMP_REGISTRY)[0]
+    return ber.decode(ber.encode(value), registry=TREE_REGISTRY)[0]
 
 
 def _seq(content):
@@ -561,7 +561,7 @@ class TestOnePassFrames:
             else:
                 data = messages.encode_scoped_pdu(ScopedPdu(b"e", b"", pdu))
                 oracle = functools.partial(
-                    ber.decode, registry=messages.SNMP_REGISTRY)
+                    ber.decode, registry=TREE_REGISTRY)
             decode = messages.decode_scoped_pdu if kind == "scoped" \
                 else messages.decode_message
             verdict = accepts(decode, data)
@@ -596,3 +596,62 @@ class TestOnePassFrames:
         for decode in (messages.decode_message, tree_decode_message):
             with pytest.raises(DecodingError):
                 decode(wire)
+
+
+# --- the PDU reader ----------------------------------------------------------
+
+_GET = _GOLDEN_WIRE["v2c_get_request"]  # PDU at 13, its fields at 15, 19, 22
+
+
+def _high_tag(wire, at, *lengths):
+    """wire with the one-octet identifier at `at` written in the two-octet
+    high-tag form, and the short lengths at `lengths` grown by one."""
+    wire = bytearray(wire)
+    for n in lengths:
+        wire[n] += 1
+    wire[at:at + 1] = bytes([wire[at] | 0x1F, wire[at] & 0x1F])
+    return bytes(wire)
+
+
+class TestPduReader:
+    @pytest.mark.parametrize("wire, match", [
+        # RFC 3416 section 3: request-id, error-status and error-index are
+        # INTEGER, which BER tags 0x02
+        (_GET[:15] + b"\x41" + _GET[16:], "PDU header"),  # Counter32
+        (_GET[:19] + b"\x42" + _GET[20:], "PDU header"),  # Gauge32
+        (_GET[:22] + b"\x43" + _GET[23:], "PDU header"),  # TimeTicks
+        # X.690 section 8.1.2.2: a tag number of 0 to 30 takes one
+        # identifier octet
+        (_high_tag(_GET, 13, 1), "PDU"),
+        (_high_tag(_GET, 25, 1, 14), "variable-bindings list"),
+    ], ids=["request-id", "error-status", "error-index",
+            "PDU identifier", "variable-bindings list"])
+    def test_header_forms_the_value_tree_took_are_rejected(self, wire, match):
+        tree_decode_message(wire)  # the value tree takes it
+        with pytest.raises(DecodingError, match=match):
+            messages.decode_message(wire)
+
+    def test_trap_time_stamp_tagged_integer_decodes(self):
+        wire = _GOLDEN_WIRE["trap_v1"]
+        assert wire[39] == 0x43  # the TimeTicks time-stamp
+        wire = wire[:39] + b"\x02" + wire[40:]
+        msg = messages.decode_message(wire)
+        assert msg.pdu.timestamp == 2 ** 32 - 1
+        assert msg == tree_decode_message(wire)
+
+    @pytest.mark.parametrize("value", [b"\xa2\x00", b"\xa3\x01x"])
+    def test_value_under_a_pdu_tag_is_raw(self, value):
+        # as every tag outside ber's value table
+        pdu = Pdu(RESPONSE, 1, bindings=[VarBind(
+            ber.Oid(SYSDESCR_0), ber.Encoded(value))])
+        wire = messages.encode_message(CommunityMessage(V2C, b"p", pdu))
+        (vb,) = messages.decode_message(wire).pdu.bindings
+        assert vb.value == ber.decode(value)[0]
+        assert isinstance(vb.value, ber.Raw) and vb.value.encoded == value
+        assert tree_decode_message(wire).pdu.bindings == [vb]
+
+    @pytest.mark.parametrize("pdu_type", [-1, 9, 12, 31])
+    def test_only_known_pdu_types_are_encoded(self, pdu_type):
+        with pytest.raises(EncodingError):
+            messages.encode_message(
+                CommunityMessage(V1, b"p", Pdu(pdu_type, 1)))

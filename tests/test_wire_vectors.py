@@ -17,6 +17,7 @@ import os
 
 import pytest
 
+from conftest import TREE_REGISTRY
 from snmpkit import ber, messages, usm
 from snmpkit.messages import (
     CommunityMessage, GET_REQUEST, Pdu, REPORT, RESPONSE, ScopedPdu,
@@ -245,13 +246,13 @@ class TestNonMinimalLengths:
     @pytest.mark.parametrize("extra", [0, 1])
     def test_every_level_decodes_alike(self, name, extra):
         wire = bytes.fromhex(GOLDEN[name])
-        expected = ber.decode(wire, registry=messages.SNMP_REGISTRY)[0]
+        expected = ber.decode(wire, registry=TREE_REGISTRY)[0]
         expected_msg = messages.decode_message(wire)
         levels = list(range(_depth(wire) + 1)) + [None]
         for level in levels:
             stretched = _stretch(wire, level, extra)
             value, consumed = ber.decode(stretched,
-                                         registry=messages.SNMP_REGISTRY)
+                                         registry=TREE_REGISTRY)
             assert consumed == len(stretched)
             assert value == expected
             assert messages.decode_message(stretched) == expected_msg
