@@ -9,10 +9,11 @@ offsets into that buffer, so no level copies its payload.  A
 TypeRegistry maps (class, constructed, number) tag triples to kind
 names, and compiles them, whenever a registration changes, into a table
 of decoder functions indexed by identifier octet.  DEFAULT_REGISTRY,
-the one value table, holds the universal and application types and the
-three exception markers.  Triples with no registration decode to Raw,
-which keeps the original bytes so re-encoding is byte-identical.  Input
-nested deeper than MAX_NESTING constructed levels is a DecodingError.
+the one value table, holds the universal and application types, the
+three exception markers and the nine PDU tags, each a TaggedSequence of
+its elements.  Triples with no registration decode to Raw, which keeps
+the original bytes so re-encoding is byte-identical.  Input nested
+deeper than MAX_NESTING constructed levels is a DecodingError.
 header reads one TLV header, checking its identifier octet; messages
 reads its frames and PDUs with it.
 
@@ -579,6 +580,7 @@ DEFAULT_REGISTRY = TypeRegistry({
     (CONTEXT, 0, 0): "no-such-object",
     (CONTEXT, 0, 1): "no-such-instance",
     (CONTEXT, 0, 2): "end-of-mib-view",
+    **{(CONTEXT, 1, n): "tagged-sequence" for n in range(9)},
 })
 
 

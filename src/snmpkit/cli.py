@@ -86,12 +86,6 @@ def _format_oid_value(value, registry):
     return "OID: ." + ".".join(str(a) for a in value.arcs)
 
 
-def _format_octets(value, registry):
-    if value.translate(None, _PRINTABLE):
-        return "Hex-STRING: " + value.hex(" ").upper()
-    return "STRING: " + value.decode("ascii")
-
-
 # The rendering of each type of value, as f(value, registry); a type not
 # listed here takes that of its nearest listed base class, object at last.
 _VALUE_FORMATS = {
@@ -104,7 +98,9 @@ _VALUE_FORMATS = {
     ber.IpAddress: lambda v, r: "IpAddress: " + v.text(),
     ber.Opaque: lambda v, r: "Opaque: 0x" + v.hex(),
     ber.Oid: _format_oid_value,
-    ber.OctetString: _format_octets,
+    ber.OctetString: lambda v, r: ("Hex-STRING: " + v.hex(" ").upper()
+                                   if v.translate(None, _PRINTABLE)
+                                   else "STRING: " + v.decode("ascii")),
     bool: lambda v, r: f"INTEGER: {int(v)}",
     int: lambda v, r: f"INTEGER: {v}",
     bytes: lambda v, r: "STRING: " + v.decode("utf-8", "replace"),
@@ -114,10 +110,8 @@ _VALUE_FORMATS = {
 
 def format_value(value, registry=None):
     """Net-management style `TYPE: rendering` of one binding value."""
-    render = _VALUE_FORMATS.get(type(value))
-    if render is None:
-        render = next(_VALUE_FORMATS[base] for base in type(value).__mro__
-                      if base in _VALUE_FORMATS)
+    render = _VALUE_FORMATS.get(type(value)) or next(
+        _VALUE_FORMATS[t] for t in type(value).__mro__ if t in _VALUE_FORMATS)
     return render(value, registry)
 
 

@@ -80,11 +80,14 @@ def _tree_registry():
     r = ber.DEFAULT_REGISTRY.copy()
     for n in range(9):
         r.register(ber.CONTEXT, 1, n, "tagged-sequence")
+    for n, kind in enumerate(("no-such-object", "no-such-instance",
+                              "end-of-mib-view")):
+        r.register(ber.CONTEXT, 0, n, kind)
     return r
 
 
-# The value tree of SNMP: ber's value table plus the PDU tags, each a
-# generic TaggedSequence.
+# The value tree of SNMP: the universal and application types, the PDU
+# tags, each a generic TaggedSequence, and the exception markers.
 TREE_REGISTRY = _tree_registry()
 
 
@@ -136,36 +139,19 @@ def pdu_from_ber(ts, version=None):
                int(error_index), vbs)
 
 
-def _tree_pdu_at(value, depth):
-    """The PDU that a message decoded by ber.DEFAULT_REGISTRY holds as Raw,
-    its elements decoded as the value tree holds those of a PDU at nesting
-    depth depth; a value under a PDU tag inside it stays Raw."""
-    if not isinstance(value, ber.Raw):
-        return value
-    wire = value.payload
-    for _ in range(depth + 1):
-        wire = ber.encode([ber.Encoded(wire)])
-    elements, _ = ber.decode(wire)
-    for _ in range(depth):
-        (elements,) = elements
-    return ber.TaggedSequence(value.tag, elements)
-
-
 def _tree_scoped(value):
-    """The scoped PDU of a v3 message, whose PDU lies at depth 2."""
     engine_id, context, pdu_ts = _fields(value, (bytes, bytes, object),
                                          "scoped PDU")
     return ScopedPdu(bytes(engine_id), bytes(context),
-                     pdu_from_ber(_tree_pdu_at(pdu_ts, 2)))
+                     pdu_from_ber(pdu_ts))
 
 
 def tree_decode_message(data):
     """A message read from its generic decoded value tree, its security
     parameters decoded again from their OCTET STRING: the formulation
     that messages.decode_message, which reads each frame in one pass, is
-    checked against.  The PDU is read from its TaggedSequence at the depth
-    the tree gives it; ber's value table decodes everything else."""
-    outer, _ = ber.decode(data)
+    checked against."""
+    outer, _ = ber.decode(data, registry=TREE_REGISTRY)
     if not isinstance(outer, list) or not outer or \
             not isinstance(outer[0], int):
         raise DecodingError("message is not SEQUENCE { version, ... }")
@@ -177,7 +163,7 @@ def tree_decode_message(data):
         if not isinstance(community, bytes):
             raise DecodingError("community is not an OCTET STRING")
         return CommunityMessage(version, bytes(community),
-                                pdu_from_ber(_tree_pdu_at(pdu_ts, 1), version))
+                                pdu_from_ber(pdu_ts, version))
     if version != V3:
         raise DecodingError(f"unsupported SNMP version {version}")
     if len(outer) != 4:
@@ -192,7 +178,7 @@ def tree_decode_message(data):
     flags = flags_octet[0]
     if not isinstance(sec_bytes, bytes):
         raise DecodingError("security parameters are not an OCTET STRING")
-    sec, _ = ber.decode(sec_bytes)
+    sec, _ = ber.decode(sec_bytes, registry=TREE_REGISTRY)
     sec = _fields(sec, (bytes, int, int, bytes, bytes, bytes),
                   "USM security parameters")
     msg = V3Message(int(msg_id), flags, UsmParams(

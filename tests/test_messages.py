@@ -639,16 +639,31 @@ class TestPduReader:
         assert msg.pdu.timestamp == 2 ** 32 - 1
         assert msg == tree_decode_message(wire)
 
-    @pytest.mark.parametrize("value", [b"\xa2\x00", b"\xa3\x01x"])
-    def test_value_under_a_pdu_tag_is_raw(self, value):
-        # as every tag outside ber's value table
+    @staticmethod
+    def _wire_with_value(value):
         pdu = Pdu(RESPONSE, 1, bindings=[VarBind(
             ber.Oid(SYSDESCR_0), ber.Encoded(value))])
-        wire = messages.encode_message(CommunityMessage(V2C, b"p", pdu))
+        return messages.encode_message(CommunityMessage(V2C, b"p", pdu))
+
+    @pytest.mark.parametrize("value, expected", [
+        (b"\xa2\x00", ber.TaggedSequence(ber.Tag(ber.CONTEXT, True, 2), [])),
+        (b"\x30\x05\xa7\x03\x02\x01\x07", [ber.TaggedSequence(
+            ber.Tag(ber.CONTEXT, True, 7), [7])]),
+    ], ids=["binding value", "in a SEQUENCE"])
+    def test_value_under_a_pdu_tag_is_a_tagged_sequence(self, value,
+                                                         expected):
+        wire = self._wire_with_value(value)
         (vb,) = messages.decode_message(wire).pdu.bindings
-        assert vb.value == ber.decode(value)[0]
-        assert isinstance(vb.value, ber.Raw) and vb.value.encoded == value
+        assert vb.value == expected
         assert tree_decode_message(wire).pdu.bindings == [vb]
+
+    @pytest.mark.parametrize("value", [b"\xa3\x01x", b"\x30\x03\xa3\x01x"],
+                             ids=["binding value", "in a SEQUENCE"])
+    def test_malformed_value_under_a_pdu_tag_is_rejected(self, value):
+        wire = self._wire_with_value(value)
+        for decode in (messages.decode_message, tree_decode_message):
+            with pytest.raises(DecodingError):
+                decode(wire)
 
     @pytest.mark.parametrize("pdu_type", [-1, 9, 12, 31])
     def test_only_known_pdu_types_are_encoded(self, pdu_type):
