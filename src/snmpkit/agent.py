@@ -30,9 +30,9 @@ from .errors import (
     TransportError,
 )
 from .messages import (
-    FLAG_AUTH, FLAG_PRIV, GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST,
-    MAX_UDP_PAYLOAD, REPORT, SET_REQUEST, Pdu, ScopedPdu, UsmParams,
-    V3Message, VarBind, V1, V2C, V3,
+    FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE, GET_BULK_REQUEST,
+    GET_NEXT_REQUEST, GET_REQUEST, MAX_UDP_PAYLOAD, REPORT, SET_REQUEST,
+    Pdu, ScopedPdu, UsmParams, V3Message, VarBind, V1, V2C, V3,
 )
 
 DEFAULT_AGENT_PORT = 8161
@@ -206,8 +206,9 @@ def dispatch(tree, pdu, ctx, version=V2C):
     """Process one request PDU and build the response PDU.
 
     Errors are in-band: v1 sets error-status/index, v2c uses per-binding
-    exception values.  GETBULK under v1, and any other PDU type, answer
-    genErr.
+    exception values.  GETBULK under v1 answers genErr, and so does a PDU
+    that is not a request (Response, Report, SNMPv2-Trap, InformRequest),
+    which handle_datagram drops before it gets here.
     """
     handler = _DISPATCH.get(pdu.pdu_type)
     if handler is None or version == V1 and pdu.pdu_type == GET_BULK_REQUEST:
@@ -359,7 +360,9 @@ class LocalEngine:
         """msg's scoped PDU, or the octets of the Report that refuses it,
         after the checks of RFC 3414 section 3.2 in its order: engine id
         (step 3), user (4), security level (5), digest (6), time window
-        (7).  Raises SnmpKitError when the scoped PDU does not decrypt."""
+        (7).  A refused msg whose reportable flag is clear gets None, no
+        Report (RFC 3412 section 7.2).  Raises SnmpKitError when the
+        scoped PDU does not decrypt."""
         params, flags = msg.usm, 0
         if params.engine_id != self.engine_id:
             stats = messages.USM_STATS_UNKNOWN_ENGINE_IDS
@@ -379,6 +382,8 @@ class LocalEngine:
             else:
                 self.auth_count += 1
                 return scoped
+        if not msg.flags & FLAG_REPORTABLE:
+            return None
         self.report_count += 1
         request_id = getattr(msg.scoped_pdu and msg.scoped_pdu.pdu,
                              "request_id", 0)
@@ -402,11 +407,11 @@ def handle_datagram(tree, ctx, data, engine=None):
     """Full message-level handling of one inbound datagram.
 
     Returns the reply bytes, or None when the datagram is dropped: it does
-    not decode or decrypt, its community is wrong, or it is v3 and engine,
-    the LocalEngine that answers v3, is None.  A response whose values do
-    not encode is answered with genErr instead, and one longer than
-    MAX_UDP_PAYLOAD, or than a v3 request's smaller msgMaxSize, is cut
-    down or answered tooBig.
+    not decode or decrypt, its community is wrong, its PDU is not a
+    request, or it is v3 and engine, the LocalEngine that answers v3, is
+    None.  A response whose values do not encode is answered with genErr
+    instead, and one longer than MAX_UDP_PAYLOAD, or than a v3 request's
+    smaller msgMaxSize, is cut down or answered tooBig.
     """
     ctx.in_pkts += 1
     try:
@@ -426,7 +431,7 @@ def handle_datagram(tree, ctx, data, engine=None):
             return None
         else:
             scoped = engine.open(msg, data)
-            if isinstance(scoped, bytes):  # a Report
+            if not isinstance(scoped, ScopedPdu):  # a Report, or None
                 return scoped
             pdu, version = scoped.pdu, V3
             limit = min(msg.msg_max_size, MAX_UDP_PAYLOAD)
@@ -441,8 +446,8 @@ def handle_datagram(tree, ctx, data, engine=None):
                     scoped.context_name, response))
     except SnmpKitError:
         return None
-    if not isinstance(pdu, Pdu):
-        return None
+    if not isinstance(pdu, Pdu) or pdu.pdu_type not in _DISPATCH:
+        return None  # a trap, an inform, a response or a report
     response = dispatch(tree, pdu, ctx, version)
     try:
         reply = encode(response)

@@ -323,12 +323,11 @@ def _encode_signed_int(n):
 def _encode_oid_content(arcs):
     if not arcs:
         return b""
-    if len(arcs) == 1:
-        subids = (arcs[0] * 40,)
-    else:
-        if arcs[0] > 2 or (arcs[0] < 2 and arcs[1] > 39):
-            raise EncodingError(f"invalid leading OID arcs {arcs[:2]}")
-        subids = (arcs[0] * 40 + arcs[1], *arcs[2:])
+    if len(arcs) == 1:  # as the arc and a 0, so 1 encodes as 1.0
+        arcs = (arcs[0], 0)
+    if arcs[0] > 2 or (arcs[0] < 2 and arcs[1] > 39):
+        raise EncodingError(f"invalid leading OID arcs {arcs[:2]}")
+    subids = (arcs[0] * 40 + arcs[1], *arcs[2:])
     try:
         octets = bytes(subids)
     except ValueError:  # a sub-identifier is negative or above 255
@@ -342,16 +341,25 @@ def _encode_oid_content(arcs):
     for sub in subids:
         if sub < 0x80:
             out.append(sub)
-        elif sub < 0x4000:
-            out += bytes((0x80 | sub >> 7, sub & 0x7F))
         else:
-            chunk = [sub & 0x7F]
-            sub >>= 7
-            while sub:
-                chunk.append(0x80 | (sub & 0x7F))
-                sub >>= 7
-            out.extend(reversed(chunk))
+            out += _encode_subid(sub)
     return bytes(out)
+
+
+def _encode_subid(sub):
+    """The octets of one sub-identifier, base 128, high groups first."""
+    if sub < 0x80:
+        if sub < 0:
+            raise EncodingError(f"negative OID arc {sub}")
+        return bytes((sub,))
+    if sub < 0x4000:
+        return bytes((0x80 | sub >> 7, sub & 0x7F))
+    chunk = [sub & 0x7F]
+    sub >>= 7
+    while sub:
+        chunk.append(0x80 | (sub & 0x7F))
+        sub >>= 7
+    return bytes(reversed(chunk))
 
 
 _MAX_SUBID_OCTETS = 5  # enough for 32 bits; longer ones cost quadratic time
@@ -697,16 +705,36 @@ def encode_bindings(bindings):
     """A variable-bindings list, SEQUENCE OF SEQUENCE { OID, value }, as
     Encoded octets built in one pass.  Each binding has a name, anything
     whose arcs are ints, and a value, as messages.VarBind does; bindings
-    that are Encoded already are returned as they are."""
+    that are Encoded already are returned as they are.
+
+    When the first two names share their head, all arcs but the last, as
+    the names of a walk's replies do, a name of more than two arcs with
+    the same head as the name before it is encoded as the head's octets
+    plus its own last sub-identifier; a head is encoded the second time it
+    is met.  Other lists, such as a table row's names, which change head
+    at every binding, encode each name whole.  Nothing is kept between
+    calls."""
     if isinstance(bindings, Encoded):
         return bindings
     get = _ENCODERS.get
     tlvs = []
+    heads = [vb.name.arcs[:-1] for vb in bindings[:2]]
+    shared = len(heads) == 2 and len(heads[0]) > 1 and heads[0] == heads[1]
+    head = head_octets = None
     for vb in bindings:
+        arcs = vb.name.arcs
+        if not shared:
+            name = _encode_oid_content(arcs)
+        elif arcs[:-1] == head and len(arcs) > 2:
+            if head_octets is None:
+                head_octets = _encode_oid_content(head)
+            name = head_octets + _encode_subid(arcs[-1])
+        else:
+            name = _encode_oid_content(arcs)
+            head, head_octets = arcs[:-1], None
         value = vb.value
-        tlvs.append(_sequence_tlv(
-            _oid_tlv(_encode_oid_content(vb.name.arcs))
-            + (get(type(value)) or _fallback_encoder(value))(value)))
+        tlvs.append(_sequence_tlv(_oid_tlv(name) + (
+            get(type(value)) or _fallback_encoder(value))(value)))
     return Encoded(_sequence_tlv(b"".join(tlvs)))
 
 

@@ -143,10 +143,15 @@ def request(session, pdu_kind, bindings_spec, context=None):
 
 def _pairs(session, pdu, context=None):
     """Send pdu; the response's (OidRef, value) pairs, each name resolved
-    once here.  A non-zero error-status raises SnmpStatusError."""
+    once here, from the name before it where that one's node is on its
+    path.  A non-zero error-status raises SnmpStatusError."""
     response = _check_status(send_pdu(session, pdu, context))
     resolve = session.registry.resolve
-    return [(resolve(vb.name), vb.value) for vb in response.bindings]
+    pairs, ref = [], None
+    for vb in response.bindings:
+        ref = resolve(vb.name, ref)
+        pairs.append((ref, vb.value))
+    return pairs
 
 
 def send_pdu(session, pdu, context=None):

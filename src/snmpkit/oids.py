@@ -194,11 +194,17 @@ class Registry:
 
     # -- resolution ---------------------------------------------------------
 
-    def resolve(self, spec):
-        """Resolve any OID spelling (text, arc list, mixed list, node, ref)."""
+    def resolve(self, spec, near=None):
+        """Resolve any OID spelling (text, arc list, mixed list, node, ref).
+
+        near, a ref resolved before, is where the descent of a ber.Oid
+        starts when near's node lies on the Oid's path, as the previous
+        name's does in a walk's replies; from the root otherwise."""
         if isinstance(spec, OidRef):
             return spec
         if isinstance(spec, ber.Oid):  # its arcs are ints by construction
+            if near is not None:
+                return self._resolve_near(spec.arcs, near)
             return self._resolve_arcs(spec.arcs)
         if isinstance(spec, OidNode):
             return OidRef(spec)
@@ -273,19 +279,22 @@ class Registry:
 
     def _resolve_arcs(self, arcs):
         """The ref of a tuple of ints, which already holds its arcs."""
-        node = self.root
         # A single leading 0 addresses the root itself when more arcs follow
         # and the first real arc exists beneath the root.
         if len(arcs) > 1 and arcs[0] == 0 and arcs[1] in self.root.children:
             arcs = arcs[1:]
-        i = 0
-        while i < len(arcs):
-            child = node.children.get(arcs[i])
-            if child is None:
-                break
-            node = child
-            i += 1
-        return OidRef._known(node, arcs[i:], arcs)
+        return _descend(self.root, arcs, 0)
+
+    def _resolve_near(self, arcs, near):
+        """The ref of a tuple of ints, descending from near's node when
+        that node's path is a prefix of arcs and does not begin with 0, so
+        that _resolve_arcs' leading-0 rule cannot apply; from the root
+        otherwise."""
+        path = near.arcs
+        depth = len(path) - len(near.rest)
+        if depth and path[0] and arcs[:depth] == path[:depth]:
+            return _descend(near.node, arcs, depth)
+        return self._resolve_arcs(arcs)
 
     def _resolve_sequence(self, seq):
         if not seq:
@@ -306,6 +315,18 @@ class Registry:
             else:
                 raise OidResolutionError(f"cannot resolve mixed element {e!r}")
         return OidRef(node, rest)
+
+
+def _descend(node, arcs, i):
+    """The ref of arcs, given node, the node of their first i arcs: the
+    descent goes on from node for as long as the tree holds the arcs."""
+    while i < len(arcs):
+        child = node.children.get(arcs[i])
+        if child is None:
+            break
+        node = child
+        i += 1
+    return OidRef._known(node, arcs[i:], arcs)
 
 
 def lexicographic_successor(instances, arcs):

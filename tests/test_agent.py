@@ -14,7 +14,7 @@ from snmpkit.mibs import load_core
 from snmpkit.oids import Registry
 from snmpkit.messages import (
     CommunityMessage, GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST,
-    Pdu, SET_REQUEST, VarBind, V1, V2C, V3,
+    Pdu, SET_REQUEST, ScopedPdu, VarBind, V1, V2C, V3,
 )
 
 ALICE = usm.Credential.create("alice", ("sha1", "authpass123"),
@@ -279,6 +279,47 @@ class TestDatagramHandling:
         tree, ctx = loopback_agent
         reply = agent.handle_datagram(tree, ctx, self._wire(registry, V1))
         assert messages.decode_message(reply).version == V1
+
+    @pytest.mark.parametrize("pdu_type", [
+        messages.RESPONSE, messages.REPORT, messages.SNMPV2_TRAP,
+        messages.INFORM_REQUEST], ids=messages.PDU_TYPE_NAMES.get)
+    def test_non_requests_dropped(self, registry, loopback_agent, pdu_type):
+        """Answering a Response would let two agents answer each other
+        for ever; none of these PDUs asks for an answer."""
+        tree, ctx = loopback_agent
+        pdu = Pdu(pdu_type, 11, 0, 0,
+                  [VarBind(registry.resolve("sysUpTime.0"))])
+        for version in (V1, V2C):
+            wire = messages.encode_message(
+                CommunityMessage(version, b"public", pdu))
+            assert agent.handle_datagram(tree, ctx, wire) is None
+        responder = _v3_responder(registry, tree)
+        assert responder(v3_request(responder, pdu)[0]) is None
+        assert responder.auth_count == 1
+
+    def test_v3_report_is_not_answered_with_a_report(self, loopback_agent):
+        """A Report that reaches another engine fails its engine id check;
+        its reportable flag is clear, so no Report answers it."""
+        tree, ctx = loopback_agent
+        first, second = (harness.ScriptedV3Responder(tree, ctx, ALICE,
+                                                     engine_id=engine_id)
+                         for engine_id in (b"\x80first", b"\x80second"))
+        report = first(messages.encode_message(messages.V3Message(
+            1, messages.FLAG_REPORTABLE, messages.UsmParams(),
+            ScopedPdu(b"", b"", Pdu(GET_REQUEST, 5)))))
+        assert messages.decode_message(report).scoped_pdu.pdu.pdu_type == \
+            messages.REPORT
+        assert second(report) is None
+        assert (first.report_count, second.report_count) == (1, 0)
+
+    def test_v1_bulk_still_answered_generr(self, registry, loopback_agent):
+        tree, ctx = loopback_agent
+        pdu = Pdu(GET_BULK_REQUEST, 11, 0, 5,
+                  [VarBind(registry.resolve("sysDescr"))])
+        reply = agent.handle_datagram(tree, ctx, messages.encode_message(
+            CommunityMessage(V1, b"public", pdu)))
+        assert messages.decode_message(reply).pdu.error_status == \
+            agent.GEN_ERR
 
 
 class TestService:

@@ -134,6 +134,17 @@ class TestOidContent:
         decoded, _ = ber.decode(ber.encode(ber.Oid((0, 0))))
         assert decoded.arcs == (0, 0)
 
+    @pytest.mark.parametrize("arcs", [(0,), (1,), (2,)])
+    def test_one_arc_reads_back_with_a_zero(self, arcs):
+        decoded, _ = ber.decode(ber.encode(ber.Oid(arcs)))
+        assert decoded.arcs == arcs + (0,)
+
+    @pytest.mark.parametrize("arcs", [(3,), (7,), (3, 1)])
+    def test_first_arc_above_two_is_refused(self, arcs):
+        # (3,) once encoded as 06 01 78, which reads back as 2.40
+        with pytest.raises(EncodingError, match="invalid leading OID arcs"):
+            ber.encode(ber.Oid(arcs))
+
 
 class TestNullAndMarkers:
     def test_null_singleton(self):

@@ -269,8 +269,10 @@ class TestSelect:
         assert from_select == from_walk
 
     def test_row_gets_resolve_no_names(self, registry, monkeypatch):
-        """Resolutions in select: one per column and one per name in the
-        walk's GETBULK replies; the R per-row GETs add none."""
+        """Root descents in select: one per column, and in each of the
+        walk's GETBULK replies one for its first name and one where its
+        names change column, the others descending from the name before;
+        the R per-row GETs add none."""
         counts, walks = {}, {}
         real = oids.Registry._resolve_arcs
 
@@ -292,7 +294,10 @@ class TestSelect:
             walks[rows] = channel.exchanges - rows
         bulk = client.WALK_BULK_REPETITIONS
         assert walks == {8: 1, 32: 2}
-        assert counts == {8: 22 + bulk, 32: 22 + 2 * bulk}
+        # 8 rows: one reply, ifIndex.1-8 ifDescr.1-8 ifType.1-8 ifMtu.1;
+        # 32 rows: ifIndex.1-25, then ifIndex.26-32 ifDescr.1-18
+        assert bulk == 25
+        assert counts == {8: 22 + 4, 32: 22 + 1 + 2}
 
     def test_dynamic_table(self, registry, fabric):
         session = _open(registry, fabric)

@@ -388,6 +388,25 @@ def _seq(content):
 
 _NAME = ber.Oid((1, 3, 6, 1, 2, 1, 1, 5, 0))
 _BINDING = ber.encode([_NAME, ber.NULL])
+_LAST_ARCS = st.lists(st.one_of(
+    st.sampled_from([0, 127, 128, 16383, 16384, 2 ** 32 - 1]),
+    st.integers(0, 2 ** 32)), min_size=1, max_size=6)
+
+
+@st.composite
+def _sibling_pairs(draw):
+    """(name, value) pairs whose names come in runs that share all but
+    their last arc, as a walk's replies do, with one- and two-arc names
+    between the runs and the head changing from run to run."""
+    names = []
+    for _ in range(draw(st.integers(1, 5))):
+        names += draw(st.one_of(
+            st.tuples(_ARCS, _LAST_ARCS).map(
+                lambda run: [run[0] + (last,) for last in run[1]]),
+            _LAST_ARCS.map(lambda lasts: [(2, last) for last in lasts]),
+            st.tuples(st.integers(0, 2)).map(lambda arcs: [arcs])))
+    kinds = st.sampled_from([ber.Oid, _Arcs])
+    return [(draw(kinds)(arcs), draw(_VALUES)) for arcs in names]
 
 
 class TestBindingsCodec:
@@ -404,6 +423,17 @@ class TestBindingsCodec:
         assert [(vb.arcs, vb.value) for vb in decoded] == \
             [(tuple(name.arcs), _value_tree(value)) for name, value in pairs]
         assert decoded == tree_decode_bindings(wire)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sibling_pairs(), st.sampled_from([GET_REQUEST, RESPONSE]))
+    def test_sibling_runs_match_the_value_tree(self, pairs, pdu_type):
+        bindings = [VarBind(name, value) for name, value in pairs]
+        msg = CommunityMessage(V2C, b"public",
+                               Pdu(pdu_type, 5, 0, 0, bindings))
+        wire = messages.encode_message(msg)
+        assert wire == tree_encode_message(msg)
+        assert messages.decode_message(wire).pdu.bindings == \
+            tree_decode_bindings(wire)
 
     @pytest.mark.parametrize("bindings", [
         [[_NAME]],

@@ -206,3 +206,63 @@ class TestArcsCarriedThrough:
         child = ref.child(*more)
         assert child.arcs == number_list(child)
         assert child.arcs == ref.arcs + tuple(more)
+
+
+@st.composite
+def _replies(draw):
+    """Names in the order a reply may hold them: each one fresh, or the
+    name before it with its last arc changed or one arc added."""
+    names = []
+    for _ in range(draw(st.integers(1, 12))):
+        step = draw(st.sampled_from(["fresh", "sibling", "child"]))
+        if step == "fresh" or not names:
+            names.append(draw(_ARCS))
+        elif step == "sibling":
+            names.append(names[-1][:-1] + (draw(_ARC),))
+        else:
+            names.append(names[-1] + (draw(_ARC),))
+    return names
+
+
+class TestResolveNear:
+    """Resolving each name from the ref before it gives the ref that the
+    descent from the root gives."""
+
+    @staticmethod
+    def _chain(names):
+        refs, near = [], None
+        for arcs in names:
+            near = _CORE.resolve(ber.Oid(arcs), near)
+            refs.append(near)
+        return refs
+
+    @settings(max_examples=400, deadline=None)
+    @given(_replies())
+    def test_matches_the_root_descent(self, names):
+        for ref, arcs in zip(self._chain(names), names):
+            root = _CORE.resolve(ber.Oid(arcs))
+            assert (ref.node, ref.rest, ref.arcs) == \
+                (root.node, root.rest, root.arcs)
+
+    def test_leading_zero_after_zero_dot_zero(self):
+        # zeroDotZero's node is not on the path of 0.1.127, which the
+        # leading-0 rule reads as iso.127
+        zero, iso = self._chain([(0, 0), (0, 1, 127)])
+        assert zero.node.name == "zeroDotZero"
+        assert (iso.node.name, iso.rest) == ("iso", (127,))
+
+    def test_siblings_descend_from_the_name_before(self, monkeypatch):
+        roots = []
+        real = Registry._resolve_arcs
+
+        def counting(self, arcs):
+            roots.append(arcs)
+            return real(self, arcs)
+
+        monkeypatch.setattr(Registry, "_resolve_arcs", counting)
+        column = _CORE.resolve("ifDescr").arcs
+        refs = self._chain([column + (i,) for i in (1, 2, 128, 16384)]
+                           + [(1, 3, 6, 1, 2, 1, 1, 1, 0)])
+        assert [ref.node.name for ref in refs] == \
+            ["ifDescr"] * 4 + ["sysDescr"]
+        assert roots == [column + (1,), (1, 3, 6, 1, 2, 1, 1, 1, 0)]
