@@ -124,9 +124,9 @@ class DispatchTree:
     def find(self, arcs):
         """Registered base prefix of arcs -> (base, handler, writable).
 
-        Bases never nest, so the only candidate is the greatest base <= arcs.
+        arcs is a tuple of ints.  Bases never nest, so the only candidate
+        is the greatest base <= arcs.
         """
-        arcs = tuple(arcs)
         bases, entries = self._view
         i = bisect.bisect_right(bases, arcs) - 1
         if i >= 0 and arcs[:len(bases[i])] == bases[i]:
@@ -156,11 +156,7 @@ def define_scalar(tree, registry, name, supplier):
 def define_table_column(tree, registry, name, fn):
     """Serve one table column; fn follows the ChildSpec protocol."""
     ref = registry.resolve(name)
-
-    def handler(ctx, rest_ids):
-        return fn(ctx, tuple(rest_ids))
-
-    tree.register(ref, handler)
+    tree.register(ref, fn)
     return ref
 
 
@@ -219,11 +215,12 @@ def dispatch(tree, pdu, ctx, version=V2C):
 def _dispatch_get(tree, pdu, ctx, version):
     out = []
     for i, vb in enumerate(pdu.bindings):
-        found = tree.find(vb.arcs)
+        arcs = vb.name.arcs
+        found = tree.find(arcs)
         value = None
         if found is not None:
             base, handler, _ = found
-            rest = tuple(vb.arcs[len(base):])
+            rest = arcs[len(base):]
             if rest:  # the base itself is not an instance
                 value = _read(handler, ctx, rest)
         if value is None:
@@ -317,15 +314,14 @@ def _dispatch_bulk(tree, pdu, ctx, version):
 
 
 def _dispatch_set(tree, pdu, ctx, version):
-    for i, vb in enumerate(pdu.bindings):
-        found = tree.find(vb.arcs)
-        if found is None or not found[2]:
+    found = [tree.find(vb.name.arcs) for vb in pdu.bindings]
+    for i, entry in enumerate(found):
+        if entry is None or not entry[2]:
             return messages.response_for(pdu, list(pdu.bindings),
                                          READ_ONLY, i + 1)
     out = []
-    for vb in pdu.bindings:
-        base, handler, _ = tree.find(vb.arcs)
-        rest = tuple(vb.arcs[len(base):])
+    for vb, (base, handler, _) in zip(pdu.bindings, found):
+        rest = vb.name.arcs[len(base):]
         try:
             value = handler(ctx, rest, vb.value)
         except Exception:

@@ -27,11 +27,19 @@ builds one from a list of variable bindings in one pass, with no
 [Oid, value] list per binding.  An OID whose sub-identifiers all fit one
 octet becomes its content with one bytes() call and an isascii() check;
 otherwise sub-identifiers below 16384 take two octets in one step.
+
+An Oid keeps its content octets: a decoded one the octets it was read
+from, one built from arcs those its first encode computes, and encode
+and encode_bindings write kept octets out as they are.  Decoding refuses
+a sub-identifier that begins with a 0x80 octet (X.690 section 8.19.2),
+so kept octets are always those an encode of the arcs writes, and equal
+octets mean equal arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import DecodingError, EncodingError, TruncatedError, UnsupportedFormError
 
@@ -159,23 +167,50 @@ END_OF_MIB_VIEW = _Marker("endOfMibView")
 EXCEPTION_MARKERS = (NO_SUCH_OBJECT, NO_SUCH_INSTANCE, END_OF_MIB_VIEW)
 
 
-@dataclass(frozen=True)
 class Oid:
-    """OBJECT IDENTIFIER as a bare arc tuple (registry-free)."""
+    """OBJECT IDENTIFIER as a bare arc tuple (registry-free).
 
-    arcs: tuple
+    An Oid also keeps its BER content octets: a decoded one the octets it
+    was read from, one built from arcs those its first encode computes.
+    Equality, hash and repr are the arcs'.  An Oid is immutable: arcs is
+    read-only, and no other attribute can be added."""
+
+    __slots__ = ("_arcs", "_octets")
 
     def __init__(self, arcs):
-        object.__setattr__(self, "arcs", tuple(int(a) for a in arcs))
+        self._arcs = tuple(int(a) for a in arcs)
+        self._octets = None
+
+    arcs = property(attrgetter("_arcs"), doc="The arcs, a tuple of ints.")
+
+    @property
+    def octets(self):
+        """The content octets of the OID's TLV, computed at most once."""
+        if self._octets is None:
+            self._octets = _encode_oid_content(self._arcs)
+        return self._octets
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild from the arcs
+        return Oid, (self._arcs,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._arcs == other._arcs
+
+    def __hash__(self):
+        return hash(self._arcs)
 
     def __repr__(self):
-        return "Oid(%s)" % ".".join(str(a) for a in self.arcs)
+        return "Oid(%s)" % ".".join(str(a) for a in self._arcs)
 
 
-def _oid(arcs):
-    """An Oid over a tuple of ints, skipping __init__'s per-arc int()."""
+def _oid(arcs, octets=None):
+    """An Oid over a tuple of ints, skipping __init__'s per-arc int(), and
+    keeping octets, its content octets when they are known."""
     oid = object.__new__(Oid)
-    object.__setattr__(oid, "arcs", arcs)
+    oid._arcs = arcs
+    oid._octets = octets
     return oid
 
 
@@ -327,7 +362,12 @@ def _encode_oid_content(arcs):
         arcs = (arcs[0], 0)
     if arcs[0] > 2 or (arcs[0] < 2 and arcs[1] > 39):
         raise EncodingError(f"invalid leading OID arcs {arcs[:2]}")
-    subids = (arcs[0] * 40 + arcs[1], *arcs[2:])
+    return subid_octets((arcs[0] * 40 + arcs[1], *arcs[2:]))
+
+
+def subid_octets(subids):
+    """The octets of a tuple of OID sub-identifiers, as in an OID's
+    content after its first two arcs."""
     try:
         octets = bytes(subids)
     except ValueError:  # a sub-identifier is negative or above 255
@@ -378,6 +418,9 @@ def _decode_oid_content(payload):
                 subids.append(cur | b)
                 cur = used = 0
             else:
+                if b == 0x80 and not used:  # X.690 section 8.19.2
+                    raise DecodingError("OID sub-identifier begins with a "
+                                        "0x80 octet")
                 used += 1
                 if used == _MAX_SUBID_OCTETS:
                     raise DecodingError("OID sub-identifier longer than "
@@ -413,8 +456,9 @@ def _decode_octet_string(data, start, end, depth):
 
 
 def decode_oid(data, start, end, depth=0):
-    """The Oid whose content octets are data[start:end]."""
-    return _oid(_decode_oid_content(data[start:end]))
+    """The Oid whose content octets are data[start:end], which it keeps."""
+    octets = data[start:end]
+    return _oid(_decode_oid_content(octets), octets)
 
 
 def _decode_ip_address(data, start, end, depth):
@@ -636,7 +680,7 @@ _encode_octet_string = tlv_encoder(TAG_OCTET_STRING)
 
 
 def _encode_oid(value):
-    return _oid_tlv(_encode_oid_content(value.arcs))
+    return _oid_tlv(value.octets)
 
 
 def encode_elements(values):
@@ -707,13 +751,14 @@ def encode_bindings(bindings):
     whose arcs are ints, and a value, as messages.VarBind does; bindings
     that are Encoded already are returned as they are.
 
-    When the first two names share their head, all arcs but the last, as
-    the names of a walk's replies do, a name of more than two arcs with
-    the same head as the name before it is encoded as the head's octets
-    plus its own last sub-identifier; a head is encoded the second time it
-    is met.  Other lists, such as a table row's names, which change head
-    at every binding, encode each name whole.  Nothing is kept between
-    calls."""
+    A name that keeps its content octets in _octets, as a decoded Oid and
+    an oids.OidRef whose octets are known do, is written with them.  Of
+    the other names, when the first two names share their head, all arcs
+    but the last, as the names of a walk's replies do, a name of more than
+    two arcs with the same head as the name before it is encoded as the
+    head's octets plus its own last sub-identifier; a head is encoded the
+    second time it is met.  Other lists encode each name whole.  Nothing
+    is kept between calls, nor on the names."""
     if isinstance(bindings, Encoded):
         return bindings
     get = _ENCODERS.get
@@ -722,16 +767,18 @@ def encode_bindings(bindings):
     shared = len(heads) == 2 and len(heads[0]) > 1 and heads[0] == heads[1]
     head = head_octets = None
     for vb in bindings:
-        arcs = vb.name.arcs
-        if not shared:
-            name = _encode_oid_content(arcs)
-        elif arcs[:-1] == head and len(arcs) > 2:
-            if head_octets is None:
-                head_octets = _encode_oid_content(head)
-            name = head_octets + _encode_subid(arcs[-1])
-        else:
-            name = _encode_oid_content(arcs)
-            head, head_octets = arcs[:-1], None
+        name = getattr(vb.name, "_octets", None)
+        if name is None:
+            arcs = vb.name.arcs
+            if not shared:
+                name = _encode_oid_content(arcs)
+            elif arcs[:-1] == head and len(arcs) > 2:
+                if head_octets is None:
+                    head_octets = _encode_oid_content(head)
+                name = head_octets + _encode_subid(arcs[-1])
+            else:
+                name = _encode_oid_content(arcs)
+                head, head_octets = arcs[:-1], None
         value = vb.value
         tlvs.append(_sequence_tlv(_oid_tlv(name) + (
             get(type(value)) or _fallback_encoder(value))(value)))

@@ -133,7 +133,8 @@ def _session_for(session_or_host, **kwargs):
 def request(session, pdu_kind, bindings_spec, context=None):
     """Issue one request and return the response (OidRef, value) pairs.
 
-    A non-zero error-status in the response raises SnmpStatusError.
+    A non-zero error-status in the response raises SnmpStatusError, and a
+    GET or SET response that does not echo the request's names SnmpError.
     """
     pdu = messages.make_request_pdu(pdu_kind, bindings_spec,
                                     session.registry,
@@ -142,9 +143,22 @@ def request(session, pdu_kind, bindings_spec, context=None):
 
 
 def _pairs(session, pdu, context=None):
-    """Send pdu; the response's (OidRef, value) pairs, each name resolved
-    once here, from the name before it where that one's node is on its
-    path.  A non-zero error-status raises SnmpStatusError."""
+    """Send pdu, whose names are OidRefs; the response's (OidRef, value)
+    pairs.  A non-zero error-status raises SnmpStatusError.
+
+    A GET or SET response must carry the request's names, in order, which
+    are compared by their content octets: each ref's octets are computed
+    before the request is encoded, so they are encoded once, and the
+    pairs hold the request's refs.  A response that does not raises
+    SnmpError.  The names of other responses are resolved once here, each
+    from the name before it where that one's node is on its path."""
+    if pdu.pdu_type in (GET_REQUEST, SET_REQUEST):
+        asked = [vb.name.octets for vb in pdu.bindings]
+        response = _check_status(send_pdu(session, pdu, context))
+        if [vb.name.octets for vb in response.bindings] != asked:
+            _echo_mismatch(pdu.bindings, response.bindings)
+        return [(vb.name, got.value)
+                for vb, got in zip(pdu.bindings, response.bindings)]
     response = _check_status(send_pdu(session, pdu, context))
     resolve = session.registry.resolve
     pairs, ref = [], None
@@ -152,6 +166,17 @@ def _pairs(session, pdu, context=None):
         ref = resolve(vb.name, ref)
         pairs.append((ref, vb.value))
     return pairs
+
+
+def _echo_mismatch(asked, got):
+    """Raise SnmpError for the first binding of got whose name is not that
+    of asked's binding at its position, or for their different lengths."""
+    for i, (mine, theirs) in enumerate(zip(asked, got)):
+        if theirs.name.octets != mine.name.octets:
+            raise SnmpError(f"response binding {i + 1} names "
+                            f"{theirs.name!r}, not the requested {mine.name}")
+    raise SnmpError(f"response holds {len(got)} bindings for {len(asked)} "
+                    "requested")
 
 
 def send_pdu(session, pdu, context=None):
@@ -452,7 +477,10 @@ def select(table_name, from_, **session_kwargs):
 
     Row indices are discovered by walking the first column only; each
     row is then fetched with a single multi-binding get, so a table of R
-    rows costs at most R + 2 exchanges regardless of column count.
+    rows costs at most R + 2 exchanges regardless of column count.  A
+    row's reply must carry the names asked for, in order, or SnmpError
+    is raised.  Each column's name is encoded once, and each row's
+    names are the columns' octets followed by the row index's.
     """
     session, ephemeral = _session_for(from_, **session_kwargs)
     try:
@@ -477,11 +505,10 @@ def _select(session, table_name):
 
     rows = []
     for index in indices:
-        pdu = messages.make_request_pdu(
-            GET_REQUEST, [col.child(*index) for col in columns],
-            session.registry, session.next_request_id())
-        response = _check_status(send_pdu(session, pdu))
-        cells = [(columns[i], vb.value)
-                 for i, vb in enumerate(response.bindings)]
+        tail = ber.subid_octets(index)
+        pdu = Pdu(GET_REQUEST, session.next_request_id(), bindings=[
+            messages.VarBind(col.descendant(index, tail)) for col in columns])
+        cells = [(col, value)
+                 for col, (_, value) in zip(columns, _pairs(session, pdu))]
         rows.append(TableRow(schema, index, cells))
     return rows

@@ -1,16 +1,16 @@
 """Deterministic in-process test fabric.
 
-A virtual clock, a lossy loopback channel with packet counters, and a
-scripted SNMPv3 responder.  Transport-level behavior (retransmission,
-timeouts, exchange counts) becomes observable and reproducible without
-real sockets or sleeping.
+A virtual clock, a lossy loopback channel with packet counters, a
+scripted SNMPv3 responder and a responder that reorders replies.
+Transport-level behavior (retransmission, timeouts, exchange counts)
+becomes observable and reproducible without real sockets or sleeping.
 """
 
 from __future__ import annotations
 
 import random
 
-from . import agent as agent_mod
+from . import agent as agent_mod, messages
 from .errors import EndpointClosedError
 
 
@@ -120,6 +120,22 @@ class LoopbackEndpoint:
 def agent_responder(tree, ctx):
     """Adapt an agent dispatch tree to the channel's responder contract."""
     return lambda data: agent_mod.handle_datagram(tree, ctx, data)
+
+
+def swapping_responder(responder, first=0, second=1):
+    """responder, a v1/v2c one, with bindings first and second of each
+    reply that holds both swapped: an agent that reorders its replies."""
+    def swap(data):
+        reply = responder(data)
+        if reply is None:
+            return None
+        msg = messages.decode_message(reply)
+        bindings = msg.pdu.bindings
+        if max(first, second) < len(bindings):
+            bindings[first], bindings[second] = \
+                bindings[second], bindings[first]
+        return messages.encode_message(msg)
+    return swap
 
 
 def connect(responder, clock=None, **channel_options):

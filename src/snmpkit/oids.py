@@ -49,22 +49,28 @@ class OidNode:
 
 
 class OidRef:
-    """A resolved OID: deepest named ancestor plus unnamed trailing arcs."""
+    """A resolved OID: deepest named ancestor plus unnamed trailing arcs.
 
-    __slots__ = ("node", "rest", "_arcs")
+    Its full arcs and its BER content octets are computed at most once,
+    when first asked for, and kept on the ref."""
+
+    __slots__ = ("node", "rest", "_arcs", "_octets")
 
     def __init__(self, node, rest=()):
         self.node = node
         self.rest = tuple(int(a) for a in rest)
         self._arcs = None
+        self._octets = None
 
     @classmethod
-    def _known(cls, node, rest, arcs):
-        """A ref whose rest and full arcs are already tuples of ints."""
+    def _known(cls, node, rest, arcs, octets=None):
+        """A ref whose rest and full arcs are already tuples of ints, and
+        whose content octets are octets when they are known."""
         ref = object.__new__(cls)
         ref.node = node
         ref.rest = rest
         ref._arcs = arcs
+        ref._octets = octets
         return ref
 
     @property
@@ -73,9 +79,24 @@ class OidRef:
             self._arcs = number_list(self)
         return self._arcs
 
+    @property
+    def octets(self):
+        """The content octets of the OID's TLV, as ber.Oid.octets."""
+        if self._octets is None:
+            self._octets = ber._encode_oid_content(self.arcs)
+        return self._octets
+
     def child(self, *arcs):
         arcs = tuple(int(a) for a in arcs)
         return OidRef._known(self.node, self.rest + arcs, self.arcs + arcs)
+
+    def descendant(self, arcs, tail):
+        """The ref of arcs, a tuple of ints, below this one, given tail,
+        ber.subid_octets(arcs): below two arcs or more, its octets are
+        this ref's and then tail."""
+        path = self.arcs
+        return OidRef._known(self.node, self.rest + arcs, path + arcs,
+                             self.octets + tail if len(path) > 1 else None)
 
     def __eq__(self, other):
         if not isinstance(other, OidRef):

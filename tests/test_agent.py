@@ -5,9 +5,9 @@ import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import enumerate_instances, v3_request
+from conftest import enumerate_instances, tree_encode_message, v3_request
 from snmpkit import agent, ber, client, harness, messages, usm
 from snmpkit.errors import SnmpError
 from snmpkit.mibs import load_core
@@ -248,6 +248,59 @@ class TestSet:
         resp = agent.dispatch(tree, pdu, ctx, V2C)
         assert resp.error_status == 0
         assert store["value"] == 42
+
+
+_ECHO_BASE = (1, 3, 6, 1, 4, 1, 31609, 77)
+# sub-identifiers at the edges of one, two and five octets, and any other
+_SUBIDS = st.sampled_from([0, 1, 127, 128, 16383, 16384, 2 ** 32 - 1]) \
+    | st.integers(0, 2 ** 32 - 1)
+_HEADS = st.tuples(st.integers(0, 1), st.integers(0, 39)) \
+    | st.tuples(st.just(2), _SUBIDS)
+_ECHO_NAMES = st.lists(
+    st.lists(_SUBIDS, max_size=4).map(lambda rest: _ECHO_BASE + tuple(rest))
+    | st.tuples(_HEADS, st.lists(_SUBIDS, max_size=6)).map(
+        lambda parts: parts[0] + tuple(parts[1])),
+    min_size=1, max_size=6)
+
+
+class TestEchoedNames:
+    """GET and SET replies carry the request's names as they were read."""
+
+    def _tree(self):
+        def handler(ctx, ids, *new):
+            if not ids:
+                return 0
+            return new[0] if new else ber.OctetString(repr(ids).encode())
+
+        tree = agent.DispatchTree()
+        tree.register(ber.Oid(_ECHO_BASE), handler, writable=True)
+        return tree
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([GET_REQUEST, SET_REQUEST]), _ECHO_NAMES,
+           st.binary(max_size=8))
+    @example(GET_REQUEST, [_ECHO_BASE + (127, 128, 16383, 16384, 2 ** 32 - 1),
+                           (2, 2 ** 32 - 1, 128), (1, 3, 16384, 0)], b"")
+    @example(SET_REQUEST, [_ECHO_BASE + (2 ** 32 - 1, 16384, 16383, 128, 127),
+                           _ECHO_BASE + (0,)], b"v")
+    def test_reply_octets_equal_the_value_tree(self, kind, names, value):
+        """The agent's reply, whose names are the request's decoded Oids,
+        is byte for byte the generic value tree's encoding of the same
+        response with each name an Oid built afresh from its arcs."""
+        tree, ctx = self._tree(), _ctx(None)
+        value = ber.OctetString(value) if kind == SET_REQUEST else ber.NULL
+
+        def request():
+            return Pdu(kind, 7, bindings=[VarBind(ber.Oid(arcs), value)
+                                          for arcs in names])
+
+        wire = messages.encode_message(CommunityMessage(V2C, b"public",
+                                                        request()))
+        reply = agent.handle_datagram(tree, ctx, wire)
+        expected = agent.dispatch(tree, request(), ctx, V2C)
+        assert [vb.name.arcs for vb in expected.bindings] == names
+        assert reply == tree_encode_message(
+            CommunityMessage(V2C, b"public", expected))
 
 
 class TestDatagramHandling:

@@ -1,7 +1,9 @@
+import copy
+import pickle
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snmpkit import ber
 from snmpkit.errors import (
@@ -304,3 +306,89 @@ class TestLongSubIdentifier:
         with pytest.raises(DecodingError):
             ber.decode(data)
         assert time.perf_counter() - start < 0.01
+
+
+# Octets that OID contents are made of: the edges of one-octet and
+# continued sub-identifiers, a common first sub-identifier, and any octet.
+_oid_octets = st.lists(
+    st.sampled_from([0x00, 0x01, 0x2B, 0x7F, 0x80, 0x81, 0xFF])
+    | st.integers(0, 255), max_size=12).map(bytes)
+
+
+class TestKeptOctets:
+    @pytest.mark.parametrize("content", [
+        b"\x2b\x80\x06",          # once read as 1.3.6
+        b"\x2b\x80\x80\x01",
+        b"\x80\x2b",              # in the first sub-identifier
+        b"\x2b\x06\x80\x7f",
+    ])
+    def test_leading_0x80_sub_identifier_is_refused(self, content):
+        data = bytes([0x06, len(content)]) + content
+        with pytest.raises(DecodingError, match="0x80"):
+            ber.decode(data)
+
+    def test_0x80_inside_a_sub_identifier_is_read(self):
+        oid, _ = ber.decode(bytes([0x06, 0x04, 0x2B, 0x81, 0x80, 0x00]))
+        assert oid.arcs == (1, 3, 16384)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_oid_octets)
+    @example(bytes([0x2B, 0x80, 0x06]))
+    def test_decoded_octets_are_those_a_fresh_encode_writes(self, content):
+        data = bytes([0x06, len(content)]) + content
+        try:
+            oid, _ = ber.decode(data)
+        except DecodingError:
+            return
+        assert oid.octets == content == ber._encode_oid_content(oid.arcs)
+        assert ber.encode(oid) == data == ber.encode(ber.Oid(oid.arcs))
+
+    def test_octets_of_arcs_are_computed_once(self):
+        oid = ber.Oid((1, 3, 6, 1, 4, 1, 31609, 16384))
+        assert oid.octets is oid.octets
+        assert ber.encode(oid) == bytes([0x06, len(oid.octets)]) + oid.octets
+
+    @settings(max_examples=100, deadline=None)
+    @given(_oid_arcs())
+    def test_equal_octets_mean_equal_arcs(self, arcs):
+        oid = ber.Oid(arcs)
+        decoded, _ = ber.decode(ber.encode(oid))
+        assert decoded.octets == oid.octets and decoded == oid
+
+
+class TestOidObject:
+    def _both(self):
+        built = ber.Oid((1, 3, 6, 1, 2, 1, 2, 2, 1, 2, 2 ** 32 - 1))
+        decoded, _ = ber.decode(ber.encode(built))
+        return built, decoded
+
+    def test_equality_and_hash_are_the_arcs(self):
+        built, decoded = self._both()
+        assert built == decoded and hash(built) == hash(decoded)
+        assert len({built, decoded}) == 1
+        assert built != ber.Oid((1, 3, 6))
+        assert built != built.arcs
+
+    def test_repr(self):
+        assert repr(ber.decode(ber.encode(ber.Oid((1, 3, 128))))[0]) == \
+            "Oid(1.3.128)"
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy,
+        lambda oid: pickle.loads(pickle.dumps(oid)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal_and_encode_alike(self, clone):
+        for oid in self._both():
+            twin = clone(oid)
+            assert twin == oid and hash(twin) == hash(oid)
+            assert ber.encode(twin) == ber.encode(oid)
+        assert copy.deepcopy([self._both()]) == [self._both()]
+
+    def test_immutable(self):
+        for oid in self._both():
+            with pytest.raises(AttributeError):
+                oid.arcs = (1, 3)
+            with pytest.raises(AttributeError):
+                del oid.arcs
+            with pytest.raises(AttributeError):
+                oid.other = 1

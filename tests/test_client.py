@@ -308,6 +308,68 @@ class TestSelect:
         assert names == sorted(names)
 
 
+class TestEchoedNames:
+    """A GET or SET reply must carry the names asked for, in order."""
+
+    WRITABLE = "1.3.6.1.4.1.31609.9"
+
+    def _session(self, registry, tree, ctx, responder=None, **swap):
+        """A session to tree through harness.swapping_responder(**swap),
+        or through responder(agent's responder) when it is given."""
+        serve = harness.agent_responder(tree, ctx)
+        serve = responder(serve) if responder else \
+            harness.swapping_responder(serve, **swap)
+        return _open(registry, harness.connect(serve))
+
+    def test_get_of_a_swapped_reply_raises(self, registry, loopback_agent):
+        session = self._session(registry, *loopback_agent)
+        with pytest.raises(SnmpError, match="response binding 1 names"):
+            client.get(session, ["sysName.0", "sysDescr.0"])
+
+    def test_select_of_swapped_row_replies_raises(self, registry,
+                                                  loopback_agent):
+        # the walk's GETBULK reply, swapped, ends the walk after ifIndex.1
+        session = self._session(registry, *loopback_agent, first=1, second=2)
+        with pytest.raises(SnmpError, match="response binding 2 names"):
+            client.select("ifTable", session)
+
+    def test_set_of_a_swapped_reply_raises(self, registry, loopback_agent):
+        tree, ctx = loopback_agent
+        agent.register_variable(
+            tree, registry.resolve(self.WRITABLE),
+            lambda ctx, ids, *new: new[0] if new else None, writable=True)
+        session = self._session(registry, tree, ctx)
+        with pytest.raises(SnmpError, match="response binding 1 names"):
+            client.set_values(session, [(self.WRITABLE + ".1", 1),
+                                        (self.WRITABLE + ".2", 2)])
+
+    def test_a_short_reply_raises(self, registry, loopback_agent):
+        def short(serve):
+            def answer(data):
+                msg = messages.decode_message(serve(data))
+                del msg.pdu.bindings[-1]
+                return messages.encode_message(msg)
+            return answer
+
+        session = self._session(registry, *loopback_agent, responder=short)
+        with pytest.raises(SnmpError, match="holds 1 bindings for 2"):
+            client.get(session, ["sysName.0", "sysDescr.0"])
+
+    def test_get_pairs_hold_the_request_refs(self, registry, fabric):
+        session = _open(registry, fabric)
+        ref = registry.resolve("sysDescr.0")
+        (name, value), = client.request(session, GET_REQUEST, [ref])
+        assert name is ref and bytes(value)
+
+    def test_other_replies_are_resolved_as_they_come(self, registry,
+                                                     loopback_agent):
+        session = self._session(registry, *loopback_agent)
+        pairs = client.get_next(session, ["sysDescr", "sysName"])
+        assert [str(ref) for ref, _ in pairs] == [
+            "1.3.6.1.2.1.1.5.0", "1.3.6.1.2.1.1.1.0"]
+        assert len(client.bulk(session, 0, 3, ["sysDescr"])) == 3
+
+
 class TestV3:
     CRED = dict(user="alice", auth=("sha1", "authpass123"),
                 priv=("des", "privpass123"))
