@@ -26,8 +26,8 @@ import time
 
 from . import ber, messages, usm
 from .errors import (
-    AuthenticationError, NotInTimeWindowError, SnmpError, SnmpKitError,
-    TransportError,
+    AuthenticationError, EncodingError, NotInTimeWindowError, SnmpError,
+    SnmpKitError, TransportError,
 )
 from .messages import (
     FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE, GET_BULK_REQUEST,
@@ -236,11 +236,15 @@ def _dispatch_get(tree, pdu, ctx, version):
 
 def _instances_after(tree, arcs, ctx, memo):
     """The instances after arcs that read a value, in order, as
-    (arcs, value) pairs.
+    (name, value) pairs.
 
     Starts at the base covering arcs, or else the next base.  memo maps
-    each base probed during this request to its _children, so a request
-    probes a handler at most once.
+    each base probed during this request to its _children and its content
+    octets, so a request probes a handler and encodes a base at most once.
+    Each name is a ber.Oid that keeps its content octets, the base's and
+    then the rest ids'; it keeps none, and so is encoded from its arcs,
+    when the base has fewer than two arcs or no BER form, or a rest id is
+    negative.
     """
     arcs = tuple(arcs)
     bases, entries = tree._view
@@ -249,29 +253,38 @@ def _instances_after(tree, arcs, ctx, memo):
         i -= 1
     for base, handler, _ in entries[i:]:
         if base not in memo:
-            memo[base] = _children(handler, ctx)
-        children = memo[base]
+            try:  # a one-arc base's octets hold a second arc, 0
+                head = ber._encode_oid_content(base) if len(base) > 1 \
+                    else None
+            except EncodingError:
+                head = None
+            memo[base] = _children(handler, ctx), head
+        children, head = memo[base]
         if children is None:
             continue
         key = arcs[len(base):] if arcs[:len(base)] == base else None
         for rest in _children_after(children, key):
             value = _read(handler, ctx, rest)
             if value is not None:
-                yield base + rest, value
+                try:
+                    octets = head and head + ber.subid_octets(rest)
+                except EncodingError:  # a negative rest id
+                    octets = None
+                yield ber._oid(base + rest, octets), value
 
 
 def _next_instances(tree, bindings, ctx, memo, version):
     """GETNEXT's answer to each of bindings, in order, as VarBinds: the
-    first instance after it that reads a value, or endOfMibView past the
-    end of the view.  Under v1 the end of the view yields None instead and
-    stops, so no later binding is read."""
+    first instance after it that reads a value, or endOfMibView under the
+    binding's own name past the end of the view.  Under v1 the end of the
+    view yields None instead and stops, so no later binding is read."""
     for vb in bindings:
-        found = next(_instances_after(tree, vb.arcs, ctx, memo), None)
+        found = next(_instances_after(tree, vb.name.arcs, ctx, memo), None)
         if found is None and version == V1:
             yield None
             return
-        arcs, value = found or (vb.arcs, ber.END_OF_MIB_VIEW)
-        yield VarBind(ber._oid(arcs), value)
+        name, value = found or (vb.name, ber.END_OF_MIB_VIEW)
+        yield VarBind(name, value)
 
 
 def _dispatch_next(tree, pdu, ctx, version):
@@ -293,8 +306,9 @@ def _dispatch_bulk(tree, pdu, ctx, version):
     out = list(_next_instances(tree, pdu.bindings[:non_repeaters], ctx, memo,
                                version))
     repeaters = pdu.bindings[non_repeaters:]
-    steps = [_instances_after(tree, vb.arcs, ctx, memo) for vb in repeaters]
-    cursors = [vb.arcs for vb in repeaters]
+    steps = [_instances_after(tree, vb.name.arcs, ctx, memo)
+             for vb in repeaters]
+    cursors = [vb.name for vb in repeaters]
     ended = [False] * len(steps)
     live = len(steps)
     for _ in range(max(0, pdu.max_repetitions)):
@@ -302,14 +316,14 @@ def _dispatch_bulk(tree, pdu, ctx, version):
             break
         for j, step in enumerate(steps):
             if not ended[j]:
-                arcs, value = next(step, (None, None))
-                if arcs is not None:
-                    out.append(VarBind(ber._oid(arcs), value))
-                    cursors[j] = arcs
+                name, value = next(step, (None, None))
+                if name is not None:
+                    out.append(VarBind(name, value))
+                    cursors[j] = name
                     continue
                 ended[j] = True
                 live -= 1
-            out.append(VarBind(ber._oid(cursors[j]), ber.END_OF_MIB_VIEW))
+            out.append(VarBind(cursors[j], ber.END_OF_MIB_VIEW))
     return messages.response_for(pdu, out)
 
 

@@ -29,11 +29,12 @@ octet becomes its content with one bytes() call and an isascii() check;
 otherwise sub-identifiers below 16384 take two octets in one step.
 
 An Oid keeps its content octets: a decoded one the octets it was read
-from, one built from arcs those its first encode computes, and encode
-and encode_bindings write kept octets out as they are.  Decoding refuses
-a sub-identifier that begins with a 0x80 octet (X.690 section 8.19.2),
-so kept octets are always those an encode of the arcs writes, and equal
-octets mean equal arcs.
+from, one built from arcs those its first encode computes.  Every OID
+name and value is written by one rule: from its ``octets`` when it has
+them, as an Oid and an oids.OidRef do, else from its ``arcs``.  Decoding
+refuses a sub-identifier that begins with a 0x80 octet (X.690 section
+8.19.2), so kept octets are always those an encode of the arcs writes,
+and equal octets mean equal arcs.
 """
 
 from __future__ import annotations
@@ -368,6 +369,8 @@ def _encode_oid_content(arcs):
 def subid_octets(subids):
     """The octets of a tuple of OID sub-identifiers, as in an OID's
     content after its first two arcs."""
+    if len(subids) == 1:  # a table row's index, often above 255
+        return _encode_subid(subids[0])
     try:
         octets = bytes(subids)
     except ValueError:  # a sub-identifier is negative or above 255
@@ -679,8 +682,17 @@ _MARKER_TLVS = {
 _encode_octet_string = tlv_encoder(TAG_OCTET_STRING)
 
 
+def _oid_octets(name):
+    """The content octets of an OID name or value: the octets it keeps,
+    as an Oid and an oids.OidRef do, else those of its arcs."""
+    octets = getattr(name, "octets", None)
+    if octets is None:
+        return _encode_oid_content(tuple(name.arcs))
+    return octets
+
+
 def _encode_oid(value):
-    return _oid_tlv(value.octets)
+    return _oid_tlv(_oid_octets(value))
 
 
 def encode_elements(values):
@@ -698,10 +710,6 @@ def _encode_raw(value):
     if value.encoded:
         return bytes(value.encoded)
     return _tlv(value.tag, value.payload)
-
-
-def _encode_arcs(value):
-    return _oid_tlv(_encode_oid_content(tuple(value.arcs)))
 
 
 _ENCODERS = {
@@ -736,7 +744,7 @@ def _fallback_encoder(value):
         if isinstance(value, kind):
             return _ENCODERS[kind]
     if getattr(value, "arcs", None) is not None:
-        return _encode_arcs
+        return _encode_oid
     raise EncodingError(f"cannot encode value kind {type(value).__name__!r}")
 
 
@@ -747,40 +755,17 @@ def encode(value):
 
 def encode_bindings(bindings):
     """A variable-bindings list, SEQUENCE OF SEQUENCE { OID, value }, as
-    Encoded octets built in one pass.  Each binding has a name, anything
-    whose arcs are ints, and a value, as messages.VarBind does; bindings
-    that are Encoded already are returned as they are.
-
-    A name that keeps its content octets in _octets, as a decoded Oid and
-    an oids.OidRef whose octets are known do, is written with them.  Of
-    the other names, when the first two names share their head, all arcs
-    but the last, as the names of a walk's replies do, a name of more than
-    two arcs with the same head as the name before it is encoded as the
-    head's octets plus its own last sub-identifier; a head is encoded the
-    second time it is met.  Other lists encode each name whole.  Nothing
-    is kept between calls, nor on the names."""
+    Encoded octets built in one pass.  Each binding has a name, written
+    from the octets it keeps (an Oid, an oids.OidRef) or else from its
+    arcs, and a value, as messages.VarBind does; bindings that are Encoded
+    already are returned as they are."""
     if isinstance(bindings, Encoded):
         return bindings
     get = _ENCODERS.get
     tlvs = []
-    heads = [vb.name.arcs[:-1] for vb in bindings[:2]]
-    shared = len(heads) == 2 and len(heads[0]) > 1 and heads[0] == heads[1]
-    head = head_octets = None
     for vb in bindings:
-        name = getattr(vb.name, "_octets", None)
-        if name is None:
-            arcs = vb.name.arcs
-            if not shared:
-                name = _encode_oid_content(arcs)
-            elif arcs[:-1] == head and len(arcs) > 2:
-                if head_octets is None:
-                    head_octets = _encode_oid_content(head)
-                name = head_octets + _encode_subid(arcs[-1])
-            else:
-                name = _encode_oid_content(arcs)
-                head, head_octets = arcs[:-1], None
         value = vb.value
-        tlvs.append(_sequence_tlv(_oid_tlv(name) + (
+        tlvs.append(_sequence_tlv(_oid_tlv(_oid_octets(vb.name)) + (
             get(type(value)) or _fallback_encoder(value))(value)))
     return Encoded(_sequence_tlv(b"".join(tlvs)))
 

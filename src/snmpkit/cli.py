@@ -80,7 +80,7 @@ _PRINTABLE = bytes(range(32, 127)) + b"\t\n\r"
 def _format_oid_value(value, registry):
     if registry is not None:
         try:
-            return "OID: " + format_oid(registry.resolve(value.arcs))
+            return "OID: " + format_oid(registry.resolve(value))
         except OidResolutionError:
             pass
     return "OID: ." + ".".join(str(a) for a in value.arcs)

@@ -24,6 +24,7 @@ from .messages import (
     CommunityMessage, Pdu, ScopedPdu, TrapV1Pdu, UsmParams, V3Message,
     V1, V2C, V3, defaults,
 )
+from .oids import OidRef
 from .smi import table_schema
 
 WALK_BULK_REPETITIONS = 25
@@ -385,7 +386,10 @@ def trap_v1(session, enterprise, generic, specific, bindings=()):
 
 
 def walk(session_or_host, subtree, **session_kwargs):
-    """All (OidRef, value) pairs under a subtree, in lexicographic order."""
+    """All (OidRef, value) pairs under a subtree, in lexicographic order.
+
+    A reply name under the subtree that is not greater than the one before
+    it raises SnmpError naming both ("OID not increasing")."""
     session, ephemeral = _session_for(session_or_host, **session_kwargs)
     try:
         return _walk(session, subtree)
@@ -411,18 +415,15 @@ def _walk(session, subtree):
             step = bulk(session, 0, WALK_BULK_REPETITIONS, [cursor])
         if not step:
             break
-        progressed = False
         for name, value in step:
             arcs = name.arcs
-            if value is ber.END_OF_MIB_VIEW or arcs[:len(prefix)] != prefix \
-                    or arcs <= cursor.arcs:
+            if value is ber.END_OF_MIB_VIEW or arcs[:len(prefix)] != prefix:
                 done = True
                 break
+            if arcs <= cursor.arcs:
+                raise SnmpError(f"OID not increasing: {name} after {cursor}")
             out.append((name, value))
             cursor = name
-            progressed = True
-        if not progressed:
-            break
     return out
 
 
@@ -491,10 +492,8 @@ def select(table_name, from_, **session_kwargs):
 
 
 def _select(session, table_name):
-    registry = session.registry
-    _, entry, schema = table_schema(registry, table_name)
-    columns = [registry.resolve(entry.arcs + (arc,))
-               for arc in sorted(registry.resolve(entry).node.children)]
+    _, entry, schema = table_schema(session.registry, table_name)
+    columns = [OidRef(entry.children[arc]) for arc in sorted(entry.children)]
     if not columns:
         raise SnmpError(f"table {table_name!r} has no columns")
 

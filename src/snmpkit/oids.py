@@ -255,8 +255,8 @@ class Registry:
             except ValueError:
                 raise OidResolutionError(f"malformed numeric OID {text!r}")
             return self._resolve_arcs(arcs)
-        node = self._lookup_name(segments[0], module)
-        return self._descend_named(node, segments[1:])
+        return _descend_spelling(self._lookup_name(segments[0], module), (),
+                                 segments[1:])
 
     def _lookup_name(self, name, module=None):
         if module is not None:
@@ -269,34 +269,6 @@ class Registry:
         if not entries:
             raise OidResolutionError(f"unknown OID name {name!r}", segment=name)
         return entries[0]
-
-    def _descend_named(self, node, segments):
-        rest = []
-        for i, seg in enumerate(segments):
-            if rest:
-                if not seg.isdigit():
-                    raise OidResolutionError(
-                        f"name segment {seg!r} after numeric arcs", segment=seg)
-                rest.append(int(seg))
-                continue
-            child = None
-            for c in node.children.values():
-                if c.name == seg:
-                    child = c
-                    break
-            if child is not None:
-                node = child
-            elif seg.isdigit():
-                arc = int(seg)
-                child = node.children.get(arc)
-                if child is not None:
-                    node = child
-                else:
-                    rest.append(arc)
-            else:
-                raise OidResolutionError(
-                    f"cannot resolve segment {seg!r}", segment=seg)
-        return OidRef(node, rest)
 
     def _resolve_arcs(self, arcs):
         """The ref of a tuple of ints, which already holds its arcs."""
@@ -318,24 +290,41 @@ class Registry:
         return self._resolve_arcs(arcs)
 
     def _resolve_sequence(self, seq):
-        if not seq:
-            return OidRef(self.root)
         if all(isinstance(e, int) for e in seq):
             return self._resolve_arcs(tuple(int(e) for e in seq))
         base = self.resolve(seq[0])
-        rest = list(base.rest)
-        node = base.node
-        for e in seq[1:]:
-            if isinstance(e, int):
-                rest.append(e)
-            elif isinstance(e, str) and e.isdigit():
-                rest.append(int(e))
-            elif isinstance(e, str) and not rest:
-                ref = self._descend_named(node, [e])
-                node, rest = ref.node, list(ref.rest)
-            else:
-                raise OidResolutionError(f"cannot resolve mixed element {e!r}")
-        return OidRef(node, rest)
+        return _descend_spelling(base.node, base.rest, seq[1:])
+
+
+def _descend_spelling(node, rest, parts):
+    """The ref of parts, names and arcs (ints or digit strings), below
+    node and its rest ids.  A name is a child's, found once the arcs
+    before it, which the tree must hold, are descended; the arcs after
+    the last name descend as far as the tree holds.  Parts that hold no
+    arcs give OidRef(node) without walking to the root."""
+    arcs = list(rest)
+    for part in parts:
+        if isinstance(part, int) or isinstance(part, str) and part.isdigit():
+            arcs.append(int(part))
+            continue
+        if arcs:
+            held = _descend_below(node, arcs)
+            if held.rest:
+                raise OidResolutionError(
+                    f"name segment {part!r} after numeric arcs", segment=part)
+            node, arcs = held.node, []
+        node = next((c for c in node.children.values() if c.name == part),
+                    None)
+        if node is None:
+            raise OidResolutionError(f"cannot resolve segment {part!r}",
+                                     segment=part)
+    return _descend_below(node, arcs) if arcs else OidRef(node)
+
+
+def _descend_below(node, arcs):
+    """The ref of arcs, a list of ints, below node."""
+    path = number_list(node)
+    return _descend(node, path + tuple(arcs), len(path))
 
 
 def _descend(node, arcs, i):

@@ -746,6 +746,72 @@ class TestHostileInput:
         _, resp = self._ask(registry, tree, pdu_type, names, a=1, b=3)
         assert (resp.error_status, resp.error_index) == (agent.GEN_ERR, index)
 
+    @pytest.mark.parametrize("version", [V1, V2C])
+    @pytest.mark.parametrize("pdu_type", [GET_NEXT_REQUEST,
+                                          GET_BULK_REQUEST])
+    @pytest.mark.parametrize("base,spec,named", [
+        ((1, 3), [-1], None),    # a negative instance arc
+        ((3,), 1, None),         # a base with no BER form
+        ((1,), [3], (1, 3)),     # a one-arc base: the instance is 1.3
+    ])
+    def test_instance_names_with_no_ber_form(self, version, pdu_type, base,
+                                             spec, named):
+        """An answer whose name has no BER form is genErr naming its
+        request binding; handle_datagram does not raise."""
+        tree = agent.DispatchTree()
+        tree.register(ber.Oid(base), lambda ctx, ids:
+                      ber.OctetString(b"v") if ids else spec)
+        asked = [VarBind(ber.Oid((0, 0)))]
+        wire = messages.encode_message(CommunityMessage(
+            version, b"public", Pdu(pdu_type, 9, 0, 2, asked)))
+        reply = agent.handle_datagram(tree, _ctx(None), wire)
+        status, index, bindings = agent.GEN_ERR, 1, asked
+        if version == V1 and pdu_type == GET_BULK_REQUEST:
+            index = 0
+        elif named is not None:
+            status, index = 0, 0
+            bindings = [VarBind(ber.Oid(named), ber.OctetString(b"v"))]
+            if pdu_type == GET_BULK_REQUEST:
+                bindings.append(VarBind(ber.Oid(named), ber.END_OF_MIB_VIEW))
+        assert reply == messages.encode_message(CommunityMessage(
+            version, b"public",
+            Pdu(messages.RESPONSE, 9, status, index, bindings)))
+
+
+_ANSWER_BASES = st.sampled_from([(1,), (3,), (1, 3), (1, 40), (2, 999),
+                                 (1, 3, 6, 1, 4, 1, 31609)])
+_ANSWER_RESTS = st.lists(st.lists(
+    st.sampled_from([-1, 0, 127, 128, 255, 256, 16383, 16384, 2 ** 32 - 1])
+    | st.integers(0, 1000), max_size=3), min_size=1, max_size=5)
+
+
+class TestAnswerNames:
+    """GETNEXT and GETBULK answer names keep the octets a fresh encode of
+    their arcs gives, or none, so that they fail to encode as it does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([GET_NEXT_REQUEST, GET_BULK_REQUEST]),
+           _ANSWER_BASES, _ANSWER_RESTS, st.integers(1, 6))
+    def test_kept_octets_are_a_fresh_encode(self, pdu_type, base, rests,
+                                            reps):
+        tree = agent.DispatchTree()
+        tree.register(ber.Oid(base), lambda ctx, ids:
+                      ber.OctetString(b"v") if ids else rests)
+        pdu = Pdu(pdu_type, 1, 0, reps, [VarBind(ber.Oid((0, 0)))])
+        for vb in agent.dispatch(tree, pdu, _ctx(None), V2C).bindings:
+            arcs, kept = vb.name.arcs, vb.name._octets
+            try:
+                fresh = ber._encode_oid_content(arcs)
+            except ber.EncodingError:
+                assert kept is None
+                with pytest.raises(ber.EncodingError):
+                    vb.name.octets
+                continue
+            assert kept in (None, fresh)
+            assert vb.name.octets == fresh
+            if vb.value is not ber.END_OF_MIB_VIEW:
+                assert (kept is None) == (len(base) < 2)
+
 
 class TestReplySize:
     """No reply is longer than messages.MAX_UDP_PAYLOAD (RFC 3416 sections

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snmpkit import ber
 from snmpkit.errors import OidConflictError, OidResolutionError
@@ -223,6 +223,75 @@ class TestArcsCarriedThrough:
     def test_descendant_of_one_arc_encodes_its_own_arcs(self):
         row = _CORE.resolve("iso").descendant((3, 6), b"\x03\x06")
         assert row.octets == b"\x2b\x06"
+
+
+@st.composite
+def _spellings(draw):
+    """A name of the core registry and up to three arcs below its node,
+    each an arc of a child of the node reached so far, when it has one,
+    or any arc."""
+    name = draw(st.sampled_from(sorted(_CORE.name_index)))
+    node = _CORE.name_index[name][0]
+    arcs = []
+    for _ in range(draw(st.integers(0, 3))):
+        held = sorted(node.children) if node is not None else []
+        arc = draw(st.sampled_from(held) | _ARC if held else _ARC)
+        arcs.append(arc)
+        node = node.children.get(arc) if node is not None else None
+    return name, arcs
+
+
+class TestSpellings:
+    """Every spelling of an OID descends as far as the tree holds, so all
+    of them resolve to the same node and rest ids."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_spellings())
+    @example(("system", [1]))
+    @example(("system", [1, 0]))
+    @example(("iso", [3, 6, 1, 2, 1, 2, 2, 1, 2, 7]))
+    @example(("ifEntry", [2, 3]))
+    def test_spellings_resolve_alike(self, spelling):
+        name, arcs = spelling
+        node = _CORE.name_index[name][0]
+        ref = _CORE.resolve(name)
+        forms = [".".join([name, *map(str, arcs)]), [name, *arcs],
+                 [node, *arcs], [ref, *arcs]]
+        # the leading-0 rule reads the numbers of an OID below
+        # zeroDotZero, such as 0.1, from the root (see TestResolveNear)
+        if ref.arcs[0] != 0:
+            forms.append(".".join(map(str, ref.arcs + tuple(arcs))))
+        want = _CORE.resolve(forms[-1])
+        for form in forms:
+            got = _CORE.resolve(form)
+            assert (got.node, got.rest) == (want.node, want.rest), form
+            assert got.arcs == number_list(got) == ref.arcs + tuple(arcs)
+
+    def test_named_and_numbered_children_agree(self):
+        assert _CORE.resolve(["system", 1]) == _CORE.resolve("sysDescr")
+        assert _CORE.resolve(["system", "1", 0]) == \
+            _CORE.resolve("sysDescr.0")
+
+    def test_names_after_arcs_the_tree_holds(self):
+        assert _CORE.resolve("iso.3.6.internet.2") == \
+            _CORE.resolve(["iso", 3, 6, "internet", 2]) == \
+            _CORE.resolve("mgmt")
+        for spelling in ("sysDescr.0.foo", ["sysDescr", 0, "foo"]):
+            with pytest.raises(OidResolutionError, match="after numeric"):
+                _CORE.resolve(spelling)
+
+    def test_a_name_without_arcs_does_not_walk_to_the_root(self,
+                                                           monkeypatch):
+        import snmpkit.oids as oids_module
+
+        def no_walk(ref):
+            raise AssertionError("walked to the root")
+
+        ref = _CORE.resolve("ifEntry")
+        monkeypatch.setattr(oids_module, "number_list", no_walk)
+        for spelling in ("ifEntry", "ifTable.ifEntry", ["ifTable", "ifEntry"],
+                         [ref], [ref.node]):
+            assert _CORE.resolve(spelling).node is ref.node
 
 
 @st.composite
