@@ -421,7 +421,8 @@ def handle_datagram(tree, ctx, data, engine=None):
     request, or it is v3 and engine, the LocalEngine that answers v3, is
     None.  A response whose values do not encode is answered with genErr
     instead, and one longer than MAX_UDP_PAYLOAD, or than a v3 request's
-    smaller msgMaxSize, is cut down or answered tooBig.
+    smaller msgMaxSize, is cut down or answered tooBig.  A v3 reply is
+    measured before it is secured, so it is secured once.
     """
     ctx.in_pkts += 1
     try:
@@ -430,13 +431,11 @@ def handle_datagram(tree, ctx, data, engine=None):
             if msg.community != messages.community_octets(ctx.community):
                 return None
             pdu, version, limit = msg.pdu, msg.version, MAX_UDP_PAYLOAD
+            seal = bytes
 
-            def encode(response):
+            def frame(response):
                 return messages.encode_message(messages.CommunityMessage(
                     msg.version, msg.community, response))
-
-            def measure(response):
-                return len(encode(response))
         elif engine is None:
             return None
         else:
@@ -446,39 +445,38 @@ def handle_datagram(tree, ctx, data, engine=None):
             pdu, version = scoped.pdu, V3
             limit = min(msg.msg_max_size, MAX_UDP_PAYLOAD)
 
-            def encode(response):
-                return engine.seal(msg, engine.credential.security_flags,
-                                   scoped.context_name, response)
-
-            def measure(response):
-                return usm.secured_length(engine.reply(
+            def frame(response):
+                return usm.frame(engine.reply(
                     msg, engine.credential.security_flags,
                     scoped.context_name, response))
+
+            def seal(framed):
+                return framed.seal(engine.engine)
     except SnmpKitError:
         return None
     if not isinstance(pdu, Pdu) or pdu.pdu_type not in _DISPATCH:
         return None  # a trap, an inform, a response or a report
     response = dispatch(tree, pdu, ctx, version)
     try:
-        reply = encode(response)
+        framed = frame(response)
     except Exception:  # a handler's value has no BER form
         response = messages.response_for(
             pdu, list(pdu.bindings), GEN_ERR,
             _unencodable_index(pdu, response.bindings))
-        reply = encode(response)
-    return _bounded(pdu, response, reply, limit, encode, measure)
+        framed = frame(response)
+    return seal(_bounded(pdu, response, framed, limit, frame))
 
 
-def _bounded(pdu, response, reply, limit, encode, measure):
-    """reply, or when it is longer than limit octets, a reply that fits
-    (RFC 3416 sections 4.2.1-4.2.3), encode(response) giving the octets
-    and measure(response) their length.  A GETBULK answer keeps as many
-    whole repetitions as fit, found by bisection over its bindings each
-    encoded once, and of the candidates only the one kept is secured; any
+def _bounded(pdu, response, framed, limit, frame):
+    """framed, the reply frame(response), or when it is longer than limit
+    octets, the frame of a reply that fits (RFC 3416 sections
+    4.2.1-4.2.3).  A GETBULK answer keeps as many whole repetitions as
+    fit, found by bisection over its bindings each encoded once; any
     other answer, or one in which not even one repetition fits, becomes
-    tooBig."""
-    if len(reply) > limit and pdu.pdu_type == GET_BULK_REQUEST and \
-            not response.error_status:
+    tooBig.  A frame is secured only after it is kept."""
+    if len(framed) <= limit:
+        return framed
+    if pdu.pdu_type == GET_BULK_REQUEST and not response.error_status:
         head = min(max(0, pdu.non_repeaters), len(pdu.bindings))
         width = max(1, len(pdu.bindings) - head)
         tlvs = [ber.Encoded(ber.encode([vb.name, vb.value]))
@@ -487,19 +485,17 @@ def _bounded(pdu, response, reply, limit, encode, measure):
         def keep(reps):
             response.bindings = ber.Encoded(ber.encode(
                 tlvs[:head + reps * width]))
-            return response
+            return frame(response)
         fits, over = 0, (len(tlvs) - head) // width  # repetitions
         while over - fits > 1:
             mid = (fits + over) // 2
-            if measure(keep(mid)) <= limit:
+            if len(keep(mid)) <= limit:
                 fits = mid
             else:
                 over = mid
         if fits:
-            reply = encode(keep(fits))
-    if len(reply) > limit:
-        reply = encode(messages.response_for(pdu, [], TOO_BIG))
-    return reply
+            return keep(fits)
+    return frame(messages.response_for(pdu, [], TOO_BIG))
 
 
 def _unencodable_index(pdu, bindings):

@@ -361,7 +361,8 @@ def _encode_oid_content(arcs):
         return b""
     if len(arcs) == 1:  # as the arc and a 0, so 1 encodes as 1.0
         arcs = (arcs[0], 0)
-    if arcs[0] > 2 or (arcs[0] < 2 and arcs[1] > 39):
+    if not 0 <= arcs[0] <= 2 or arcs[1] < 0 or \
+            (arcs[0] < 2 and arcs[1] > 39):
         raise EncodingError(f"invalid leading OID arcs {arcs[:2]}")
     return subid_octets((arcs[0] * 40 + arcs[1], *arcs[2:]))
 

@@ -9,8 +9,17 @@ client and the agent protect an outgoing message and check an incoming
 one.  Both work on the wire octets: a message is encoded once, and the
 offset of its MAC is the one messages recorded while encoding or
 decoding it, so a MAC is computed and checked over exactly the octets
-that travel.  Password-derived keys are cached per (protocol,
-passphrase), so sessions sharing a credential derive them once.
+that travel.  secure is frame, whose length is the secured length, then
+Frame.seal, so a message can be measured before it is protected.
+Password-derived keys are cached per (protocol, passphrase), so
+sessions sharing a credential derive them once.
+
+DES contexts stay open per localized privacy key: one CBC encryptor and
+one decryptor each, built once while the key is among the 64 most
+recently used, instead of once per message.  A context chains a message
+to the last ciphertext block of the message before, so each message is
+re-chained to its own IV by XORing IV ^ that block into its first block,
+and encrypts and decrypts octet for octet as under a fresh context.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import hmac
 import secrets
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.ciphers import Cipher, modes
 try:  # single-DES moved to the decrepit module in newer releases
@@ -147,9 +156,54 @@ class _SaltCounter:
 _salt_counter = _SaltCounter()
 
 
-def _des_cipher(localized_priv_key, iv):
-    key = localized_priv_key[:8]
-    return Cipher(TripleDES(key * 3), modes.CBC(iv))
+class _DesChain:
+    """One localized key's DES-CBC encryptor and decryptor, kept open.
+
+    An open CBC context chains a message's first block to the last
+    ciphertext block of the message before, which it records.  XORing
+    iv ^ last into the first plaintext block before encrypting, or into
+    the first decrypted block after decrypting, chains it to the
+    message's own IV instead, so each message comes out as it does under
+    a fresh context (RFC 3414 section 8.1.1.1).  Both contexts start from
+    a zero IV.  Input must be whole 8-octet blocks.
+    """
+
+    def __init__(self, key):
+        cipher = Cipher(TripleDES(key[:8] * 3), modes.CBC(bytes(8)))
+        self._pre_iv = int.from_bytes(key[8:16], "big")
+        self._encryptor = cipher.encryptor()
+        self._decryptor = cipher.decryptor()
+        self._sent = self._received = 0  # the last ciphertext blocks
+        self._lock = threading.Lock()
+
+    def encrypt(self, padded, priv_params):
+        if not padded:
+            return b""
+        iv = self._pre_iv ^ int.from_bytes(priv_params, "big")
+        with self._lock:
+            first = int.from_bytes(padded[:8], "big") ^ iv ^ self._sent
+            out = self._encryptor.update(first.to_bytes(8, "big")
+                                         + padded[8:])
+            self._sent = int.from_bytes(out[-8:], "big")
+        return out
+
+    def decrypt(self, ciphertext, priv_params):
+        if not ciphertext:
+            return b""
+        iv = self._pre_iv ^ int.from_bytes(priv_params, "big")
+        with self._lock:
+            out = self._decryptor.update(ciphertext)
+            mask = iv ^ self._received
+            self._received = int.from_bytes(ciphertext[-8:], "big")
+        return (int.from_bytes(out[:8], "big") ^ mask).to_bytes(8, "big") \
+            + out[8:]
+
+
+@functools.lru_cache(maxsize=64)
+def _des_chain(key):
+    """The _DesChain of a localized key's first 16 octets, built once
+    while the key stays among the 64 most recently used."""
+    return _DesChain(key)
 
 
 def encrypt_scoped_pdu(plaintext, localized_priv_key, engine_boots, salt=None):
@@ -160,12 +214,9 @@ def encrypt_scoped_pdu(plaintext, localized_priv_key, engine_boots, salt=None):
         salt = _salt_counter.next()
     priv_params = (engine_boots % 2 ** 32).to_bytes(4, "big") + \
         (salt % 2 ** 32).to_bytes(4, "big")
-    pre_iv = localized_priv_key[8:16]
-    iv = bytes(a ^ b for a, b in zip(pre_iv, priv_params))
-    pad = (-len(plaintext)) % 8
-    padded = plaintext + bytes(pad)
-    enc = _des_cipher(localized_priv_key, iv).encryptor()
-    return enc.update(padded) + enc.finalize(), priv_params
+    padded = plaintext + bytes(-len(plaintext) % 8)
+    return _des_chain(bytes(localized_priv_key[:16])).encrypt(
+        padded, priv_params), priv_params
 
 
 def decrypt_scoped_pdu(ciphertext, localized_priv_key, priv_params):
@@ -175,11 +226,9 @@ def decrypt_scoped_pdu(ciphertext, localized_priv_key, priv_params):
         raise SnmpError(f"priv_params must be 8 octets, got {len(priv_params)}")
     if len(ciphertext) % 8:
         raise SnmpError("ciphertext length not a multiple of 8")
-    pre_iv = localized_priv_key[8:16]
-    iv = bytes(a ^ b for a, b in zip(pre_iv, priv_params))
-    dec = _des_cipher(localized_priv_key, iv).decryptor()
     # trailing DES padding is delimited away by the inner BER length
-    return dec.update(bytes(ciphertext)) + dec.finalize()
+    return _des_chain(bytes(localized_priv_key[:16])).decrypt(
+        bytes(ciphertext), priv_params)
 
 
 @dataclass
@@ -254,38 +303,60 @@ class EngineState:
 
 
 def secure(msg, keys, salt=None):
-    """The wire octets of a V3Message, protected as its flags ask.
+    """The wire octets of a V3Message, protected as its flags ask: those
+    of frame(msg), sealed with keys, an EngineState (salt as for
+    encrypt_scoped_pdu)."""
+    return frame(msg).seal(keys, salt)
 
-    keys is an EngineState.  With the priv flag, msg.scoped_pdu is
-    encrypted into msg.encrypted_pdu (salt as for encrypt_scoped_pdu).
-    With the auth flag, the message is encoded once with a zero MAC, and
-    the MAC over those octets is written into them at the msg.mac_offset
-    the encoding recorded (RFC 3414 section 6.3.1).
+
+def frame(msg):
+    """msg's octets as secure writes them, but with zeros where the MAC,
+    the privacy parameters and the ciphertext go, as a Frame to seal.
+
+    Its length is the secured message's, found without encrypting or
+    signing, so a message is measured and secured from one encoding.
+    msg's protection fields are set to those zeros.
     """
-    params = msg.usm
-    if msg.flags & FLAG_PRIV:
-        msg.encrypted_pdu, params.priv_params = encrypt_scoped_pdu(
-            messages.encode_scoped_pdu(msg.scoped_pdu), keys.priv_key,
-            params.engine_boots, salt)
-    if not msg.flags & FLAG_AUTH:
-        return messages.encode_message(msg)
-    params.auth_params = bytes(MAC_LENGTH)
-    wire = bytearray(messages.encode_message(msg))
-    at = msg.mac_offset
-    params.auth_params = sign(wire, keys.auth_key, keys.auth_protocol)
-    wire[at:at + MAC_LENGTH] = params.auth_params
-    return bytes(wire)
-
-
-def secured_length(msg):
-    """len(secure(msg, keys)), found without encrypting or signing."""
-    msg = replace(msg, usm=replace(msg.usm))
+    params, plaintext = msg.usm, None
     if msg.flags & FLAG_AUTH:
-        msg.usm.auth_params = bytes(MAC_LENGTH)
+        params.auth_params = bytes(MAC_LENGTH)
     if msg.flags & FLAG_PRIV:
-        n = len(messages.encode_scoped_pdu(msg.scoped_pdu))
-        msg.encrypted_pdu, msg.usm.priv_params = bytes(n + -n % 8), bytes(8)
-    return len(messages.encode_message(msg))
+        plaintext = messages.encode_scoped_pdu(msg.scoped_pdu)
+        msg.encrypted_pdu = bytes(len(plaintext) + -len(plaintext) % 8)
+        params.priv_params = bytes(8)
+    return Frame(msg, bytearray(messages.encode_message(msg)), plaintext)
+
+
+class Frame:
+    """A V3Message's octets from frame, protected in place by seal."""
+
+    __slots__ = ("msg", "wire", "plaintext")
+
+    def __init__(self, msg, wire, plaintext):
+        self.msg, self.wire, self.plaintext = msg, wire, plaintext
+
+    def __len__(self):
+        return len(self.wire)
+
+    def seal(self, keys, salt=None):
+        """The protected octets.  With the priv flag, the scoped PDU's
+        octets are encrypted, and the ciphertext and privacy parameters
+        written over their zeros.  With the auth flag, the MAC over the
+        octets as they then are, MAC zeroed, is written at the
+        msg.mac_offset the encoding recorded (RFC 3414 section 6.3.1)."""
+        msg, wire = self.msg, self.wire
+        params, at = msg.usm, msg.mac_offset
+        if self.plaintext is not None:
+            msg.encrypted_pdu, params.priv_params = encrypt_scoped_pdu(
+                self.plaintext, keys.priv_key, params.engine_boots, salt)
+            wire[len(wire) - len(msg.encrypted_pdu):] = msg.encrypted_pdu
+            # the privacy parameters' TLV, 04 08, follows the MAC's
+            at_priv = at + MAC_LENGTH + 2
+            wire[at_priv:at_priv + 8] = params.priv_params
+        if msg.flags & FLAG_AUTH:
+            params.auth_params = sign(wire, keys.auth_key, keys.auth_protocol)
+            wire[at:at + MAC_LENGTH] = params.auth_params
+        return bytes(wire)
 
 
 def open(wire, keys):

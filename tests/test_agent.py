@@ -753,6 +753,7 @@ class TestHostileInput:
         ((1, 3), [-1], None),    # a negative instance arc
         ((3,), 1, None),         # a base with no BER form
         ((1,), [3], (1, 3)),     # a one-arc base: the instance is 1.3
+        ((1,), [-1], None),      # 1.-1 once encoded as 0.39
     ])
     def test_instance_names_with_no_ber_form(self, version, pdu_type, base,
                                              spec, named):
@@ -1005,8 +1006,7 @@ class TestBoundedRepetitions:
                                   response)
         self._check(registry, tree, pdu, V3, reply, max_size, encode)
 
-    def test_authpriv_reply_is_encrypted_at_most_twice(self, registry,
-                                                        monkeypatch):
+    def test_authpriv_reply_is_encrypted_once(self, registry, monkeypatch):
         # 2,000 repetitions of 100-octet values: far more than one datagram
         value = ber.OctetString(b"s" * 100)
         tree = agent.DispatchTree()
@@ -1028,4 +1028,25 @@ class TestBoundedRepetitions:
         reply = responder(wire)
         assert len(reply) <= messages.MAX_UDP_PAYLOAD
         assert 0 < len(usm.open(reply, keys)[1].pdu.bindings) < 2000
-        assert calls["encrypt"] <= 2
+        assert calls["encrypt"] == 1
+
+    def test_authpriv_reply_that_fits_encodes_its_scoped_pdu_once(
+            self, registry, monkeypatch):
+        tree = agent.DispatchTree()
+        agent.define_scalar(tree, registry, "sysDescr",
+                            lambda ctx: ber.OctetString(b"ok"))
+        responder = _v3_responder(registry, tree)
+        pdu = messages.make_request_pdu(GET_REQUEST, ["sysDescr.0"],
+                                        registry, 9)
+        wire, keys = v3_request(responder, pdu)
+        calls = Counter()
+        encode = messages.encode_scoped_pdu
+
+        def counting(scoped):
+            calls[scoped.pdu.pdu_type] += 1
+            return encode(scoped)
+        monkeypatch.setattr(messages, "encode_scoped_pdu", counting)
+        reply = responder(wire)
+        assert usm.open(reply, keys)[1].pdu.bindings[0].value == \
+            ber.OctetString(b"ok")
+        assert calls == {messages.RESPONSE: 1}

@@ -147,6 +147,13 @@ class TestOidContent:
         with pytest.raises(EncodingError, match="invalid leading OID arcs"):
             ber.encode(ber.Oid(arcs))
 
+    @pytest.mark.parametrize("arcs", [(1, -1), (2, -1), (0, -1), (-1,),
+                                      (-1, 45)])
+    def test_negative_leading_arc_is_refused(self, arcs):
+        # (1, -1) once encoded as 06 01 27, which reads back as 0.39
+        with pytest.raises(EncodingError, match="invalid leading OID arcs"):
+            ber.encode(ber.Oid(arcs))
+
 
 class TestNullAndMarkers:
     def test_null_singleton(self):

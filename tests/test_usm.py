@@ -1,8 +1,11 @@
 import copy
 import hashlib
 import hmac as hmac_mod
+import sys
+import threading
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, modes
 from hypothesis import given, settings, strategies as st
 
 from snmpkit import ber, usm
@@ -20,6 +23,11 @@ MD5_KU = bytes.fromhex("9faf3283884e92834ebc9847d8edd963")
 MD5_KUL = bytes.fromhex("526f5eed9fcce26f8964c2930787d82b")
 SHA1_KU = bytes.fromhex("9fb5cc0381497b3793528939ff788d5d79145211")
 SHA1_KUL = bytes.fromhex("6695febc9288e36282235fc7151f128497b38f3f")
+
+try:  # single-DES moved to the decrepit module in newer releases
+    from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
+except ImportError:  # pragma: no cover
+    from cryptography.hazmat.primitives.ciphers.algorithms import TripleDES
 
 
 class TestKeyDerivation:
@@ -118,6 +126,86 @@ class TestDesPrivacy:
         pt = usm.decrypt_scoped_pdu(ct, self.KEY, pp)
         assert pt[:len(plaintext)] == plaintext
         assert len(pt) - len(plaintext) < 8
+
+
+def _reference_context(key, priv_params):
+    """A fresh DES-CBC context for one message (RFC 3414 section 8.1.1.1):
+    key's first 8 octets, and as IV its last 8 XOR priv_params."""
+    iv = bytes(a ^ b for a, b in zip(key[8:16], priv_params))
+    return Cipher(TripleDES(key[:8] * 3), modes.CBC(iv))
+
+
+def _reference_encrypt(plaintext, key, priv_params):
+    enc = _reference_context(key, priv_params).encryptor()
+    return enc.update(plaintext + bytes(-len(plaintext) % 8)) + \
+        enc.finalize()
+
+
+def _reference_decrypt(ciphertext, key, priv_params):
+    dec = _reference_context(key, priv_params).decryptor()
+    return dec.update(ciphertext) + dec.finalize()
+
+
+_KEPT_KEYS = st.lists(st.binary(min_size=16, max_size=20), min_size=2,
+                      max_size=3, unique_by=lambda k: k[:16])
+_DES_CALLS = st.lists(st.tuples(
+    st.booleans(), st.integers(0, 2), st.binary(max_size=300),
+    st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1)),
+    min_size=1, max_size=12)
+
+
+class TestKeptDesContexts:
+    """DES contexts kept open per localized key encrypt and decrypt every
+    message as a fresh context with the message's own IV does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_KEPT_KEYS, _DES_CALLS)
+    def test_interleaved_keys_match_fresh_contexts(self, keys, calls):
+        for encrypting, which, data, boots, salt in calls:
+            key = keys[which % len(keys)]
+            if encrypting:
+                ct, pp = usm.encrypt_scoped_pdu(data, key, boots, salt=salt)
+                assert pp == (boots.to_bytes(4, "big")
+                              + salt.to_bytes(4, "big"))
+                assert ct == _reference_encrypt(data, key, pp)
+                assert usm.decrypt_scoped_pdu(ct, key, pp)[:len(data)] == \
+                    data
+            else:
+                ct = data[:len(data) - len(data) % 8]
+                pp = salt.to_bytes(4, "big") + boots.to_bytes(4, "big")
+                assert usm.decrypt_scoped_pdu(ct, key, pp) == \
+                    _reference_decrypt(ct, key, pp)
+
+    def test_empty_plaintext_and_ciphertext_give_nothing(self):
+        ct, pp = usm.encrypt_scoped_pdu(b"", MD5_KUL, 1, salt=2)
+        assert ct == b""
+        assert usm.decrypt_scoped_pdu(b"", MD5_KUL, pp) == b""
+
+    def test_threads_sharing_a_key(self):
+        key = hashlib.sha1(b"kept context shared by threads").digest()
+        start = threading.Barrier(4)
+        results = [[] for _ in range(4)]
+
+        def encrypt(out, n):
+            start.wait()
+            for i in range(200):
+                plaintext = bytes([n, i]) * (1 + (n * 200 + i) % 150)
+                out.append((plaintext, *usm.encrypt_scoped_pdu(
+                    plaintext, key, n, salt=i)))
+        threads = [threading.Thread(target=encrypt, args=(results[n], n))
+                   for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside each call
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(map(len, results)) == 800
+        for plaintext, ct, pp in (r for out in results for r in out):
+            assert ct == _reference_encrypt(plaintext, key, pp)
 
 
 class TestCredential:
@@ -240,7 +328,5 @@ class TestSecuredLength:
                                             b"user"),
                         ScopedPdu(engine_id, b"", Pdu(RESPONSE, 5,
                                                       bindings=bindings)))
-        before = copy.deepcopy(msg)
-        length = usm.secured_length(msg)
-        assert msg == before
-        assert length == len(usm.secure(msg, keys))
+        framed = usm.frame(copy.deepcopy(msg))
+        assert len(framed) == len(usm.secure(msg, keys))
