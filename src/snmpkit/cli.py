@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from . import agent as agent_mod, ber, client, smi, transport
+from . import agent as agent_mod, ber, client, smi
 from .errors import (
     ExchangeTimeout, MibError, OidResolutionError, SnmpKitError,
     SnmpStatusError, TransportError,

@@ -1,9 +1,11 @@
 """Session-oriented SNMP manager API.
 
 Sessions wrap an endpoint plus per-peer protocol state (community or v3
-credential and discovered engine).  On top of the raw request primitive
-sit get/get-next/set/bulk/inform/trap, the compound walk, and the
-table-oriented select.
+credential and discovered engine).  Every request, and a v3 engine
+discovery probe, goes out through one _exchange, framed for the session's
+version; a v3 Report is met from one table.  On top of send_pdu sit
+get/get-next/set/bulk/inform, the compound walk, and the table-oriented
+select; trap_v1 sends without waiting for a reply.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
 from .messages import (
     FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE,
     GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST, INFORM_REQUEST, REPORT,
-    RESPONSE, SET_REQUEST, TRAP_V1,
+    RESPONSE, SET_REQUEST,
     CommunityMessage, Pdu, ScopedPdu, TrapV1Pdu, UsmParams, V3Message,
     V1, V2C, V3, defaults,
 )
@@ -28,14 +30,6 @@ from .oids import OidRef
 from .smi import table_schema
 
 WALK_BULK_REPETITIONS = 25
-
-
-def _check_status(response):
-    if response.error_status:
-        name = messages.ERROR_STATUS_NAMES.get(response.error_status,
-                                               str(response.error_status))
-        raise SnmpStatusError(response.error_status, response.error_index, name)
-    return response
 
 
 class Session:
@@ -61,7 +55,7 @@ class Session:
         self.engine = usm.EngineState(clock=clock)
         self.exchanges = 0  # completed request/response exchanges
         self._request_id = secrets.randbelow(2 ** 31 - 1) + 1
-        self._opened_at = time.monotonic()
+        self._opened_at = clock()
 
     @property
     def closed(self):
@@ -121,10 +115,10 @@ def with_session(host, **kwargs):
 
 
 def _session_for(session_or_host, **kwargs):
-    """(session, ephemeral?) — hostname strings open a throwaway session."""
+    """The session given, or a throwaway one to a hostname, as a context."""
     if isinstance(session_or_host, str):
-        return open_session(session_or_host, **kwargs), True
-    return session_or_host, False
+        return with_session(session_or_host, **kwargs)
+    return contextlib.nullcontext(session_or_host)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +131,7 @@ def request(session, pdu_kind, bindings_spec, context=None):
     A non-zero error-status in the response raises SnmpStatusError, and a
     GET or SET response that does not echo the request's names SnmpError.
     """
-    pdu = messages.make_request_pdu(pdu_kind, bindings_spec,
-                                    session.registry,
+    pdu = messages.make_request_pdu(pdu_kind, bindings_spec, session.registry,
                                     session.next_request_id())
     return _pairs(session, pdu, context)
 
@@ -153,14 +146,18 @@ def _pairs(session, pdu, context=None):
     pairs hold the request's refs.  A response that does not raises
     SnmpError.  The names of other responses are resolved once here, each
     from the name before it where that one's node is on its path."""
-    if pdu.pdu_type in (GET_REQUEST, SET_REQUEST):
-        asked = [vb.name.octets for vb in pdu.bindings]
-        response = _check_status(send_pdu(session, pdu, context))
+    asked = [vb.name.octets for vb in pdu.bindings] \
+        if pdu.pdu_type in (GET_REQUEST, SET_REQUEST) else None
+    response = send_pdu(session, pdu, context)
+    status = response.error_status
+    if status:
+        name = messages.ERROR_STATUS_NAMES.get(status, str(status))
+        raise SnmpStatusError(status, response.error_index, name)
+    if asked is not None:
         if [vb.name.octets for vb in response.bindings] != asked:
             _echo_mismatch(pdu.bindings, response.bindings)
         return [(vb.name, got.value)
                 for vb, got in zip(pdu.bindings, response.bindings)]
-    response = _check_status(send_pdu(session, pdu, context))
     resolve = session.registry.resolve
     pairs, ref = [], None
     for vb in response.bindings:
@@ -181,20 +178,29 @@ def _echo_mismatch(asked, got):
 
 
 def send_pdu(session, pdu, context=None):
-    """Transmit a prebuilt PDU and return the matched response PDU.
-
-    The response's names are the Oids off the wire, not resolved.
-    """
-    if session.version in (V1, V2C):
-        return _community_exchange(session, pdu)
-    return _v3_exchange(session, pdu, context)
+    """Transmit a prebuilt PDU, framed as _FRAMES says for the session's
+    version, and return the matched response PDU, its names unresolved.
+    A v3 Report is met as _ON_REPORT says for its first name, then the
+    request is sent once more; a second Report raises UsmProtocolError."""
+    frame = _FRAMES[session.version]
+    _, response = _exchange(session, *frame(session, pdu, context))
+    if response.pdu_type == REPORT:
+        stats = response.bindings[0].arcs if response.bindings else None
+        _ON_REPORT.get(stats, _resync)(session)
+        pdu.request_id = session.next_request_id()
+        _, response = _exchange(session, *frame(session, pdu, context))
+        if response.pdu_type == REPORT:
+            raise UsmProtocolError(
+                f"peer keeps reporting: {response.bindings!r}")
+    return response
 
 
 def _exchange(session, payload, accept):
     """Send payload, retransmitting as transport.exchange does, and return
-    the first reply accept makes of a datagram; accept returns None for a
-    datagram to skip, and may raise to end the exchange.  A completed
-    exchange adds one to session.exchanges, however many sends it took."""
+    the first (message, PDU) reply accept makes of a datagram; accept
+    returns None for a datagram to skip, and may raise to end the
+    exchange.  A completed exchange adds one to session.exchanges, however
+    many sends it took."""
     reply = None
 
     def match(data):
@@ -208,7 +214,8 @@ def _exchange(session, payload, accept):
     return reply
 
 
-def _community_exchange(session, pdu):
+def _community_frame(session, pdu, context=None):
+    """pdu's octets in a community message, and the accept of its reply."""
     def accept(data):
         try:
             msg = messages.decode_message(data)
@@ -217,71 +224,36 @@ def _community_exchange(session, pdu):
         if isinstance(msg, CommunityMessage) and isinstance(msg.pdu, Pdu) \
                 and msg.pdu.pdu_type == RESPONSE \
                 and msg.pdu.request_id == pdu.request_id:
-            return msg.pdu
+            return msg, msg.pdu
         return None
 
-    return _exchange(session, messages.encode_message(
-        CommunityMessage(session.version, session.community, pdu)), accept)
+    return messages.encode_message(
+        CommunityMessage(session.version, session.community, pdu)), accept
 
 
-def _v3_exchange(session, pdu, context=None):
+def _v3_frame(session, pdu, context=None):
+    """pdu's octets in a V3Message secured for the peer engine, which is
+    discovered first when it is not known, and the accept of its reply."""
     if not session.engine.discovered:
-        _discover_engine(session)
-    response = _authenticated_exchange(session, pdu, context)
-    if response.pdu_type == REPORT:
-        # time-window (or similar) report: the engine clock was adopted
-        # during verification, so one resend suffices
-        pdu.request_id = session.next_request_id()
-        response = _authenticated_exchange(session, pdu, context)
-        if response.pdu_type == REPORT:
-            raise UsmProtocolError(
-                f"peer keeps reporting: {response.bindings!r}")
-    return response
+        _discover(session)
+    cred, engine = session.credential, session.engine
+    name = session.context if context is None else context
+    scoped = ScopedPdu(engine.engine_id,
+                       name.encode() if isinstance(name, str) else name, pdu)
+    usm_params = UsmParams(engine.engine_id, engine.engine_boots,
+                           engine.current_time(), cred.user.encode())
+    msg = V3Message(session.next_request_id(),
+                    FLAG_REPORTABLE | cred.security_flags, usm_params, scoped)
+    return _secured(session, msg, pdu.request_id)
 
 
-def _discover_engine(session):
-    """Learn the peer engine id/clock from an unauthenticated Report."""
-    probe = Pdu(GET_REQUEST, session.next_request_id())
-    msg = V3Message(session.next_request_id(), FLAG_REPORTABLE, UsmParams(),
-                    ScopedPdu(pdu=probe))
-    reply, scoped = _raw_v3_exchange(session, msg)
-    if scoped.pdu.pdu_type != REPORT:
-        raise UsmProtocolError("engine discovery did not yield a Report")
-    usm_params = reply.usm
-    if not usm_params.engine_id:
-        raise UsmProtocolError("discovery Report carries no engine id")
-    session.engine.adopt(usm_params.engine_id, usm_params.engine_boots,
-                         usm_params.engine_time, session.credential)
-
-
-def _authenticated_exchange(session, pdu, context=None):
-    cred = session.credential
-    engine = session.engine
-    context_name = (session.context if context is None else context)
-    scoped = ScopedPdu(engine.engine_id, context_name.encode()
-                       if isinstance(context_name, str) else context_name, pdu)
-    flags = FLAG_REPORTABLE | cred.security_flags
-    usm_params = UsmParams(
-        engine_id=engine.engine_id,
-        engine_boots=engine.engine_boots,
-        engine_time=engine.current_time(),
-        user_name=cred.user.encode(),
-    )
-    msg = V3Message(session.next_request_id(), flags, usm_params, scoped)
-    _, scoped = _raw_v3_exchange(session, msg,
-                                 expected_request_id=pdu.request_id)
-    return scoped.pdu
-
-
-def _raw_v3_exchange(session, msg, expected_request_id=None):
-    """Send msg secured by the session's engine keys; the opened reply.
-
-    A reply that echoes msg's id but fails authentication or the time
-    window ends the exchange with AuthenticationError.  Other undecodable
-    or unauthentic datagrams are ignored, and so is a reply other than a
-    Report whose security level differs from msg's (RFC 3412 section
-    7.2, step 13), such as a forged one in clear.
-    """
+def _secured(session, msg, request_id=None):
+    """msg's octets secured by the session's engine keys, and the accept
+    of its reply.  A reply that echoes msg's id but fails authentication
+    or the time window ends the exchange with AuthenticationError.  Other
+    undecodable or unauthentic datagrams are ignored, and so is a reply
+    other than a Report whose security level differs from msg's (RFC 3412
+    section 7.2, step 13), such as a forged one in clear."""
     def accept(data):
         try:
             reply, scoped = usm.open(data, session.engine)
@@ -296,12 +268,38 @@ def _raw_v3_exchange(session, msg, expected_request_id=None):
             return None
         # engines echo msg_id; reports about our request also match on the
         # inner request id
-        if reply.msg_id == msg.msg_id or expected_request_id is not None \
-                and scoped.pdu.request_id == expected_request_id:
-            return reply, scoped
+        if reply.msg_id == msg.msg_id or request_id is not None \
+                and scoped.pdu.request_id == request_id:
+            return reply, scoped.pdu
         return None
 
-    return _exchange(session, usm.secure(msg, session.engine), accept)
+    return usm.secure(msg, session.engine), accept
+
+
+def _discover(session):
+    """Adopt the peer engine id and clock from the Report to a probe."""
+    probe = Pdu(GET_REQUEST, session.next_request_id())
+    reply, report = _exchange(session, *_secured(session, V3Message(
+        session.next_request_id(), FLAG_REPORTABLE, UsmParams(),
+        ScopedPdu(pdu=probe))))
+    if report.pdu_type != REPORT:
+        raise UsmProtocolError("engine discovery did not yield a Report")
+    usm_params = reply.usm
+    if not usm_params.engine_id:
+        raise UsmProtocolError("discovery Report carries no engine id")
+    session.engine.adopt(usm_params.engine_id, usm_params.engine_boots,
+                         usm_params.engine_time, session.credential)
+
+
+def _resync(session):
+    """Nothing: verifying an authenticated Report adopted its engine clock."""
+
+
+_FRAMES = {V1: _community_frame, V2C: _community_frame, V3: _v3_frame}
+
+# Before a v3 Report's request is sent again, by the Report's first name:
+# a changed engine is discovered again (RFC 3414 section 4).
+_ON_REPORT = {messages.USM_STATS_UNKNOWN_ENGINE_IDS: _discover}
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +312,11 @@ def get(session_or_host, oids, **session_kwargs):
     A single OID spec yields a single value, a list yields a list.  A
     hostname string in place of a session opens a temporary one.
     """
-    session, ephemeral = _session_for(session_or_host, **session_kwargs)
-    try:
-        single = _is_single_spec(oids)
-        specs = [oids] if single else list(oids)
-        pairs = request(session, GET_REQUEST, specs)
-        values = [value for _, value in pairs]
-        return values[0] if single else values
-    finally:
-        if ephemeral:
-            close_session(session)
+    single = _is_single_spec(oids)
+    with _session_for(session_or_host, **session_kwargs) as session:
+        pairs = request(session, GET_REQUEST, [oids] if single else list(oids))
+    values = [value for _, value in pairs]
+    return values[0] if single else values
 
 
 def _is_single_spec(oids):
@@ -375,14 +368,12 @@ def trap_v1(session, enterprise, generic, specific, bindings=()):
         addr = ber.IpAddress(bytes(int(p) for p in local_ip.split(".")))
     except Exception:
         addr = ber.IpAddress(b"\x00\x00\x00\x00")
-    ticks = int((time.monotonic() - session._opened_at) * 100)
+    ticks = int((session.clock() - session._opened_at) * 100)
     vbs = [messages.VarBind(session.registry.resolve(spec), value)
            for spec, value in bindings]
     pdu = TrapV1Pdu(session.registry.resolve(enterprise), addr,
                     int(generic), int(specific), ticks, vbs)
-    payload = messages.encode_message(
-        CommunityMessage(V1, session.community, pdu))
-    session.endpoint.send(payload)
+    session.endpoint.send(_community_frame(session, pdu)[0])
 
 
 def walk(session_or_host, subtree, **session_kwargs):
@@ -390,12 +381,8 @@ def walk(session_or_host, subtree, **session_kwargs):
 
     A reply name under the subtree that is not greater than the one before
     it raises SnmpError naming both ("OID not increasing")."""
-    session, ephemeral = _session_for(session_or_host, **session_kwargs)
-    try:
+    with _session_for(session_or_host, **session_kwargs) as session:
         return _walk(session, subtree)
-    finally:
-        if ephemeral:
-            close_session(session)
 
 
 def _walk(session, subtree):
@@ -483,31 +470,25 @@ def select(table_name, from_, **session_kwargs):
     is raised.  Each column's name is encoded once, and each row's
     names are the columns' octets followed by the row index's.
     """
-    session, ephemeral = _session_for(from_, **session_kwargs)
-    try:
-        return _select(session, table_name)
-    finally:
-        if ephemeral:
-            close_session(session)
+    with _session_for(from_, **session_kwargs) as session:
+        _, entry, schema = table_schema(session.registry, table_name)
+        columns = [OidRef(entry.children[arc])
+                   for arc in sorted(entry.children)]
+        if not columns:
+            raise SnmpError(f"table {table_name!r} has no columns")
 
+        first = columns[0]
+        first_arcs = tuple(first.arcs)
+        indices = [tuple(name.arcs)[len(first_arcs):]
+                   for name, _ in _walk(session, first)]
 
-def _select(session, table_name):
-    _, entry, schema = table_schema(session.registry, table_name)
-    columns = [OidRef(entry.children[arc]) for arc in sorted(entry.children)]
-    if not columns:
-        raise SnmpError(f"table {table_name!r} has no columns")
-
-    first = columns[0]
-    first_arcs = tuple(first.arcs)
-    indices = [tuple(name.arcs)[len(first_arcs):]
-               for name, _ in _walk(session, first)]
-
-    rows = []
-    for index in indices:
-        tail = ber.subid_octets(index)
-        pdu = Pdu(GET_REQUEST, session.next_request_id(), bindings=[
-            messages.VarBind(col.descendant(index, tail)) for col in columns])
-        cells = [(col, value)
-                 for col, (_, value) in zip(columns, _pairs(session, pdu))]
-        rows.append(TableRow(schema, index, cells))
-    return rows
+        rows = []
+        for index in indices:
+            tail = ber.subid_octets(index)
+            pdu = Pdu(GET_REQUEST, session.next_request_id(), bindings=[
+                messages.VarBind(col.descendant(index, tail))
+                for col in columns])
+            cells = [(col, value) for col, (_, value)
+                     in zip(columns, _pairs(session, pdu))]
+            rows.append(TableRow(schema, index, cells))
+        return rows

@@ -181,6 +181,17 @@ class TestOperations:
         assert channel.client_sent == before + 1
         assert channel.client_received == 0
 
+    def test_trap_v1_timestamp_follows_the_session_clock(self, registry):
+        sent = []
+        endpoint, channel, clock = harness.connect(sent.append)
+        session = client.open_session(
+            "loopback", version=V1, registry=registry,
+            **harness.loopback_session_kwargs(endpoint, clock))
+        clock.advance(12.34)
+        client.trap_v1(session, "app", 6, 1)
+        trap, = sent
+        assert messages.decode_message(trap).pdu.timestamp == 1234
+
 
 class TestWalk:
     def test_system_group(self, registry, fabric):
@@ -700,3 +711,79 @@ class TestV3WirePath:
                 [stats]
         assert (engine.report_count, engine.auth_count) == (4, 0)
         assert engine.engine.engine_time == 1000
+
+
+class TestReports:
+    """A v3 Report is met by its first name: an unknownEngineIDs Report by
+    discovering the engine again, any other by one resend; a second Report
+    to the same request raises (RFC 3414 section 4)."""
+
+    def _engines(self, loopback_agent, *options):
+        tree, ctx = loopback_agent
+        cred = usm.Credential.create(**TestV3.CRED)
+        return [harness.ScriptedV3Responder(tree, ctx, cred, **option)
+                for option in options]
+
+    def _session(self, registry, serving):
+        """A session that has made one get from serving[0], and the
+        channel; later datagrams go to whatever serving[0] then is."""
+        endpoint, channel, clock = harness.connect(
+            lambda data: serving[0](data))
+        session = client.open_session(
+            "loopback", version=V3, registry=registry, **TestV3.CRED,
+            **harness.loopback_session_kwargs(endpoint, clock))
+        client.get(session, "sysName.0")
+        return session, channel
+
+    def test_a_replaced_engine_is_discovered_again(self, registry,
+                                                   loopback_agent):
+        old, new = self._engines(
+            loopback_agent, {}, {"engine_id": b"\x80\x00\x13\x70\x05new"})
+        serving = [old]
+        session, channel = self._session(registry, serving)
+        serving[0] = new
+        before = session.exchanges
+        assert isinstance(client.get(session, "sysName.0"), ber.OctetString)
+        # an unknownEngineIDs Report, discovery, then the resend
+        assert session.exchanges - before == 3
+        assert session.engine.engine_id == new.engine_id
+        assert session.engine.priv_key == new.priv_key
+        assert (new.report_count, new.auth_count) == (2, 1)
+        client.get(session, "sysName.0")
+        assert session.exchanges - before == 4
+        assert channel.client_sent == channel.agent_sent == session.exchanges
+
+    def test_an_engine_unknown_after_discovery_raises(self, registry,
+                                                      loopback_agent):
+        old, probed, other = self._engines(
+            loopback_agent, {}, {"engine_id": b"\x80\x00\x13\x70\x05new"},
+            {"engine_id": b"\x80\x00\x13\x70\x05other"})
+        serving = [old]
+        session, channel = self._session(registry, serving)
+
+        def inconsistent(data):
+            # discovery finds one engine, and requests reach another
+            probe = not messages.decode_message(data).usm.engine_id
+            return (probed if probe else other)(data)
+
+        serving[0] = inconsistent
+        before, sent = session.exchanges, channel.client_sent
+        with pytest.raises(UsmProtocolError):
+            client.get(session, "sysName.0")
+        # an unknownEngineIDs Report, discovery, a second Report: no loop
+        assert session.exchanges - before == 3
+        assert channel.client_sent - sent == 3
+        assert (probed.report_count, other.report_count) == (1, 2)
+
+    def test_a_rebooted_engine_is_resent_to_once(self, registry,
+                                                 loopback_agent):
+        old, rebooted = self._engines(loopback_agent, {}, {"engine_boots": 2})
+        serving = [old]
+        session, _ = self._session(registry, serving)
+        serving[0] = rebooted
+        before = session.exchanges
+        assert isinstance(client.get(session, "sysName.0"), ber.OctetString)
+        # an authenticated notInTimeWindows Report, then the resend
+        assert session.exchanges - before == 2
+        assert (rebooted.report_count, rebooted.auth_count) == (1, 1)
+        assert session.engine.engine_boots == 2
