@@ -1,7 +1,9 @@
 """Embeddable SNMP agent: dispatch tree, message path and UDP service.
 
 handle_datagram, the one message path, answers v1/v2c by community and
-v3 through a LocalEngine; enable_service serves v1/v2c over UDP.
+v3 through a LocalEngine, which frames its replies and Reports alike; a
+reply that does not encode or fit is replaced in one place, _fitted.
+enable_service serves v1/v2c over UDP.
 
 Variables are served by handler functions attached at base OIDs.  Called
 with an empty rest-id list a handler enumerates its children (a ChildSpec:
@@ -400,17 +402,17 @@ class LocalEngine:
         return self.seal(msg, flags, b"", Pdu(REPORT, request_id, bindings=[
             VarBind(ber.Oid(stats), ber.Counter32(1))]))
 
-    def reply(self, msg, flags, context_name, pdu):
-        """The V3Message answering msg with pdu, before it is secured."""
+    def frame(self, msg, flags, context_name, pdu):
+        """The usm.Frame of a reply to msg carrying pdu, to be secured as
+        flags ask: measured as it will go out, and not yet secured."""
         params = UsmParams(self.engine_id, self.engine.engine_boots,
                            self.engine.engine_time, msg.usm.user_name)
-        return V3Message(msg.msg_id, flags, params, ScopedPdu(
-            self.engine_id, context_name, pdu))
+        return usm.frame(V3Message(msg.msg_id, flags, params, ScopedPdu(
+            self.engine_id, context_name, pdu)))
 
     def seal(self, msg, flags, context_name, pdu):
         """The octets of a reply to msg carrying pdu, secured as flags ask."""
-        return usm.secure(self.reply(msg, flags, context_name, pdu),
-                          self.engine)
+        return self.frame(msg, flags, context_name, pdu).seal(self.engine)
 
 
 def handle_datagram(tree, ctx, data, engine=None):
@@ -419,10 +421,10 @@ def handle_datagram(tree, ctx, data, engine=None):
     Returns the reply bytes, or None when the datagram is dropped: it does
     not decode or decrypt, its community is wrong, its PDU is not a
     request, or it is v3 and engine, the LocalEngine that answers v3, is
-    None.  A response whose values do not encode is answered with genErr
-    instead, and one longer than MAX_UDP_PAYLOAD, or than a v3 request's
-    smaller msgMaxSize, is cut down or answered tooBig.  A v3 reply is
-    measured before it is secured, so it is secured once.
+    None.  The response is framed once and sent as it is when it encodes
+    and is no longer than MAX_UDP_PAYLOAD, or than a v3 request's smaller
+    msgMaxSize; _fitted replaces any other.  A v3 reply is framed by
+    engine.frame, as Reports are, and measured before it is secured once.
     """
     ctx.in_pkts += 1
     try:
@@ -446,9 +448,8 @@ def handle_datagram(tree, ctx, data, engine=None):
             limit = min(msg.msg_max_size, MAX_UDP_PAYLOAD)
 
             def frame(response):
-                return usm.frame(engine.reply(
-                    msg, engine.credential.security_flags,
-                    scoped.context_name, response))
+                return engine.frame(msg, engine.credential.security_flags,
+                                    scoped.context_name, response)
 
             def seal(framed):
                 return framed.seal(engine.engine)
@@ -460,28 +461,37 @@ def handle_datagram(tree, ctx, data, engine=None):
     try:
         framed = frame(response)
     except Exception:  # a handler's value has no BER form
-        response = messages.response_for(
-            pdu, list(pdu.bindings), GEN_ERR,
-            _unencodable_index(pdu, response.bindings))
-        framed = frame(response)
-    return seal(_bounded(pdu, response, framed, limit, frame))
+        framed = None
+    if framed is None or len(framed) > limit:
+        framed = _fitted(pdu, response, limit, frame)
+    return seal(framed)
 
 
-def _bounded(pdu, response, framed, limit, frame):
-    """framed, the reply frame(response), or when it is longer than limit
-    octets, the frame of a reply that fits (RFC 3416 sections
-    4.2.1-4.2.3).  A GETBULK answer keeps as many whole repetitions as
-    fit, found by bisection over its bindings each encoded once; any
-    other answer, or one in which not even one repetition fits, becomes
-    tooBig.  A frame is secured only after it is kept."""
-    if len(framed) <= limit:
-        return framed
-    if pdu.pdu_type == GET_BULK_REQUEST and not response.error_status:
-        head = min(max(0, pdu.non_repeaters), len(pdu.bindings))
-        width = max(1, len(pdu.bindings) - head)
-        tlvs = [ber.Encoded(ber.encode([vb.name, vb.value]))
-                for vb in response.bindings]
-
+def _fitted(pdu, response, limit, frame):
+    """The frame of the reply to pdu that replaces response, which does
+    not encode or is longer than limit octets (RFC 3416 sections
+    4.2.1-4.2.3), from its answer bindings each encoded once.  An answer
+    with no BER form makes it genErr, indexing the first request binding
+    with one: a GETBULK response holds the non-repeaters' answers, then
+    one per repeater in each repetition (see _dispatch_bulk).  Otherwise a
+    GETBULK answer keeps the whole repetitions that fit, by bisection.  A
+    reply that still does not fit, genErr included, becomes tooBig."""
+    bulk = pdu.pdu_type == GET_BULK_REQUEST
+    head = min(max(0, pdu.non_repeaters), len(pdu.bindings)) if bulk \
+        else len(response.bindings)
+    width = max(1, len(pdu.bindings) - head)
+    tlvs, failed = [], []
+    for k, vb in enumerate(response.bindings):
+        try:
+            tlvs.append(ber.Encoded(ber.encode([vb.name, vb.value])))
+        except Exception:
+            failed.append(k if k < head else head + (k - head) % width)
+    if failed:
+        framed = frame(messages.response_for(
+            pdu, list(pdu.bindings), GEN_ERR, min(failed) + 1))
+        if len(framed) <= limit:
+            return framed
+    elif bulk and not response.error_status:
         def keep(reps):
             response.bindings = ber.Encoded(ber.encode(
                 tlvs[:head + reps * width]))
@@ -496,26 +506,6 @@ def _bounded(pdu, response, framed, limit, frame):
         if fits:
             return keep(fits)
     return frame(messages.response_for(pdu, [], TOO_BIG))
-
-
-def _unencodable_index(pdu, bindings):
-    """1-based index of the first request binding one of whose answers in
-    bindings does not encode on its own; 0 when each one does.
-
-    A GETBULK response holds the non-repeaters' answers, then one answer
-    per repeater in each repetition (see _dispatch_bulk).
-    """
-    n = len(bindings)
-    if pdu.pdu_type == GET_BULK_REQUEST:
-        n = min(max(0, pdu.non_repeaters), len(pdu.bindings))
-    width = max(1, len(pdu.bindings) - n)
-    failed = []
-    for k, vb in enumerate(bindings):
-        try:
-            ber.encode_bindings([vb])
-        except Exception:
-            failed.append(k if k < n else n + (k - n) % width)
-    return min(failed) + 1 if failed else 0
 
 
 class ServiceHandle:

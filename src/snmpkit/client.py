@@ -57,10 +57,6 @@ class Session:
         self._request_id = secrets.randbelow(2 ** 31 - 1) + 1
         self._opened_at = clock()
 
-    @property
-    def closed(self):
-        return getattr(self.endpoint, "closed", False)
-
     def next_request_id(self):
         rid = self._request_id
         self._request_id = self._request_id % (2 ** 31 - 1) + 1
@@ -125,7 +121,7 @@ def _session_for(session_or_host, **kwargs):
 # The core request primitive
 
 
-def request(session, pdu_kind, bindings_spec, context=None):
+def request(session, pdu_kind, bindings_spec):
     """Issue one request and return the response (OidRef, value) pairs.
 
     A non-zero error-status in the response raises SnmpStatusError, and a
@@ -133,10 +129,10 @@ def request(session, pdu_kind, bindings_spec, context=None):
     """
     pdu = messages.make_request_pdu(pdu_kind, bindings_spec, session.registry,
                                     session.next_request_id())
-    return _pairs(session, pdu, context)
+    return _pairs(session, pdu)
 
 
-def _pairs(session, pdu, context=None):
+def _pairs(session, pdu):
     """Send pdu, whose names are OidRefs; the response's (OidRef, value)
     pairs.  A non-zero error-status raises SnmpStatusError.
 
@@ -148,7 +144,7 @@ def _pairs(session, pdu, context=None):
     from the name before it where that one's node is on its path."""
     asked = [vb.name.octets for vb in pdu.bindings] \
         if pdu.pdu_type in (GET_REQUEST, SET_REQUEST) else None
-    response = send_pdu(session, pdu, context)
+    response = send_pdu(session, pdu)
     status = response.error_status
     if status:
         name = messages.ERROR_STATUS_NAMES.get(status, str(status))
@@ -177,18 +173,18 @@ def _echo_mismatch(asked, got):
                     "requested")
 
 
-def send_pdu(session, pdu, context=None):
+def send_pdu(session, pdu):
     """Transmit a prebuilt PDU, framed as _FRAMES says for the session's
     version, and return the matched response PDU, its names unresolved.
     A v3 Report is met as _ON_REPORT says for its first name, then the
     request is sent once more; a second Report raises UsmProtocolError."""
     frame = _FRAMES[session.version]
-    _, response = _exchange(session, *frame(session, pdu, context))
+    _, response = _exchange(session, *frame(session, pdu))
     if response.pdu_type == REPORT:
         stats = response.bindings[0].arcs if response.bindings else None
         _ON_REPORT.get(stats, _resync)(session)
         pdu.request_id = session.next_request_id()
-        _, response = _exchange(session, *frame(session, pdu, context))
+        _, response = _exchange(session, *frame(session, pdu))
         if response.pdu_type == REPORT:
             raise UsmProtocolError(
                 f"peer keeps reporting: {response.bindings!r}")
@@ -214,7 +210,7 @@ def _exchange(session, payload, accept):
     return reply
 
 
-def _community_frame(session, pdu, context=None):
+def _community_frame(session, pdu):
     """pdu's octets in a community message, and the accept of its reply."""
     def accept(data):
         try:
@@ -231,13 +227,13 @@ def _community_frame(session, pdu, context=None):
         CommunityMessage(session.version, session.community, pdu)), accept
 
 
-def _v3_frame(session, pdu, context=None):
+def _v3_frame(session, pdu):
     """pdu's octets in a V3Message secured for the peer engine, which is
     discovered first when it is not known, and the accept of its reply."""
     if not session.engine.discovered:
         _discover(session)
     cred, engine = session.credential, session.engine
-    name = session.context if context is None else context
+    name = session.context
     scoped = ScopedPdu(engine.engine_id,
                        name.encode() if isinstance(name, str) else name, pdu)
     usm_params = UsmParams(engine.engine_id, engine.engine_boots,

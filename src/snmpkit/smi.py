@@ -269,14 +269,7 @@ class _Parser:
         if tok.text == "MACRO":
             self.next()
             self.expect("::=")
-            self.expect("BEGIN")
-            depth = 1
-            while depth:
-                t = self.next()
-                if t.text == "BEGIN":
-                    depth += 1
-                elif t.text == "END":
-                    depth -= 1
+            self._skip_balanced("BEGIN", "END")
             return None
         if tok.text == "::=":
             self.next()

@@ -892,6 +892,28 @@ class TestReplySize:
         assert len(responder.seal(request, ALICE.security_flags, b"",
                                   resp)) > max_size
 
+    def test_v3_generr_longer_than_msg_max_size_is_too_big(self, registry):
+        """A genErr reply echoes the request's names, so it is held to the
+        request's msgMaxSize as any other reply is."""
+        tree = agent.DispatchTree()
+        agent.register_variable(
+            tree, registry.resolve("sysContact"),
+            lambda ctx, ids: True if ids == (1,) else ber.OctetString(b"x"))
+        base = registry.resolve("sysContact").arcs
+        names = [base + (1,)] + [base + (k,) + (10 ** 6,) * 40
+                                 for k in range(2, 8)]
+        pdu = messages.make_request_pdu(GET_REQUEST, names, registry, 9)
+        responder = _v3_responder(registry, tree)
+        wire, keys = v3_request(responder, pdu, max_size=484)
+        echoed = messages.response_for(pdu, pdu.bindings, agent.GEN_ERR, 1)
+        assert len(responder.seal(messages.decode_message(wire),
+                                  ALICE.security_flags, b"", echoed)) > 484
+        reply = responder(wire)
+        assert len(reply) <= 484
+        resp = usm.open(reply, keys)[1].pdu
+        assert (resp.error_status, resp.error_index, resp.bindings) == \
+            (agent.TOO_BIG, 0, [])
+
     @pytest.mark.parametrize("max_size", [483, -5])
     def test_v3_request_with_msg_max_size_out_of_range_is_dropped(
             self, registry, max_size):

@@ -169,6 +169,69 @@ class TestCommands:
         assert count <= 4
 
 
+class TestSetCommand:
+    @pytest.fixture()
+    def writable_agent(self):
+        """(address, store, registry): a UDP agent whose sysContact,
+        sysServices and sysObjectID scalars are written into store."""
+        registry = load_core(Registry())
+        ctx = agent.AgentContext(0, "127.0.0.1", "public", registry)
+        tree = agent.DispatchTree()
+        store = {}
+
+        def scalar(name):
+            def handler(ctx, ids, *new):
+                if not ids:
+                    return 0
+                if tuple(ids) != (0,):
+                    return None
+                if new:
+                    store[name] = new[0]
+                return store.get(name)
+            agent.register_variable(tree, registry.resolve(name), handler,
+                                    writable=True)
+
+        for name in ("sysContact", "sysServices", "sysObjectID"):
+            scalar(name)
+        handle = agent.ServiceHandle(tree, ctx)
+        host, port = handle.bound_address[:2]
+        yield f"{host}:{port}", store, registry
+        handle.stop()
+
+    def test_string_and_integer(self, writable_agent, capsys):
+        address, store, _ = writable_agent
+        code = cli.main(["set", address, "sysContact.0", "s", "ops desk",
+                         "sysServices.0", "i", "72"])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "SNMPv2-MIB::sysContact.0 = STRING: ops desk",
+            "SNMPv2-MIB::sysServices.0 = INTEGER: 72"]
+        assert store == {"sysContact": ber.OctetString(b"ops desk"),
+                         "sysServices": 72}
+
+    def test_oid_value_is_stored_as_an_oid(self, writable_agent, capsys):
+        address, store, registry = writable_agent
+        code = cli.main(["set", address, "sysObjectID.0", "o", "appAgent"])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().out == \
+            "SNMPv2-MIB::sysObjectID.0 = OID: APP-MIB::appAgent\n"
+        value = store["sysObjectID"]
+        assert isinstance(value, ber.Oid)
+        assert value.arcs == registry.resolve("appAgent").arcs
+
+    @pytest.mark.parametrize("assignments", [
+        ["sysContact.0", "s"],
+        ["sysContact.0", "s", "x", "sysServices.0"],
+        ["sysContact.0", "q", "x"],
+    ])
+    def test_bad_assignments_are_usage(self, writable_agent, capsys,
+                                       assignments):
+        address, store, _ = writable_agent
+        assert cli.main(["set", address, *assignments]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err
+        assert store == {}
+
+
 class TestDocumentedCommands:
     @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
     def test_command_line_examples_parse(self, doc):

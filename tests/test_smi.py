@@ -190,6 +190,44 @@ END"""
         assert not [r for r in module.records
                     if isinstance(r, smi.OidAssignment)]
 
+    def test_macro_definition_skipped(self):
+        module = smi.compile_text("""T DEFINITIONS ::= BEGIN
+NESTED-MACRO MACRO ::=
+BEGIN
+    TYPE NOTATION ::= "SYNTAX" type(Syntax)
+    INNER ::= BEGIN VALUE NOTATION ::= value(VALUE ObjectName) END
+END
+after OBJECT IDENTIFIER ::= { enterprises 5 }
+END""")
+        assert module.records == [smi.OidAssignment("T", "after",
+                                                    "enterprises", 5)]
+
+    def test_exports_skipped(self):
+        module = smi.compile_text("""T DEFINITIONS ::= BEGIN
+EXPORTS a, b;
+a OBJECT IDENTIFIER ::= { enterprises 5 }
+END""")
+        assert [r.name for r in module.records] == ["a"]
+
+    def test_textual_convention_with_display_hint(self):
+        module = smi.compile_text("""T DEFINITIONS ::= BEGIN
+Foo ::= TEXTUAL-CONVENTION
+    DISPLAY-HINT "255a"
+    STATUS       current
+    DESCRIPTION  "Text."
+    SYNTAX       OCTET STRING (SIZE (0..255))
+END""")
+        assert module.records == []
+        assert module.warnings == [
+            "textual convention Foo recorded as alias of OCTET STRING only"]
+
+    def test_oid_path_of_named_numbers(self):
+        module = smi.compile_text("""T DEFINITIONS ::= BEGIN
+x OBJECT IDENTIFIER ::= { iso(1) org(3) 99 }
+END""")
+        (record,) = module.records
+        assert (record.parent, record.arc) == ("iso.3", 99)
+
 
 class TestEmitReload:
     def test_emit_read_round_trip(self):
