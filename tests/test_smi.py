@@ -272,6 +272,188 @@ _CMIB_SHA256 = {
 }
 
 
+# Every statement kind and OBJECT-TYPE clause the bundled corpus lacks
+MACROS_SAMPLE = """
+MACROS-MIB DEFINITIONS ::= BEGIN
+
+IMPORTS
+    MODULE-IDENTITY, OBJECT-TYPE, NOTIFICATION-TYPE, enterprises
+        FROM SNMPv2-SMI
+    TEXTUAL-CONVENTION FROM SNMPv2-TC
+    OBJECT-GROUP, MODULE-COMPLIANCE, AGENT-CAPABILITIES
+        FROM SNMPv2-CONF;
+
+macrosMib MODULE-IDENTITY
+    LAST-UPDATED "202601010000Z"
+    ORGANIZATION "snmpkit"
+    CONTACT-INFO "nobody"
+    DESCRIPTION  "The module."
+    REVISION     "202601010000Z"
+    DESCRIPTION  "Second revision."
+    REVISION     "202501010000Z"
+    DESCRIPTION  "First revision."
+    ::= { enterprises 7703 }
+
+OLD-MACRO MACRO ::=
+BEGIN
+    TYPE NOTATION ::= "SYNTAX" type(Syntax)
+    VALUE NOTATION ::= value(VALUE ObjectName)
+END
+
+Level ::= TEXTUAL-CONVENTION
+    DISPLAY-HINT "d"
+    STATUS       current
+    DESCRIPTION  "A level."
+    SYNTAX       INTEGER (0..9)
+
+Label ::= OCTET STRING (SIZE (0..32))
+
+mObjects OBJECT IDENTIFIER ::= { macrosMib 1 }
+
+mLevel OBJECT-TYPE
+    SYNTAX      INTEGER { up(1), down(2) }
+    UNITS       "levels"
+    MAX-ACCESS  read-write
+    STATUS      current
+    DESCRIPTION "The level."
+    REFERENCE   "RFC 2578"
+    DEFVAL      { up }
+    ::= { mObjects 1 }
+
+mFlags OBJECT-TYPE
+    SYNTAX      BITS { a(0), b(1) }
+    ACCESS      read-only
+    STATUS      mandatory
+    DESCRIPTION "Flags."
+    ::= { mObjects 2 }
+
+mTable OBJECT-TYPE
+    SYNTAX      SEQUENCE OF MEntry
+    MAX-ACCESS  not-accessible
+    STATUS      current
+    DESCRIPTION "A table."
+    ::= { mObjects 3 }
+
+mEntry OBJECT-TYPE
+    SYNTAX      MEntry
+    MAX-ACCESS  not-accessible
+    STATUS      current
+    DESCRIPTION "A row."
+    INDEX       { mIndex }
+    ::= { mTable 1 }
+
+MEntry ::= SEQUENCE {
+    mIndex  INTEGER (1..10),
+    mName   Label
+}
+
+mIndex OBJECT-TYPE
+    SYNTAX      INTEGER (1..10)
+    MAX-ACCESS  not-accessible
+    STATUS      current
+    DESCRIPTION "Row index."
+    ::= { mEntry 1 }
+
+mExtEntry OBJECT-TYPE
+    SYNTAX      MExtEntry
+    MAX-ACCESS  not-accessible
+    STATUS      current
+    DESCRIPTION "An augmenting row."
+    AUGMENTS    { mEntry }
+    ::= { mTable 2 }
+
+mEvent NOTIFICATION-TYPE
+    OBJECTS     { mLevel, mFlags }
+    STATUS      current
+    DESCRIPTION "Something happened."
+    ::= { macrosMib 2 }
+
+mOldTrap TRAP-TYPE
+    ENTERPRISE  macrosMib
+    VARIABLES   { mLevel }
+    DESCRIPTION "A v1 trap."
+    ::= 3
+
+mGroup OBJECT-GROUP
+    OBJECTS     { mLevel, mFlags }
+    STATUS      current
+    DESCRIPTION "The objects."
+    ::= { macrosMib 4 }
+
+mCompliance MODULE-COMPLIANCE
+    STATUS      current
+    DESCRIPTION "Comply."
+    MODULE
+        MANDATORY-GROUPS { mGroup }
+        GROUP       mGroup
+        DESCRIPTION "Group detail."
+    ::= { macrosMib 5 }
+
+mCapability AGENT-CAPABILITIES
+    PRODUCT-RELEASE "1.0"
+    STATUS      current
+    DESCRIPTION "Capable."
+    SUPPORTS    MACROS-MIB
+        INCLUDES { mGroup }
+        VARIATION mLevel
+            ACCESS read-only
+            DESCRIPTION "Read only here."
+    ::= { macrosMib 6 }
+
+mIso OBJECT IDENTIFIER ::= { iso(1) org(3) 5 }
+mZero OBJECT IDENTIFIER ::= { 0 0 }
+mNumeric OBJECT IDENTIFIER ::= { 1 3 6 99 }
+
+END
+"""
+
+# CMIB SHA-256 and warnings of MACROS_SAMPLE; a MODULE-IDENTITY's
+# description is its last DESCRIPTION, here the first revision's
+_MACROS_SAMPLE_GOLDEN = (
+    "c0feb5378c7b5da73fa298d0154872dea78b22dd36a0aa21a12bdd714b04bce1",
+    ["textual convention Level recorded as alias of INTEGER only",
+     "type alias Label ::= OCTET STRING skipped",
+     "TRAP-TYPE mOldTrap skipped (no OID arc)"],
+)
+
+
+class TestMacrosSample:
+    def test_cmib_and_warnings_golden(self):
+        module = smi.compile_text(MACROS_SAMPLE)
+        sha, warnings = _MACROS_SAMPLE_GOLDEN
+        assert hashlib.sha256(smi.emit_bytes(module)).hexdigest() == sha
+        assert module.warnings == warnings
+
+    def test_records(self):
+        module = smi.compile_text(MACROS_SAMPLE)
+        by_name = {r.name: r for r in module.records
+                   if isinstance(r, smi.OidAssignment)}
+        assert by_name["macrosMib"].description == "First revision."
+        assert by_name["mCompliance"].description == "Group detail."
+        assert by_name["mLevel"].syntax_constraint == "{ up ( 1 ) , down ( 2 ) }"
+        assert by_name["mFlags"].syntax == "BITS"
+        assert by_name["mTable"].syntax == "SEQUENCE OF MEntry"
+        assert [(by_name[n].parent, by_name[n].arc)
+                for n in ("mIso", "mZero", "mNumeric")] == \
+            [("iso.3", 5), ("0", 0), ("0.1.3.6", 99)]
+
+    @pytest.mark.parametrize("clause,message,column", [
+        ('COLOUR "red"', "unknown OBJECT-TYPE clause 'COLOUR'", 5),
+        ("UNITS levels", "expected string token, got 'levels'", 11),
+    ])
+    def test_bad_object_type_clause(self, clause, message, column):
+        source = ("T DEFINITIONS ::= BEGIN\n"
+                  "x OBJECT-TYPE\n"
+                  "    SYNTAX INTEGER\n"
+                  f"    {clause}\n"
+                  "    ::= { enterprises 1 }\n"
+                  "END")
+        with pytest.raises(MibParseError) as exc:
+            smi.compile_text(source)
+        assert str(exc.value).startswith(message)
+        assert (exc.value.line, exc.value.column) == (4, column)
+
+
 class TestBundledCorpus:
     @pytest.mark.parametrize("name", sorted(_CMIB_SHA256))
     def test_cmib_golden(self, name):
