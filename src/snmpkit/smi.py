@@ -135,19 +135,29 @@ class CompiledMibModule:
 # Parser
 
 
+# The token after the last one; its text matches nothing the grammar reads
+_END = MibToken("end", "", 0, 0)
+
+# group brackets that a type constraint or a macro clause may open
+_CLOSE = {"{": "}", "(": ")"}
+
+# type names of more than one token; None stands for any token
+_TYPE_WORDS = {"OCTET": ("STRING",), "OBJECT": ("IDENTIFIER",),
+               "SEQUENCE": ("OF", None)}
+
+
 class _Parser:
     def __init__(self, tokens):
-        self.tokens = tokens
+        self.tokens = [*tokens, _END]
         self.pos = 0
         self.warnings = []
 
     def peek(self, ahead=0):
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+        return self.tokens[self.pos + ahead]
 
     def next(self):
-        tok = self.peek()
-        if tok is None:
+        tok = self.tokens[self.pos]
+        if tok is _END:
             raise MibParseError("unexpected end of module")
         self.pos += 1
         return tok
@@ -163,10 +173,8 @@ class _Parser:
         return tok
 
     def accept(self, text):
-        tok = self.peek()
-        if tok is not None and tok.text == text:
-            self.pos += 1
-            return tok
+        if self.peek().text == text:
+            return self.next()
         return None
 
     def warn(self, message):
@@ -176,155 +184,116 @@ class _Parser:
 
     def parse_module(self):
         name = self.expect(kind="name").text
-        self.expect("DEFINITIONS")
-        self.expect("::=")
-        self.expect("BEGIN")
+        for word in ("DEFINITIONS", "::=", "BEGIN"):
+            self.expect(word)
         imports = []
         records = []
         self.module = name
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise MibParseError("missing END")
-            if tok.text == "END":
-                self.next()
-                break
+        while not self.accept("END"):
+            tok = self.next()
             if tok.text == "IMPORTS":
-                self.next()
                 imports.extend(self._parse_imports())
-                continue
-            if tok.text == "EXPORTS":
-                self.next()
+            elif tok.text == "EXPORTS":
                 while self.next().text != ";":
                     pass
-                continue
-            if tok.kind in ("name", "keyword"):
-                rec = self._parse_statement()
+            elif tok.kind in ("name", "keyword"):
+                rec = self._parse_statement(tok)
                 if rec is not None:
                     records.append(rec)
-                continue
-            raise MibParseError(f"unexpected token {tok.text!r}",
-                                tok.line, tok.column)
-        header = ModuleHeader(name, tuple(imports))
-        mod = CompiledMibModule(header, records)
-        mod.warnings = self.warnings
-        return mod
+            else:
+                raise MibParseError(f"unexpected token {tok.text!r}",
+                                    tok.line, tok.column)
+        return CompiledMibModule(ModuleHeader(name, tuple(imports)), records,
+                                 self.warnings)
 
     def _parse_imports(self):
         imports = []
         pending = []
-        while True:
-            tok = self.next()
-            if tok.text == ";":
-                break
-            if tok.text == ",":
-                continue
+        while (tok := self.next()).text != ";":
             if tok.text == "FROM":
                 from_mod = self.expect(kind="name").text
                 imports.extend((sym, from_mod) for sym in pending)
                 pending = []
-                continue
-            pending.append(tok.text)
+            elif tok.text != ",":
+                pending.append(tok.text)
         return imports
 
     # -- statements ---------------------------------------------------------
 
-    # macros whose body is skipped up to their OID path: macro -> node kind
-    _SKIP_TO_PATH_MACROS = {
-        "MODULE-IDENTITY": "module-identity", "OBJECT-IDENTITY": "other",
-        "NOTIFICATION-TYPE": "other", "OBJECT-GROUP": "other",
-        "NOTIFICATION-GROUP": "other", "MODULE-COMPLIANCE": "other",
-        "AGENT-CAPABILITIES": "other",
-    }
-
-    def _parse_statement(self):
-        name_tok = self.next()
+    def _parse_statement(self, name_tok):
         name = name_tok.text
-        tok = self.peek()
-        if tok is None:
-            raise MibParseError("dangling name at end of module",
-                                name_tok.line, name_tok.column)
-        if tok.text == "OBJECT" and self.peek(1) and self.peek(1).text == "IDENTIFIER":
-            self.next()
-            self.next()
-            self.expect("::=")
+        tok = self.next()
+        if tok.text in self._PATH_STATEMENTS:
+            node_kind, read_body = self._PATH_STATEMENTS[tok.text]
+            fields = read_body(self)
             parent, arc = self._parse_oid_path()
-            return OidAssignment(self.module, name, parent, arc)
-        if tok.text == "OBJECT-TYPE":
-            self.next()
-            return self._parse_object_type(name)
-        if tok.text in self._SKIP_TO_PATH_MACROS:
-            self.next()
-            desc = self._skip_macro_body()
-            parent, arc = self._parse_oid_path()
-            return OidAssignment(self.module, name, parent, arc,
-                                 node_kind=self._SKIP_TO_PATH_MACROS[tok.text],
-                                 description=desc)
+            return OidAssignment(self.module, name, parent, arc, node_kind,
+                                 **fields)
         if tok.text == "TRAP-TYPE":
-            self.next()
-            self._skip_macro_body()
+            self._skip_clauses()
             self.expect(kind="number")  # v1 trap number, not a tree arc
             self.warn(f"TRAP-TYPE {name} skipped (no OID arc)")
             return None
         if tok.text == "MACRO":
-            self.next()
             self.expect("::=")
             self._skip_balanced("BEGIN", "END")
             return None
         if tok.text == "::=":
-            self.next()
             return self._parse_type_assignment(name)
         raise MibParseError(
             f"cannot parse statement starting {name!r} {tok.text!r}",
             name_tok.line, name_tok.column,
             expected=("OBJECT", "OBJECT-TYPE", "::="))
 
-    def _parse_object_type(self, name):
-        syntax = None
-        constraint = None
-        access = None
-        status = None
-        description = None
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise MibParseError(f"unterminated OBJECT-TYPE {name}")
-            if tok.text == "::=":
-                self.next()
-                break
-            self.next()
-            if tok.text == "SYNTAX":
-                syntax, constraint = self._parse_type()
-            elif tok.text in ("MAX-ACCESS", "ACCESS"):
-                access = self.next().text
-            elif tok.text == "STATUS":
-                status = self.next().text
-            elif tok.text == "DESCRIPTION":
-                description = _normalize_ws(self.expect(kind="string").text)
-            elif tok.text in ("UNITS", "REFERENCE"):
-                self.expect(kind="string")
-            elif tok.text in ("INDEX", "AUGMENTS", "DEFVAL"):
-                self._skip_balanced("{", "}")
-            else:
+    def _read_identifier(self):
+        """Read ``IDENTIFIER ::=`` of an OBJECT IDENTIFIER assignment."""
+        self.expect("IDENTIFIER")
+        self.expect("::=")
+        return {}
+
+    def _read_object_type(self):
+        """Read OBJECT-TYPE clauses up to ``::=``; return the fields they set."""
+        fields = {}
+        while not self.accept("::="):
+            tok = self.next()
+            if tok.text not in self._OBJECT_TYPE_CLAUSES:
                 raise MibParseError(f"unknown OBJECT-TYPE clause {tok.text!r}",
                                     tok.line, tok.column)
-        parent, arc = self._parse_oid_path()
-        return OidAssignment(self.module, name, parent, arc,
-                             node_kind="object-type", syntax=syntax,
-                             max_access=access, status=status,
-                             description=description,
-                             syntax_constraint=constraint)
+            field_name, read = self._OBJECT_TYPE_CLAUSES[tok.text]
+            fields[field_name] = read(self)
+        fields.pop(None, None)
+        fields["syntax"], fields["syntax_constraint"] = \
+            fields.get("syntax", (None, None))
+        return fields
+
+    def _skip_clauses(self):
+        """Skip macro clauses up to ``::=``; keep the last DESCRIPTION."""
+        description = None
+        while not self.accept("::="):
+            tok = self.peek()
+            if tok.text in _CLOSE:
+                self._skip_balanced(tok.text, _CLOSE[tok.text])
+            elif self.next().text == "DESCRIPTION" and \
+                    self.peek().kind == "string":
+                description = self._text()
+        return {"description": description}
+
+    def _word(self):
+        return self.next().text
+
+    def _text(self):
+        return _normalize_ws(self.expect(kind="string").text)
+
+    def _group(self):
+        return self._skip_balanced("{", "}")
 
     def _parse_type_assignment(self, name):
-        tok = self.peek()
-        if tok.text == "SEQUENCE" and self.peek(1) and self.peek(1).text == "{":
+        if self.peek().text == "SEQUENCE" and self.peek(1).text == "{":
             self.next()
             return self._parse_row_schema(name)
-        if tok.text == "TEXTUAL-CONVENTION":
-            self.next()
-            while self.peek() is not None and self.peek().text != "SYNTAX":
-                t = self.next()
-                if t.kind in ("keyword", "name") and self.peek() and \
+        if self.accept("TEXTUAL-CONVENTION"):
+            while self.peek().text != "SYNTAX":
+                if self.next().kind in ("keyword", "name") and \
                         self.peek().kind == "string":
                     self.next()
             self.expect("SYNTAX")
@@ -353,24 +322,12 @@ class _Parser:
 
     def _parse_type(self):
         """Return (base type text, raw constraint text or None)."""
-        tok = self.next()
-        if tok.text == "OCTET":
-            self.expect("STRING")
-            base = "OCTET STRING"
-        elif tok.text == "OBJECT":
-            self.expect("IDENTIFIER")
-            base = "OBJECT IDENTIFIER"
-        elif tok.text == "SEQUENCE":
-            self.expect("OF")
-            base = "SEQUENCE OF " + self.next().text
-        else:
-            base = tok.text
-        constraint = None
-        nxt = self.peek()
-        if nxt is not None and nxt.text in ("(", "{"):
-            close = ")" if nxt.text == "(" else "}"
-            constraint = self._skip_balanced(nxt.text, close)
-        return base, constraint
+        words = [self.next().text]
+        words += [self.expect(w).text for w in _TYPE_WORDS.get(words[0], ())]
+        opening = self.peek().text
+        constraint = self._skip_balanced(opening, _CLOSE[opening]) \
+            if opening in _CLOSE else None
+        return " ".join(words), constraint
 
     def _skip_balanced(self, open_text, close_text):
         """Consume a balanced group; return its raw token text."""
@@ -386,68 +343,65 @@ class _Parser:
             parts.append(tok.text)
         return " ".join(parts)
 
-    def _skip_macro_body(self):
-        """Skip macro clauses up to the closing ``::=``; keep any DESCRIPTION."""
-        description = None
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise MibParseError("unterminated macro invocation")
-            if tok.text == "::=":
-                self.next()
-                return description
-            if tok.text in ("{", "("):
-                self._skip_balanced(tok.text, "}" if tok.text == "{" else ")")
-                continue
-            self.next()
-            if tok.text == "DESCRIPTION" and self.peek() and self.peek().kind == "string":
-                description = _normalize_ws(self.next().text)
-
     def _parse_oid_path(self):
-        """Parse ``{ parent n ... }``; return (parent spec text, final arc)."""
+        """Parse ``{ anchor n ... }``; return (parent spec text, final arc).
+
+        The anchor is a leading name, whose own number is dropped, or else
+        the tree root."""
         brace = self.expect("{")
-        elements = []
-        while True:
-            tok = self.next()
-            if tok.text == "}":
-                break
-            if tok.kind == "number":
-                elements.append(("num", tok.number))
-            elif tok.kind in ("name", "keyword"):
-                if self.accept("("):
-                    num = self.expect(kind="number").number
-                    self.expect(")")
-                    elements.append(("num", num))
-                    if not elements[:-1]:
-                        # leading name(number): keep the name as the anchor
-                        elements[-1] = ("name", tok.text)
-                elif not elements:
-                    elements.append(("name", tok.text))
-                else:
-                    raise MibParseError(
-                        f"bare name {tok.text!r} mid-path needs its arc",
-                        tok.line, tok.column)
-            else:
-                raise MibParseError(f"bad OID path element {tok.text!r}",
-                                    tok.line, tok.column)
-        if len(elements) < 2:
+        anchor = None
+        if self.peek().kind in ("name", "keyword"):
+            anchor = self.peek().text
+            self._arc() if self.peek(1).text == "(" else self.next()
+        arcs = []
+        while not self.accept("}"):
+            arcs.append(self._arc())
+        if len(arcs) < (2 if anchor is None else 1):
             raise MibParseError("OID path needs a parent and an arc",
                                 brace.line, brace.column)
-        if elements[-1][0] != "num":
-            raise MibParseError("OID path must end with a number",
-                                brace.line, brace.column)
-        arc = elements[-1][1]
-        head = elements[:-1]
-        kind0, first = head[0]
-        if kind0 == "name":
-            parent = ".".join([first] + [str(v) for _, v in head[1:]])
-        else:
+        *head, arc = arcs
+        if anchor is None:
             # numeric anchor: a leading 0 is the tree root itself
-            nums = [v for _, v in head]
-            if nums[0] == 0:
-                nums = nums[1:]
-            parent = "0" if not nums else "0." + ".".join(str(v) for v in nums)
-        return parent, arc
+            anchor = "0"
+            head = head[1:] if head[0] == 0 else head
+        return ".".join([anchor, *map(str, head)]), arc
+
+    def _arc(self):
+        """Read one OID path arc, ``n`` or ``name(n)``; return n."""
+        named = self.peek().kind in ("name", "keyword")
+        if named:
+            name = self.next()
+            if not self.accept("("):
+                raise MibParseError(
+                    f"bare name {name.text!r} mid-path needs its arc",
+                    name.line, name.column)
+        tok = self.expect(kind="number")
+        if named:
+            self.expect(")")
+        return tok.number
+
+    # statements that end in an OID path: keyword -> (node kind, reader of
+    # the rest up to its ``::=``, returning the record fields it sets)
+    _PATH_STATEMENTS = {
+        "OBJECT": ("plain", _read_identifier),
+        "OBJECT-TYPE": ("object-type", _read_object_type),
+        "MODULE-IDENTITY": ("module-identity", _skip_clauses),
+        **dict.fromkeys(["OBJECT-IDENTITY", "NOTIFICATION-TYPE",
+                         "OBJECT-GROUP", "NOTIFICATION-GROUP",
+                         "MODULE-COMPLIANCE", "AGENT-CAPABILITIES"],
+                        ("other", _skip_clauses)),
+    }
+
+    # OBJECT-TYPE clause -> (record field or None, reader of its value)
+    _OBJECT_TYPE_CLAUSES = {
+        "SYNTAX": ("syntax", _parse_type),
+        "ACCESS": ("max_access", _word), "MAX-ACCESS": ("max_access", _word),
+        "STATUS": ("status", _word),
+        "DESCRIPTION": ("description", _text),
+        "UNITS": (None, _text), "REFERENCE": (None, _text),
+        "INDEX": (None, _group), "AUGMENTS": (None, _group),
+        "DEFVAL": (None, _group),
+    }
 
 
 def _normalize_ws(text):
