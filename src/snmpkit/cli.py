@@ -170,8 +170,7 @@ def build_registry(mib_path=None):
             for entry in sorted(os.listdir(directory)):
                 if entry.endswith(".cmib"):
                     with open(os.path.join(directory, entry), "rb") as fh:
-                        module = smi.read_compiled(fh.read())
-                    smi.load_records(registry, module)
+                        smi.load_compiled(registry, fh)
     return registry
 
 

@@ -4,14 +4,15 @@ The lexer is one regular expression with a named group per token kind,
 matched from each position to the next; a token's line and column come
 from its offset.
 
-The parser covers the SMI subset that real-world MIB files are written in:
-plain OBJECT IDENTIFIER assignments, OBJECT-TYPE / MODULE-IDENTITY macro
-invocations, SEQUENCE row schemas and IMPORTS.  Macro invocations it does
-not understand but that still end in ``::= { parent n }`` compile to plain
-assignments; anything else is skipped with a warning.
+The parser covers the SMI subset that real-world MIB files are written in.
+The statements that end in an OID path, OBJECT IDENTIFIER and the macros,
+are read through one table: OBJECT-TYPE clauses through a table of clause
+readers, other macro bodies by one skip to their ``::=``.  SEQUENCE types
+are row schemas; TRAP-TYPE and other type assignments warn and are skipped.
 
 Compiled modules serialize to a line-oriented text format (``CMIB 1``)
-that loads back into an oid Registry.
+that loads back into an oid Registry.  Malformed source is a MibLexError
+or MibParseError, and a malformed compiled file a MibLoadError.
 """
 
 from __future__ import annotations
@@ -173,22 +174,16 @@ class _Parser:
         return tok
 
     def accept(self, text):
-        if self.peek().text == text:
-            return self.next()
-        return None
-
-    def warn(self, message):
-        self.warnings.append(message)
+        return self.next() if self.peek().text == text else None
 
     # -- module -------------------------------------------------------------
 
     def parse_module(self):
-        name = self.expect(kind="name").text
+        self.module = self.expect(kind="name").text
         for word in ("DEFINITIONS", "::=", "BEGIN"):
             self.expect(word)
         imports = []
         records = []
-        self.module = name
         while not self.accept("END"):
             tok = self.next()
             if tok.text == "IMPORTS":
@@ -203,8 +198,8 @@ class _Parser:
             else:
                 raise MibParseError(f"unexpected token {tok.text!r}",
                                     tok.line, tok.column)
-        return CompiledMibModule(ModuleHeader(name, tuple(imports)), records,
-                                 self.warnings)
+        return CompiledMibModule(ModuleHeader(self.module, tuple(imports)),
+                                 records, self.warnings)
 
     def _parse_imports(self):
         imports = []
@@ -232,7 +227,7 @@ class _Parser:
         if tok.text == "TRAP-TYPE":
             self._skip_clauses()
             self.expect(kind="number")  # v1 trap number, not a tree arc
-            self.warn(f"TRAP-TYPE {name} skipped (no OID arc)")
+            self.warnings.append(f"TRAP-TYPE {name} skipped (no OID arc)")
             return None
         if tok.text == "MACRO":
             self.expect("::=")
@@ -246,7 +241,6 @@ class _Parser:
             expected=("OBJECT", "OBJECT-TYPE", "::="))
 
     def _read_identifier(self):
-        """Read ``IDENTIFIER ::=`` of an OBJECT IDENTIFIER assignment."""
         self.expect("IDENTIFIER")
         self.expect("::=")
         return {}
@@ -284,25 +278,21 @@ class _Parser:
     def _text(self):
         return _normalize_ws(self.expect(kind="string").text)
 
-    def _group(self):
-        return self._skip_balanced("{", "}")
-
     def _parse_type_assignment(self, name):
         if self.peek().text == "SEQUENCE" and self.peek(1).text == "{":
             self.next()
             return self._parse_row_schema(name)
-        if self.accept("TEXTUAL-CONVENTION"):
+        convention = self.accept("TEXTUAL-CONVENTION")
+        if convention:
             while self.peek().text != "SYNTAX":
                 if self.next().kind in ("keyword", "name") and \
                         self.peek().kind == "string":
                     self.next()
             self.expect("SYNTAX")
-            base, _ = self._parse_type()
-            self.warn(f"textual convention {name} recorded as alias of {base} only")
-            return None
-        # plain type alias (e.g. DisplayString ::= OCTET STRING (SIZE (0..255)))
         base, _ = self._parse_type()
-        self.warn(f"type alias {name} ::= {base} skipped")
+        self.warnings.append(
+            f"textual convention {name} recorded as alias of {base} only"
+            if convention else f"type alias {name} ::= {base} skipped")
         return None
 
     def _parse_row_schema(self, type_name):
@@ -329,10 +319,9 @@ class _Parser:
             if opening in _CLOSE else None
         return " ".join(words), constraint
 
-    def _skip_balanced(self, open_text, close_text):
+    def _skip_balanced(self, open_text="{", close_text="}"):
         """Consume a balanced group; return its raw token text."""
-        self.expect(open_text)
-        parts = [open_text]
+        parts = [self.expect(open_text).text]
         depth = 1
         while depth:
             tok = self.next()
@@ -344,15 +333,16 @@ class _Parser:
         return " ".join(parts)
 
     def _parse_oid_path(self):
-        """Parse ``{ anchor n ... }``; return (parent spec text, final arc).
-
-        The anchor is a leading name, whose own number is dropped, or else
-        the tree root."""
+        """Parse ``{ anchor n ... }``; return (parent spec text, final arc)."""
         brace = self.expect("{")
         anchor = None
         if self.peek().kind in ("name", "keyword"):
+            # a leading name is the anchor; its own number, if any, is dropped
             anchor = self.peek().text
-            self._arc() if self.peek(1).text == "(" else self.next()
+            if self.peek(1).text == "(":
+                self._arc()
+            else:
+                self.next()
         arcs = []
         while not self.accept("}"):
             arcs.append(self._arc())
@@ -376,6 +366,9 @@ class _Parser:
                     f"bare name {name.text!r} mid-path needs its arc",
                     name.line, name.column)
         tok = self.expect(kind="number")
+        if tok.number < 0:
+            raise MibParseError(f"negative arc {tok.text}", tok.line,
+                                tok.column)
         if named:
             self.expect(")")
         return tok.number
@@ -399,8 +392,8 @@ class _Parser:
         "STATUS": ("status", _word),
         "DESCRIPTION": ("description", _text),
         "UNITS": (None, _text), "REFERENCE": (None, _text),
-        "INDEX": (None, _group), "AUGMENTS": (None, _group),
-        "DEFVAL": (None, _group),
+        "INDEX": (None, _skip_balanced), "AUGMENTS": (None, _skip_balanced),
+        "DEFVAL": (None, _skip_balanced),
     }
 
 
@@ -409,7 +402,7 @@ def _normalize_ws(text):
 
 
 def parse_module(tokens):
-    return _Parser(list(tokens)).parse_module()
+    return _Parser(tokens).parse_module()
 
 
 def compile_text(source):
@@ -462,10 +455,17 @@ def emit_bytes(module):
     return buf.getvalue()
 
 
+# CMIB record kind -> its number of tab-separated fields
+_CMIB_FIELDS = {"IMP": 3, "OID": 9, "ROWBEGIN": 2, "COL": 3, "ROWEND": 1}
+
+
 def read_compiled(source):
     """Parse a CMIB byte source back into a CompiledMibModule."""
     data = source.read() if hasattr(source, "read") else bytes(source)
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MibLoadError(f"not a CMIB 1 file: {exc}") from exc
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -480,11 +480,15 @@ def read_compiled(source):
     for lineno, line in enumerate(lines[2:], start=3):
         fields = line.split("\t")
         tag = fields[0]
+        if _CMIB_FIELDS.get(tag) != len(fields):
+            raise MibLoadError(f"malformed record {tag!r} at line {lineno}")
+        if tag in ("COL", "ROWEND") and row is None:
+            raise MibLoadError(f"{tag} outside a row at line {lineno}")
         if tag == "IMP":
             imports.append((fields[1], fields[2]))
         elif tag == "OID":
-            if len(fields) != 9:
-                raise MibLoadError(f"malformed OID record at line {lineno}")
+            if not (fields[3].isascii() and fields[3].isdigit()):
+                raise MibLoadError(f"bad arc {fields[3]!r} at line {lineno}")
             records.append(OidAssignment(
                 module, fields[1], fields[2], int(fields[3]), fields[4],
                 _unescape(fields[5]), _unescape(fields[6]),
@@ -492,16 +496,10 @@ def read_compiled(source):
         elif tag == "ROWBEGIN":
             row = (fields[1], [])
         elif tag == "COL":
-            if row is None:
-                raise MibLoadError(f"COL outside a row at line {lineno}")
             row[1].append((fields[1], _unescape(fields[2])))
         elif tag == "ROWEND":
-            if row is None:
-                raise MibLoadError(f"ROWEND without ROWBEGIN at line {lineno}")
             records.append(RowSchema(module, row[0], tuple(row[1])))
             row = None
-        else:
-            raise MibLoadError(f"unknown record kind {tag!r} at line {lineno}")
     return CompiledMibModule(ModuleHeader(module, tuple(imports)), records)
 
 

@@ -324,6 +324,21 @@ END
         assert err.startswith(f"{latin}: ") and "utf-8" in err
         assert (tmp_path / "Z-MIB.cmib").exists()
 
+    def test_source_that_ends_after_assign_is_reported(self, tmp_path,
+                                                        capsys):
+        bad = tmp_path / "CUT.txt"
+        bad.write_text("CUT DEFINITIONS ::= BEGIN\na ::=")
+        assert cli.main(["mibc", str(bad), "-o", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            f"{bad}: unexpected end of module\n"
+
+    def test_malformed_compiled_file_on_mib_path(self, tmp_path, capsys):
+        (tmp_path / "BAD.cmib").write_bytes(b"CMIB 1\nMODULE X\nIMP\n")
+        assert cli.main(["walk", "-M", str(tmp_path), "127.0.0.1:9",
+                         "system"]) == 1
+        assert capsys.readouterr().err == \
+            "malformed record 'IMP' at line 3\n"
+
     def test_mib_path_loads_extra_modules(self, tmp_path, live_agent,
                                           monkeypatch, capsys):
         source = tmp_path / "Y-MIB.txt"

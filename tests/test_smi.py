@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snmpkit import smi
-from snmpkit.errors import MibLexError, MibParseError, NotATableError
+from snmpkit.errors import (MibError, MibLexError, MibLoadError,
+                            MibParseError, NotATableError)
 from snmpkit.mibs import CORE_MODULES, compile_bundled, load_core
 from snmpkit.oids import Registry, number_list
 
@@ -147,6 +148,24 @@ def test_tokens_locate_themselves(source):
             int(tok.text)
 
 
+# a name and "::=", the commonest tokens in SMI source, drawn as often as
+# all the other tokens and keywords together
+_SMI_WORDS = st.sampled_from(["a", "::="]) | st.sampled_from(
+    sorted(smi._KEYWORDS) + ["B", "7", "0", "-1", "..", "{", "}", "(", ")",
+                             ",", ";", "|", '"s"', '"SYNTAX"'])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_SMI_WORDS, max_size=30))
+def test_source_compiles_or_is_a_mib_error(words):
+    """A module header followed by any soup of SMI tokens compiles or
+    raises a MibError."""
+    try:
+        smi.compile_text("M DEFINITIONS ::= BEGIN\n" + " ".join(words))
+    except MibError:
+        pass
+
+
 class TestCompile:
     def test_sample_module(self):
         module = smi.compile_text(SAMPLE)
@@ -229,6 +248,17 @@ END""")
         assert (record.parent, record.arc) == ("iso.3", 99)
 
 
+    @pytest.mark.parametrize("path,column", [
+        ("{ enterprises -1 }", 39), ("{ a b(-2) 3 }", 31), ("{ -1 3 }", 27),
+        ("{ iso(-1) 3 }", 31)])
+    def test_negative_arc_is_refused(self, path, column):
+        with pytest.raises(MibParseError) as exc:
+            smi.compile_text("T DEFINITIONS ::= BEGIN\n"
+                             f"x OBJECT IDENTIFIER ::= {path}\nEND")
+        assert str(exc.value).startswith("negative arc -")
+        assert (exc.value.line, exc.value.column) == (2, column)
+
+
 class TestEmitReload:
     def test_emit_read_round_trip(self):
         module = smi.compile_text(SAMPLE)
@@ -255,6 +285,37 @@ class TestEmitReload:
         sink = io.BytesIO()
         smi.emit(module, sink)
         assert sink.getvalue() == smi.emit_bytes(module)
+
+
+_CMIB_LINE = st.builds(
+    lambda tag, fields: "\t".join([tag, *fields]),
+    st.sampled_from(["IMP", "OID", "ROWBEGIN", "COL", "ROWEND", "MODULE", ""]),
+    st.lists(st.sampled_from(["x", "-", "7", "-1", "1.3", "\\n", "\u00b2", ""])
+             | st.text(max_size=3), max_size=10))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_CMIB_LINE, max_size=6), st.sampled_from([b"", b"\xff"]))
+def test_malformed_cmib_is_a_load_error(lines, tail):
+    """A CMIB header followed by any record lines reads as a module or
+    raises MibLoadError."""
+    data = ("CMIB 1\nMODULE X\n" + "\n".join(lines)).encode() + tail
+    try:
+        module = smi.read_compiled(data)
+    except MibLoadError:
+        return
+    assert module.header.name == "X"
+
+
+@pytest.mark.parametrize("data", [
+    b"CMIB 1\nMODULE X\nIMP\n",
+    b"CMIB 1\nMODULE X\nOID\ta\tb\tone\tplain\t-\t-\t-\t-\n",
+    b"CMIB 1\nMODULE X\nOID\ta\tb\t-1\tplain\t-\t-\t-\t-\n",
+    b"CMIB 1\nMODULE \xe9\n",
+])
+def test_read_compiled_refuses(data):
+    with pytest.raises(MibLoadError):
+        smi.read_compiled(data)
 
 
 # SHA-256 of the CMIB bytes of each core module and of SAMPLE
