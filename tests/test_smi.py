@@ -247,7 +247,6 @@ END""")
         (record,) = module.records
         assert (record.parent, record.arc) == ("iso.3", 99)
 
-
     @pytest.mark.parametrize("path,column", [
         ("{ enterprises -1 }", 39), ("{ a b(-2) 3 }", 31), ("{ -1 3 }", 27),
         ("{ iso(-1) 3 }", 31)])
