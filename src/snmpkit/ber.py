@@ -15,7 +15,10 @@ its elements.  Triples with no registration decode to Raw, which keeps
 the original bytes so re-encoding is byte-identical.  Input nested
 deeper than MAX_NESTING constructed levels is a DecodingError.
 header reads one TLV header, checking its identifier octet; messages
-reads its frames and PDUs with it.
+reads its frames and PDUs with it, and looks a binding's value decoder
+up in the registry's table by identifier octet.  decode_oid builds the
+arcs of an OID whose sub-identifiers all take one octet from a table of
+the first two arcs and the other octets as they are.
 
 Encoding looks up the exact type of a value in a table of encoder
 functions, each holding its precomputed tag octets; tlv_encoder builds
@@ -206,10 +209,13 @@ class Oid:
         return "Oid(%s)" % ".".join(str(a) for a in self._arcs)
 
 
+_new = object.__new__
+
+
 def _oid(arcs, octets=None):
     """An Oid over a tuple of ints, skipping __init__'s per-arc int(), and
     keeping octets, its content octets when they are known."""
-    oid = object.__new__(Oid)
+    oid = _new(Oid)
     oid._arcs = arcs
     oid._octets = octets
     return oid
@@ -409,36 +415,36 @@ def _encode_subid(sub):
 _MAX_SUBID_OCTETS = 5  # enough for 32 bits; longer ones cost quadratic time
 
 
+# The first two arcs of each one-octet first sub-identifier (X.690
+# section 8.19.4)
+_FIRST_ARCS = [(0, b) if b < 40 else (1, b - 40) if b < 80 else (2, b - 80)
+               for b in range(0x80)]
+
+
 def _decode_oid_content(payload):
-    if payload.isascii():  # every sub-identifier is one octet
-        subids = tuple(payload)
-    else:
-        if payload[-1] & 0x80:
-            raise DecodingError("truncated OID sub-identifier")
-        subids = []
-        cur = used = 0
-        for b in payload:
-            if b < 0x80:
-                subids.append(cur | b)
-                cur = used = 0
-            else:
-                if b == 0x80 and not used:  # X.690 section 8.19.2
-                    raise DecodingError("OID sub-identifier begins with a "
-                                        "0x80 octet")
-                used += 1
-                if used == _MAX_SUBID_OCTETS:
-                    raise DecodingError("OID sub-identifier longer than "
-                                        f"{_MAX_SUBID_OCTETS} octets")
-                cur = (cur | b & 0x7F) << 7
-    if not subids:
+    """The arcs of OID content octets; decode_oid reads those whose
+    sub-identifiers all take one octet itself."""
+    if not payload:
         return ()
+    if payload[-1] & 0x80:
+        raise DecodingError("truncated OID sub-identifier")
+    subids = []
+    cur = used = 0
+    for b in payload:
+        if b < 0x80:
+            subids.append(cur | b)
+            cur = used = 0
+        else:
+            if b == 0x80 and not used:  # X.690 section 8.19.2
+                raise DecodingError("OID sub-identifier begins with a "
+                                    "0x80 octet")
+            used += 1
+            if used == _MAX_SUBID_OCTETS:
+                raise DecodingError("OID sub-identifier longer than "
+                                    f"{_MAX_SUBID_OCTETS} octets")
+            cur = (cur | b & 0x7F) << 7
     first = subids[0]
-    if first < 40:
-        head = (0, first)
-    elif first < 80:
-        head = (1, first - 40)
-    else:
-        head = (2, first - 80)
+    head = _FIRST_ARCS[first] if first < 0x80 else (2, first - 80)
     return head + tuple(subids[1:])
 
 
@@ -460,9 +466,15 @@ def _decode_octet_string(data, start, end, depth):
 
 
 def decode_oid(data, start, end, depth=0):
-    """The Oid whose content octets are data[start:end], which it keeps."""
+    """The Oid whose content octets are data[start:end], which it keeps.
+    When every sub-identifier takes one octet, the arcs are the first
+    octet's two from _FIRST_ARCS and then the other octets as they are."""
     octets = data[start:end]
-    return _oid(_decode_oid_content(octets), octets)
+    oid = _new(Oid)  # as _oid does, without the call
+    oid._arcs = _FIRST_ARCS[octets[0]] + tuple(octets[1:]) \
+        if octets.isascii() and octets else _decode_oid_content(octets)
+    oid._octets = octets
+    return oid
 
 
 def _decode_ip_address(data, start, end, depth):
@@ -524,8 +536,9 @@ def _compile_decoder(kinds):
     """The TLV decoder for a registry's {tag triple: kind} table.
 
     Returns tlv(data, pos, end, depth) -> (value, end of that TLV), which
-    reads the TLV at data[pos:end].  One-octet identifiers index a
-    256-entry list; the high-tag form looks its triple up in a dict.
+    reads the TLV at data[pos:end], and the 256-entry list of decoders
+    that one-octet identifiers index (None where the tag is unregistered
+    or has more octets); the high-tag form looks its triple up in a dict.
     """
     by_triple = {}
 
@@ -585,7 +598,7 @@ def _compile_decoder(kinds):
             return _raw(data, pos, start, stop), stop
         return decoder(data, start, stop, depth), stop
 
-    return tlv
+    return tlv, by_octet
 
 
 # ---------------------------------------------------------------------------
@@ -607,15 +620,16 @@ TAG_COUNTER64 = Tag(APPLICATION, False, 6)
 class TypeRegistry:
     """Maps (class, constructed, number) triples to decode kinds; decode
     reads unregistered triples as Raw.  The decoder table is compiled on
-    creation and again on each registration."""
+    creation and again on each registration: _decode reads any TLV, and
+    _by_octet is its list of decoders by one-octet identifier."""
 
     def __init__(self, kinds=None):
         self._table = dict(kinds or {})
-        self._decode = _compile_decoder(self._table)
+        self._decode, self._by_octet = _compile_decoder(self._table)
 
     def register(self, cls, constructed, number, kind):
         self._table[(cls, int(bool(constructed)), number)] = kind
-        self._decode = _compile_decoder(self._table)
+        self._decode, self._by_octet = _compile_decoder(self._table)
 
     def copy(self):
         return TypeRegistry(self._table)

@@ -179,10 +179,10 @@ def send_pdu(session, pdu):
     A v3 Report is met as _ON_REPORT says for its first name, then the
     request is sent once more; a second Report raises UsmProtocolError."""
     frame = _FRAMES[session.version]
-    _, response = _exchange(session, *frame(session, pdu))
+    reply, response = _exchange(session, *frame(session, pdu))
     if response.pdu_type == REPORT:
         stats = response.bindings[0].arcs if response.bindings else None
-        _ON_REPORT.get(stats, _resync)(session)
+        _ON_REPORT.get(stats, _resync)(session, reply)
         pdu.request_id = session.next_request_id()
         _, response = _exchange(session, *frame(session, pdu))
         if response.pdu_type == REPORT:
@@ -280,22 +280,28 @@ def _discover(session):
         ScopedPdu(pdu=probe))))
     if report.pdu_type != REPORT:
         raise UsmProtocolError("engine discovery did not yield a Report")
+    _adopt(session, reply)
+
+
+def _adopt(session, reply):
+    """Adopt the engine id and clock in the USM header of a Report."""
     usm_params = reply.usm
     if not usm_params.engine_id:
-        raise UsmProtocolError("discovery Report carries no engine id")
+        raise UsmProtocolError("Report carries no engine id")
     session.engine.adopt(usm_params.engine_id, usm_params.engine_boots,
                          usm_params.engine_time, session.credential)
 
 
-def _resync(session):
+def _resync(session, reply):
     """Nothing: verifying an authenticated Report adopted its engine clock."""
 
 
 _FRAMES = {V1: _community_frame, V2C: _community_frame, V3: _v3_frame}
 
 # Before a v3 Report's request is sent again, by the Report's first name:
-# a changed engine is discovered again (RFC 3414 section 4).
-_ON_REPORT = {messages.USM_STATS_UNKNOWN_ENGINE_IDS: _discover}
+# a changed engine is adopted from the Report, which names it as a
+# discovery Report does (RFC 3414 section 4).
+_ON_REPORT = {messages.USM_STATS_UNKNOWN_ENGINE_IDS: _adopt}
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ Every frame goes in one pass each way: the v1/v2c message, the v3 header
 with its USM security parameters, the scoped PDU, the PDU and its
 variable bindings.  Encoding concatenates TLVs from ber's precomputed
 encoders, with one header encoder per PDU type.  Decoding reads each
-header with ber.header, which checks its identifier octet, and reads the
-PDU here too: its header fields, then its bindings straight into
-VarBinds, each value one TLV of ber.DEFAULT_REGISTRY's value table.  Both
-directions record in V3Message.mac_offset where the MAC lies in the
-octets, so usm never walks the headers again.
+frame header with ber.header, which checks its identifier octet, and
+reads the PDU here too: its header fields, then its bindings straight
+into VarBinds in one pass over their octets.  A binding's SEQUENCE, name
+and value headers are read inline when their lengths take the short
+form, and by ber.header, or the value table's TLV reader, otherwise; a
+value's decoder comes from ber.DEFAULT_REGISTRY's table by its
+identifier octet.  Both directions record in V3Message.mac_offset where
+the MAC lies in the octets, so usm never walks the headers again.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ class SnmpDefaults:
 defaults = SnmpDefaults()
 
 
-@dataclass
+@dataclass(slots=True)
 class VarBind:
     name: object  # OidRef or ber.Oid
     value: object = ber.NULL
@@ -272,16 +275,37 @@ def _read_pdu(data, pos, end, depth, version=None):
     at, stop = ber.header(data, pos, end, 0x30, "variable-bindings list")
     _last(stop, end, "PDU")
     bindings = []
+    append = bindings.append
+    decode_oid, by_octet = ber.decode_oid, ber.DEFAULT_REGISTRY._by_octet
+    depth += 3
+    # Each binding is SEQUENCE { OID, value }.  A short-form header is
+    # read here; ber.header, or value_at for the value, reads any other
+    # and raises what a malformed one calls for.
     while at < stop:
-        start, at = ber.header(data, at, stop, 0x30, "variable binding")
-        start, value_pos = ber.header(data, start, at, 0x06,
-                                      "variable binding name")
-        name = ber.decode_oid(data, start, value_pos)
-        value, start = value_at(data, value_pos, at, depth + 3)
-        if start != at:
-            raise DecodingError("variable binding holds more than a name "
-                                "and a value")
-        bindings.append(VarBind(name, value))
+        if at + 1 < stop and data[at] == 0x30 and \
+                (n := data[at + 1]) < 0x80 and at + 2 + n <= stop:
+            start = at + 2
+            at = start + n
+        else:
+            start, at = ber.header(data, at, stop, 0x30, "variable binding")
+        if start + 1 < at and data[start] == 0x06 and \
+                (n := data[start + 1]) < 0x80 and start + 2 + n <= at:
+            start += 2
+            value_pos = start + n
+        else:
+            start, value_pos = ber.header(data, start, at, 0x06,
+                                          "variable binding name")
+        name = decode_oid(data, start, value_pos)
+        if value_pos + 1 < at and (n := data[value_pos + 1]) < 0x80 and \
+                value_pos + 2 + n == at and \
+                (decoder := by_octet[data[value_pos]]) is not None:
+            value = decoder(data, value_pos + 2, at, depth)
+        else:
+            value, start = value_at(data, value_pos, at, depth)
+            if start != at:
+                raise DecodingError("variable binding holds more than a "
+                                    "name and a value")
+        append(VarBind(name, value))
     if pdu_type == TRAP_V1:
         return TrapV1Pdu(*fields[:2], *map(int, fields[2:]), bindings), end
     if version == V1:

@@ -38,7 +38,9 @@ _KEYWORDS = {
 
 @dataclass(frozen=True)
 class MibToken:
-    kind: str  # name | number | string | punctuation | assign | range | keyword
+    # name | number | string | binstring | punctuation | assign | range |
+    # keyword; a binstring is a hex or binary string, '0A'H or '1010'B
+    kind: str
     text: str
     line: int
     column: int
@@ -54,12 +56,17 @@ class MibToken:
 _TOKEN = re.compile(r"""
       [ \t\n\r\f\v]+ | --.*?(?:--|$)
     | "(?P<string>[^"]*)"
+    | (?P<binstring>'[0-9A-Fa-f]*'[Hh]|'[01]*'[Bb])
     | (?P<assign>::=)
     | (?P<range>\.\.)
     | (?P<number>-?[0-9]+)
     | (?P<name>[^\W\d_](?:\w|-(?!-))*)
     | (?P<punctuation>[{}(),;|\[\]])
 """, re.VERBOSE | re.MULTILINE)
+
+
+_LEX_ERRORS = {'"': "unterminated string",
+               "'": "malformed hex or binary string"}
 
 
 def tokenize(source):
@@ -76,8 +83,8 @@ def tokenize(source):
             # two; a name starts with a letter
             if m is None or (m.lastgroup == "name" and not source[pos].isalpha()):
                 c = source[pos]
-                raise MibLexError("unterminated string" if c == '"' else
-                                  f"unexpected character {c!r}", line, column)
+                raise MibLexError(_LEX_ERRORS.get(
+                    c, f"unexpected character {c!r}"), line, column)
             kind = m.lastgroup
             text = m[kind]
             if kind == "name" and text in _KEYWORDS:
@@ -494,12 +501,17 @@ def read_compiled(source):
                 _unescape(fields[5]), _unescape(fields[6]),
                 _unescape(fields[7]), _unescape(fields[8])))
         elif tag == "ROWBEGIN":
+            if row is not None:
+                raise MibLoadError(f"row {row[0]!r} not closed before "
+                                   f"line {lineno}")
             row = (fields[1], [])
         elif tag == "COL":
             row[1].append((fields[1], _unescape(fields[2])))
         elif tag == "ROWEND":
             records.append(RowSchema(module, row[0], tuple(row[1])))
             row = None
+    if row is not None:
+        raise MibLoadError(f"row {row[0]!r} not closed")
     return CompiledMibModule(ModuleHeader(module, tuple(imports)), records)
 
 

@@ -715,7 +715,7 @@ class TestV3WirePath:
 
 class TestReports:
     """A v3 Report is met by its first name: an unknownEngineIDs Report by
-    discovering the engine again, any other by one resend; a second Report
+    adopting the engine it names, any other by one resend; a second Report
     to the same request raises (RFC 3414 section 4)."""
 
     def _engines(self, loopback_agent, *options):
@@ -744,36 +744,56 @@ class TestReports:
         serving[0] = new
         before = session.exchanges
         assert isinstance(client.get(session, "sysName.0"), ber.OctetString)
-        # an unknownEngineIDs Report, discovery, then the resend
-        assert session.exchanges - before == 3
+        # an unknownEngineIDs Report naming the new engine, then the resend
+        assert session.exchanges - before == 2
         assert session.engine.engine_id == new.engine_id
         assert session.engine.priv_key == new.priv_key
-        assert (new.report_count, new.auth_count) == (2, 1)
+        assert (new.report_count, new.auth_count) == (1, 1)
         client.get(session, "sysName.0")
-        assert session.exchanges - before == 4
+        assert session.exchanges - before == 3
         assert channel.client_sent == channel.agent_sent == session.exchanges
 
     def test_an_engine_unknown_after_discovery_raises(self, registry,
                                                       loopback_agent):
-        old, probed, other = self._engines(
+        old, new, other = self._engines(
             loopback_agent, {}, {"engine_id": b"\x80\x00\x13\x70\x05new"},
             {"engine_id": b"\x80\x00\x13\x70\x05other"})
         serving = [old]
         session, channel = self._session(registry, serving)
 
         def inconsistent(data):
-            # discovery finds one engine, and requests reach another
-            probe = not messages.decode_message(data).usm.engine_id
-            return (probed if probe else other)(data)
+            # each Report names an engine other than the one asked for
+            asked = messages.decode_message(data).usm.engine_id
+            return (other if asked == new.engine_id else new)(data)
 
         serving[0] = inconsistent
         before, sent = session.exchanges, channel.client_sent
         with pytest.raises(UsmProtocolError):
             client.get(session, "sysName.0")
-        # an unknownEngineIDs Report, discovery, a second Report: no loop
-        assert session.exchanges - before == 3
-        assert channel.client_sent - sent == 3
-        assert (probed.report_count, other.report_count) == (1, 2)
+        # an unknownEngineIDs Report, the resend, a second Report: no loop
+        assert session.exchanges - before == 2
+        assert channel.client_sent - sent == 2
+        assert (new.report_count, other.report_count) == (1, 1)
+
+    def test_a_report_naming_no_engine_raises(self, registry,
+                                              loopback_agent):
+        old, new = self._engines(
+            loopback_agent, {}, {"engine_id": b"\x80\x00\x13\x70\x05new"})
+        serving = [old]
+        session, _ = self._session(registry, serving)
+
+        def anonymous(data):
+            # new's unknownEngineIDs Report, its engine id taken out
+            report = messages.decode_message(new(data))
+            report.usm.engine_id = b""
+            return messages.encode_message(report)
+
+        serving[0] = anonymous
+        before = session.exchanges
+        with pytest.raises(UsmProtocolError, match="no engine id"):
+            client.get(session, "sysName.0")
+        assert session.exchanges - before == 1
+        assert session.engine.engine_id == old.engine_id
 
     def test_a_rebooted_engine_is_resent_to_once(self, registry,
                                                  loopback_agent):

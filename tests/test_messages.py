@@ -700,3 +700,146 @@ class TestPduReader:
         with pytest.raises(EncodingError):
             messages.encode_message(
                 CommunityMessage(V1, b"p", Pdu(pdu_type, 1)))
+
+
+# --- the one-pass binding reader against a reference reader -----------------
+# Names with multi-octet sub-identifiers, every value kind, long-form
+# lengths (128 octets and more) in binding, name and value headers,
+# exception markers and unknown tags, read back as Raw.
+
+_SUBID = st.one_of(st.integers(0, 127), st.integers(128, 2 ** 32 - 1))
+_HEAD = st.one_of(st.tuples(st.integers(0, 1), st.integers(0, 39)),
+                  st.tuples(st.just(2), st.integers(0, 2 ** 32 - 81)))
+_LONG_ARCS = st.tuples(_HEAD, st.one_of(
+    st.lists(_SUBID, max_size=8),
+    st.lists(st.integers(0, 127), min_size=126, max_size=140))).map(
+    lambda t: t[0] + tuple(t[1]))
+_LONG = st.integers(126, 300)
+_READER_VALUES = st.one_of(
+    st.sampled_from([ber.NULL, *ber.EXCEPTION_MARKERS]),
+    st.integers(-2 ** 63, 2 ** 63),
+    st.integers(2 ** 1020, 2 ** 1030), st.integers(-2 ** 1030, -2 ** 1020),
+    st.binary(max_size=20).map(ber.OctetString),
+    _LONG.map(lambda n: ber.OctetString((bytes(range(256)) * 2)[:n])),
+    st.binary(min_size=4, max_size=4).map(ber.IpAddress),
+    st.integers(0, 2 ** 32 - 1).map(ber.Counter32),
+    st.integers(0, 2 ** 32 - 1).map(ber.Gauge32),
+    st.integers(0, 2 ** 32 - 1).map(ber.TimeTicks),
+    st.integers(0, 2 ** 64 - 1).map(ber.Counter64),
+    st.one_of(st.binary(max_size=8), _LONG.map(bytes)).map(ber.Opaque),
+    _LONG_ARCS.map(ber.Oid),
+    st.lists(st.integers(), max_size=3),
+    st.tuples(st.sampled_from([(ber.APPLICATION, 5), (ber.APPLICATION, 9),
+                               (ber.CONTEXT, 3), (ber.PRIVATE, 30),
+                               (ber.PRIVATE, 31), (ber.APPLICATION, 200)]),
+              st.one_of(st.binary(max_size=8), _LONG.map(bytes))).map(
+        lambda t: ber.Raw(ber.Tag(t[0][0], False, t[0][1]), t[1])),
+)
+_READER_BINDINGS = st.lists(st.builds(VarBind, _LONG_ARCS.map(ber.Oid),
+                                      _READER_VALUES), max_size=4)
+# identifier and length octets that steer a header read down each path
+_STEERING = (0x00, 0x06, 0x30, 0x7F, 0x80, 0x81, 0xFF)
+
+
+def _reference_bindings(wire):
+    """(name, value) pairs of a v1/v2c message's bindings, read with
+    ber.decode: the message is SEQUENCE { version, community, PDU }, the
+    bindings the PDU's last element."""
+    (_, _, pdu), _ = ber.decode(wire)
+    return [(name, value) for name, value in pdu.elements[-1]]
+
+
+def _decodes_or_is_refused(wire):
+    """decode_message(wire) raises DecodingError and nothing else, or
+    reads a community message's bindings as the reference reader does."""
+    try:
+        msg = messages.decode_message(wire)
+    except DecodingError:
+        return
+    if isinstance(msg, CommunityMessage):
+        assert [(vb.name, vb.value) for vb in msg.pdu.bindings] == \
+            _reference_bindings(wire)
+
+
+def _v2c_wire(bindings, pdu_type=RESPONSE):
+    return messages.encode_message(
+        CommunityMessage(V2C, b"public", Pdu(pdu_type, 7, 0, 0, bindings)))
+
+
+def _v2c_wire_of_list(content, pdu_type=RESPONSE):
+    """A v2c message whose variable-bindings list holds content, with
+    every header around it written to fit."""
+    return ber.encode([V2C, ber.OctetString(b"public"), ber.TaggedSequence(
+        ber.Tag(ber.CONTEXT, True, pdu_type),
+        [7, 0, 0, ber.Encoded(_seq(content))])])
+
+
+class TestBindingReader:
+    @settings(max_examples=40, deadline=None)
+    @given(_READER_BINDINGS, st.sampled_from([GET_REQUEST, RESPONSE, REPORT]))
+    def test_reads_what_the_reference_reads(self, bindings, pdu_type):
+        wire = _v2c_wire(bindings, pdu_type)
+        decoded = messages.decode_message(wire).pdu.bindings
+        assert [(vb.name, vb.value) for vb in decoded] == \
+            _reference_bindings(wire)
+        assert messages.encode_message(messages.decode_message(wire)) == wire
+        tlvs = [ber.encode([vb.name, vb.value]) for vb in bindings]
+        assert _v2c_wire_of_list(b"".join(tlvs), pdu_type) == wire
+        # truncations: of the message, of its list, and of each binding
+        # as the last in its list, the headers around them fitted
+        for n in range(len(wire)):
+            with pytest.raises(DecodingError):
+                messages.decode_message(wire[:n])
+        content = b"".join(tlvs)
+        for n in range(len(content)):
+            _decodes_or_is_refused(_v2c_wire_of_list(content[:n], pdu_type))
+        for i, tlv in enumerate(tlvs):
+            start, end = ber.header(tlv, 0, len(tlv), 0x30, "binding")
+            for n in range(end - start):
+                _decodes_or_is_refused(_v2c_wire_of_list(
+                    b"".join(tlvs[:i]) + _seq(tlv[start:start + n]),
+                    pdu_type))
+        # single-octet changes, to the octets that steer a header read
+        for at, octet in enumerate(wire):
+            for new in {*_STEERING, octet ^ 0x01}:
+                _decodes_or_is_refused(wire[:at] + bytes((new,))
+                                       + wire[at + 1:])
+
+    def test_every_single_octet_change(self):
+        wire = _v2c_wire([
+            VarBind(ber.Oid((1, 3, 6, 1, 4, 1, 300, 2 ** 32 - 1)),
+                    ber.OctetString(bytes(130))),
+            VarBind(ber.Oid((2, 999, 1)), ber.NO_SUCH_INSTANCE),
+            VarBind(ber.Oid((1, 3, 6, 1)), ber.Counter64(2 ** 64 - 1)),
+            VarBind(ber.Oid((0, 0)), ber.Raw(ber.Tag(ber.PRIVATE, False, 40),
+                                             b"\x01\x02")),
+            VarBind(ber.Oid((1, 3)), ber.Oid((1, 3, 6, 1, 2, 1)))])
+        for at, octet in enumerate(wire):
+            for new in range(256):
+                if new != octet:
+                    _decodes_or_is_refused(wire[:at] + bytes((new,))
+                                           + wire[at + 1:])
+
+    @pytest.mark.parametrize("tail", [
+        b"\x30\x81", b"\x30\x02\x06", b"\x30\x03\x06\x01\x2b",
+        b"\x30\x04\x06\x01\x2b\x05", b"\x30\x00",
+    ], ids=["long length", "name identifier",
+            "no value", "value identifier", "empty binding"])
+    def test_binding_cut_short_at_the_end_of_the_octets(self, tail):
+        # the variable-bindings list ends the message; a binding header
+        # read past its end would index past the octets
+        wire = _v2c_wire([])
+        assert wire.endswith(b"\x30\x00")
+        wire = wire[:-1] + bytes((len(tail),)) + tail
+        head = bytearray(wire)
+        head[1] += len(tail)  # the message SEQUENCE
+        head[13 + 1] += len(tail)  # the PDU
+        with pytest.raises(DecodingError):
+            messages.decode_message(bytes(head))
+
+    def test_lone_sequence_octet_ends_the_list(self):
+        # a v2c message whose binding list ends in a lone 0x30 octet
+        wire = (b"\x30\x19\x02\x01\x01\x04\x06public"
+                b"\xa0\x0c\x02\x01\x07\x02\x01\x00\x02\x01\x00\x30\x01\x30")
+        with pytest.raises(DecodingError):
+            messages.decode_message(wire)

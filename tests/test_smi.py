@@ -100,11 +100,18 @@ _LEX_CASES = [
                          for t, c in zip("abcde", (1, 3, 5, 7, 9))]),
     ('"one\ntwo" OBJECT', [("string", "one\ntwo", 1, 1),
                            ("keyword", "OBJECT", 2, 6)]),
+    ("{ ''H '0a'h '1010'B }", [
+        ("punctuation", "{", 1, 1), ("binstring", "''H", 1, 3),
+        ("binstring", "'0a'h", 1, 7), ("binstring", "'1010'B", 1, 13),
+        ("punctuation", "}", 1, 21)]),
 ]
 
 _LEX_ERRORS = [
     ('a\n  "open', "unterminated string", 2, 3),
     ("a\nb @", "unexpected character '@'", 2, 3),
+    ("DEFVAL { '0A }", "malformed hex or binary string", 1, 10),
+    ("x\n  '0A", "malformed hex or binary string", 2, 3),
+    ("'12'B", "malformed hex or binary string", 1, 1),
     ("{ b \u00b2 }", "unexpected character '\u00b2'", 1, 5),
 ]
 
@@ -191,6 +198,14 @@ class TestCompile:
         assert len(schemas) == 1
         assert schemas[0].type_name == "TestEntry"
         assert schemas[0].column_names() == ["testIndex", "testName"]
+
+    @pytest.mark.parametrize("defval", ["''H", "'0A'H", "'1010'B"])
+    def test_hex_and_binary_defvals_compile(self, defval):
+        source = SAMPLE.replace('compiler tests."\n',
+                                f'compiler tests."\n    DEFVAL {{ {defval} }}\n')
+        assert defval in source
+        assert smi.compile_text(source).records == \
+            smi.compile_text(SAMPLE).records
 
     def test_parse_error_carries_position(self):
         with pytest.raises(MibParseError) as exc:
@@ -314,6 +329,16 @@ def test_malformed_cmib_is_a_load_error(lines, tail):
 ])
 def test_read_compiled_refuses(data):
     with pytest.raises(MibLoadError):
+        smi.read_compiled(data)
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"CMIB 1\nMODULE X\nROWBEGIN\tE\nCOL\ta\tINTEGER\n", "'E' not closed"),
+    (b"CMIB 1\nMODULE X\nROWBEGIN\tE\nCOL\ta\tINTEGER\nROWBEGIN\tF\n"
+     b"ROWEND\n", "'E' not closed before line 5"),
+], ids=["at the end", "by another ROWBEGIN"])
+def test_read_compiled_refuses_an_unclosed_row(data, match):
+    with pytest.raises(MibLoadError, match=match):
         smi.read_compiled(data)
 
 
