@@ -16,9 +16,11 @@ the original bytes so re-encoding is byte-identical.  Input nested
 deeper than MAX_NESTING constructed levels is a DecodingError.
 header reads one TLV header, checking its identifier octet; messages
 reads its frames and PDUs with it, and looks a binding's value decoder
-up in the registry's table by identifier octet.  decode_oid builds the
+up in the registry's table by identifier octet.  read_oid builds the
 arcs of an OID whose sub-identifiers all take one octet from a table of
-the first two arcs and the other octets as they are.
+the first two arcs and the other octets as they are, and keeps the
+OID_MEMO_SIZE most recently read: octets read before give the one Oid
+already built for them, so a name that comes back is not decoded again.
 
 Encoding looks up the exact type of a value in a table of encoder
 functions, each holding its precomputed tag octets; tlv_encoder builds
@@ -42,6 +44,7 @@ and equal octets mean equal arcs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -209,13 +212,10 @@ class Oid:
         return "Oid(%s)" % ".".join(str(a) for a in self._arcs)
 
 
-_new = object.__new__
-
-
 def _oid(arcs, octets=None):
     """An Oid over a tuple of ints, skipping __init__'s per-arc int(), and
     keeping octets, its content octets when they are known."""
-    oid = _new(Oid)
+    oid = object.__new__(Oid)
     oid._arcs = arcs
     oid._octets = octets
     return oid
@@ -466,15 +466,28 @@ def _decode_octet_string(data, start, end, depth):
 
 
 def decode_oid(data, start, end, depth=0):
-    """The Oid whose content octets are data[start:end], which it keeps.
-    When every sub-identifier takes one octet, the arcs are the first
-    octet's two from _FIRST_ARCS and then the other octets as they are."""
-    octets = data[start:end]
-    oid = _new(Oid)  # as _oid does, without the call
-    oid._arcs = _FIRST_ARCS[octets[0]] + tuple(octets[1:]) \
-        if octets.isascii() and octets else _decode_oid_content(octets)
-    oid._octets = octets
-    return oid
+    """The Oid whose content octets are data[start:end], as read_oid
+    gives it."""
+    return read_oid(data[start:end])
+
+
+# The most names (content octets) that read_oid, and each
+# oids.Registry's resolve, keep.  Full of eleven-arc names, read_oid's
+# memo takes about 5.4 MB and a registry's about 3.9 MB.
+OID_MEMO_SIZE = 2 ** 14
+
+
+@functools.lru_cache(maxsize=OID_MEMO_SIZE)
+def read_oid(octets):
+    """The Oid of content octets, a bytes object, which it keeps: one
+    shared Oid for equal octets while they stay among the OID_MEMO_SIZE
+    most recently read.  When every sub-identifier takes one octet, the
+    arcs are the first octet's two from _FIRST_ARCS and then the other
+    octets as they are.  Malformed octets raise DecodingError every time,
+    as nothing is kept for them."""
+    return _oid(_FIRST_ARCS[octets[0]] + tuple(octets[1:])
+                if octets.isascii() and octets
+                else _decode_oid_content(octets), octets)
 
 
 def _decode_ip_address(data, start, end, depth):

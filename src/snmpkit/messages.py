@@ -276,7 +276,7 @@ def _read_pdu(data, pos, end, depth, version=None):
     _last(stop, end, "PDU")
     bindings = []
     append = bindings.append
-    decode_oid, by_octet = ber.decode_oid, ber.DEFAULT_REGISTRY._by_octet
+    read_oid, by_octet = ber.read_oid, ber.DEFAULT_REGISTRY._by_octet
     depth += 3
     # Each binding is SEQUENCE { OID, value }.  A short-form header is
     # read here; ber.header, or value_at for the value, reads any other
@@ -295,7 +295,7 @@ def _read_pdu(data, pos, end, depth, version=None):
         else:
             start, value_pos = ber.header(data, start, at, 0x06,
                                           "variable binding name")
-        name = decode_oid(data, start, value_pos)
+        name = read_oid(data[start:value_pos])
         if value_pos + 1 < at and (n := data[value_pos + 1]) < 0x80 and \
                 value_pos + 2 + n == at and \
                 (decoder := by_octet[data[value_pos]]) is not None:

@@ -9,6 +9,7 @@ deepest named ancestor with the trailing arcs kept aside.
 from __future__ import annotations
 
 import bisect
+import functools
 
 from . import ber
 from .errors import OidConflictError, OidResolutionError
@@ -52,7 +53,9 @@ class OidRef:
     """A resolved OID: deepest named ancestor plus unnamed trailing arcs.
 
     Its full arcs and its BER content octets are computed at most once,
-    when first asked for, and kept on the ref."""
+    when first asked for, and kept on the ref.  Registry.resolve gives
+    the one ref it keeps for a name read before to every caller, so a
+    ref is shared and must be treated as immutable."""
 
     __slots__ = ("node", "rest", "_arcs", "_octets")
 
@@ -144,7 +147,10 @@ def list_children(node):
 
 
 class Registry:
-    """The single conceptual MIB tree plus name and module indexes."""
+    """The single conceptual MIB tree plus name and module indexes, and a
+    memo of the refs of the ber.OID_MEMO_SIZE names (content octets) most
+    recently resolved from a decoded ber.Oid, dropped whenever register
+    adds a node."""
 
     def __init__(self):
         self.root = OidNode(0, name="zero")
@@ -155,6 +161,9 @@ class Registry:
         # (module, type name) -> RowSchema (filled by the SMI loader)
         self.row_schemas = {}
         self.ambiguous_names = set()
+        self._near = None  # the hint of the resolve in progress
+        self._refs = functools.lru_cache(maxsize=ber.OID_MEMO_SIZE)(
+            self._resolve_octets)
         self._bootstrap()
 
     def _bootstrap(self):
@@ -176,6 +185,7 @@ class Registry:
             if nxt is None:
                 nxt = OidNode(a, parent=node)
                 node.children[a] = nxt
+                self._refs.cache_clear()
             node = nxt
         arc = int(arc)
         child = node.children.get(arc)
@@ -185,6 +195,7 @@ class Registry:
                             max_access=max_access, status=status,
                             description=description)
             node.children[arc] = child
+            self._refs.cache_clear()
         else:
             if child.name is not None and name is not None and child.name != name:
                 raise OidConflictError(
@@ -218,15 +229,18 @@ class Registry:
     def resolve(self, spec, near=None):
         """Resolve any OID spelling (text, arc list, mixed list, node, ref).
 
+        A decoded ber.Oid, which keeps its content octets, gives the ref
+        kept for those octets when they were resolved before.  Otherwise
         near, a ref resolved before, is where the descent of a ber.Oid
         starts when near's node lies on the Oid's path, as the previous
         name's does in a walk's replies; from the root otherwise."""
         if isinstance(spec, OidRef):
             return spec
         if isinstance(spec, ber.Oid):  # its arcs are ints by construction
-            if near is not None:
+            if spec._octets is None:  # built from arcs: not a name read
                 return self._resolve_near(spec.arcs, near)
-            return self._resolve_arcs(spec.arcs)
+            self._near = near
+            return self._refs(spec._octets)
         if isinstance(spec, OidNode):
             return OidRef(spec)
         if isinstance(spec, str):
@@ -245,16 +259,16 @@ class Registry:
         segments = text.split(".")
         if segments and segments[0] == "":
             segments = segments[1:]
-        if len(segments) > 1 and segments[0] == "0":
-            segments = segments[1:]
         if not segments:
             return OidRef(self.root)
-        if all(s.isdigit() for s in segments):
+        if all(s.isdigit() for s in segments):  # _resolve_arcs' 0 rule
             try:
                 arcs = tuple(int(s) for s in segments)
             except ValueError:
                 raise OidResolutionError(f"malformed numeric OID {text!r}")
             return self._resolve_arcs(arcs)
+        if segments[0] == "0":  # a mixed spelling such as 0.iso.3
+            segments = segments[1:]
         return _descend_spelling(self._lookup_name(segments[0], module), (),
                                  segments[1:])
 
@@ -278,15 +292,22 @@ class Registry:
             arcs = arcs[1:]
         return _descend(self.root, arcs, 0)
 
+    def _resolve_octets(self, octets):
+        """The ref of a name's content octets, which _refs keeps: read
+        from the near hint that resolve left.  The hint may be another
+        thread's, which _resolve_near checks as it checks any near."""
+        return self._resolve_near(ber.read_oid(octets).arcs, self._near)
+
     def _resolve_near(self, arcs, near):
         """The ref of a tuple of ints, descending from near's node when
-        that node's path is a prefix of arcs and does not begin with 0, so
-        that _resolve_arcs' leading-0 rule cannot apply; from the root
-        otherwise."""
-        path = near.arcs
-        depth = len(path) - len(near.rest)
-        if depth and path[0] and arcs[:depth] == path[:depth]:
-            return _descend(near.node, arcs, depth)
+        near is a ref whose node's path is a prefix of arcs and does not
+        begin with 0, so that _resolve_arcs' leading-0 rule cannot apply;
+        from the root otherwise."""
+        if near is not None:
+            path = near.arcs
+            depth = len(path) - len(near.rest)
+            if depth and path[0] and arcs[:depth] == path[:depth]:
+                return _descend(near.node, arcs, depth)
         return self._resolve_arcs(arcs)
 
     def _resolve_sequence(self, seq):

@@ -363,6 +363,47 @@ class TestKeptOctets:
         assert decoded.octets == oid.octets and decoded == oid
 
 
+class TestReadOnce:
+    """read_oid keeps the one Oid of each name it reads, up to its bound,
+    and nothing for malformed octets."""
+
+    @staticmethod
+    def _read(content):
+        try:
+            return ber.decode(bytes([0x06, len(content)]) + content)[0]
+        except DecodingError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_oid_octets)
+    @example(b"")
+    @example(bytes([0x2B, 0x80, 0x06]))
+    @example(bytes([0x2B, 0x06, 0x81]))
+    def test_reading_twice_gives_one_oid_or_raises_twice(self, content):
+        first, second = self._read(content), self._read(content)
+        if isinstance(first, ber.Oid):
+            assert second is first and first.octets == content
+            assert first == ber.Oid(ber._decode_oid_content(content))
+        else:
+            assert second == first
+
+    def test_malformed_octets_are_not_kept(self):
+        content = bytes([0x2B, 0x80, 0x06])
+        before = ber.read_oid.cache_info()
+        for _ in range(2):
+            with pytest.raises(DecodingError, match="0x80"):
+                ber.read_oid(content)
+        after = ber.read_oid.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 2, before.hits)
+
+    def test_the_memo_holds_at_most_its_bound(self):
+        bound = ber.OID_MEMO_SIZE
+        for i in range(bound + 100):
+            ber.read_oid(ber.Oid((1, 3, 6, 1, 4, 1, 98, i)).octets)
+        info = ber.read_oid.cache_info()
+        assert (info.maxsize, info.currsize) == (bound, bound)
+
+
 class TestOidObject:
     def _both(self):
         built = ber.Oid((1, 3, 6, 1, 2, 1, 2, 2, 1, 2, 2 ** 32 - 1))

@@ -9,6 +9,7 @@ from snmpkit.messages import (
     FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE, GET_REQUEST, Pdu, REPORT, RESPONSE,
     ScopedPdu, V1, V2C, V3, V3Message, VarBind, defaults,
 )
+from snmpkit.mibs import load_core
 
 
 @pytest.fixture()
@@ -279,20 +280,23 @@ class TestSelect:
                            for p in client.walk(session, "ifTable"))
         assert from_select == from_walk
 
-    def test_row_gets_resolve_no_names(self, registry, monkeypatch):
-        """Root descents in select: in each of the walk's GETBULK replies
-        one for its first name and one where its names change column, the
-        others descending from the name before; the columns, taken from
-        the entry node's children, and the R per-row GETs add none."""
-        counts, walks = {}, {}
+    def test_row_gets_resolve_no_names(self, monkeypatch):
+        """Root descents in a first select, each over a fresh registry: in
+        each of the walk's GETBULK replies one for its first name and one
+        where its names change column, the others descending from the name
+        before; the columns, taken from the entry node's children, and the
+        R per-row GETs add none.  A second select finds every name in the
+        registry's memo and descends for none."""
+        descents, counts, again, walks = [], {}, {}, {}
         real = oids.Registry._resolve_arcs
 
         def counting(self, arcs):
-            counts[rows] += 1
+            descents.append(arcs)
             return real(self, arcs)
 
         monkeypatch.setattr(oids.Registry, "_resolve_arcs", counting)
         for rows in (8, 32):
+            registry = load_core(oids.Registry())
             tree, ctx = agent.DispatchTree(), agent.AgentContext(
                 registry=registry)
             agent.install_if_table(tree, registry,
@@ -300,15 +304,20 @@ class TestSelect:
             endpoint, channel, clock = harness.connect(
                 harness.agent_responder(tree, ctx))
             session = _open(registry, (endpoint, channel, clock))
-            counts[rows] = 0
+            del descents[:]
             assert len(client.select("ifTable", session)) == rows
+            counts[rows] = len(descents)
             walks[rows] = channel.exchanges - rows
+            del descents[:]
+            assert len(client.select("ifTable", session)) == rows
+            again[rows] = len(descents)
         bulk = client.WALK_BULK_REPETITIONS
         assert walks == {8: 1, 32: 2}
         # 8 rows: one reply, ifIndex.1-8 ifDescr.1-8 ifType.1-8 ifMtu.1;
         # 32 rows: ifIndex.1-25, then ifIndex.26-32 ifDescr.1-18
         assert bulk == 25
         assert counts == {8: 4, 32: 1 + 2}
+        assert again == {8: 0, 32: 0}
 
     def test_dynamic_table(self, registry, fabric):
         session = _open(registry, fabric)

@@ -1,8 +1,11 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from snmpkit import ber
-from snmpkit.errors import OidConflictError, OidResolutionError
+from snmpkit import ber, smi
+from snmpkit.errors import EncodingError, OidConflictError, OidResolutionError
 from snmpkit.mibs import load_core
 from snmpkit.oids import (
     Registry, lexicographic_successor, list_children, name_list, number_list,
@@ -255,17 +258,27 @@ class TestSpellings:
         name, arcs = spelling
         node = _CORE.name_index[name][0]
         ref = _CORE.resolve(name)
-        forms = [".".join([name, *map(str, arcs)]), [name, *arcs],
-                 [node, *arcs], [ref, *arcs]]
+        dotted = ".".join(map(str, ref.arcs + tuple(arcs)))
         # the leading-0 rule reads the numbers of an OID below
-        # zeroDotZero, such as 0.1, from the root (see TestResolveNear)
-        if ref.arcs[0] != 0:
-            forms.append(".".join(map(str, ref.arcs + tuple(arcs))))
+        # zeroDotZero, such as 0.1, from the root (see TestResolveNear),
+        # so they are spelled with the 0 that addresses the root
+        forms = [".".join([name, *map(str, arcs)]), [name, *arcs],
+                 [node, *arcs], [ref, *arcs],
+                 dotted if ref.arcs[0] else "0." + dotted]
         want = _CORE.resolve(forms[-1])
         for form in forms:
             got = _CORE.resolve(form)
             assert (got.node, got.rest) == (want.node, want.rest), form
             assert got.arcs == number_list(got) == ref.arcs + tuple(arcs)
+
+    def test_one_leading_zero_rule(self):
+        # a dotted numeric spelling is read as its arc tuple is
+        below_zero = ["0.0.1", (0, 0, 1), "zeroDotZero.1", ["zeroDotZero", 1]]
+        assert {_CORE.resolve(s).arcs for s in below_zero} == {(0, 1)}
+        assert _CORE.resolve("0.1").arcs == _CORE.resolve((0, 1)).arcs
+        assert _CORE.resolve("0.1.3.6.1.2.1.1.1.0") == \
+            _CORE.resolve("sysDescr.0")
+        assert _CORE.resolve("0.iso.3") == _CORE.resolve("iso.3")
 
     def test_named_and_numbered_children_agree(self):
         assert _CORE.resolve(["system", 1]) == _CORE.resolve("sysDescr")
@@ -310,34 +323,52 @@ def _replies(draw):
     return names
 
 
+def _read(arcs):
+    """The Oid of arcs as a reply carries it, read from its octets, when
+    they encode; built from the arcs otherwise."""
+    try:
+        return ber.read_oid(ber.Oid(arcs).octets)
+    except EncodingError:
+        return ber.Oid(arcs)
+
+
 class TestResolveNear:
     """Resolving each name from the ref before it gives the ref that the
-    descent from the root gives."""
+    descent from the root gives.  Each side resolves through a fresh
+    registry, whose memo holds no name yet."""
 
     @staticmethod
-    def _chain(names):
+    def _chain(registry, names):
         refs, near = [], None
         for arcs in names:
-            near = _CORE.resolve(ber.Oid(arcs), near)
+            near = registry.resolve(_read(arcs), near)
             refs.append(near)
         return refs
+
+    _SIDES = load_core(Registry()), load_core(Registry())
 
     @settings(max_examples=400, deadline=None)
     @given(_replies())
     def test_matches_the_root_descent(self, names):
-        for ref, arcs in zip(self._chain(names), names):
-            root = _CORE.resolve(ber.Oid(arcs))
-            assert (ref.node, ref.rest, ref.arcs) == \
-                (root.node, root.rest, root.arcs)
+        # a registry per side, its memo dropped, stands for a fresh one
+        # at a tenth of the time load_core would take
+        near_side, root_side = self._SIDES
+        for registry in self._SIDES:
+            registry._refs.cache_clear()
+        for ref, arcs in zip(self._chain(near_side, names), names):
+            root = root_side.resolve(_read(arcs))
+            assert (number_list(ref.node), ref.rest, ref.arcs) == \
+                (number_list(root.node), root.rest, root.arcs)
 
     def test_leading_zero_after_zero_dot_zero(self):
         # zeroDotZero's node is not on the path of 0.1.127, which the
         # leading-0 rule reads as iso.127
-        zero, iso = self._chain([(0, 0), (0, 1, 127)])
+        zero, iso = self._chain(load_core(Registry()), [(0, 0), (0, 1, 127)])
         assert zero.node.name == "zeroDotZero"
         assert (iso.node.name, iso.rest) == ("iso", (127,))
 
     def test_siblings_descend_from_the_name_before(self, monkeypatch):
+        registry = load_core(Registry())
         roots = []
         real = Registry._resolve_arcs
 
@@ -346,9 +377,90 @@ class TestResolveNear:
             return real(self, arcs)
 
         monkeypatch.setattr(Registry, "_resolve_arcs", counting)
-        column = _CORE.resolve("ifDescr").arcs
-        refs = self._chain([column + (i,) for i in (1, 2, 128, 16384)]
-                           + [(1, 3, 6, 1, 2, 1, 1, 1, 0)])
+        column = registry.resolve("ifDescr").arcs
+        names = [column + (i,) for i in (1, 2, 128, 16384)] \
+            + [(1, 3, 6, 1, 2, 1, 1, 1, 0)]
+        refs = self._chain(registry, names)
         assert [ref.node.name for ref in refs] == \
             ["ifDescr"] * 4 + ["sysDescr"]
         assert roots == [column + (1,), (1, 3, 6, 1, 2, 1, 1, 1, 0)]
+        # read again, every name is the ref kept for it, with no descent
+        del roots[:]
+        assert all(a is b for a, b in zip(self._chain(registry, names), refs))
+        assert roots == []
+
+
+def _same(a, b):
+    """Refs of two registries name the same node path and rest arcs."""
+    return (number_list(a.node), a.rest, a.arcs) == \
+        (number_list(b.node), b.rest, b.arcs)
+
+
+class TestNameMemo:
+    """Registry.resolve keeps one ref per name read, up to its bound."""
+
+    def test_threads_get_the_refs_a_fresh_registry_gives(self):
+        shared, fresh = load_core(Registry()), load_core(Registry())
+        column = shared.resolve("ifDescr").arcs
+        names = [_read(column + (i,)) for i in range(1, 101)] + \
+            [_read(SYSDESCR_0), _read((1, 3, 6, 1, 4, 1, 99, 1))]
+        want = [fresh.resolve(oid) for oid in names]
+        start, results = threading.Barrier(4), [None] * 4
+
+        def resolve_rotated(k):
+            # each thread its own order, each name from the one before
+            order = list(range(k * 25, len(names))) + list(range(k * 25))
+            start.wait()
+            got, near = {}, None
+            for _ in range(5):
+                for i in order:
+                    near = shared.resolve(names[i], near)
+                    got.setdefault(i, []).append(near)
+            results[k] = got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=resolve_rotated, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert sorted(got) == list(range(len(names)))
+            for i, refs in got.items():
+                assert all(_same(ref, want[i]) for ref in refs), names[i]
+
+    def test_the_memo_holds_at_most_its_bound(self):
+        registry = Registry()
+        bound = ber.OID_MEMO_SIZE
+        for i in range(bound + 100):
+            registry.resolve(_read((1, 3, 6, 1, 4, 1, 99, i)))
+        info = registry._refs.cache_info()
+        assert (info.maxsize, info.currsize) == (bound, bound)
+
+    def test_an_oid_built_from_arcs_is_not_kept(self):
+        registry = load_core(Registry())
+        ref = registry.resolve(ber.Oid(SYSDESCR_0))
+        assert registry._refs.cache_info().currsize == 0
+        assert registry.resolve(_read(SYSDESCR_0)) == ref
+
+    def test_a_name_read_before_a_deeper_node_is_loaded(self):
+        registry = load_core(Registry())
+        name = _read((1, 3, 6, 1, 4, 1, 99999, 1, 2, 0))
+        before = registry.resolve(name)
+        assert (before.node.name, before.rest) == \
+            ("enterprises", (99999, 1, 2, 0))
+        assert registry.resolve(name) is before
+        smi.load_records(registry, smi.compile_text("""
+DEEPER-MIB DEFINITIONS ::= BEGIN
+IMPORTS enterprises FROM SNMPv2-SMI;
+deeper OBJECT IDENTIFIER ::= { enterprises 99999 }
+deeperLeaf OBJECT IDENTIFIER ::= { deeper 1 }
+END"""))
+        after = registry.resolve(name)
+        assert (after.node.name, after.rest) == ("deeperLeaf", (2, 0))
+        assert after.arcs == before.arcs
