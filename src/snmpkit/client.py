@@ -140,8 +140,10 @@ def _pairs(session, pdu):
     are compared by their content octets: each ref's octets are computed
     before the request is encoded, so they are encoded once, and the
     pairs hold the request's refs.  A response that does not raises
-    SnmpError.  The names of other responses are resolved once here, each
-    from the name before it where that one's node is on its path."""
+    SnmpError.  The names of other responses are resolved here: a name
+    resolved before is the registry's kept ref, shared with every other
+    caller, and any other descends from the name before it where that
+    one's node is on its path."""
     asked = [vb.name.octets for vb in pdu.bindings] \
         if pdu.pdu_type in (GET_REQUEST, SET_REQUEST) else None
     response = send_pdu(session, pdu)

@@ -9,7 +9,7 @@ deepest named ancestor with the trailing arcs kept aside.
 from __future__ import annotations
 
 import bisect
-import functools
+import threading
 
 from . import ber
 from .errors import OidConflictError, OidResolutionError
@@ -148,9 +148,9 @@ def list_children(node):
 
 class Registry:
     """The single conceptual MIB tree plus name and module indexes, and a
-    memo of the refs of the ber.OID_MEMO_SIZE names (content octets) most
-    recently resolved from a decoded ber.Oid, dropped whenever register
-    adds a node."""
+    memo of the refs of up to ber.OID_MEMO_SIZE names resolved from a
+    decoded ber.Oid, keyed by their content octets, emptied when full and
+    whenever register adds a node."""
 
     def __init__(self):
         self.root = OidNode(0, name="zero")
@@ -161,9 +161,8 @@ class Registry:
         # (module, type name) -> RowSchema (filled by the SMI loader)
         self.row_schemas = {}
         self.ambiguous_names = set()
-        self._near = None  # the hint of the resolve in progress
-        self._refs = functools.lru_cache(maxsize=ber.OID_MEMO_SIZE)(
-            self._resolve_octets)
+        self._refs = {}
+        self._refs_lock = threading.Lock()
         self._bootstrap()
 
     def _bootstrap(self):
@@ -185,7 +184,7 @@ class Registry:
             if nxt is None:
                 nxt = OidNode(a, parent=node)
                 node.children[a] = nxt
-                self._refs.cache_clear()
+                self._refs.clear()
             node = nxt
         arc = int(arc)
         child = node.children.get(arc)
@@ -195,7 +194,7 @@ class Registry:
                             max_access=max_access, status=status,
                             description=description)
             node.children[arc] = child
-            self._refs.cache_clear()
+            self._refs.clear()
         else:
             if child.name is not None and name is not None and child.name != name:
                 raise OidConflictError(
@@ -237,10 +236,16 @@ class Registry:
         if isinstance(spec, OidRef):
             return spec
         if isinstance(spec, ber.Oid):  # its arcs are ints by construction
-            if spec._octets is None:  # built from arcs: not a name read
-                return self._resolve_near(spec.arcs, near)
-            self._near = near
-            return self._refs(spec._octets)
+            octets = spec._octets  # None when built from arcs: not kept
+            ref = self._refs.get(octets)
+            if ref is None:
+                ref = self._resolve_near(spec.arcs, near)
+                if octets is not None:
+                    with self._refs_lock:  # the bound holds across threads
+                        if len(self._refs) >= ber.OID_MEMO_SIZE:
+                            self._refs.clear()
+                        self._refs[octets] = ref
+            return ref
         if isinstance(spec, OidNode):
             return OidRef(spec)
         if isinstance(spec, str):
@@ -291,12 +296,6 @@ class Registry:
         if len(arcs) > 1 and arcs[0] == 0 and arcs[1] in self.root.children:
             arcs = arcs[1:]
         return _descend(self.root, arcs, 0)
-
-    def _resolve_octets(self, octets):
-        """The ref of a name's content octets, which _refs keeps: read
-        from the near hint that resolve left.  The hint may be another
-        thread's, which _resolve_near checks as it checks any near."""
-        return self._resolve_near(ber.read_oid(octets).arcs, self._near)
 
     def _resolve_near(self, arcs, near):
         """The ref of a tuple of ints, descending from near's node when

@@ -354,7 +354,7 @@ class TestResolveNear:
         # at a tenth of the time load_core would take
         near_side, root_side = self._SIDES
         for registry in self._SIDES:
-            registry._refs.cache_clear()
+            registry._refs.clear()
         for ref, arcs in zip(self._chain(near_side, names), names):
             root = root_side.resolve(_read(arcs))
             assert (number_list(ref.node), ref.rest, ref.arcs) == \
@@ -399,24 +399,28 @@ def _same(a, b):
 class TestNameMemo:
     """Registry.resolve keeps one ref per name read, up to its bound."""
 
-    def test_threads_get_the_refs_a_fresh_registry_gives(self):
+    def test_threads_get_the_refs_a_fresh_registry_gives(self, monkeypatch):
+        # a bound below the names read, so the memo fills and is emptied
+        # while the threads resolve through it
+        monkeypatch.setattr(ber, "OID_MEMO_SIZE", 32)
         shared, fresh = load_core(Registry()), load_core(Registry())
         column = shared.resolve("ifDescr").arcs
         names = [_read(column + (i,)) for i in range(1, 101)] + \
             [_read(SYSDESCR_0), _read((1, 3, 6, 1, 4, 1, 99, 1))]
         want = [fresh.resolve(oid) for oid in names]
-        start, results = threading.Barrier(4), [None] * 4
+        start, results = threading.Barrier(4, timeout=60), [None] * 4
 
         def resolve_rotated(k):
             # each thread its own order, each name from the one before
             order = list(range(k * 25, len(names))) + list(range(k * 25))
             start.wait()
-            got, near = {}, None
+            got, near, most = {}, None, 0
             for _ in range(5):
                 for i in order:
                     near = shared.resolve(names[i], near)
                     got.setdefault(i, []).append(near)
-            results[k] = got
+                    most = max(most, len(shared._refs))
+            results[k] = got, most
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -426,10 +430,12 @@ class TestNameMemo:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        for got in results:
+        assert not any(t.is_alive() for t in threads)
+        for got, most in results:
+            assert most <= 32
             assert sorted(got) == list(range(len(names)))
             for i, refs in got.items():
                 assert all(_same(ref, want[i]) for ref in refs), names[i]
@@ -437,15 +443,17 @@ class TestNameMemo:
     def test_the_memo_holds_at_most_its_bound(self):
         registry = Registry()
         bound = ber.OID_MEMO_SIZE
+        most = 0
         for i in range(bound + 100):
             registry.resolve(_read((1, 3, 6, 1, 4, 1, 99, i)))
-        info = registry._refs.cache_info()
-        assert (info.maxsize, info.currsize) == (bound, bound)
+            most = max(most, len(registry._refs))
+        # full, it is emptied before the next name is kept
+        assert (most, len(registry._refs)) == (bound, 100)
 
     def test_an_oid_built_from_arcs_is_not_kept(self):
         registry = load_core(Registry())
         ref = registry.resolve(ber.Oid(SYSDESCR_0))
-        assert registry._refs.cache_info().currsize == 0
+        assert not registry._refs
         assert registry.resolve(_read(SYSDESCR_0)) == ref
 
     def test_a_name_read_before_a_deeper_node_is_loaded(self):
