@@ -18,9 +18,10 @@ header reads one TLV header, checking its identifier octet; messages
 reads its frames and PDUs with it, and looks a binding's value decoder
 up in the registry's table by identifier octet.  read_oid builds the
 arcs of an OID whose sub-identifiers all take one octet from a table of
-the first two arcs and the other octets as they are, and keeps the
-OID_MEMO_SIZE most recently read: octets read before give the one Oid
-already built for them, so a name that comes back is not decoded again.
+the first two arcs and the other octets as they are, and keeps up to
+OID_MEMO_SIZE of them in a NameMemo: octets read before give the one
+Oid already built for them, so a name that comes back is not decoded
+again.
 
 Encoding looks up the exact type of a value in a table of encoder
 functions, each holding its precomputed tag octets; tlv_encoder builds
@@ -44,7 +45,7 @@ and equal octets mean equal arcs.
 
 from __future__ import annotations
 
-import functools
+import threading
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -471,23 +472,51 @@ def decode_oid(data, start, end, depth=0):
     return read_oid(data[start:end])
 
 
-# The most names (content octets) that read_oid, and each
-# oids.Registry's resolve, keep.  Full of eleven-arc names, read_oid's
-# memo takes about 6.1 MB and a registry's about 2.3 MB (tracemalloc).
+# The most names (content octets) that a NameMemo keeps.  Full of
+# eleven-arc names, read_oid's takes about 4.5 MB and an oids.Registry's
+# about 2.3 MB (tracemalloc, Python 3.11).
 OID_MEMO_SIZE = 2 ** 14
 
 
-@functools.lru_cache(maxsize=OID_MEMO_SIZE)
+class NameMemo(dict):
+    """What was made of each name, keyed by its content octets: at most
+    OID_MEMO_SIZE of them, emptied when full.  keep adds one under a
+    lock, so the bound holds when threads share the memo.  A plain dict
+    rather than an lru_cache: its entries take less memory, which a
+    walk of names never seen before pays for."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def keep(self, octets, value):
+        """value, kept for octets."""
+        with self._lock:
+            if len(self) >= OID_MEMO_SIZE:
+                self.clear()
+            self[octets] = value
+        return value
+
+
+_NAMES = NameMemo()
+
+
 def read_oid(octets):
-    """The Oid of content octets, a bytes object, which it keeps: one
-    shared Oid for equal octets while they stay among the OID_MEMO_SIZE
-    most recently read.  When every sub-identifier takes one octet, the
-    arcs are the first octet's two from _FIRST_ARCS and then the other
-    octets as they are.  Malformed octets raise DecodingError every time,
-    as nothing is kept for them."""
-    return _oid(_FIRST_ARCS[octets[0]] + tuple(octets[1:])
-                if octets.isascii() and octets
-                else _decode_oid_content(octets), octets)
+    """The Oid of content octets, a bytes object, which it keeps: the one
+    Oid already built for octets read before, while _NAMES holds them.
+    When every sub-identifier takes one octet, the arcs are the first
+    octet's two from _FIRST_ARCS and then the other octets as they are.
+    Malformed octets raise DecodingError every time, as nothing is kept
+    for them."""
+    oid = _NAMES.get(octets)
+    if oid is None:
+        oid = _NAMES.keep(octets, _oid(
+            _FIRST_ARCS[octets[0]] + tuple(octets[1:])
+            if octets.isascii() and octets
+            else _decode_oid_content(octets), octets))
+    return oid
 
 
 def _decode_ip_address(data, start, end, depth):

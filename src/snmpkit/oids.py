@@ -9,7 +9,6 @@ deepest named ancestor with the trailing arcs kept aside.
 from __future__ import annotations
 
 import bisect
-import threading
 
 from . import ber
 from .errors import OidConflictError, OidResolutionError
@@ -148,9 +147,8 @@ def list_children(node):
 
 class Registry:
     """The single conceptual MIB tree plus name and module indexes, and a
-    memo of the refs of up to ber.OID_MEMO_SIZE names resolved from a
-    decoded ber.Oid, keyed by their content octets, emptied when full and
-    whenever register adds a node."""
+    ber.NameMemo of the refs of names resolved from a decoded ber.Oid,
+    emptied also whenever register adds a node."""
 
     def __init__(self):
         self.root = OidNode(0, name="zero")
@@ -161,8 +159,7 @@ class Registry:
         # (module, type name) -> RowSchema (filled by the SMI loader)
         self.row_schemas = {}
         self.ambiguous_names = set()
-        self._refs = {}
-        self._refs_lock = threading.Lock()
+        self._refs = ber.NameMemo()
         self._bootstrap()
 
     def _bootstrap(self):
@@ -241,10 +238,7 @@ class Registry:
             if ref is None:
                 ref = self._resolve_near(spec.arcs, near)
                 if octets is not None:
-                    with self._refs_lock:  # the bound holds across threads
-                        if len(self._refs) >= ber.OID_MEMO_SIZE:
-                            self._refs.clear()
-                        self._refs[octets] = ref
+                    self._refs.keep(octets, ref)
             return ref
         if isinstance(spec, OidNode):
             return OidRef(spec)
