@@ -19,9 +19,9 @@ reads its frames and PDUs with it, and looks a binding's value decoder
 up in the registry's table by identifier octet.  read_oid builds the
 arcs of an OID whose sub-identifiers all take one octet from a table of
 the first two arcs and the other octets as they are, and keeps up to
-OID_MEMO_SIZE of them in a NameMemo: octets read before give the one
-Oid already built for them, so a name that comes back is not decoded
-again.
+OID_MEMO_SIZE of them, each of at most OID_MEMO_OCTETS, in a NameMemo:
+octets read before give the one Oid already built for them, so a name
+that comes back is not decoded again.
 
 Encoding looks up the exact type of a value in a table of encoder
 functions, each holding its precomputed tag octets; tlv_encoder builds
@@ -472,31 +472,46 @@ def decode_oid(data, start, end, depth=0):
     return read_oid(data[start:end])
 
 
-# The most names (content octets) that a NameMemo keeps.  Full of
+# The most names that a NameMemo keeps, and the longest, in content
+# octets: a longer name, which no MIB defines, is made again each time it
+# is read, so no sender can fill a memo with long ones.  Full of
 # eleven-arc names, read_oid's takes about 4.5 MB and an oids.Registry's
-# about 2.3 MB (tracemalloc, Python 3.11).
+# about 2.3 MB; full of the longest names, at most about 42 MB and 18 MB
+# (tracemalloc, Python 3.11).
 OID_MEMO_SIZE = 2 ** 14
+OID_MEMO_OCTETS = 128
 
 
 class NameMemo(dict):
     """What was made of each name, keyed by its content octets: at most
-    OID_MEMO_SIZE of them, emptied when full.  keep adds one under a
-    lock, so the bound holds when threads share the memo.  A plain dict
-    rather than an lru_cache: its entries take less memory, which a
-    walk of names never seen before pays for."""
+    OID_MEMO_SIZE of them, none longer than OID_MEMO_OCTETS, emptied when
+    full.  keep adds one under a lock, so the bound holds when threads
+    share the memo; clear counts a generation, and keep given the one
+    read before the value was made keeps nothing if a clear came between.
+    A plain dict rather than an lru_cache: its entries take less memory,
+    which a walk of names never seen before pays for."""
 
-    __slots__ = ("_lock",)
+    __slots__ = ("_lock", "generation")
 
     def __init__(self):
         super().__init__()
         self._lock = threading.Lock()
+        self.generation = 0
 
-    def keep(self, octets, value):
-        """value, kept for octets."""
+    def clear(self):
         with self._lock:
-            if len(self) >= OID_MEMO_SIZE:
-                self.clear()
-            self[octets] = value
+            super().clear()
+            self.generation += 1
+
+    def keep(self, octets, value, generation=None):
+        """value, kept for octets unless they are too long or the memo was
+        cleared since generation."""
+        if len(octets) <= OID_MEMO_OCTETS:
+            with self._lock:
+                if generation is None or generation == self.generation:
+                    if len(self) >= OID_MEMO_SIZE:
+                        super().clear()
+                    self[octets] = value
         return value
 
 
@@ -505,7 +520,8 @@ _NAMES = NameMemo()
 
 def read_oid(octets):
     """The Oid of content octets, a bytes object, which it keeps: the one
-    Oid already built for octets read before, while _NAMES holds them.
+    Oid already built for octets read before, while _NAMES holds them
+    (never for more than OID_MEMO_OCTETS octets).
     When every sub-identifier takes one octet, the arcs are the first
     octet's two from _FIRST_ARCS and then the other octets as they are.
     Malformed octets raise DecodingError every time, as nothing is kept

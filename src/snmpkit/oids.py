@@ -148,7 +148,8 @@ def list_children(node):
 class Registry:
     """The single conceptual MIB tree plus name and module indexes, and a
     ber.NameMemo of the refs of names resolved from a decoded ber.Oid,
-    emptied also whenever register adds a node."""
+    emptied also whenever register adds a node; a ref resolved while a
+    node was added is not kept."""
 
     def __init__(self):
         self.root = OidNode(0, name="zero")
@@ -236,9 +237,12 @@ class Registry:
             octets = spec._octets  # None when built from arcs: not kept
             ref = self._refs.get(octets)
             if ref is None:
+                # a register during the descent clears the memo, and then
+                # this ref, which may miss the new node, is not kept
+                generation = self._refs.generation
                 ref = self._resolve_near(spec.arcs, near)
                 if octets is not None:
-                    self._refs.keep(octets, ref)
+                    self._refs.keep(octets, ref, generation)
             return ref
         if isinstance(spec, OidNode):
             return OidRef(spec)

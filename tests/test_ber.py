@@ -403,6 +403,26 @@ class TestReadOnce:
         # full, it is emptied before the next name is kept
         assert (most, len(ber._NAMES)) == (bound, 100)
 
+    def test_long_names_are_read_but_never_kept(self):
+        longest = ber.OID_MEMO_OCTETS
+        ber._NAMES.clear()
+        for i in range(2000):
+            # one kept name, then names of 129 octets to about 16 KB,
+            # half of them with two-octet sub-identifiers
+            arc = 300 if i % 2 else 5
+            tail = (1, 3) + (arc,) * (longest + i * 4)
+            content = ber.Oid(tail + (i % 128,)).octets
+            read = ber.read_oid(content)
+            assert read.octets == content
+            assert read == ber.Oid(ber._decode_oid_content(content))
+            assert max(map(len, ber._NAMES), default=0) <= longest
+        assert not ber._NAMES
+        at_bound = bytes([0x2B] + [0x05] * (longest - 1))
+        assert ber.read_oid(at_bound) is ber.read_oid(at_bound)
+        beyond = at_bound + b"\x05"
+        assert ber.read_oid(beyond) is not ber.read_oid(beyond)
+        assert list(ber._NAMES) == [at_bound]
+
 
 class TestOidObject:
     def _both(self):

@@ -450,6 +450,33 @@ class TestNameMemo:
         # full, it is emptied before the next name is kept
         assert (most, len(registry._refs)) == (bound, 100)
 
+    def test_long_names_are_resolved_but_never_kept(self):
+        registry = load_core(Registry())
+        for i in range(200):
+            arcs = (1, 3, 6, 1, 4, 1, 99) + (300,) * (64 + i) + (i,)
+            ref = registry.resolve(_read(arcs))
+            assert (ref.node.name, ref.arcs) == ("enterprises", arcs)
+        assert not registry._refs
+
+    def test_a_register_during_the_descent_keeps_no_ref(self, monkeypatch):
+        # another thread's register lands after this resolve has descended
+        # the tree as it was and before it keeps the ref
+        registry = load_core(Registry())
+        name = _read((1, 3, 6, 1, 4, 1, 99999, 1, 0))
+        descend = registry._resolve_near
+
+        def descend_then_register(arcs, near):
+            ref = descend(arcs, near)
+            registry.register("DEEPER-MIB", "deeper", "enterprises", 99999)
+            return ref
+
+        monkeypatch.setattr(registry, "_resolve_near", descend_then_register)
+        raced = registry.resolve(name)
+        monkeypatch.undo()
+        assert (raced.node.name, raced.rest) == ("enterprises", (99999, 1, 0))
+        after = registry.resolve(name)
+        assert (after.node.name, after.rest) == ("deeper", (1, 0))
+
     def test_an_oid_built_from_arcs_is_not_kept(self):
         registry = load_core(Registry())
         ref = registry.resolve(ber.Oid(SYSDESCR_0))
