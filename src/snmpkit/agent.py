@@ -5,6 +5,12 @@ v3 through a LocalEngine, which frames its replies and Reports alike; a
 reply that does not encode or fit is replaced in one place, _fitted.
 enable_service serves v1/v2c over UDP.
 
+GETBULK encodes each answer as it reads it and stops reading at the
+repetition that passes the reply's limit, so its work is bounded by what
+one reply can hold; _fitted then keeps the whole repetitions that fit.
+Instances that read None are no answer, and are stepped over with no
+bound, by GETNEXT and GETBULK alike.
+
 Variables are served by handler functions attached at base OIDs.  Called
 with an empty rest-id list a handler enumerates its children (a ChildSpec:
 a count, a flat arc list, or a list of arc lists); called with rest ids it
@@ -25,6 +31,7 @@ import platform
 import socket
 import threading
 import time
+from itertools import accumulate, chain, islice, repeat
 
 from . import ber, messages, usm
 from .errors import (
@@ -195,26 +202,27 @@ def _children_after(children, key):
     """Rest ids in children greater than key, in order; all if key is None."""
     if isinstance(children, range):
         start = max(children.start, key[0] + 1) if key else children.start
-        return ((i,) for i in range(start, children.stop))
+        return zip(range(start, children.stop))  # as 1-tuples
     start = 0 if key is None else bisect.bisect_right(children, key)
-    return (children[i] for i in range(start, len(children)))
+    return islice(children, start, None)
 
 
-def dispatch(tree, pdu, ctx, version=V2C):
+def dispatch(tree, pdu, ctx, version=V2C, limit=MAX_UDP_PAYLOAD):
     """Process one request PDU and build the response PDU.
 
     Errors are in-band: v1 sets error-status/index, v2c uses per-binding
     exception values.  GETBULK under v1 answers genErr, and so does a PDU
     that is not a request (Response, Report, SNMPv2-Trap, InformRequest),
-    which handle_datagram drops before it gets here.
+    which handle_datagram drops before it gets here.  limit is the most
+    octets the reply may take; GETBULK reads no further than it.
     """
     handler = _DISPATCH.get(pdu.pdu_type)
     if handler is None or version == V1 and pdu.pdu_type == GET_BULK_REQUEST:
         return messages.response_for(pdu, list(pdu.bindings), GEN_ERR, 0)
-    return handler(tree, pdu, ctx, version)
+    return handler(tree, pdu, ctx, version, limit)
 
 
-def _dispatch_get(tree, pdu, ctx, version):
+def _dispatch_get(tree, pdu, ctx, version, limit):
     out = []
     for i, vb in enumerate(pdu.bindings):
         arcs = vb.name.arcs
@@ -238,15 +246,15 @@ def _dispatch_get(tree, pdu, ctx, version):
 
 def _instances_after(tree, arcs, ctx, memo):
     """The instances after arcs that read a value, in order, as
-    (name, value) pairs.
+    (base, rest, octets, value): the handler's base, the rest ids, the
+    name's content octets and the value.
 
     Starts at the base covering arcs, or else the next base.  memo maps
     each base probed during this request to its _children and its content
     octets, so a request probes a handler and encodes a base at most once.
-    Each name is a ber.Oid that keeps its content octets, the base's and
-    then the rest ids'; it keeps none, and so is encoded from its arcs,
-    when the base has fewer than two arcs or no BER form, or a rest id is
-    negative.
+    The name's octets are the base's and then the rest ids'; they are
+    None, so that the name is encoded from its arcs, when the base has
+    fewer than two arcs or no BER form, or a rest id is negative.
     """
     arcs = tuple(arcs)
     bases, entries = tree._view
@@ -272,64 +280,84 @@ def _instances_after(tree, arcs, ctx, memo):
                     octets = head and head + ber.subid_octets(rest)
                 except EncodingError:  # a negative rest id
                     octets = None
-                yield ber._oid(base + rest, octets), value
+                yield base, rest, octets, value
 
 
-def _next_instances(tree, bindings, ctx, memo, version):
-    """GETNEXT's answer to each of bindings, in order, as VarBinds: the
-    first instance after it that reads a value, or endOfMibView under the
-    binding's own name past the end of the view.  Under v1 the end of the
-    view yields None instead and stops, so no later binding is read."""
-    for vb in bindings:
+def _dispatch_next(tree, pdu, ctx, version, limit):
+    """Each binding's answer: the first instance after it that reads a
+    value, or endOfMibView under the binding's own name past the end of
+    the view.  Under v1 the end of the view is noSuchName, and no later
+    binding is read."""
+    memo, out = {}, []
+    for i, vb in enumerate(pdu.bindings):
         found = next(_instances_after(tree, vb.name.arcs, ctx, memo), None)
-        if found is None and version == V1:
-            yield None
-            return
-        name, value = found or (vb.name, ber.END_OF_MIB_VIEW)
-        yield VarBind(name, value)
-
-
-def _dispatch_next(tree, pdu, ctx, version):
-    out = list(_next_instances(tree, pdu.bindings, ctx, {}, version))
-    if out and out[-1] is None:
-        return messages.response_for(pdu, list(pdu.bindings),
-                                     NO_SUCH_NAME, len(out))
+        if found is not None:
+            base, rest, octets, value = found
+            out.append(VarBind(ber._oid(base + rest, octets), value))
+        elif version == V1:
+            return messages.response_for(pdu, list(pdu.bindings),
+                                         NO_SUCH_NAME, i + 1)
+        else:
+            out.append(VarBind(vb.name, ber.END_OF_MIB_VIEW))
     return messages.response_for(pdu, out)
 
 
-def _dispatch_bulk(tree, pdu, ctx, version):
+# The fewest octets a binding's TLV takes: SEQUENCE, a one-octet OID and
+# NULL.  An answer with no BER form counts as this many, so that answers
+# that all fail still pass a reply's limit.
+_LEAST_BINDING = 7
+
+
+def _dispatch_bulk(tree, pdu, ctx, version, limit):
     """Non-repeaters first, then the repeaters' answers repetition by
-    repetition (r1v1, r1v2, r2v1, ...; RFC 3416 section 4.2.3).  Each
-    repeater steps one live _instances_after.  A repeater past the end of
-    the view answers endOfMibView in every later repetition; the reply
-    ends with the repetition in which the last repeater reaches the end."""
+    repetition (r1v1, r1v2, r2v1, ...; RFC 3416 section 4.2.3), each
+    encoded as it is read, as ber.EncodedBindings.
+
+    Each binding steps one live _instances_after.  A binding past the end
+    of the view answers endOfMibView under the name it answered last, a
+    repeater in every later repetition; the reply ends with the repetition
+    in which the last repeater reaches the end.  No handler is called
+    after the first repetition whose answers pass limit octets, which no
+    reply may hold; handle_datagram keeps the whole repetitions that fit.
+    An answer with no BER form makes the reply genErr, indexing the first
+    request binding one of whose answers read failed."""
     memo = {}
-    non_repeaters = max(0, pdu.non_repeaters)
-    out = list(_next_instances(tree, pdu.bindings[:non_repeaters], ctx, memo,
-                               version))
-    repeaters = pdu.bindings[non_repeaters:]
-    steps = [_instances_after(tree, vb.name.arcs, ctx, memo)
-             for vb in repeaters]
-    cursors = [vb.name for vb in repeaters]
-    ended = [False] * len(steps)
-    live = len(steps)
-    for _ in range(max(0, pdu.max_repetitions)):
-        if not live:
+    names = [vb.name for vb in pdu.bindings]
+    head = min(max(0, pdu.non_repeaters), len(names))
+    steps = [_instances_after(tree, name.arcs, ctx, memo) for name in names]
+    out, size, failed = ber.EncodedBindings(), 0, len(names)
+    binding, append = ber.encode_binding, out.append
+    live = len(names) - head  # repeaters not yet past the end of the view
+    for row in chain([range(head)], repeat(range(head, len(names)),
+                                           max(0, pdu.max_repetitions))):
+        for j in row:
+            step = steps[j]
+            found = step and next(step, None)
+            if found:
+                base, rest, octets, value = found
+                names[j] = octets or ber._oid(base + rest)
+            else:
+                if step is not None and j >= head:
+                    live -= 1
+                steps[j] = None
+                value = ber.END_OF_MIB_VIEW
+            try:
+                tlv = binding(names[j], value)
+            except Exception:  # no BER form
+                failed = min(failed, j)
+                size += _LEAST_BINDING
+            else:
+                append(tlv)
+                size += len(tlv)
+        if size > limit or not live:
             break
-        for j, step in enumerate(steps):
-            if not ended[j]:
-                name, value = next(step, (None, None))
-                if name is not None:
-                    out.append(VarBind(name, value))
-                    cursors[j] = name
-                    continue
-                ended[j] = True
-                live -= 1
-            out.append(VarBind(cursors[j], ber.END_OF_MIB_VIEW))
+    if failed < len(names):
+        return messages.response_for(pdu, list(pdu.bindings), GEN_ERR,
+                                     failed + 1)
     return messages.response_for(pdu, out)
 
 
-def _dispatch_set(tree, pdu, ctx, version):
+def _dispatch_set(tree, pdu, ctx, version, limit):
     found = [tree.find(vb.name.arcs) for vb in pdu.bindings]
     for i, entry in enumerate(found):
         if entry is None or not entry[2]:
@@ -421,10 +449,13 @@ def handle_datagram(tree, ctx, data, engine=None):
     Returns the reply bytes, or None when the datagram is dropped: it does
     not decode or decrypt, its community is wrong, its PDU is not a
     request, or it is v3 and engine, the LocalEngine that answers v3, is
-    None.  The response is framed once and sent as it is when it encodes
-    and is no longer than MAX_UDP_PAYLOAD, or than a v3 request's smaller
-    msgMaxSize; _fitted replaces any other.  A v3 reply is framed by
-    engine.frame, as Reports are, and measured before it is secured once.
+    None.  The limit is MAX_UDP_PAYLOAD, or a v3 request's smaller
+    msgMaxSize; dispatch reads no more GETBULK answers than it.  The
+    response is framed once and sent as it is when it encodes and is no
+    longer than the limit; _fitted replaces any other: it cuts a GETBULK
+    answer, and makes any other genErr or tooBig.  A v3 reply is framed
+    by engine.frame, as Reports are, and measured before it is secured
+    once.
     """
     ctx.in_pkts += 1
     try:
@@ -457,54 +488,64 @@ def handle_datagram(tree, ctx, data, engine=None):
         return None
     if not isinstance(pdu, Pdu) or pdu.pdu_type not in _DISPATCH:
         return None  # a trap, an inform, a response or a report
-    response = dispatch(tree, pdu, ctx, version)
+    response = dispatch(tree, pdu, ctx, version, limit)
     try:
         framed = frame(response)
     except Exception:  # a handler's value has no BER form
         framed = None
     if framed is None or len(framed) > limit:
-        framed = _fitted(pdu, response, limit, frame)
+        framed = _fitted(pdu, response, limit, frame, framed)
     return seal(framed)
 
 
-def _fitted(pdu, response, limit, frame):
+def _fitted(pdu, response, limit, frame, framed):
     """The frame of the reply to pdu that replaces response, which does
-    not encode or is longer than limit octets (RFC 3416 sections
-    4.2.1-4.2.3), from its answer bindings each encoded once.  An answer
-    with no BER form makes it genErr, indexing the first request binding
-    with one: a GETBULK response holds the non-repeaters' answers, then
-    one per repeater in each repetition (see _dispatch_bulk).  Otherwise a
-    GETBULK answer keeps the whole repetitions that fit, by bisection.  A
-    reply that still does not fit, genErr included, becomes tooBig."""
-    bulk = pdu.pdu_type == GET_BULK_REQUEST
-    head = min(max(0, pdu.non_repeaters), len(pdu.bindings)) if bulk \
-        else len(response.bindings)
-    width = max(1, len(pdu.bindings) - head)
-    tlvs, failed = [], []
-    for k, vb in enumerate(response.bindings):
-        try:
-            tlvs.append(ber.Encoded(ber.encode([vb.name, vb.value])))
-        except Exception:
-            failed.append(k if k < head else head + (k - head) % width)
-    if failed:
-        framed = frame(messages.response_for(
-            pdu, list(pdu.bindings), GEN_ERR, min(failed) + 1))
-        if len(framed) <= limit:
-            return framed
-    elif bulk and not response.error_status:
-        def keep(reps):
-            response.bindings = ber.Encoded(ber.encode(
-                tlvs[:head + reps * width]))
-            return frame(response)
-        fits, over = 0, (len(tlvs) - head) // width  # repetitions
-        while over - fits > 1:
-            mid = (fits + over) // 2
-            if len(keep(mid)) <= limit:
-                fits = mid
-            else:
-                over = mid
-        if fits:
-            return keep(fits)
+    not encode, or whose frame, framed, is longer than limit octets
+    (RFC 3416 sections 4.2.1-4.2.3).
+
+    A GETBULK answer, ber.EncodedBindings, keeps the most whole
+    repetitions that fit.  Their count is first estimated from the
+    answers' lengths and framed's overhead, then framed and moved one
+    repetition at a time, since the headers' length octets, and a v3
+    reply's padding, change with the length.  Any other response that
+    does not encode becomes genErr, indexing the request binding of its
+    first answer with no BER form.  A reply that still does not fit,
+    genErr and one that keeps no repetition included, becomes tooBig."""
+    tlvs = response.bindings
+    if isinstance(tlvs, ber.EncodedBindings):
+        head = min(max(0, pdu.non_repeaters), len(pdu.bindings))
+        width = len(pdu.bindings) - head
+        # octets of the answers of the non-repeaters and r repetitions, for
+        # each r up to reps, the response's, which does not fit
+        sizes = list(accumulate(map(len, tlvs), initial=0))[head::width or 1]
+        reps = len(sizes) - 1
+
+        def keep(r):
+            return frame(messages.response_for(
+                pdu, ber.EncodedBindings(tlvs[:head + r * width])))
+        r = bisect.bisect_right(sizes, limit - len(framed) + sizes[-1]) - 1
+        r = min(max(1, r), reps - 1)
+        if r > 0:
+            framed = keep(r)
+            if len(framed) <= limit:
+                while r + 1 < reps and len(more := keep(r + 1)) <= limit:
+                    r, framed = r + 1, more
+                return framed
+            while r > 1:
+                r -= 1
+                framed = keep(r)
+                if len(framed) <= limit:
+                    return framed
+    elif framed is None:  # an answer has no BER form
+        for k, vb in enumerate(tlvs):
+            try:
+                ber.encode_binding(vb.name, vb.value)
+            except Exception:
+                framed = frame(messages.response_for(
+                    pdu, list(pdu.bindings), GEN_ERR, k + 1))
+                if len(framed) <= limit:
+                    return framed
+                break
     return frame(messages.response_for(pdu, [], TOO_BIG))
 
 

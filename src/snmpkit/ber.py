@@ -30,9 +30,11 @@ values.  Subclasses, objects with an ``arcs`` attribute, and the
 rejection of bool go through an isinstance fallback.  An Encoded value
 is octets encoded already, written out as they are; encode_bindings
 builds one from a list of variable bindings in one pass, with no
-[Oid, value] list per binding.  An OID whose sub-identifiers all fit one
-octet becomes its content with one bytes() call and an isascii() check;
-otherwise sub-identifiers below 16384 take two octets in one step.
+[Oid, value] list per binding, and encode_binding the TLV of one
+binding, so that EncodedBindings, a list of those, need only be joined.
+An OID whose sub-identifiers all fit one octet becomes its content with
+one bytes() call and an isascii() check; otherwise sub-identifiers below
+16384 take two octets in one step.
 
 An Oid keeps its content octets: a decoded one the octets it was read
 from, one built from arcs those its first encode computes.  Every OID
@@ -236,6 +238,11 @@ class TaggedSequence:
 
 class Encoded(bytes):
     """Octets of complete TLVs, which encode writes out as they are."""
+
+
+class EncodedBindings(list):
+    """Variable bindings encoded already, one binding's TLV per item, which
+    encode_bindings joins as they are."""
 
 
 @dataclass(frozen=True)
@@ -826,17 +833,26 @@ def encode(value):
     return (_ENCODERS.get(type(value)) or _fallback_encoder(value))(value)
 
 
+def encode_binding(name, value):
+    """One variable binding's TLV, SEQUENCE { OID, value }.  name is the
+    OID's content octets, or an OID name as encode_bindings takes."""
+    if not isinstance(name, bytes):
+        name = _oid_octets(name)
+    return _sequence_tlv(_oid_tlv(name) + (
+        _ENCODERS.get(type(value)) or _fallback_encoder(value))(value))
+
+
 def encode_bindings(bindings):
     """A variable-bindings list, SEQUENCE OF SEQUENCE { OID, value }, as
     Encoded octets built in one pass.  Each binding has a name, written
     from the octets it keeps (an Oid, an oids.OidRef) or else from its
-    arcs, and a value, as messages.VarBind does; bindings that are Encoded
-    already are returned as they are."""
-    if isinstance(bindings, Encoded):
-        return bindings
+    arcs, and a value, as messages.VarBind does; EncodedBindings are
+    joined as they are."""
+    if isinstance(bindings, EncodedBindings):
+        return Encoded(_sequence_tlv(b"".join(bindings)))
     get = _ENCODERS.get
     tlvs = []
-    for vb in bindings:
+    for vb in bindings:  # encode_binding's work, without a call per binding
         value = vb.value
         tlvs.append(_sequence_tlv(_oid_tlv(_oid_octets(vb.name)) + (
             get(type(value)) or _fallback_encoder(value))(value)))

@@ -10,8 +10,10 @@ into VarBinds in one pass over their octets.  A binding's SEQUENCE, name
 and value headers are read inline when their lengths take the short
 form, and by ber.header, or the value table's TLV reader, otherwise; a
 value's decoder comes from ber.DEFAULT_REGISTRY's table by its
-identifier octet.  Both directions record in V3Message.mac_offset where
-the MAC lies in the octets, so usm never walks the headers again.
+identifier octet.  A PDU whose type the message's version does not
+define, such as a GetBulk in a v1 message or a Trap-v1 in a v2c or v3
+one, does not decode.  Both directions record in V3Message.mac_offset
+where the MAC lies in the octets, so usm never walks the headers again.
 """
 
 from __future__ import annotations
@@ -253,14 +255,22 @@ def _read(data, pos, end, idents, what):
     return values, pos
 
 
-def _read_pdu(data, pos, end, depth, version=None):
-    """The PDU TLV at data[pos:end], at nesting depth depth, and where it
-    ends.  Binding values lie three levels deeper; a v1 PDU other than a
-    trap holds no exception values."""
+# The PDU tags of each version: RFC 1157 defines none of 5-8, and
+# RFC 3416, which v3 carries too, does not define 4 (Trap-v1).
+_V1_PDUS = frozenset(range(TRAP_V1 + 1))
+_V2_PDUS = frozenset(PDU_TYPE_NAMES) - {TRAP_V1}
+
+
+def _read_pdu(data, pos, end, depth, version=V3):
+    """The PDU TLV at data[pos:end] of a message of version, at nesting
+    depth depth, and where it ends.  A PDU type the version does not
+    define is a DecodingError.  Binding values lie three levels deeper; a
+    v1 PDU other than a trap holds no exception values."""
     ident = data[pos] if pos < end else 0
     pdu_type = ident - 0xA0
-    if pdu_type not in PDU_TYPE_NAMES:
-        raise DecodingError(f"no PDU tag (0xa0-0xa8) at octet {pos}")
+    if pdu_type not in (_V1_PDUS if version == V1 else _V2_PDUS):
+        raise DecodingError(f"no PDU tag of the message's version at "
+                            f"octet {pos}")
     pos, end = ber.header(data, pos, end, ident, "PDU")
     value_at = ber.DEFAULT_REGISTRY._decode
     if pdu_type == TRAP_V1:

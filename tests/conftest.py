@@ -29,6 +29,14 @@ def enumerate_instances(tree, ctx):
     return out
 
 
+def answers(response):
+    """A dispatch response's bindings as VarBinds: the binding TLVs of a
+    GETBULK answer, ber.EncodedBindings, are read back."""
+    if isinstance(response.bindings, ber.EncodedBindings):
+        return [VarBind(*ber.decode(tlv)[0]) for tlv in response.bindings]
+    return response.bindings
+
+
 def _tree_oid(name):
     return name if isinstance(name, ber.Oid) else ber.Oid(name.arcs)
 
@@ -106,7 +114,9 @@ def _tree_bindings(items):
 def pdu_from_ber(ts, version=None):
     """A Pdu or TrapV1Pdu from the TaggedSequence of its value tree, as
     TREE_REGISTRY decodes it; v1 rejects exception values outside a trap:
-    the formulation that messages' PDU reader is checked against."""
+    the formulation that messages' PDU reader is checked against.  Given
+    a version, a PDU type it does not define is rejected: RFC 1157 has no
+    tags 5-8, RFC 3416 (v2c and v3) no tag 4."""
     if isinstance(ts, ber.Raw):
         raise DecodingError(f"unknown PDU tag {ts.tag!r}")
     if not isinstance(ts, ber.TaggedSequence) or \
@@ -115,6 +125,10 @@ def pdu_from_ber(ts, version=None):
     pdu_type = ts.tag.number
     if pdu_type not in PDU_TYPE_NAMES:
         raise DecodingError(f"unknown PDU tag number {pdu_type}")
+    if version is not None and \
+            (pdu_type > TRAP_V1 if version == V1 else pdu_type == TRAP_V1):
+        raise DecodingError(f"PDU tag {pdu_type} in a version {version} "
+                            "message")
     els = list(ts.elements)
     if pdu_type == TRAP_V1:
         if len(els) != 6 or not all(isinstance(v, k) for v, k in zip(
@@ -143,7 +157,7 @@ def _tree_scoped(value):
     engine_id, context, pdu_ts = _fields(value, (bytes, bytes, object),
                                          "scoped PDU")
     return ScopedPdu(bytes(engine_id), bytes(context),
-                     pdu_from_ber(pdu_ts))
+                     pdu_from_ber(pdu_ts, V3))
 
 
 def tree_decode_message(data):

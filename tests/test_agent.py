@@ -1,13 +1,17 @@
+import bisect
 import functools
 import socket
 import sys
 import threading
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import enumerate_instances, tree_encode_message, v3_request
+from conftest import (
+    answers, enumerate_instances, tree_encode_message, v3_request,
+)
 from snmpkit import agent, ber, client, harness, messages, usm
 from snmpkit.errors import SnmpError
 from snmpkit.mibs import load_core
@@ -170,11 +174,11 @@ class TestGetBulk:
             VarBind(registry.resolve("sysDescr")),
             VarBind(registry.resolve("ifDescr")),
         ])
-        resp = agent.dispatch(tree, pdu, ctx, V2C)
-        assert len(resp.bindings) == 1 + 3
-        assert resp.bindings[0].arcs[-2:] == (1, 0)  # sysDescr.0
-        assert bytes(resp.bindings[1].value) == b"lo"
-        assert bytes(resp.bindings[2].value) == b"eth0"
+        bindings = answers(agent.dispatch(tree, pdu, ctx, V2C))
+        assert len(bindings) == 1 + 3
+        assert bindings[0].arcs[-2:] == (1, 0)  # sysDescr.0
+        assert bytes(bindings[1].value) == b"lo"
+        assert bytes(bindings[2].value) == b"eth0"
 
     def test_repetitions_stop_at_view_end(self, registry, loopback_agent):
         tree, ctx = loopback_agent
@@ -182,7 +186,7 @@ class TestGetBulk:
         pdu = Pdu(GET_BULK_REQUEST, 9, 0, 10 ** 6,
                   [VarBind(ber.Oid((2,)))])
         resp = agent.dispatch(tree, pdu, ctx, V2C)
-        assert resp.bindings[-1].value is ber.END_OF_MIB_VIEW
+        assert answers(resp)[-1].value is ber.END_OF_MIB_VIEW
 
     def test_multi_variable_reply_is_ordered_by_repetition(self, registry):
         tree = agent.DispatchTree()
@@ -199,9 +203,10 @@ class TestGetBulk:
         resp = agent.dispatch(tree, pdu, _ctx(registry), V2C)
 
         def cell(name, row):
-            return tuple(registry.resolve(name).arcs) + (row,), (name, row)
+            return tuple(registry.resolve(name).arcs) + (row,), \
+                [ber.OctetString(name.encode()), row]
         ended = (cell("ifType", 3)[0], ber.END_OF_MIB_VIEW)
-        assert [(vb.arcs, vb.value) for vb in resp.bindings] == [
+        assert [(vb.arcs, vb.value) for vb in answers(resp)] == [
             cell("ifDescr", 1),                        # the non-repeater
             cell("ifType", 1), cell("ifDescr", 1),     # repetition 1
             cell("ifType", 2), cell("ifDescr", 2),
@@ -365,14 +370,14 @@ class TestDatagramHandling:
         assert second(report) is None
         assert (first.report_count, second.report_count) == (1, 0)
 
-    def test_v1_bulk_still_answered_generr(self, registry, loopback_agent):
+    def test_v1_bulk_dropped(self, registry, loopback_agent):
+        """RFC 1157 defines no GetBulk PDU, so a v1 message that carries
+        one does not decode, and is dropped as any such datagram is."""
         tree, ctx = loopback_agent
         pdu = Pdu(GET_BULK_REQUEST, 11, 0, 5,
                   [VarBind(registry.resolve("sysDescr"))])
-        reply = agent.handle_datagram(tree, ctx, messages.encode_message(
-            CommunityMessage(V1, b"public", pdu)))
-        assert messages.decode_message(reply).pdu.error_status == \
-            agent.GEN_ERR
+        assert agent.handle_datagram(tree, ctx, messages.encode_message(
+            CommunityMessage(V1, b"public", pdu))) is None
 
 
 class TestService:
@@ -455,14 +460,15 @@ def _make_handler(base, probe, spec, bad_read, modulus):
 
 def _oracle_next(instances, arcs, ctx):
     """The first enumerated instance after arcs that reads a value."""
-    for full, handler, rest in instances:
-        if full > tuple(arcs):
-            try:
-                value = handler(ctx, rest)
-            except Exception:
-                value = None
-            if value is not None:
-                return full, value
+    for i in range(bisect.bisect_right(instances, tuple(arcs),
+                                       key=itemgetter(0)), len(instances)):
+        full, handler, rest = instances[i]
+        try:
+            value = handler(ctx, rest)
+        except Exception:
+            value = None
+        if value is not None:
+            return full, value
     return None, None
 
 
@@ -535,6 +541,35 @@ def _oracle_dispatch(tree, pdu, ctx, version):
     return 0, 0, out
 
 
+def _oracle_encoded(pdu, status, index, pairs):
+    """_oracle_dispatch's answer to a GETBULK pdu as dispatch gives it:
+    each binding's TLV, its name an Oid built afresh from the arcs; or
+    genErr, indexing the first request binding one of whose answers has
+    no BER form."""
+    head = min(max(0, pdu.non_repeaters), len(pdu.bindings))
+    width = max(1, len(pdu.bindings) - head)
+    tlvs, failed = [], []
+    for k, (arcs, value) in enumerate(pairs):
+        try:
+            tlvs.append(ber.encode([ber.Oid(arcs), value]))
+        except Exception:
+            failed.append(k if k < head else head + (k - head) % width)
+    if failed:
+        return (agent.GEN_ERR, min(failed) + 1,
+                [(vb.arcs, vb.value) for vb in pdu.bindings])
+    return status, index, tlvs
+
+
+def _outcome(resp):
+    """(error-status, error-index, bindings) of a dispatch response: a
+    GETBULK answer's binding TLVs as they are, other bindings as (arcs,
+    value) pairs."""
+    bindings = resp.bindings
+    if not isinstance(bindings, ber.EncodedBindings):
+        bindings = [(vb.arcs, vb.value) for vb in bindings]
+    return resp.error_status, resp.error_index, list(bindings)
+
+
 _small_arcs = st.lists(st.integers(-1, 4), max_size=5).map(tuple)
 _child_specs = st.one_of(
     st.integers(-2, 12),
@@ -568,10 +603,10 @@ class TestDispatchMatchesOracle:
                                             modulus))
             except SnmpError:
                 pass  # nests with a base already registered
-        resp = agent.dispatch(tree, pdu, None, version)
-        got = (resp.error_status, resp.error_index,
-               [(vb.arcs, vb.value) for vb in resp.bindings])
-        assert got == _oracle_dispatch(tree, pdu, None, version)
+        want = _oracle_dispatch(tree, pdu, None, version)
+        if pdu.pdu_type == GET_BULK_REQUEST and version != V1:
+            want = _oracle_encoded(pdu, *want)
+        assert _outcome(agent.dispatch(tree, pdu, None, version)) == want
 
 
 class TestWalkCostIsFlat:
@@ -633,7 +668,8 @@ class TestHostileInput:
         assert agent.handle_datagram(tree, ctx, data) is None
 
     def test_v3_trap_v1_pdu_is_reported_or_dropped(self, loopback_agent):
-        # a trap-v1 PDU has no request-id to echo and is not a request
+        # RFC 3416 defines no trap-v1 PDU, so a v3 message that carries one
+        # does not decode: it is dropped before any check could Report it
         tree, ctx = loopback_agent
         responder = harness.ScriptedV3Responder(
             tree, ctx, usm.Credential.create("alice"))
@@ -644,13 +680,8 @@ class TestHostileInput:
                 3, messages.FLAG_REPORTABLE,
                 messages.UsmParams(engine_id, 1, 1000, b"alice"),
                 messages.ScopedPdu(engine_id, b"", trap)))
-            reply = responder(wire)
-            if engine_id:
-                assert reply is None
-            else:
-                assert messages.decode_message(reply).scoped_pdu.pdu \
-                    .request_id == 0
-        assert (responder.report_count, responder.auth_count) == (1, 1)
+            assert responder(wire) is None
+        assert (responder.report_count, responder.auth_count) == (0, 0)
 
     def _tree(self, registry, bad):
         """sysDescr.0 and two 3-row columns; the value at bad, a (column,
@@ -758,7 +789,8 @@ class TestHostileInput:
     def test_instance_names_with_no_ber_form(self, version, pdu_type, base,
                                              spec, named):
         """An answer whose name has no BER form is genErr naming its
-        request binding; handle_datagram does not raise."""
+        request binding; handle_datagram does not raise.  A v1 GETBULK
+        does not decode, and is dropped."""
         tree = agent.DispatchTree()
         tree.register(ber.Oid(base), lambda ctx, ids:
                       ber.OctetString(b"v") if ids else spec)
@@ -766,10 +798,11 @@ class TestHostileInput:
         wire = messages.encode_message(CommunityMessage(
             version, b"public", Pdu(pdu_type, 9, 0, 2, asked)))
         reply = agent.handle_datagram(tree, _ctx(None), wire)
-        status, index, bindings = agent.GEN_ERR, 1, asked
         if version == V1 and pdu_type == GET_BULK_REQUEST:
-            index = 0
-        elif named is not None:
+            assert reply is None
+            return
+        status, index, bindings = agent.GEN_ERR, 1, asked
+        if named is not None:
             status, index = 0, 0
             bindings = [VarBind(ber.Oid(named), ber.OctetString(b"v"))]
             if pdu_type == GET_BULK_REQUEST:
@@ -787,8 +820,10 @@ _ANSWER_RESTS = st.lists(st.lists(
 
 
 class TestAnswerNames:
-    """GETNEXT and GETBULK answer names keep the octets a fresh encode of
-    their arcs gives, or none, so that they fail to encode as it does."""
+    """GETNEXT answer names keep the octets a fresh encode of their arcs
+    gives, or none, so that they fail to encode as it does.  A GETBULK
+    answer is each binding's TLV as a fresh encode of its name's arcs
+    writes it, or genErr where that fails."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([GET_NEXT_REQUEST, GET_BULK_REQUEST]),
@@ -799,7 +834,12 @@ class TestAnswerNames:
         tree.register(ber.Oid(base), lambda ctx, ids:
                       ber.OctetString(b"v") if ids else rests)
         pdu = Pdu(pdu_type, 1, 0, reps, [VarBind(ber.Oid((0, 0)))])
-        for vb in agent.dispatch(tree, pdu, _ctx(None), V2C).bindings:
+        resp = agent.dispatch(tree, pdu, _ctx(None), V2C)
+        if pdu_type == GET_BULK_REQUEST:
+            assert _outcome(resp) == _oracle_encoded(
+                pdu, *_oracle_dispatch(tree, pdu, _ctx(None), V2C))
+            return
+        for vb in resp.bindings:
             arcs, kept = vb.name.arcs, vb.name._octets
             try:
                 fresh = ber._encode_oid_content(arcs)
@@ -955,16 +995,73 @@ def _sized_tree(registry, sizes):
     return tree
 
 
-def _oracle_repetitions(pdu, full, limit, encode):
-    """The most repetitions of full, the unbounded GETBULK response, whose
-    reply encode makes no longer than limit octets: every candidate is
-    encoded in full, secured as it would be sent."""
+def _kept_reply(pdu, pairs, limit, frame):
+    """The reply to the GETBULK pdu as the agent made it before it encoded
+    each answer as it read it, kept here as the oracle.  pairs is the
+    unbounded answer, as (arcs, value) pairs, which frame frames in full
+    when that encodes and fits limit.  Otherwise each binding is encoded
+    once; one with no BER form makes the reply genErr, indexing the first
+    request binding one of whose answers has none, and any other reply
+    keeps the whole repetitions that fit, found by bisection.  A reply
+    that still does not fit, or keeps no repetition, is tooBig."""
+    response = messages.response_for(
+        pdu, [VarBind(ber.Oid(arcs), value) for arcs, value in pairs])
+    try:
+        framed = frame(response)
+    except Exception:
+        framed = None
+    if framed is not None and len(framed) <= limit:
+        return framed
     head = min(max(0, pdu.non_repeaters), len(pdu.bindings))
     width = max(1, len(pdu.bindings) - head)
-    candidates = range(1, (len(full.bindings) - head) // width + 1)
-    return head, width, max(
-        (reps for reps in candidates if len(encode(messages.response_for(
-            pdu, full.bindings[:head + reps * width]))) <= limit), default=0)
+    tlvs, failed = [], []
+    for k, vb in enumerate(response.bindings):
+        try:
+            tlvs.append(ber.encode([vb.name, vb.value]))
+        except Exception:
+            failed.append(k if k < head else head + (k - head) % width)
+    if failed:
+        framed = frame(messages.response_for(
+            pdu, list(pdu.bindings), agent.GEN_ERR, min(failed) + 1))
+        if len(framed) <= limit:
+            return framed
+    else:
+        def keep(reps):
+            return frame(messages.response_for(
+                pdu, ber.EncodedBindings(tlvs[:head + reps * width])))
+        fits, over = 0, (len(tlvs) - head) // width  # repetitions
+        while over - fits > 1:
+            mid = (fits + over) // 2
+            if len(keep(mid)) <= limit:
+                fits = mid
+            else:
+                over = mid
+        if fits:
+            return keep(fits)
+    return frame(messages.response_for(pdu, [], agent.TOO_BIG))
+
+
+def _community_frame(response):
+    return messages.encode_message(CommunityMessage(V2C, b"public", response))
+
+
+def _assert_kept_v3_reply(responder, pdu, wire, keys, pairs):
+    """responder's reply to wire, the v3 GETBULK pdu, is the kept
+    oracle's: octet for octet when it is not encrypted, and otherwise as
+    long, with the same scoped PDU octets, as each encryption draws a new
+    salt."""
+    reply = responder(wire)
+    request = messages.decode_message(wire)
+    flags = responder.credential.security_flags
+    want = _kept_reply(
+        pdu, pairs, min(request.msg_max_size, messages.MAX_UDP_PAYLOAD),
+        lambda response: responder.frame(request, flags, b"", response))
+    if flags & messages.FLAG_PRIV:
+        assert len(reply) == len(want)
+        assert messages.encode_scoped_pdu(usm.open(reply, keys)[1]) == \
+            want.plaintext
+    else:
+        assert reply == want.seal(responder.engine)
 
 
 _bulk_requests = st.tuples(
@@ -974,19 +1071,8 @@ _bulk_requests = st.tuples(
 
 
 class TestBoundedRepetitions:
-    """A GETBULK reply cut down to fit keeps exactly the repetitions that
-    encoding each candidate reply in full finds, and is secured once."""
-
-    def _check(self, registry, tree, pdu, version, reply, limit, encode):
-        full = agent.dispatch(tree, pdu, _ctx(registry), version)
-        head, width, reps = _oracle_repetitions(pdu, full, limit, encode)
-        if len(encode(full)) <= limit:
-            assert reply == full
-        elif reps == 0:
-            assert (reply.error_status, reply.bindings) == (agent.TOO_BIG, [])
-        else:
-            assert reply.error_status == 0
-            assert reply.bindings == full.bindings[:head + reps * width]
+    """A GETBULK reply cut down to fit is the kept oracle's, which encodes
+    the unbounded answer and bisects, and is secured once."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(2200, 5000), min_size=30, max_size=60),
@@ -997,14 +1083,11 @@ class TestBoundedRepetitions:
         tree = _sized_tree(registry, sizes)
         pdu = messages.make_request_pdu(GET_BULK_REQUEST, names, registry, 9)
         pdu.error_status, pdu.error_index = non_repeaters, len(sizes)
-
-        def encode(response):
-            return messages.encode_message(
-                CommunityMessage(V2C, b"public", response))
-        reply = agent.handle_datagram(tree, _ctx(registry), encode(pdu))
-        self._check(registry, tree, pdu, V2C,
-                    messages.decode_message(reply).pdu,
-                    messages.MAX_UDP_PAYLOAD, encode)
+        reply = agent.handle_datagram(tree, _ctx(registry),
+                                      _community_frame(pdu))
+        pairs = _oracle_dispatch(tree, pdu, _ctx(registry), V2C)[2]
+        assert reply == _kept_reply(pdu, pairs, messages.MAX_UDP_PAYLOAD,
+                                    _community_frame)
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(sorted(_CREDENTIALS)),
@@ -1019,14 +1102,9 @@ class TestBoundedRepetitions:
         pdu = messages.make_request_pdu(GET_BULK_REQUEST, names, registry, 9)
         pdu.error_status, pdu.error_index = non_repeaters, len(sizes)
         wire, keys = v3_request(responder, pdu, max_size=max_size)
-        request_msg = messages.decode_message(wire)
-        reply = usm.open(responder(wire), keys)[1].pdu
-
-        def encode(response):
-            return responder.seal(request_msg,
-                                  _CREDENTIALS[level].security_flags, b"",
-                                  response)
-        self._check(registry, tree, pdu, V3, reply, max_size, encode)
+        _assert_kept_v3_reply(
+            responder, pdu, wire, keys,
+            _oracle_dispatch(tree, pdu, _ctx(registry), V2C)[2])
 
     def test_authpriv_reply_is_encrypted_once(self, registry, monkeypatch):
         # 2,000 repetitions of 100-octet values: far more than one datagram
@@ -1072,3 +1150,213 @@ class TestBoundedRepetitions:
         assert usm.open(reply, keys)[1].pdu.bindings[0].value == \
             ber.OctetString(b"ok")
         assert calls == {messages.RESPONSE: 1}
+
+
+# ---------------------------------------------------------------------------
+# GETBULK reads no more than its reply can hold, and answers as the kept
+# oracle does
+
+
+_DIFF_BASE = (1, 3, 6, 1, 4, 1, 31609, 9)
+
+
+def _diff_handler(spec, size, gap):
+    """A handler of ChildSpec spec whose rows read OCTET STRINGs of size
+    to size + 12 octets, except those at a multiple of gap, which read
+    None."""
+    def handler(ctx, ids):
+        if not ids:
+            return spec
+        if gap and sum(ids) % gap == 0:
+            return None
+        return ber.OctetString(b"v" * (size + sum(ids) * 7 % 13))
+    return handler
+
+
+_diff_columns = st.lists(st.tuples(
+    st.integers(0, 6),
+    st.sampled_from([100, 150]) | st.integers(0, 150)
+    | st.lists(st.integers(0, 400), max_size=60),
+    st.sampled_from([300, 700, 1500]) | st.integers(0, 1500),
+    st.sampled_from([0, 0, 3, 50])),
+    min_size=1, max_size=4, unique_by=itemgetter(0))
+_diff_names = st.lists(
+    st.tuples(st.integers(0, 7), st.lists(st.integers(0, 200), max_size=2))
+    .map(lambda t: _DIFF_BASE + (t[0],) + tuple(t[1]))
+    | st.sampled_from([(1, 3), (1, 3, 6, 1, 4, 1, 31609), (2, 5)]),
+    max_size=5)
+_diff_repetitions = st.sampled_from([2 ** 31 - 1, 400, 25, 3, 0]) \
+    | st.integers(-1, 400)
+
+
+def _diff_case(columns, names, non_repeaters, repetitions):
+    tree = agent.DispatchTree()
+    for arc, spec, size, gap in columns:
+        tree.register(ber.Oid(_DIFF_BASE + (arc,)),
+                      _diff_handler(spec, size, gap))
+    pdu = Pdu(GET_BULK_REQUEST, 77, non_repeaters, repetitions,
+              [VarBind(ber.Oid(arcs)) for arcs in names])
+    return tree, pdu, _oracle_dispatch(tree, pdu, None, V2C)[2]
+
+
+class TestBulkMatchesTheKeptOracle:
+    """Over random trees and GETBULK requests, the reply is the kept
+    oracle's octet for octet, under v2c and under v3 with any msgMaxSize."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_diff_columns, _diff_names, st.integers(-1, 6), _diff_repetitions)
+    def test_community_reply(self, columns, names, non_repeaters,
+                             repetitions):
+        tree, pdu, pairs = _diff_case(columns, names, non_repeaters,
+                                      repetitions)
+        reply = agent.handle_datagram(tree, _ctx(None), _community_frame(pdu))
+        assert reply == _kept_reply(pdu, pairs, messages.MAX_UDP_PAYLOAD,
+                                    _community_frame)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(_CREDENTIALS)), _diff_columns, _diff_names,
+           st.integers(-1, 6), _diff_repetitions,
+           st.integers(484, messages.MAX_UDP_PAYLOAD)
+           | st.sampled_from([484, 485, 1500, messages.MAX_UDP_PAYLOAD]))
+    def test_v3_reply(self, level, columns, names, non_repeaters,
+                      repetitions, max_size):
+        tree, pdu, pairs = _diff_case(columns, names, non_repeaters,
+                                      repetitions)
+        responder = harness.ScriptedV3Responder(tree, _ctx(None),
+                                                _CREDENTIALS[level])
+        wire, keys = v3_request(responder, pdu, max_size=max_size)
+        _assert_kept_v3_reply(responder, pdu, wire, keys, pairs)
+
+
+class TestBulkWorkIsBounded:
+    def test_fifty_repeaters_over_twenty_thousand_rows(self, registry):
+        """A 785-octet request with 50 repeaters and max-repetitions
+        2^31-1 reads no more than one repetition past those that fit; it
+        once read all 1,000,000 instances."""
+        calls = Counter()
+
+        def column(ctx, ids):
+            calls["read" if ids else "probe"] += 1
+            if not ids:
+                return 20000
+            return ids[0] * 10 if len(ids) == 1 and ids[0] <= 20000 else None
+
+        tree = agent.DispatchTree()
+        tree.register(registry.resolve("ifDescr"), column)
+        name = registry.resolve("ifDescr")
+        pdu = Pdu(GET_BULK_REQUEST, 1, 0, 2 ** 31 - 1, [VarBind(name)] * 50)
+        wire = _community_frame(pdu)
+        assert len(wire) == 785
+        reply = agent.handle_datagram(tree, _ctx(registry), wire)
+        kept = len(messages.decode_message(reply).pdu.bindings) // 50
+        assert kept > 0
+        assert calls["probe"] == 1
+        assert calls["read"] <= (kept + 1) * 50
+        # the kept oracle's reply: the repetitions that fit lie well within
+        # the first 200 of the unbounded answer
+        pairs = [(name.arcs + (row,), row * 10)
+                 for row in range(1, 201) for _ in range(50)]
+        assert reply == _kept_reply(pdu, pairs, messages.MAX_UDP_PAYLOAD,
+                                    _community_frame)
+
+    def test_answers_that_all_fail_still_stop_at_the_limit(self, registry):
+        """Each answer with no BER form counts as the fewest octets a
+        binding takes, so reading stops as it would for answers that
+        encode."""
+        reads = Counter()
+
+        def column(ctx, ids):
+            reads["probe" if not ids else "read"] += 1
+            return 20000 if not ids else True
+
+        tree = agent.DispatchTree()
+        tree.register(registry.resolve("ifDescr"), column)
+        pdu = Pdu(GET_BULK_REQUEST, 1, 0, 2 ** 31 - 1,
+                  [VarBind(registry.resolve("ifDescr"))] * 2)
+        reply = agent.handle_datagram(tree, _ctx(registry),
+                                      _community_frame(pdu))
+        resp = messages.decode_message(reply).pdu
+        assert (resp.error_status, resp.error_index) == (agent.GEN_ERR, 1)
+        assert reads["probe"] == 1
+        assert reads["read"] <= messages.MAX_UDP_PAYLOAD // 7 + 2
+
+    @pytest.mark.parametrize("bad", [5, 2500])
+    def test_unencodable_value(self, registry, bad):
+        """A value with no BER form among the repetitions that fit makes
+        the reply genErr, as the kept oracle does.  One past the
+        repetition whose answers pass the limit is never read: the reply
+        keeps the repetitions that fit, where the kept oracle, which read
+        everything, answered genErr."""
+        reads = Counter()
+
+        def column(ctx, ids):
+            if not ids:
+                return 3000
+            reads[ids[0]] += 1
+            return True if ids[0] == bad else ber.OctetString(b"s" * 100)
+
+        tree = agent.DispatchTree()
+        tree.register(registry.resolve("ifDescr"), column)
+        name = registry.resolve("ifDescr")
+        pdu = Pdu(GET_BULK_REQUEST, 1, 0, 2000, [VarBind(name)])
+        reply = agent.handle_datagram(tree, _ctx(registry),
+                                      _community_frame(pdu))
+        resp = messages.decode_message(reply).pdu
+        if bad == 5:
+            assert (resp.error_status, resp.error_index) == (agent.GEN_ERR, 1)
+            pairs = [(name.arcs + (row,), column(None, (row,)))
+                     for row in range(1, 2001)]
+            assert reply == _kept_reply(pdu, pairs, messages.MAX_UDP_PAYLOAD,
+                                        _community_frame)
+        else:
+            assert resp.error_status == 0
+            assert 0 < len(resp.bindings) < bad - 1
+            assert reads[bad] == 0
+            assert max(reads) == len(resp.bindings) + 1
+
+
+class _Measured:
+    """A stand-in frame: the response it frames, and a length."""
+
+    def __init__(self, response, length):
+        self.response, self.length = response, length
+
+    def __len__(self):
+        return self.length
+
+
+class TestCutSearch:
+    """_fitted keeps the most whole repetitions whose frame fits, starting
+    from its estimate, however the frame's overhead moves with the
+    answers' length, as a v3 reply's padding makes it do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 4),
+           st.lists(st.integers(7, 90), min_size=1, max_size=120),
+           st.integers(0, 15), st.integers(0, 7), st.integers(40, 3000))
+    def test_most_repetitions_that_fit(self, head, width, lengths, base,
+                                       block, limit):
+        def frame(response):
+            # an overhead that grows with length, and padding to a block
+            size = sum(map(len, response.bindings))
+            pad = -(size + base) % (block + 1)
+            return _Measured(response, size + 20 + base + pad +
+                             3 * (size > 127) + 2 * (size > 255))
+
+        tlvs = ber.EncodedBindings(bytes(n) for n in lengths)
+        del tlvs[head + (len(tlvs) - head) // width * width:]
+        pdu = Pdu(GET_BULK_REQUEST, 1, head, 10,
+                  [VarBind(ber.Oid((1, 3)))] * (head + width))
+        response = messages.response_for(pdu, tlvs)
+        framed = frame(response)
+        if len(framed) <= limit or len(tlvs) < head:
+            return
+        reps = (len(tlvs) - head) // width
+        fitting = [r for r in range(1, reps) if len(frame(
+            messages.response_for(pdu, tlvs[:head + r * width]))) <= limit]
+        got = agent._fitted(pdu, response, limit, frame, framed).response
+        if fitting:
+            assert got.error_status == 0
+            assert list(got.bindings) == tlvs[:head + max(fitting) * width]
+        else:
+            assert (got.error_status, got.bindings) == (agent.TOO_BIG, [])

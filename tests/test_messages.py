@@ -483,7 +483,8 @@ def _framed(draw, kind):
             draw(st.integers(0, 6)), draw(_int32),
             draw(st.integers(0, 2 ** 32 - 1)), bindings))
     pdu = Pdu(draw(st.sampled_from(
-        [k for k in messages.PDU_TYPE_NAMES if k != TRAP_V1])),
+        [k for k in messages.PDU_TYPE_NAMES
+         if k < TRAP_V1 or k > TRAP_V1 and kind != "v1"])),
         draw(st.integers(-2 ** 31, 2 ** 31 - 1)), draw(st.integers(0, 18)),
         draw(st.integers(0, 2 ** 15)), bindings)
     if kind in ("v1", "v2c"):
@@ -691,6 +692,27 @@ class TestPduReader:
                              ids=["binding value", "in a SEQUENCE"])
     def test_malformed_value_under_a_pdu_tag_is_rejected(self, value):
         wire = self._wire_with_value(value)
+        for decode in (messages.decode_message, tree_decode_message):
+            with pytest.raises(DecodingError):
+                decode(wire)
+
+    @pytest.mark.parametrize("version,pdu_type", [
+        (V1, GET_BULK_REQUEST), (V1, INFORM_REQUEST), (V1, SNMPV2_TRAP),
+        (V1, REPORT), (V2C, TRAP_V1), (V3, TRAP_V1)])
+    def test_pdu_type_the_version_does_not_define_is_refused(
+            self, version, pdu_type):
+        """RFC 1157 defines no PDU tags 5-8, RFC 3416 no tag 4."""
+        pdu = TrapV1Pdu(ber.Oid((1, 3, 6, 1)), ber.IpAddress(bytes(4)), 1, 0,
+                        0) if pdu_type == TRAP_V1 else Pdu(pdu_type, 1)
+        if version == V3:
+            wire = messages.encode_message(V3Message(
+                1, 0, UsmParams(), ScopedPdu(b"", b"", pdu)))
+            scoped = messages.encode_scoped_pdu(ScopedPdu(b"", b"", pdu))
+            with pytest.raises(DecodingError):
+                messages.decode_scoped_pdu(scoped)
+        else:
+            wire = messages.encode_message(
+                CommunityMessage(version, b"public", pdu))
         for decode in (messages.decode_message, tree_decode_message):
             with pytest.raises(DecodingError):
                 decode(wire)
