@@ -51,6 +51,7 @@ TOO_BIG = 1
 NO_SUCH_NAME = 2
 READ_ONLY = 4
 GEN_ERR = 5
+NOT_WRITABLE = 17
 
 
 def expand_children(spec):
@@ -358,11 +359,14 @@ def _dispatch_bulk(tree, pdu, ctx, version, limit):
 
 
 def _dispatch_set(tree, pdu, ctx, version, limit):
+    """A name that no writable handler covers answers notWritable (RFC
+    3416 section 4.2.5, steps 2 and 9), or readOnly under v1."""
     found = [tree.find(vb.name.arcs) for vb in pdu.bindings]
     for i, entry in enumerate(found):
         if entry is None or not entry[2]:
-            return messages.response_for(pdu, list(pdu.bindings),
-                                         READ_ONLY, i + 1)
+            return messages.response_for(
+                pdu, list(pdu.bindings),
+                READ_ONLY if version == V1 else NOT_WRITABLE, i + 1)
     out = []
     for vb, (base, handler, _) in zip(pdu.bindings, found):
         rest = vb.name.arcs[len(base):]
@@ -396,13 +400,13 @@ class LocalEngine:
         self.report_count = 0
         self.auth_count = 0
 
-    def open(self, msg, wire):
-        """msg's scoped PDU, or the octets of the Report that refuses it,
-        after the checks of RFC 3414 section 3.2 in its order: engine id
-        (step 3), user (4), security level (5), digest (6), time window
-        (7).  A refused msg whose reportable flag is clear gets None, no
-        Report (RFC 3412 section 7.2).  Raises SnmpKitError when the
-        scoped PDU does not decrypt."""
+    def open(self, msg, wire, registry=None):
+        """msg's scoped PDU, its names read through registry, or the octets
+        of the Report that refuses it, after the checks of RFC 3414
+        section 3.2 in its order: engine id (step 3), user (4), security
+        level (5), digest (6), time window (7).  A refused msg whose
+        reportable flag is clear gets None, no Report (RFC 3412 section
+        7.2).  Raises SnmpKitError when the scoped PDU does not decrypt."""
         params, flags = msg.usm, 0
         if params.engine_id != self.engine_id:
             stats = messages.USM_STATS_UNKNOWN_ENGINE_IDS
@@ -413,7 +417,7 @@ class LocalEngine:
             stats = messages.USM_STATS_UNSUPPORTED_SEC_LEVELS
         else:
             try:
-                scoped = usm.unprotect(msg, wire, self.engine)
+                scoped = usm.unprotect(msg, wire, self.engine, registry)
             except NotInTimeWindowError:  # an authenticated Report
                 stats = messages.USM_STATS_NOT_IN_TIME_WINDOWS
                 flags = FLAG_AUTH
@@ -449,17 +453,18 @@ def handle_datagram(tree, ctx, data, engine=None):
     Returns the reply bytes, or None when the datagram is dropped: it does
     not decode or decrypt, its community is wrong, its PDU is not a
     request, or it is v3 and engine, the LocalEngine that answers v3, is
-    None.  The limit is MAX_UDP_PAYLOAD, or a v3 request's smaller
-    msgMaxSize; dispatch reads no more GETBULK answers than it.  The
-    response is framed once and sent as it is when it encodes and is no
-    longer than the limit; _fitted replaces any other: it cuts a GETBULK
-    answer, and makes any other genErr or tooBig.  A v3 reply is framed
-    by engine.frame, as Reports are, and measured before it is secured
-    once.
+    None.  Request names are read through ctx.registry, which keeps
+    them, or are ber.Oids when it is None.  The limit is MAX_UDP_PAYLOAD,
+    or a v3 request's smaller msgMaxSize; dispatch reads no more GETBULK
+    answers than it.  The response is framed once and sent as it is when
+    it encodes and is no longer than the limit; _fitted replaces any
+    other: it cuts a GETBULK answer, and makes any other genErr or
+    tooBig.  A v3 reply is framed by engine.frame, as Reports are, and
+    measured before it is secured once.
     """
     ctx.in_pkts += 1
     try:
-        msg = messages.decode_message(data)
+        msg = messages.decode_message(data, ctx.registry)
         if isinstance(msg, messages.CommunityMessage):
             if msg.community != messages.community_octets(ctx.community):
                 return None
@@ -472,7 +477,7 @@ def handle_datagram(tree, ctx, data, engine=None):
         elif engine is None:
             return None
         else:
-            scoped = engine.open(msg, data)
+            scoped = engine.open(msg, data, ctx.registry)
             if not isinstance(scoped, ScopedPdu):  # a Report, or None
                 return scoped
             pdu, version = scoped.pdu, V3

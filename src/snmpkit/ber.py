@@ -16,12 +16,11 @@ the original bytes so re-encoding is byte-identical.  Input nested
 deeper than MAX_NESTING constructed levels is a DecodingError.
 header reads one TLV header, checking its identifier octet; messages
 reads its frames and PDUs with it, and looks a binding's value decoder
-up in the registry's table by identifier octet.  read_oid builds the
+up in the registry's table by identifier octet.  oid_arcs builds the
 arcs of an OID whose sub-identifiers all take one octet from a table of
-the first two arcs and the other octets as they are, and keeps up to
-OID_MEMO_SIZE of them, each of at most OID_MEMO_OCTETS, in a NameMemo:
-octets read before give the one Oid already built for them, so a name
-that comes back is not decoded again.
+the first two arcs and the other octets as they are; read_oid makes an
+Oid of them.  ber keeps no name between calls: an oids.Registry keeps
+the names it reads.
 
 Encoding looks up the exact type of a value in a table of encoder
 functions, each holding its precomputed tag octets; tlv_encoder builds
@@ -47,7 +46,6 @@ and equal octets mean equal arcs.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -430,7 +428,7 @@ _FIRST_ARCS = [(0, b) if b < 40 else (1, b - 40) if b < 80 else (2, b - 80)
 
 
 def _decode_oid_content(payload):
-    """The arcs of OID content octets; decode_oid reads those whose
+    """The arcs of OID content octets; oid_arcs reads those whose
     sub-identifiers all take one octet itself."""
     if not payload:
         return ()
@@ -474,72 +472,24 @@ def _decode_octet_string(data, start, end, depth):
 
 
 def decode_oid(data, start, end, depth=0):
-    """The Oid whose content octets are data[start:end]: read_oid's, so
-    octets read before give the one Oid already built for them."""
+    """The Oid whose content octets are data[start:end]."""
     return read_oid(data[start:end])
 
 
-# The most names that a NameMemo keeps, and the longest, in content
-# octets: a longer name, which no MIB defines, is made again each time it
-# is read, so no sender can fill a memo with long ones.  Full of
-# eleven-arc names, read_oid's takes about 4.5 MB and an oids.Registry's
-# about 2.3 MB; full of the longest names, at most about 42 MB and 18 MB
-# (tracemalloc, Python 3.11).
-OID_MEMO_SIZE = 2 ** 14
-OID_MEMO_OCTETS = 128
+def oid_arcs(octets):
+    """The arcs of OID content octets, a bytes object.  When every
+    sub-identifier takes one octet, they are the first octet's two from
+    _FIRST_ARCS and then the other octets as they are."""
+    if octets.isascii() and octets:
+        return _FIRST_ARCS[octets[0]] + tuple(octets[1:])
+    return _decode_oid_content(octets)
 
 
-class NameMemo(dict):
-    """What was made of each name, keyed by its content octets: at most
-    OID_MEMO_SIZE of them, none longer than OID_MEMO_OCTETS, emptied when
-    full.  keep adds one under a lock, so the bound holds when threads
-    share the memo; clear counts a generation, and keep given the one
-    read before the value was made keeps nothing if a clear came between.
-    A plain dict rather than an lru_cache: its entries take less memory,
-    which a walk of names never seen before pays for."""
-
-    __slots__ = ("_lock", "generation")
-
-    def __init__(self):
-        super().__init__()
-        self._lock = threading.Lock()
-        self.generation = 0
-
-    def clear(self):
-        with self._lock:
-            super().clear()
-            self.generation += 1
-
-    def keep(self, octets, value, generation=None):
-        """value, kept for octets unless they are too long or the memo was
-        cleared since generation."""
-        if len(octets) <= OID_MEMO_OCTETS:
-            with self._lock:
-                if generation is None or generation == self.generation:
-                    if len(self) >= OID_MEMO_SIZE:
-                        super().clear()
-                    self[octets] = value
-        return value
-
-
-_NAMES = NameMemo()
-
-
-def read_oid(octets):
-    """The Oid of content octets, a bytes object, which it keeps: the one
-    Oid already built for octets read before, while _NAMES holds them
-    (never for more than OID_MEMO_OCTETS octets).
-    When every sub-identifier takes one octet, the arcs are the first
-    octet's two from _FIRST_ARCS and then the other octets as they are.
-    Malformed octets raise DecodingError every time, as nothing is kept
-    for them."""
-    oid = _NAMES.get(octets)
-    if oid is None:
-        oid = _NAMES.keep(octets, _oid(
-            _FIRST_ARCS[octets[0]] + tuple(octets[1:])
-            if octets.isascii() and octets
-            else _decode_oid_content(octets), octets))
-    return oid
+def read_oid(octets, near=None):
+    """The Oid of content octets, a bytes object, which it keeps as its
+    octets.  near is not used: it lets messages call read_oid and
+    oids.Registry.read alike."""
+    return _oid(oid_arcs(octets), octets)
 
 
 def _decode_ip_address(data, start, end, depth):

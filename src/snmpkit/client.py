@@ -140,10 +140,8 @@ def _pairs(session, pdu):
     are compared by their content octets: each ref's octets are computed
     before the request is encoded, so they are encoded once, and the
     pairs hold the request's refs.  A response that does not raises
-    SnmpError.  The names of other responses are resolved here: a name
-    resolved before is the registry's kept ref, shared with every other
-    caller, and any other descends from the name before it where that
-    one's node is on its path."""
+    SnmpError.  The names of other responses are the refs the session's
+    registry read them into, shared with every other caller."""
     asked = [vb.name.octets for vb in pdu.bindings] \
         if pdu.pdu_type in (GET_REQUEST, SET_REQUEST) else None
     response = send_pdu(session, pdu)
@@ -156,12 +154,7 @@ def _pairs(session, pdu):
             _echo_mismatch(pdu.bindings, response.bindings)
         return [(vb.name, got.value)
                 for vb, got in zip(pdu.bindings, response.bindings)]
-    resolve = session.registry.resolve
-    pairs, ref = [], None
-    for vb in response.bindings:
-        ref = resolve(vb.name, ref)
-        pairs.append((ref, vb.value))
-    return pairs
+    return [(vb.name, vb.value) for vb in response.bindings]
 
 
 def _echo_mismatch(asked, got):
@@ -177,7 +170,7 @@ def _echo_mismatch(asked, got):
 
 def send_pdu(session, pdu):
     """Transmit a prebuilt PDU, framed as _FRAMES says for the session's
-    version, and return the matched response PDU, its names unresolved.
+    version, and return the matched response PDU.
     A v3 Report is met as _ON_REPORT says for its first name, then the
     request is sent once more; a second Report raises UsmProtocolError."""
     frame = _FRAMES[session.version]
@@ -216,7 +209,7 @@ def _community_frame(session, pdu):
     """pdu's octets in a community message, and the accept of its reply."""
     def accept(data):
         try:
-            msg = messages.decode_message(data)
+            msg = messages.decode_message(data, session.registry)
         except SnmpKitError:
             return None
         if isinstance(msg, CommunityMessage) and isinstance(msg.pdu, Pdu) \
@@ -254,7 +247,7 @@ def _secured(session, msg, request_id=None):
     section 7.2, step 13), such as a forged one in clear."""
     def accept(data):
         try:
-            reply, scoped = usm.open(data, session.engine)
+            reply, scoped = usm.open(data, session.engine, session.registry)
         except AuthenticationError as exc:
             if exc.msg.msg_id == msg.msg_id:
                 raise

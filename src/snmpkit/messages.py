@@ -10,10 +10,13 @@ into VarBinds in one pass over their octets.  A binding's SEQUENCE, name
 and value headers are read inline when their lengths take the short
 form, and by ber.header, or the value table's TLV reader, otherwise; a
 value's decoder comes from ber.DEFAULT_REGISTRY's table by its
-identifier octet.  A PDU whose type the message's version does not
-define, such as a GetBulk in a v1 message or a Trap-v1 in a v2c or v3
-one, does not decode.  Both directions record in V3Message.mac_offset
-where the MAC lies in the octets, so usm never walks the headers again.
+identifier octet.  Given the oids.Registry its caller holds, decoding
+reads each binding name through Registry.read, from the name before it,
+so a name becomes the registry's kept OidRef; without one, a ber.Oid.
+A PDU whose type the message's version does not define, such as a
+GetBulk in a v1 message or a Trap-v1 in a v2c or v3 one, does not
+decode.  Both directions record in V3Message.mac_offset where the MAC
+lies in the octets, so usm never walks the headers again.
 """
 
 from __future__ import annotations
@@ -261,11 +264,13 @@ _V1_PDUS = frozenset(range(TRAP_V1 + 1))
 _V2_PDUS = frozenset(PDU_TYPE_NAMES) - {TRAP_V1}
 
 
-def _read_pdu(data, pos, end, depth, version=V3):
+def _read_pdu(data, pos, end, depth, registry, version=V3):
     """The PDU TLV at data[pos:end] of a message of version, at nesting
     depth depth, and where it ends.  A PDU type the version does not
-    define is a DecodingError.  Binding values lie three levels deeper; a
-    v1 PDU other than a trap holds no exception values."""
+    define is a DecodingError.  Binding names are read by registry, an
+    oids.Registry, or are ber.Oids when it is None.  Binding values lie
+    three levels deeper; a v1 PDU other than a trap holds no exception
+    values."""
     ident = data[pos] if pos < end else 0
     pdu_type = ident - 0xA0
     if pdu_type not in (_V1_PDUS if version == V1 else _V2_PDUS):
@@ -286,7 +291,8 @@ def _read_pdu(data, pos, end, depth, version=V3):
     _last(stop, end, "PDU")
     bindings = []
     append = bindings.append
-    read_oid, by_octet = ber.read_oid, ber.DEFAULT_REGISTRY._by_octet
+    read = ber.read_oid if registry is None else registry.read
+    by_octet, name = ber.DEFAULT_REGISTRY._by_octet, None
     depth += 3
     # Each binding is SEQUENCE { OID, value }.  A short-form header is
     # read here; ber.header, or value_at for the value, reads any other
@@ -305,7 +311,7 @@ def _read_pdu(data, pos, end, depth, version=V3):
         else:
             start, value_pos = ber.header(data, start, at, 0x06,
                                           "variable binding name")
-        name = read_oid(data[start:value_pos])
+        name = read(data[start:value_pos], name)
         if value_pos + 1 < at and (n := data[value_pos + 1]) < 0x80 and \
                 value_pos + 2 + n == at and \
                 (decoder := by_octet[data[value_pos]]) is not None:
@@ -326,12 +332,12 @@ def _read_pdu(data, pos, end, depth, version=V3):
     return Pdu(pdu_type, *fields, bindings), end
 
 
-def _read_scoped(data, pos, end, depth):
+def _read_scoped(data, pos, end, depth, registry):
     """The scoped PDU TLV, its PDU at nesting depth depth."""
     start, stop = ber.header(data, pos, end, 0x30, "scoped PDU")
     (engine_id, context), at = _read(data, start, stop, b"\x04\x04",
                                      "scoped PDU")
-    pdu, at = _read_pdu(data, at, stop, depth)
+    pdu, at = _read_pdu(data, at, stop, depth, registry)
     _last(at, stop, "scoped PDU")
     return ScopedPdu(engine_id, context, pdu), stop
 
@@ -341,20 +347,24 @@ def _last(pos, end, what):
         raise DecodingError(f"{what} has more elements than it needs")
 
 
-def decode_scoped_pdu(data):
-    return _read_scoped(bytes(data), 0, len(data), 1)
+def decode_scoped_pdu(data, registry=None):
+    """(scoped PDU, where it ends) of data, its names read as
+    decode_message reads them."""
+    return _read_scoped(bytes(data), 0, len(data), 1, registry)
 
 
-def decode_message(data):
-    """Parse one complete SNMP message; inverse of encode_message.  A v3
-    message's mac_offset is where its MAC lies in data.  Octets after the
-    message's SEQUENCE are ignored."""
+def decode_message(data, registry=None):
+    """Parse one complete SNMP message; inverse of encode_message.  Each
+    binding name is read through registry, an oids.Registry, when it is
+    given, as its kept OidRef; else it is a ber.Oid.  A v3 message's
+    mac_offset is where its MAC lies in data.  Octets after the message's
+    SEQUENCE are ignored."""
     data = bytes(data)
     pos, end = ber.header(data, 0, len(data), 0x30, "message")
     (version,), pos = _read(data, pos, end, b"\x02", "msgVersion")
     if version in (V1, V2C):
         (community,), pos = _read(data, pos, end, b"\x04", "community")
-        pdu, pos = _read_pdu(data, pos, end, 1, version)
+        pdu, pos = _read_pdu(data, pos, end, 1, registry, version)
         _last(pos, end, "community message")
         return CommunityMessage(version, community, pdu)
     if version != V3:
@@ -387,7 +397,7 @@ def decode_message(data):
         (msg.encrypted_pdu,), pos = _read(data, pos, end, b"\x04",
                                           "encrypted scoped PDU")
     else:
-        msg.scoped_pdu, pos = _read_scoped(data, pos, end, 2)
+        msg.scoped_pdu, pos = _read_scoped(data, pos, end, 2, registry)
     _last(pos, end, "v3 message")
     return msg
 

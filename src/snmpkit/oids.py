@@ -4,11 +4,16 @@ A node stores only its own arc; full number lists are reconstructed by
 walking parent links.  Unnamed instances (like ``sysDescr.0``) are never
 inserted into the tree -- they live as OidRef values pointing at their
 deepest named ancestor with the trailing arcs kept aside.
+
+Names read from the wire go through Registry.read, which keeps the ref
+of each, with the octets it was read from, in the registry's NameMemo:
+a name that comes back is neither decoded nor descended again.
 """
 
 from __future__ import annotations
 
 import bisect
+import threading
 
 from . import ber
 from .errors import OidConflictError, OidResolutionError
@@ -52,9 +57,9 @@ class OidRef:
     """A resolved OID: deepest named ancestor plus unnamed trailing arcs.
 
     Its full arcs and its BER content octets are computed at most once,
-    when first asked for, and kept on the ref.  Registry.resolve gives
-    the one ref it keeps for a name read before to every caller, so a
-    ref is shared and must be treated as immutable."""
+    when first asked for, and kept on the ref.  Registry.read gives the
+    one ref it keeps for a name read before to every caller, so a ref is
+    shared and must be treated as immutable."""
 
     __slots__ = ("node", "rest", "_arcs", "_octets")
 
@@ -140,16 +145,53 @@ def name_list(ref):
     return names
 
 
-def list_children(node):
-    """Unordered snapshot of a node's children."""
-    return list(node.children.values())
+# The most names that a NameMemo keeps, and the longest, in content
+# octets: a longer name, which no MIB defines, is read again each time,
+# so no sender can fill a memo with long ones.  Full of eleven-arc
+# names, a Registry's memo takes about 5.8 MB; full of the longest
+# names, at most about 54 MB (tracemalloc, Python 3.11).
+OID_MEMO_SIZE = 2 ** 14
+OID_MEMO_OCTETS = 128
+
+
+class NameMemo(dict):
+    """What was made of each name, keyed by its content octets: at most
+    OID_MEMO_SIZE of them, none longer than OID_MEMO_OCTETS, emptied when
+    full.  keep adds one under a lock, so the bound holds when threads
+    share the memo; clear counts a generation, and keep, given the one
+    read before the value was made, keeps nothing if a clear came between.
+    A plain dict rather than an lru_cache: its entries take less memory,
+    which a walk of names never seen before pays for."""
+
+    __slots__ = ("_lock", "generation")
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+        self.generation = 0
+
+    def clear(self):
+        with self._lock:
+            super().clear()
+            self.generation += 1
+
+    def keep(self, octets, value, generation):
+        """value, kept for octets unless they are too long or the memo was
+        cleared since generation."""
+        if len(octets) <= OID_MEMO_OCTETS:
+            with self._lock:
+                if generation == self.generation:
+                    if len(self) >= OID_MEMO_SIZE:
+                        super().clear()
+                    self[octets] = value
+        return value
 
 
 class Registry:
     """The single conceptual MIB tree plus name and module indexes, and a
-    ber.NameMemo of the refs of names resolved from a decoded ber.Oid,
-    emptied also whenever register adds a node; a ref resolved while a
-    node was added is not kept."""
+    NameMemo of the refs of the names read from the wire, emptied also
+    whenever register adds a node; a ref read while a node was added is
+    not kept."""
 
     def __init__(self):
         self.root = OidNode(0, name="zero")
@@ -160,7 +202,7 @@ class Registry:
         # (module, type name) -> RowSchema (filled by the SMI loader)
         self.row_schemas = {}
         self.ambiguous_names = set()
-        self._refs = ber.NameMemo()
+        self._refs = NameMemo()
         self._bootstrap()
 
     def _bootstrap(self):
@@ -221,29 +263,40 @@ class Registry:
         if module is not None:
             self.module_index.setdefault(module, {})[name] = node
 
+    # -- names from the wire -------------------------------------------------
+
+    def read(self, octets, near=None):
+        """The ref of OID content octets, a bytes object, read from the
+        wire: the one kept for octets read before, else the ref of their
+        arcs, as decoded with X.690's checks, kept with octets as its own.
+        The descent starts at near's node when near, a ref, names a node
+        on the path of those arcs, as the previous name's does in a
+        walk's replies; from the root otherwise.  The arcs are the ones
+        sent: no leading 0 is dropped.  Malformed octets raise
+        DecodingError every time, as nothing is kept for them."""
+        ref = self._refs.get(octets)
+        if ref is None:
+            # a register during the descent clears the memo, and then
+            # this ref, which may miss the new node, is not kept
+            generation = self._refs.generation
+            arcs = ber.oid_arcs(octets)
+            node, depth = self.root, 0
+            if near is not None:
+                path = near.arcs
+                held = len(path) - len(near.rest)
+                if arcs[:held] == path[:held]:
+                    node, depth = near.node, held
+            ref = self._refs.keep(octets, _descend(node, arcs, depth, octets),
+                                  generation)
+        return ref
+
     # -- resolution ---------------------------------------------------------
 
-    def resolve(self, spec, near=None):
-        """Resolve any OID spelling (text, arc list, mixed list, node, ref).
-
-        A decoded ber.Oid, which keeps its content octets, gives the ref
-        kept for those octets when they were resolved before.  Otherwise
-        near, a ref resolved before, is where the descent of a ber.Oid
-        starts when near's node lies on the Oid's path, as the previous
-        name's does in a walk's replies; from the root otherwise."""
+    def resolve(self, spec):
+        """Resolve any OID spelling (text, arc list, mixed list, node, ref,
+        or an object with arcs, such as a ber.Oid)."""
         if isinstance(spec, OidRef):
             return spec
-        if isinstance(spec, ber.Oid):  # its arcs are ints by construction
-            octets = spec._octets  # None when built from arcs: not kept
-            ref = self._refs.get(octets)
-            if ref is None:
-                # a register during the descent clears the memo, and then
-                # this ref, which may miss the new node, is not kept
-                generation = self._refs.generation
-                ref = self._resolve_near(spec.arcs, near)
-                if octets is not None:
-                    self._refs.keep(octets, ref, generation)
-            return ref
         if isinstance(spec, OidNode):
             return OidRef(spec)
         if isinstance(spec, str):
@@ -295,18 +348,6 @@ class Registry:
             arcs = arcs[1:]
         return _descend(self.root, arcs, 0)
 
-    def _resolve_near(self, arcs, near):
-        """The ref of a tuple of ints, descending from near's node when
-        near is a ref whose node's path is a prefix of arcs and does not
-        begin with 0, so that _resolve_arcs' leading-0 rule cannot apply;
-        from the root otherwise."""
-        if near is not None:
-            path = near.arcs
-            depth = len(path) - len(near.rest)
-            if depth and path[0] and arcs[:depth] == path[:depth]:
-                return _descend(near.node, arcs, depth)
-        return self._resolve_arcs(arcs)
-
     def _resolve_sequence(self, seq):
         if all(isinstance(e, int) for e in seq):
             return self._resolve_arcs(tuple(int(e) for e in seq))
@@ -345,16 +386,17 @@ def _descend_below(node, arcs):
     return _descend(node, path + tuple(arcs), len(path))
 
 
-def _descend(node, arcs, i):
+def _descend(node, arcs, i, octets=None):
     """The ref of arcs, given node, the node of their first i arcs: the
-    descent goes on from node for as long as the tree holds the arcs."""
+    descent goes on from node for as long as the tree holds the arcs.
+    octets are the ref's content octets when they are known."""
     while i < len(arcs):
         child = node.children.get(arcs[i])
         if child is None:
             break
         node = child
         i += 1
-    return OidRef._known(node, arcs[i:], arcs)
+    return OidRef._known(node, arcs[i:], arcs, octets)
 
 
 def lexicographic_successor(instances, arcs):

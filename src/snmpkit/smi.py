@@ -268,7 +268,8 @@ class _Parser:
         return fields
 
     def _skip_clauses(self):
-        """Skip macro clauses up to ``::=``; keep the last DESCRIPTION."""
+        """Skip macro clauses up to ``::=``; keep the first DESCRIPTION,
+        the macro's own, not a REVISION's, GROUP's or VARIATION's."""
         description = None
         while not self.accept("::="):
             tok = self.peek()
@@ -276,7 +277,9 @@ class _Parser:
                 self._skip_balanced(tok.text, _CLOSE[tok.text])
             elif self.next().text == "DESCRIPTION" and \
                     self.peek().kind == "string":
-                description = self._text()
+                text = self._text()
+                if description is None:
+                    description = text
         return {"description": description}
 
     def _word(self):

@@ -112,10 +112,6 @@ def open_endpoint(host, port):
     return UdpEndpoint(host, port)
 
 
-def close_endpoint(endpoint):
-    endpoint.close()
-
-
 def exchange(endpoint, payload, estimator, match, clock=time.monotonic):
     """Send payload and wait for a matching datagram, retransmitting on timeout.
 

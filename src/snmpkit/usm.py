@@ -68,14 +68,6 @@ class Credential:
             raise SnmpError("priv requires auth")
 
     @property
-    def security_level(self):
-        if self.priv is not None:
-            return "authPriv"
-        if self.auth is not None:
-            return "authNoPriv"
-        return "noAuthNoPriv"
-
-    @property
     def security_flags(self):
         """The msgFlags auth and priv bits of this user's security level."""
         return (FLAG_AUTH if self.auth is not None else 0) | \
@@ -277,10 +269,6 @@ class EngineState:
             now = self.clock()
         return self.engine_time + int(now - self.synced_at)
 
-    def in_time_window(self, peer_boots, peer_time, now=None):
-        return peer_boots == self.engine_boots and \
-            abs(peer_time - self.current_time(now)) <= TIME_WINDOW
-
     def advance(self, boots, engine_time, now=None):
         """Take an authentic message's engine clock, forward only.
 
@@ -359,17 +347,19 @@ class Frame:
         return bytes(wire)
 
 
-def open(wire, keys):
+def open(wire, keys, registry=None):
     """(msg, scoped PDU) of the octets of a v3 message: decode, then
-    unprotect.  Raises DecodingError when they are not a v3 message."""
-    msg = messages.decode_message(wire)
+    unprotect, reading names through registry as decode_message does.
+    Raises DecodingError when they are not a v3 message."""
+    msg = messages.decode_message(wire, registry)
     if not isinstance(msg, V3Message):
         raise DecodingError("not an SNMPv3 message")
-    return msg, unprotect(msg, wire, keys)
+    return msg, unprotect(msg, wire, keys, registry)
 
 
-def unprotect(msg, wire, keys):
-    """The scoped PDU of msg, decode_message(wire), with protection undone.
+def unprotect(msg, wire, keys, registry=None):
+    """The scoped PDU of msg, decode_message(wire, registry), with
+    protection undone.
 
     keys is an EngineState.  A message asking for privacy when keys hold
     no privacy key raises SnmpError before its MAC or clock is looked at
@@ -378,7 +368,8 @@ def unprotect(msg, wire, keys):
     section 6.3.2), so a sender's non-minimal BER verifies, and the engine
     clock must pass keys.advance; AuthenticationError, carrying msg, when
     either fails.  With the priv flag, the scoped PDU is decrypted, or
-    DecodingError or SnmpError raised.
+    DecodingError or SnmpError raised; its names are read through
+    registry.
     """
     params = msg.usm
     if msg.flags & FLAG_PRIV and keys.priv_key is None:
@@ -400,4 +391,4 @@ def unprotect(msg, wire, keys):
         return msg.scoped_pdu
     plaintext = decrypt_scoped_pdu(msg.encrypted_pdu, keys.priv_key,
                                    params.priv_params)
-    return messages.decode_scoped_pdu(plaintext)[0]
+    return messages.decode_scoped_pdu(plaintext, registry)[0]

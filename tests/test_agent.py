@@ -229,8 +229,21 @@ class TestSet:
         pdu = messages.make_request_pdu(
             SET_REQUEST, [("sysName.0", ber.OctetString(b"x"))], registry, 5)
         resp = agent.dispatch(tree, pdu, ctx, V2C)
-        assert resp.error_status == agent.READ_ONLY
+        assert resp.error_status == agent.NOT_WRITABLE
         assert resp.error_index == 1
+
+    @pytest.mark.parametrize("version,status", [
+        (V1, agent.READ_ONLY), (V2C, agent.NOT_WRITABLE),
+        (V3, agent.NOT_WRITABLE)])
+    def test_unwritable_names_by_version(self, registry, loopback_agent,
+                                         version, status):
+        # a read-only scalar, and a name that no handler covers
+        tree, ctx = loopback_agent
+        for name in ("sysDescr.0", (1, 3, 6, 1, 4, 1, 99, 1)):
+            pdu = messages.make_request_pdu(
+                SET_REQUEST, [(name, ber.OctetString(b"x"))], registry, 5)
+            resp = agent.dispatch(tree, pdu, ctx, version)
+            assert (resp.error_status, resp.error_index) == (status, 1)
 
     def test_writable_handler_extension(self, registry):
         store = {"value": 10}

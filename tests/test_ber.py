@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from snmpkit import ber
+from snmpkit.oids import Registry
 from snmpkit.errors import (
     DecodingError, EncodingError, TruncatedError, UnsupportedFormError,
 )
@@ -364,8 +365,8 @@ class TestKeptOctets:
 
 
 class TestReadOnce:
-    """read_oid keeps the one Oid of each name it reads, up to its bound,
-    and nothing for malformed octets."""
+    """read_oid makes an Oid of content octets, which it keeps as the
+    Oid's own, and ber keeps no name; malformed octets raise each time."""
 
     @staticmethod
     def _read(content):
@@ -382,46 +383,19 @@ class TestReadOnce:
     def test_reading_twice_gives_one_oid_or_raises_twice(self, content):
         first, second = self._read(content), self._read(content)
         if isinstance(first, ber.Oid):
-            assert second is first and first.octets == content
+            assert second == first and first.octets == content
             assert first == ber.Oid(ber._decode_oid_content(content))
         else:
             assert second == first
 
     def test_malformed_octets_are_not_kept(self):
+        # nor by a registry, which reads names with read_oid's checks
         content = bytes([0x2B, 0x80, 0x06])
-        for _ in range(2):
+        registry = Registry()
+        for read in (ber.read_oid, registry.read) * 2:
             with pytest.raises(DecodingError, match="0x80"):
-                ber.read_oid(content)
-            assert content not in ber._NAMES
-
-    def test_the_memo_holds_at_most_its_bound(self):
-        bound, most = ber.OID_MEMO_SIZE, 0
-        ber._NAMES.clear()
-        for i in range(bound + 100):
-            ber.read_oid(ber.Oid((1, 3, 6, 1, 4, 1, 98, i)).octets)
-            most = max(most, len(ber._NAMES))
-        # full, it is emptied before the next name is kept
-        assert (most, len(ber._NAMES)) == (bound, 100)
-
-    def test_long_names_are_read_but_never_kept(self):
-        longest = ber.OID_MEMO_OCTETS
-        ber._NAMES.clear()
-        for i in range(2000):
-            # one kept name, then names of 129 octets to about 16 KB,
-            # half of them with two-octet sub-identifiers
-            arc = 300 if i % 2 else 5
-            tail = (1, 3) + (arc,) * (longest + i * 4)
-            content = ber.Oid(tail + (i % 128,)).octets
-            read = ber.read_oid(content)
-            assert read.octets == content
-            assert read == ber.Oid(ber._decode_oid_content(content))
-            assert max(map(len, ber._NAMES), default=0) <= longest
-        assert not ber._NAMES
-        at_bound = bytes([0x2B] + [0x05] * (longest - 1))
-        assert ber.read_oid(at_bound) is ber.read_oid(at_bound)
-        beyond = at_bound + b"\x05"
-        assert ber.read_oid(beyond) is not ber.read_oid(beyond)
-        assert list(ber._NAMES) == [at_bound]
+                read(content)
+        assert not registry._refs
 
 
 class TestOidObject:

@@ -150,11 +150,23 @@ class TestOperations:
         assert exc.value.status == 2
         assert exc.value.status_name == "noSuchName"
 
+    def test_a_reply_name_keeps_its_leading_zero(self, registry):
+        # 0.1.127.1 lies under itu-t, not under iso (1.127.1)
+        tree, ctx = agent.DispatchTree(), agent.AgentContext()
+        tree.register(ber.Oid((0, 1, 127)),
+                      lambda ctx, ids: ber.OctetString(b"x") if ids else 1)
+        session = _open(registry, harness.connect(
+            harness.agent_responder(tree, ctx)))
+        (name, value), = client.get_next(session, "zeroDotZero")
+        assert (name.arcs, str(name), value) == \
+            ((0, 1, 127, 1), "0.1.127.1", b"x")
+        assert ber.encode(name) == ber.encode(ber.Oid((0, 1, 127, 1)))
+
     def test_set_rejected_readonly(self, registry, fabric):
         session = _open(registry, fabric)
         with pytest.raises(SnmpStatusError) as exc:
             client.set_values(session, [("sysName.0", ber.OctetString(b"x"))])
-        assert exc.value.status_name == "readOnly"
+        assert exc.value.status_name == "notWritable"
 
     def test_bulk(self, registry, fabric):
         session = _open(registry, fabric)
@@ -281,42 +293,42 @@ class TestSelect:
         assert from_select == from_walk
 
     def test_row_gets_resolve_no_names(self, monkeypatch):
-        """Root descents in a first select, each over a fresh registry: in
-        each of the walk's GETBULK replies one for its first name and one
-        where its names change column, the others descending from the name
-        before; the columns, taken from the entry node's children, and the
-        R per-row GETs add none.  A second select finds every name in the
-        registry's memo and descends for none."""
-        descents, counts, again, walks = [], {}, {}, {}
-        real = oids.Registry._resolve_arcs
+        """Registry.resolve calls in a first select, each over a fresh
+        registry: the table's, the walk's column and the cursor of each
+        of the walk's GETBULKs.  The R per-row GETs resolve no name, and
+        the replies' names are read, not resolved.
+        A second select finds every name in the registry's memo and
+        descends the tree for none.  The agent keeps no names."""
+        resolves, descents, counts, again, walks = [], [], {}, {}, {}
+        resolve, descend = oids.Registry.resolve, oids._descend
 
-        def counting(self, arcs):
-            descents.append(arcs)
-            return real(self, arcs)
+        def counting_resolve(self, spec):
+            resolves.append(spec)
+            return resolve(self, spec)
 
-        monkeypatch.setattr(oids.Registry, "_resolve_arcs", counting)
+        def counting_descend(*args):
+            descents.append(args[1])
+            return descend(*args)
+
+        monkeypatch.setattr(oids.Registry, "resolve", counting_resolve)
+        monkeypatch.setattr(oids, "_descend", counting_descend)
         for rows in (8, 32):
             registry = load_core(oids.Registry())
-            tree, ctx = agent.DispatchTree(), agent.AgentContext(
-                registry=registry)
+            tree, ctx = agent.DispatchTree(), agent.AgentContext()
             agent.install_if_table(tree, registry,
                                    agent.demo_if_rows()[1:] * rows)
             endpoint, channel, clock = harness.connect(
                 harness.agent_responder(tree, ctx))
             session = _open(registry, (endpoint, channel, clock))
-            del descents[:]
+            del resolves[:]
             assert len(client.select("ifTable", session)) == rows
-            counts[rows] = len(descents)
+            counts[rows] = len(resolves)
             walks[rows] = channel.exchanges - rows
             del descents[:]
             assert len(client.select("ifTable", session)) == rows
             again[rows] = len(descents)
-        bulk = client.WALK_BULK_REPETITIONS
         assert walks == {8: 1, 32: 2}
-        # 8 rows: one reply, ifIndex.1-8 ifDescr.1-8 ifType.1-8 ifMtu.1;
-        # 32 rows: ifIndex.1-25, then ifIndex.26-32 ifDescr.1-18
-        assert bulk == 25
-        assert counts == {8: 4, 32: 1 + 2}
+        assert counts == {8: 2 + 1, 32: 2 + 2}
         assert again == {8: 0, 32: 0}
 
     def test_dynamic_table(self, registry, fabric):

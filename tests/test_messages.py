@@ -10,6 +10,7 @@ from conftest import (
     tree_encode_message, walk_mac_offset,
 )
 from snmpkit import ber, messages
+from snmpkit.mibs import load_core
 from snmpkit.errors import DecodingError, EncodingError, SnmpError
 from snmpkit.messages import (
     CommunityMessage, Pdu, ScopedPdu, TrapV1Pdu, UsmParams, V3Message,
@@ -18,7 +19,7 @@ from snmpkit.messages import (
     RESPONSE, SET_REQUEST, SNMPV2_TRAP, TRAP_V1,
     FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE,
 )
-from snmpkit.oids import Registry
+from snmpkit.oids import OidRef, Registry
 
 
 # --- independent TLV oracle ------------------------------------------------
@@ -865,3 +866,86 @@ class TestBindingReader:
                 b"\xa0\x0c\x02\x01\x07\x02\x01\x00\x02\x01\x00\x30\x01\x30")
         with pytest.raises(DecodingError):
             messages.decode_message(wire)
+
+
+# --- names read into a registry's refs against plain Oids -------------------
+# A loaded registry, shared by every example so that names are read both
+# fresh and from its memo, reads each name as the Oid decode would.
+
+_LOADED = load_core(Registry())
+_RUN_HEADS = st.one_of(
+    st.sampled_from([(0, 0), (1, 3, 6, 1, 2, 1, 1, 1),
+                     (1, 3, 6, 1, 2, 1, 2, 2, 1, 2), (1, 3, 6, 1, 4, 1)]),
+    _HEAD, _LONG_ARCS)
+# a sub-identifier that begins with 0x80, a truncated last one, one of six
+# octets, and the empty name, which decodes to no arcs
+_ODD_NAMES = st.sampled_from([b"\x2b\x80\x06", b"\x2b\x06\x81",
+                              b"\x2b" + b"\x8f" * 5 + b"\x01", b""])
+
+
+@st.composite
+def _wire_names(draw):
+    """Name content octets as a reply carries them: runs of names that
+    share all but their last arc, one under another, names of more than
+    128 octets, and malformed octets."""
+    names = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["run", "child", "long", "odd"]))
+        head = draw(_RUN_HEADS)
+        if kind == "odd":
+            names.append(draw(_ODD_NAMES))
+        elif kind == "long":
+            names.append(ber.Oid((1, 3) + (draw(_SUBID),) * 130).octets)
+        elif kind == "child":
+            names += [ber.Oid(head[:n]).octets
+                      for n in range(2, len(head) + 1)]
+        else:
+            names += [ber.Oid(head + (last,)).octets
+                      for last in draw(st.lists(_SUBID, min_size=1,
+                                                max_size=5))]
+    return names
+
+
+def _response_wire(kind, tlvs):
+    """The octets of a Response holding the binding TLVs tlvs, as kind
+    frames it, and the decoder of those octets."""
+    pdu = Pdu(RESPONSE, 7, 0, 0, ber.EncodedBindings(tlvs))
+    if kind == "v2c":
+        return messages.encode_message(
+            CommunityMessage(V2C, b"public", pdu)), messages.decode_message
+    scoped = ScopedPdu(b"engine", b"", pdu)
+    if kind == "scoped":
+        return messages.encode_scoped_pdu(scoped), \
+            lambda data, *registry: messages.decode_scoped_pdu(
+                data, *registry)[0]
+    return messages.encode_message(V3Message(
+        9, FLAG_REPORTABLE, UsmParams(), scoped)), messages.decode_message
+
+
+def _names_and_values(msg):
+    """The bindings of a message or scoped PDU as (arcs, octets, value)."""
+    pdu = getattr(msg, "pdu", None) or msg.scoped_pdu.pdu
+    return [(vb.name.arcs, vb.name.octets, vb.value) for vb in pdu.bindings]
+
+
+class TestRegistryReadsNames:
+    @settings(max_examples=300, deadline=None)
+    @given(_wire_names(), st.data(), st.sampled_from(["v2c", "v3", "scoped"]))
+    def test_refs_match_the_plain_decode(self, names, data, kind):
+        values = data.draw(st.lists(_READER_VALUES, min_size=len(names),
+                                    max_size=len(names)))
+        tlvs = [_seq(b"\x06" + ber.encode_length(len(name)) + name
+                     + ber.encode(value))
+                for name, value in zip(names, values)]
+        wire, decode = _response_wire(kind, tlvs)
+        try:
+            plain = decode(wire)
+        except DecodingError as exc:
+            with pytest.raises(type(exc)) as again:
+                decode(wire, _LOADED)
+            assert str(again.value) == str(exc)
+            return
+        read = decode(wire, _LOADED)
+        assert _names_and_values(read) == _names_and_values(plain)
+        pdu = getattr(read, "pdu", None) or read.scoped_pdu.pdu
+        assert all(isinstance(vb.name, OidRef) for vb in pdu.bindings)

@@ -4,12 +4,11 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import snmpkit.oids as oids_module
 from snmpkit import ber, smi
 from snmpkit.errors import EncodingError, OidConflictError, OidResolutionError
 from snmpkit.mibs import load_core
-from snmpkit.oids import (
-    Registry, lexicographic_successor, list_children, name_list, number_list,
-)
+from snmpkit.oids import Registry, lexicographic_successor, name_list, number_list
 
 SYSDESCR_0 = (1, 3, 6, 1, 2, 1, 1, 1, 0)
 
@@ -78,12 +77,6 @@ class TestTreeStructure:
         node = registry.resolve("zeroDotZero").node
         assert node.parent is registry.root
         assert node.value == 0
-
-    def test_list_children_sorted(self, registry):
-        system = registry.resolve("system").node
-        arcs = [child.value for child in list_children(system)]
-        assert arcs == sorted(arcs)
-        assert 1 in arcs and 7 in arcs
 
 
 class TestRegister:
@@ -295,8 +288,6 @@ class TestSpellings:
 
     def test_a_name_without_arcs_does_not_walk_to_the_root(self,
                                                            monkeypatch):
-        import snmpkit.oids as oids_module
-
         def no_walk(ref):
             raise AssertionError("walked to the root")
 
@@ -323,25 +314,25 @@ def _replies(draw):
     return names
 
 
-def _read(arcs):
-    """The Oid of arcs as a reply carries it, read from its octets, when
-    they encode; built from the arcs otherwise."""
+def _octets(arcs):
+    """The content octets that a reply carries for arcs, or None when
+    they have no BER form."""
     try:
-        return ber.read_oid(ber.Oid(arcs).octets)
+        return ber.Oid(arcs).octets
     except EncodingError:
-        return ber.Oid(arcs)
+        return None
 
 
 class TestResolveNear:
-    """Resolving each name from the ref before it gives the ref that the
-    descent from the root gives.  Each side resolves through a fresh
+    """Reading each name from the ref before it gives the ref that the
+    descent from the root gives.  Each side reads through a fresh
     registry, whose memo holds no name yet."""
 
     @staticmethod
     def _chain(registry, names):
         refs, near = [], None
         for arcs in names:
-            near = registry.resolve(_read(arcs), near)
+            near = registry.read(_octets(arcs), near)
             refs.append(near)
         return refs
 
@@ -355,28 +346,35 @@ class TestResolveNear:
         near_side, root_side = self._SIDES
         for registry in self._SIDES:
             registry._refs.clear()
+        names = [arcs for arcs in names if _octets(arcs) is not None]
         for ref, arcs in zip(self._chain(near_side, names), names):
-            root = root_side.resolve(_read(arcs))
+            root = root_side.read(_octets(arcs))
             assert (number_list(ref.node), ref.rest, ref.arcs) == \
                 (number_list(root.node), root.rest, root.arcs)
+            # the name keeps the arcs and the octets it was sent with
+            assert ref.octets == _octets(arcs)
+            assert ref.arcs == ber.oid_arcs(ref.octets)
 
     def test_leading_zero_after_zero_dot_zero(self):
-        # zeroDotZero's node is not on the path of 0.1.127, which the
-        # leading-0 rule reads as iso.127
-        zero, iso = self._chain(load_core(Registry()), [(0, 0), (0, 1, 127)])
-        assert zero.node.name == "zeroDotZero"
-        assert (iso.node.name, iso.rest) == ("iso", (127,))
+        # a name read from the wire keeps its leading 0: 0.1.127 lies
+        # below zeroDotZero's node, which sits at the root's arc 0
+        zero, below = self._chain(load_core(Registry()),
+                                  [(0, 0), (0, 1, 127)])
+        assert (zero.node.name, zero.rest) == ("zeroDotZero", (0,))
+        assert (below.node.name, below.rest, below.arcs) == \
+            ("zeroDotZero", (1, 127), (0, 1, 127))
 
     def test_siblings_descend_from_the_name_before(self, monkeypatch):
         registry = load_core(Registry())
         roots = []
-        real = Registry._resolve_arcs
+        real = oids_module._descend
 
-        def counting(self, arcs):
-            roots.append(arcs)
-            return real(self, arcs)
+        def counting(node, arcs, i, octets=None):
+            if node is registry.root:
+                roots.append(arcs)
+            return real(node, arcs, i, octets)
 
-        monkeypatch.setattr(Registry, "_resolve_arcs", counting)
+        monkeypatch.setattr(oids_module, "_descend", counting)
         column = registry.resolve("ifDescr").arcs
         names = [column + (i,) for i in (1, 2, 128, 16384)] \
             + [(1, 3, 6, 1, 2, 1, 1, 1, 0)]
@@ -397,27 +395,27 @@ def _same(a, b):
 
 
 class TestNameMemo:
-    """Registry.resolve keeps one ref per name read, up to its bound."""
+    """Registry.read keeps one ref per name read, up to its bound."""
 
     def test_threads_get_the_refs_a_fresh_registry_gives(self, monkeypatch):
         # a bound below the names read, so the memo fills and is emptied
-        # while the threads resolve through it
-        monkeypatch.setattr(ber, "OID_MEMO_SIZE", 32)
+        # while the threads read through it
+        monkeypatch.setattr(oids_module, "OID_MEMO_SIZE", 32)
         shared, fresh = load_core(Registry()), load_core(Registry())
         column = shared.resolve("ifDescr").arcs
-        names = [_read(column + (i,)) for i in range(1, 101)] + \
-            [_read(SYSDESCR_0), _read((1, 3, 6, 1, 4, 1, 99, 1))]
-        want = [fresh.resolve(oid) for oid in names]
+        names = [_octets(column + (i,)) for i in range(1, 101)] + \
+            [_octets(SYSDESCR_0), _octets((1, 3, 6, 1, 4, 1, 99, 1))]
+        want = [fresh.read(octets) for octets in names]
         start, results = threading.Barrier(4, timeout=60), [None] * 4
 
-        def resolve_rotated(k):
+        def read_rotated(k):
             # each thread its own order, each name from the one before
             order = list(range(k * 25, len(names))) + list(range(k * 25))
             start.wait()
             got, near, most = {}, None, 0
             for _ in range(5):
                 for i in order:
-                    near = shared.resolve(names[i], near)
+                    near = shared.read(names[i], near)
                     got.setdefault(i, []).append(near)
                     most = max(most, len(shared._refs))
             results[k] = got, most
@@ -425,7 +423,7 @@ class TestNameMemo:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=resolve_rotated, args=(k,))
+            threads = [threading.Thread(target=read_rotated, args=(k,))
                        for k in range(4)]
             for t in threads:
                 t.start()
@@ -442,10 +440,10 @@ class TestNameMemo:
 
     def test_the_memo_holds_at_most_its_bound(self):
         registry = Registry()
-        bound = ber.OID_MEMO_SIZE
+        bound = oids_module.OID_MEMO_SIZE
         most = 0
         for i in range(bound + 100):
-            registry.resolve(_read((1, 3, 6, 1, 4, 1, 99, i)))
+            registry.read(_octets((1, 3, 6, 1, 4, 1, 99, i)))
             most = max(most, len(registry._refs))
         # full, it is emptied before the next name is kept
         assert (most, len(registry._refs)) == (bound, 100)
@@ -454,48 +452,55 @@ class TestNameMemo:
         registry = load_core(Registry())
         for i in range(200):
             arcs = (1, 3, 6, 1, 4, 1, 99) + (300,) * (64 + i) + (i,)
-            ref = registry.resolve(_read(arcs))
+            ref = registry.read(_octets(arcs))
             assert (ref.node.name, ref.arcs) == ("enterprises", arcs)
         assert not registry._refs
+        at_bound = bytes([0x2B] + [0x05] * (oids_module.OID_MEMO_OCTETS - 1))
+        assert registry.read(at_bound) is registry.read(at_bound)
+        beyond = at_bound + b"\x05"
+        assert registry.read(beyond) is not registry.read(beyond)
+        assert list(registry._refs) == [at_bound]
 
     def test_a_register_during_the_descent_keeps_no_ref(self, monkeypatch):
-        # another thread's register lands after this resolve has descended
+        # another thread's register lands after this read has descended
         # the tree as it was and before it keeps the ref
         registry = load_core(Registry())
-        name = _read((1, 3, 6, 1, 4, 1, 99999, 1, 0))
-        descend = registry._resolve_near
+        name = _octets((1, 3, 6, 1, 4, 1, 99999, 1, 0))
+        descend = oids_module._descend
 
-        def descend_then_register(arcs, near):
-            ref = descend(arcs, near)
+        def descend_then_register(*args):
+            ref = descend(*args)
             registry.register("DEEPER-MIB", "deeper", "enterprises", 99999)
             return ref
 
-        monkeypatch.setattr(registry, "_resolve_near", descend_then_register)
-        raced = registry.resolve(name)
+        monkeypatch.setattr(oids_module, "_descend", descend_then_register)
+        raced = registry.read(name)
         monkeypatch.undo()
         assert (raced.node.name, raced.rest) == ("enterprises", (99999, 1, 0))
-        after = registry.resolve(name)
+        after = registry.read(name)
         assert (after.node.name, after.rest) == ("deeper", (1, 0))
 
     def test_an_oid_built_from_arcs_is_not_kept(self):
+        # resolve keeps nothing, for an Oid built from arcs or decoded
         registry = load_core(Registry())
         ref = registry.resolve(ber.Oid(SYSDESCR_0))
+        assert registry.resolve(ber.read_oid(_octets(SYSDESCR_0))) == ref
         assert not registry._refs
-        assert registry.resolve(_read(SYSDESCR_0)) == ref
+        assert registry.read(_octets(SYSDESCR_0)) == ref
 
     def test_a_name_read_before_a_deeper_node_is_loaded(self):
         registry = load_core(Registry())
-        name = _read((1, 3, 6, 1, 4, 1, 99999, 1, 2, 0))
-        before = registry.resolve(name)
+        name = _octets((1, 3, 6, 1, 4, 1, 99999, 1, 2, 0))
+        before = registry.read(name)
         assert (before.node.name, before.rest) == \
             ("enterprises", (99999, 1, 2, 0))
-        assert registry.resolve(name) is before
+        assert registry.read(name) is before
         smi.load_records(registry, smi.compile_text("""
 DEEPER-MIB DEFINITIONS ::= BEGIN
 IMPORTS enterprises FROM SNMPv2-SMI;
 deeper OBJECT IDENTIFIER ::= { enterprises 99999 }
 deeperLeaf OBJECT IDENTIFIER ::= { deeper 1 }
 END"""))
-        after = registry.resolve(name)
+        after = registry.read(name)
         assert (after.node.name, after.rest) == ("deeperLeaf", (2, 0))
         assert after.arcs == before.arcs

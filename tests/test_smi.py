@@ -492,10 +492,10 @@ mNumeric OBJECT IDENTIFIER ::= { 1 3 6 99 }
 END
 """
 
-# CMIB SHA-256 and warnings of MACROS_SAMPLE; a MODULE-IDENTITY's
-# description is its last DESCRIPTION, here the first revision's
+# CMIB SHA-256 and warnings of MACROS_SAMPLE; a macro's description is
+# its own, the first DESCRIPTION, not a REVISION's, GROUP's or VARIATION's
 _MACROS_SAMPLE_GOLDEN = (
-    "c0feb5378c7b5da73fa298d0154872dea78b22dd36a0aa21a12bdd714b04bce1",
+    "32563664363b41eef705fbb840b40d5967c9ebe678f1acdc927d9f9220e35011",
     ["textual convention Level recorded as alias of INTEGER only",
      "type alias Label ::= OCTET STRING skipped",
      "TRAP-TYPE mOldTrap skipped (no OID arc)"],
@@ -513,8 +513,9 @@ class TestMacrosSample:
         module = smi.compile_text(MACROS_SAMPLE)
         by_name = {r.name: r for r in module.records
                    if isinstance(r, smi.OidAssignment)}
-        assert by_name["macrosMib"].description == "First revision."
-        assert by_name["mCompliance"].description == "Group detail."
+        assert by_name["macrosMib"].description == "The module."
+        assert by_name["mCompliance"].description == "Comply."
+        assert by_name["mCapability"].description == "Capable."
         assert by_name["mLevel"].syntax_constraint == "{ up ( 1 ) , down ( 2 ) }"
         assert by_name["mFlags"].syntax == "BITS"
         assert by_name["mTable"].syntax == "SEQUENCE OF MEntry"

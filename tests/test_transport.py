@@ -161,7 +161,7 @@ class TestUdpEndpoint:
             assert reply == b"pong:ping"
             assert est.srtt is not None and est.srtt > 0
         finally:
-            transport.close_endpoint(endpoint)
+            endpoint.close()
             server.close()
 
     def test_close_idempotent(self):

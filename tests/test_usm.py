@@ -217,11 +217,6 @@ class TestCredential:
         cred = usm.Credential.create("u", "authpw", "privpw")
         assert cred.auth == (usm.AUTH_MD5, "authpw")
         assert cred.priv == (usm.PRIV_DES, "privpw")
-        assert cred.security_level == "authPriv"
-
-    def test_security_levels(self):
-        assert usm.Credential.create("u").security_level == "noAuthNoPriv"
-        assert usm.Credential.create("u", "pw").security_level == "authNoPriv"
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(SnmpError):
@@ -257,10 +252,6 @@ class TestEngineState:
         state = usm.EngineState()
         state.adopt(ENGINE_ID, 2, 1000, cred, now=100.0)
         assert state.current_time(now=130.0) == 1030
-        assert state.in_time_window(2, 1035, now=130.0)
-        assert not state.in_time_window(2, 1030 + usm.TIME_WINDOW + 1,
-                                        now=130.0)
-        assert not state.in_time_window(3, 1030, now=130.0)
 
     def test_advance_moves_the_clock_forward_only(self):
         state = usm.EngineState(engine_boots=2, engine_time=1000)
