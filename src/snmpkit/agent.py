@@ -406,7 +406,11 @@ class LocalEngine:
         section 3.2 in its order: engine id (step 3), user (4), security
         level (5), digest (6), time window (7).  A refused msg whose
         reportable flag is clear gets None, no Report (RFC 3412 section
-        7.2).  Raises SnmpKitError when the scoped PDU does not decrypt."""
+        7.2), and so, before any check, does one whose msgSecurityModel
+        is not USM (step 4 there).  Raises SnmpKitError when the scoped
+        PDU does not decrypt."""
+        if msg.msg_security_model != messages.SECURITY_MODEL_USM:
+            return None
         params, flags = msg.usm, 0
         if params.engine_id != self.engine_id:
             stats = messages.USM_STATS_UNKNOWN_ENGINE_IDS

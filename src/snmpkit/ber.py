@@ -24,13 +24,15 @@ the names it reads.
 
 Encoding looks up the exact type of a value in a table of encoder
 functions, each holding its precomputed tag octets; tlv_encoder builds
-one for any tag, and encode_elements concatenates the TLVs of several
-values.  Subclasses, objects with an ``arcs`` attribute, and the
-rejection of bool go through an isinstance fallback.  An Encoded value
-is octets encoded already, written out as they are; encode_bindings
-builds one from a list of variable bindings in one pass, with no
-[Oid, value] list per binding, and encode_binding the TLV of one
-binding, so that EncodedBindings, a list of those, need only be joined.
+one for any tag, _integer_encoder one that writes an int's header and
+content in one step (encode_integer for INTEGER), and encode_elements
+concatenates the TLVs of several values.  Subclasses, objects with an
+``arcs`` attribute, and the rejection of bool go through an isinstance
+fallback.  An Encoded value is octets encoded already, written out as
+they are; encode_bindings builds one from a list of variable bindings
+in one pass, with no [Oid, value] list per binding, and encode_binding
+the TLV of one binding, so that EncodedBindings, a list of those, need
+only be joined.
 An OID whose sub-identifiers all fit one octet becomes its content with
 one bytes() call and an isascii() check; otherwise sub-identifiers below
 16384 take two octets in one step.
@@ -358,14 +360,6 @@ def _tag_number(data, pos, end):
             if not b & 0x80:
                 break
     return number, consumed
-
-
-def _encode_signed_int(n):
-    if n >= 0:
-        length = n.bit_length() // 8 + 1
-    else:
-        length = (-n - 1).bit_length() // 8 + 1
-    return n.to_bytes(length, "big", signed=True)
 
 
 def _encode_oid_content(arcs):
@@ -697,10 +691,19 @@ def tlv_encoder(tag):
 
 
 def _integer_encoder(tag):
-    encode_octets = tlv_encoder(tag)
-    return lambda value: encode_octets(_encode_signed_int(value))
+    """The encoder of INTEGER-kind TLVs under tag: an int to the whole
+    TLV, its content the fewest two's-complement octets, header and
+    content in one step."""
+    headers = _headers(tag)
+
+    def encode_integer(value):
+        n = (value if value >= 0 else ~value).bit_length() // 8 + 1
+        return (headers[n] if n < 0x80 else _long_header(headers, n)) + \
+            value.to_bytes(n, "big", signed=True)
+    return encode_integer
 
 
+encode_integer = _integer_encoder(TAG_INTEGER)
 _oid_tlv = tlv_encoder(TAG_OID)
 _sequence_tlv = tlv_encoder(TAG_SEQUENCE)
 _NULL_TLV = _tlv(TAG_NULL, b"")
@@ -746,7 +749,7 @@ _ENCODERS = {
     type(None): lambda value: _NULL_TLV,
     _Null: lambda value: _NULL_TLV,
     _Marker: lambda value: _MARKER_TLVS[id(value)],
-    int: _integer_encoder(TAG_INTEGER),
+    int: encode_integer,
     Counter32: _integer_encoder(TAG_COUNTER32),
     Gauge32: _integer_encoder(TAG_GAUGE32),
     TimeTicks: _integer_encoder(TAG_TIMETICKS),

@@ -3,19 +3,25 @@
 Every frame goes in one pass each way: the v1/v2c message, the v3 header
 with its USM security parameters, the scoped PDU, the PDU and its
 variable bindings.  Encoding concatenates TLVs from ber's precomputed
-encoders, with one header encoder per PDU type.  Decoding reads each
-frame header with ber.header, which checks its identifier octet, and
-reads the PDU here too: its header fields, then its bindings straight
-into VarBinds in one pass over their octets.  A binding's SEQUENCE, name
-and value headers are read inline when their lengths take the short
-form, and by ber.header, or the value table's TLV reader, otherwise; a
-value's decoder comes from ber.DEFAULT_REGISTRY's table by its
-identifier octet.  Given the oids.Registry its caller holds, decoding
-reads each binding name through Registry.read, from the name before it,
-so a name becomes the registry's kept OidRef; without one, a ber.Oid.
-A PDU whose type the message's version does not define, such as a
-GetBulk in a v1 message or a Trap-v1 in a v2c or v3 one, does not
-decode.  Both directions record in V3Message.mac_offset where the MAC
+encoders, with one header encoder per PDU type; each fixed header
+field is written directly, an INTEGER by ber.encode_integer in one step
+and msgFlags as the octets 04 01 flags, with no list of values to
+dispatch on.  Decoding reads the fixed header fields and the v3 frame
+headers (msgGlobalData, msgSecurityParameters, the USM SEQUENCE, the
+scoped PDU) inline when their lengths take the short form, and by
+ber.header, which checks the identifier octet and reads any other
+form, otherwise.  It reads the PDU here too: its header fields, then
+its bindings straight into VarBinds in one pass over their octets.  A
+binding's SEQUENCE, name and value headers are read inline in the
+short form likewise, and by ber.header, or the value table's TLV
+reader, otherwise; a value's decoder comes from ber.DEFAULT_REGISTRY's
+table by its identifier octet.  Given the oids.Registry its caller
+holds, decoding reads each binding name through Registry.read, from
+the name before it, so a name becomes the registry's kept OidRef;
+without one, a ber.Oid.  A PDU whose type the message's version does
+not define, such as a GetBulk in a v1 message or a Trap-v1 in a v2c or
+v3 one, does not decode.  Any msgSecurityModel decodes; usm.open and
+agent.LocalEngine.open refuse one that is not SECURITY_MODEL_USM.  Both directions record in V3Message.mac_offset where the MAC
 lies in the octets, so usm never walks the headers again.
 """
 
@@ -133,7 +139,7 @@ class CommunityMessage:
     pdu: object  # Pdu or TrapV1Pdu
 
 
-@dataclass
+@dataclass(slots=True)
 class UsmParams:
     engine_id: bytes = b""
     engine_boots: int = 0
@@ -143,19 +149,21 @@ class UsmParams:
     priv_params: bytes = b""
 
 
-@dataclass
+@dataclass(slots=True)
 class ScopedPdu:
     context_engine_id: bytes = b""
     context_name: bytes = b""
     pdu: Pdu | None = None
 
 
+SECURITY_MODEL_USM = 3  # msgSecurityModel (RFC 3411 section 5)
+
 FLAG_AUTH = 0x01
 FLAG_PRIV = 0x02
 FLAG_REPORTABLE = 0x04
 
 
-@dataclass
+@dataclass(slots=True)
 class V3Message:
     msg_id: int
     flags: int
@@ -164,7 +172,7 @@ class V3Message:
     encrypted_pdu: bytes | None = None  # ciphertext when the priv flag is set
     msg_max_size: int = DEFAULT_MAX_MSG_SIZE
     msg_version: int = V3
-    msg_security_model: int = 3  # USM
+    msg_security_model: int = SECURITY_MODEL_USM
     # where the MAC's content starts in the octets last decoded or encoded
     mac_offset: int | None = field(default=None, compare=False)
 
@@ -174,22 +182,24 @@ class V3Message:
 
 _SEQUENCE = ber.tlv_encoder(ber.TAG_SEQUENCE)
 _OCTETS = ber.tlv_encoder(ber.TAG_OCTET_STRING)
+_INTEGER = ber.encode_integer
 _PDU_TLVS = {n: ber.tlv_encoder(ber.Tag(ber.CONTEXT, True, n))
              for n in PDU_TYPE_NAMES}
 
 
 def pdu_to_ber(pdu):
     """The TLV of pdu, as ber.Encoded octets."""
-    if isinstance(pdu, TrapV1Pdu):
-        head = (pdu.enterprise, pdu.agent_addr, pdu.generic_trap,
-                pdu.specific_trap, ber.TimeTicks(pdu.timestamp))
-    else:
-        head = (pdu.request_id, pdu.error_status, pdu.error_index)
     tlv = _PDU_TLVS.get(pdu.pdu_type)
     if tlv is None:
         raise EncodingError(f"unknown PDU type {pdu.pdu_type!r}")
-    return ber.Encoded(tlv(ber.encode_elements(head)
-                           + ber.encode_bindings(pdu.bindings)))
+    if isinstance(pdu, TrapV1Pdu):
+        head = ber.encode_elements((
+            pdu.enterprise, pdu.agent_addr, pdu.generic_trap,
+            pdu.specific_trap, ber.TimeTicks(pdu.timestamp)))
+    else:
+        head = _INTEGER(pdu.request_id) + _INTEGER(pdu.error_status) + \
+            _INTEGER(pdu.error_index)
+    return ber.Encoded(tlv(head + ber.encode_bindings(pdu.bindings)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +216,7 @@ def encode_message(msg):
     """Serialize a CommunityMessage or V3Message to wire bytes; a
     V3Message's mac_offset is set to where its MAC lies in them."""
     if isinstance(msg, CommunityMessage):
-        return _SEQUENCE(ber.encode_elements((msg.version,))
+        return _SEQUENCE(_INTEGER(msg.version)
                          + _OCTETS(community_octets(msg.community))
                          + pdu_to_ber(msg.pdu))
     if not isinstance(msg, V3Message):
@@ -222,12 +232,14 @@ def encode_message(msg):
     usm = msg.usm
     priv = _OCTETS(usm.priv_params)
     sec_params = _SEQUENCE(
-        _OCTETS(usm.engine_id)
-        + ber.encode_elements((usm.engine_boots, usm.engine_time))
-        + _OCTETS(usm.user_name) + _OCTETS(usm.auth_params) + priv)
-    wire = _SEQUENCE(ber.encode_elements((msg.msg_version, [
-        msg.msg_id, msg.msg_max_size, ber.OctetString(bytes([msg.flags])),
-        msg.msg_security_model])) + _OCTETS(sec_params) + data)
+        _OCTETS(usm.engine_id) + _INTEGER(usm.engine_boots)
+        + _INTEGER(usm.engine_time) + _OCTETS(usm.user_name)
+        + _OCTETS(usm.auth_params) + priv)
+    # msgFlags is an OCTET STRING of one octet: 04 01 flags
+    wire = _SEQUENCE(_INTEGER(msg.msg_version) + _SEQUENCE(
+        _INTEGER(msg.msg_id) + _INTEGER(msg.msg_max_size)
+        + bytes((4, 1, msg.flags)) + _INTEGER(msg.msg_security_model))
+        + _OCTETS(sec_params) + data)
     # the MAC's content is followed by the privacy parameters and msgData
     msg.mac_offset = len(wire) - len(data) - len(priv) - len(usm.auth_params)
     return wire
@@ -245,10 +257,17 @@ def encode_scoped_pdu(scoped):
 def _read(data, pos, end, idents, what):
     """The contents of the TLVs at data[pos:end] whose identifier octets
     are idents, in order, each an int (INTEGER, 0x02) or octets (OCTET
-    STRING, 0x04), and where the last one ends."""
+    STRING, 0x04), and where the last one ends.  A short-form header is
+    read here; ber.header reads any other and raises what a malformed
+    one calls for."""
     values = []
     for ident in idents:
-        start, pos = ber.header(data, pos, end, ident, what)
+        if pos + 1 < end and data[pos] == ident and \
+                (n := data[pos + 1]) < 0x80 and pos + 2 + n <= end:
+            start = pos + 2
+            pos = start + n
+        else:
+            start, pos = ber.header(data, pos, end, ident, what)
         if ident == 0x04:
             values.append(data[start:pos])
         elif start == pos:
@@ -334,7 +353,11 @@ def _read_pdu(data, pos, end, depth, registry, version=V3):
 
 def _read_scoped(data, pos, end, depth, registry):
     """The scoped PDU TLV, its PDU at nesting depth depth."""
-    start, stop = ber.header(data, pos, end, 0x30, "scoped PDU")
+    if pos + 1 < end and data[pos] == 0x30 and \
+            (n := data[pos + 1]) < 0x80 and pos + 2 + n <= end:
+        start, stop = pos + 2, pos + 2 + n
+    else:
+        start, stop = ber.header(data, pos, end, 0x30, "scoped PDU")
     (engine_id, context), at = _read(data, start, stop, b"\x04\x04",
                                      "scoped PDU")
     pdu, at = _read_pdu(data, at, stop, depth, registry)
@@ -369,7 +392,15 @@ def decode_message(data, registry=None):
         return CommunityMessage(version, community, pdu)
     if version != V3:
         raise DecodingError(f"unsupported SNMP version {version}")
-    at, stop = ber.header(data, pos, end, 0x30, "msgGlobalData")
+    # msgGlobalData, msgSecurityParameters and the USM SEQUENCE in it
+    # (RFC 3414 section 2.4), each header read here in its short form
+    # and by ber.header in any other; octets after the USM SEQUENCE in
+    # msgSecurityParameters are ignored
+    if pos + 1 < end and data[pos] == 0x30 and \
+            (n := data[pos + 1]) < 0x80 and pos + 2 + n <= end:
+        at, stop = pos + 2, pos + 2 + n
+    else:
+        at, stop = ber.header(data, pos, end, 0x30, "msgGlobalData")
     (msg_id, max_size, flags, sec_model), at = _read(
         data, at, stop, b"\x02\x02\x04\x02", "msgGlobalData")
     _last(at, stop, "msgGlobalData")
@@ -378,10 +409,16 @@ def decode_message(data, registry=None):
     if not 484 <= max_size <= 2 ** 31 - 1:  # RFC 3412 section 6
         raise DecodingError(f"msgMaxSize {max_size} out of range")
     flags = flags[0]
-    # the USM SEQUENCE inside msgSecurityParameters (RFC 3414 section 2.4);
-    # octets after it in that OCTET STRING are ignored
-    at, pos = ber.header(data, stop, end, 0x04, "msgSecurityParameters")
-    at, stop = ber.header(data, at, pos, 0x30, "USM security parameters")
+    if stop + 1 < end and data[stop] == 0x04 and \
+            (n := data[stop + 1]) < 0x80 and stop + 2 + n <= end:
+        at, pos = stop + 2, stop + 2 + n
+    else:
+        at, pos = ber.header(data, stop, end, 0x04, "msgSecurityParameters")
+    if at + 1 < pos and data[at] == 0x30 and \
+            (n := data[at + 1]) < 0x80 and at + 2 + n <= pos:
+        at, stop = at + 2, at + 2 + n
+    else:
+        at, stop = ber.header(data, at, pos, 0x30, "USM security parameters")
     fields, at = _read(data, at, stop, b"\x04\x02\x02\x04\x04",
                        "USM security parameters")
     (priv,), last = _read(data, at, stop, b"\x04", "msgPrivacyParameters")

@@ -45,7 +45,7 @@ class OidNode:
 
     @property
     def arcs(self):
-        return number_list(OidRef(self))
+        return number_list(self)
 
     def __repr__(self):
         label = self.name if self.name else "?"
@@ -56,18 +56,26 @@ class OidNode:
 class OidRef:
     """A resolved OID: deepest named ancestor plus unnamed trailing arcs.
 
-    Its full arcs and its BER content octets are computed at most once,
-    when first asked for, and kept on the ref.  Registry.read gives the
-    one ref it keeps for a name read before to every caller, so a ref is
-    shared and must be treated as immutable."""
+    Its full arcs are a plain slot, which _known fills and which a ref
+    made by __init__ fills on first read, so that naming a node does not
+    walk to the root; its BER content octets are kept once first asked
+    for.  Registry.read gives the one ref it keeps for a name read
+    before to every caller, so a ref is shared and must be treated as
+    immutable."""
 
-    __slots__ = ("node", "rest", "_arcs", "_octets")
+    __slots__ = ("node", "rest", "arcs", "_octets")
 
     def __init__(self, node, rest=()):
         self.node = node
         self.rest = tuple(int(a) for a in rest)
-        self._arcs = None
         self._octets = None
+
+    def __getattr__(self, name):  # only while a slot is unfilled
+        if name != "arcs":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.arcs = arcs = number_list(self)
+        return arcs
 
     @classmethod
     def _known(cls, node, rest, arcs, octets=None):
@@ -76,15 +84,9 @@ class OidRef:
         ref = object.__new__(cls)
         ref.node = node
         ref.rest = rest
-        ref._arcs = arcs
+        ref.arcs = arcs
         ref._octets = octets
         return ref
-
-    @property
-    def arcs(self):
-        if self._arcs is None:
-            self._arcs = number_list(self)
-        return self._arcs
 
     @property
     def octets(self):

@@ -41,6 +41,7 @@ except ImportError:  # pragma: no cover
 from . import messages
 from .errors import (
     AuthenticationError, DecodingError, NotInTimeWindowError, SnmpError,
+    UsmProtocolError,
 )
 from .messages import FLAG_AUTH, FLAG_PRIV, V3Message
 
@@ -350,10 +351,15 @@ class Frame:
 def open(wire, keys, registry=None):
     """(msg, scoped PDU) of the octets of a v3 message: decode, then
     unprotect, reading names through registry as decode_message does.
-    Raises DecodingError when they are not a v3 message."""
+    Raises DecodingError when they are not a v3 message, and
+    UsmProtocolError, before any USM check, when its msgSecurityModel is
+    not USM (RFC 3412 section 7.2, step 4)."""
     msg = messages.decode_message(wire, registry)
     if not isinstance(msg, V3Message):
         raise DecodingError("not an SNMPv3 message")
+    if msg.msg_security_model != messages.SECURITY_MODEL_USM:
+        raise UsmProtocolError(
+            f"msgSecurityModel {msg.msg_security_model} is not USM")
     return msg, unprotect(msg, wire, keys, registry)
 
 

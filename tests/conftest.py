@@ -4,8 +4,8 @@ from snmpkit import agent, ber, messages, usm
 from snmpkit.errors import DecodingError
 from snmpkit.messages import (
     DEFAULT_MAX_MSG_SIZE, FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE, PDU_TYPE_NAMES,
-    TRAP_V1, CommunityMessage, Pdu, ScopedPdu, TrapV1Pdu, UsmParams, V1, V2C,
-    V3, V3Message, VarBind,
+    SECURITY_MODEL_USM, TRAP_V1, CommunityMessage, Pdu, ScopedPdu, TrapV1Pdu,
+    UsmParams, V1, V2C, V3, V3Message, VarBind,
 )
 from snmpkit.mibs import load_core
 from snmpkit.oids import Registry
@@ -242,12 +242,14 @@ def tree_decode_bindings(wire):
     return _tree_bindings(message[2].elements[-1])
 
 
-def v3_request(responder, pdu, user=None, max_size=DEFAULT_MAX_MSG_SIZE):
+def v3_request(responder, pdu, user=None, max_size=DEFAULT_MAX_MSG_SIZE,
+               security_model=SECURITY_MODEL_USM):
     """(wire, keys): pdu in a v3 request to responder, a v3 engine with
     engine_id, engine and credential, from a client that has discovered
     it and holds keys, at the credential's security level, as user (the
-    credential's user by default) and with msgMaxSize max_size.  usm.open
-    opens the reply with keys."""
+    credential's user by default), with msgMaxSize max_size and
+    msgSecurityModel security_model.  usm.open opens the reply with
+    keys."""
     state, cred = responder.engine, responder.credential
     keys = usm.EngineState()
     keys.adopt(responder.engine_id, state.engine_boots, state.engine_time,
@@ -256,7 +258,8 @@ def v3_request(responder, pdu, user=None, max_size=DEFAULT_MAX_MSG_SIZE):
         1, FLAG_REPORTABLE | cred.security_flags,
         UsmParams(responder.engine_id, state.engine_boots, state.engine_time,
                   user or cred.user.encode()),
-        ScopedPdu(responder.engine_id, b"", pdu), msg_max_size=max_size)
+        ScopedPdu(responder.engine_id, b"", pdu), msg_max_size=max_size,
+        msg_security_model=security_model)
     return usm.secure(msg, keys), keys
 
 

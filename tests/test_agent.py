@@ -383,6 +383,25 @@ class TestDatagramHandling:
         assert second(report) is None
         assert (first.report_count, second.report_count) == (1, 0)
 
+    def test_v3_request_of_another_security_model_is_dropped(
+            self, registry, loopback_agent):
+        """A msgSecurityModel other than USM is discarded before any USM
+        check, with no Report (RFC 3412 section 7.2, step 4): a discovery
+        probe and an authentic authPriv request alike."""
+        tree, ctx = loopback_agent
+        responder = _v3_responder(registry, tree)
+        pdu = Pdu(GET_REQUEST, 5,
+                  bindings=[VarBind(registry.resolve("sysName.0"))])
+        probe = messages.encode_message(messages.V3Message(
+            1, messages.FLAG_REPORTABLE, messages.UsmParams(),
+            ScopedPdu(b"", b"", pdu), msg_security_model=99))
+        assert responder(probe) is None
+        assert responder(v3_request(responder, pdu,
+                                    security_model=99)[0]) is None
+        assert (responder.report_count, responder.auth_count) == (0, 0)
+        assert responder(v3_request(responder, pdu)[0]) is not None
+        assert responder.auth_count == 1
+
     def test_v1_bulk_dropped(self, registry, loopback_agent):
         """RFC 1157 defines no GetBulk PDU, so a v1 message that carries
         one does not decode, and is dropped as any such datagram is."""

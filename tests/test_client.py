@@ -629,6 +629,37 @@ class TestV3WirePath:
         assert value != b"forged" and engine.auth_count == 1
         assert channel.client_sent == 3  # discovery, the get, its resend
 
+    def test_reply_of_another_security_model_is_ignored(
+            self, registry, loopback_agent):
+        """A reply whose msgSecurityModel is not USM is skipped as any
+        unmatched datagram is (RFC 3412 section 7.2, step 4), even one
+        whose MAC verifies and whose msgID is the request's."""
+        engine = self._engine(loopback_agent)
+        forged = []
+
+        def responder(data):
+            msg = messages.decode_message(data)
+            if not msg.flags & FLAG_AUTH or forged:
+                return engine(data)
+            state = engine.engine
+            forged.append(usm.secure(V3Message(
+                msg.msg_id, msg.flags & ~FLAG_REPORTABLE, messages.UsmParams(
+                    engine.engine_id, state.engine_boots, state.engine_time,
+                    b"alice"),
+                ScopedPdu(engine.engine_id, b"", Pdu(RESPONSE, 0, bindings=[
+                    VarBind(registry.resolve("sysName.0"),
+                            ber.OctetString(b"forged"))])),
+                msg_security_model=99), state))
+            return forged[0]
+
+        endpoint, channel, clock = harness.connect(responder)
+        session = client.open_session(
+            "loopback", version=V3, registry=registry, **self.CRED,
+            **harness.loopback_session_kwargs(endpoint, clock))
+        value = client.get(session, "sysName.0")
+        assert forged and value != b"forged" and engine.auth_count == 1
+        assert channel.client_sent == 3  # discovery, the get, its resend
+
     def test_engine_time_follows_the_session_clock(self, registry,
                                                    loopback_agent):
         engine = self._engine(loopback_agent)

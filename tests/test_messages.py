@@ -461,8 +461,21 @@ class TestBindingsCodec:
 _KINDS = ("v1", "v2c", "trap-v1", "noAuthNoPriv", "authNoPriv", "authPriv")
 _FLAGS = {"noAuthNoPriv": 0, "authNoPriv": FLAG_AUTH,
           "authPriv": FLAG_AUTH | FLAG_PRIV}
-_octets = st.binary(max_size=20)
-_int32 = st.integers(0, 2 ** 31 - 1)
+# Header OCTET STRINGs of 0 to 300 octets, so that their lengths take the
+# long form too, and INTEGERs at each boundary of their content length
+# as well as anywhere in their range, negative ones for a request-id.
+_octets = st.one_of(st.binary(max_size=20),
+                    st.binary(min_size=120, max_size=300))
+_BOUNDARIES = (0, 127, 128, 255, 256, 32767, 32768, 2 ** 23 - 1, 2 ** 23,
+               2 ** 31 - 1)
+_int32 = st.one_of(st.sampled_from(_BOUNDARIES),
+                   st.integers(0, 2 ** 31 - 1))
+_signed32 = st.one_of(
+    st.sampled_from(_BOUNDARIES + tuple(-n - 1 for n in _BOUNDARIES)),
+    st.integers(-2 ** 31, 2 ** 31 - 1))
+_max_size = st.one_of(
+    st.sampled_from((484,) + tuple(n for n in _BOUNDARIES if n >= 484)),
+    st.integers(484, 2 ** 31 - 1))
 
 with open(os.path.join(os.path.dirname(__file__), "golden_wire.json")) as _f:
     _GOLDEN_WIRE = {name: bytes.fromhex(h)
@@ -486,8 +499,7 @@ def _framed(draw, kind):
     pdu = Pdu(draw(st.sampled_from(
         [k for k in messages.PDU_TYPE_NAMES
          if k < TRAP_V1 or k > TRAP_V1 and kind != "v1"])),
-        draw(st.integers(-2 ** 31, 2 ** 31 - 1)), draw(st.integers(0, 18)),
-        draw(st.integers(0, 2 ** 15)), bindings)
+        draw(_signed32), draw(st.integers(0, 18)), draw(_int32), bindings)
     if kind in ("v1", "v2c"):
         return CommunityMessage(V1 if kind == "v1" else V2C, draw(_octets),
                                 pdu)
@@ -499,7 +511,7 @@ def _framed(draw, kind):
                        else _octets),
                   draw(st.binary(min_size=8, max_size=8) if flags & FLAG_PRIV
                        else _octets)),
-        msg_max_size=draw(st.integers(484, 2 ** 31 - 1)),
+        msg_max_size=draw(_max_size),
         msg_security_model=draw(_int32))
     if flags & FLAG_PRIV:
         msg.encrypted_pdu = draw(st.binary(max_size=200))
