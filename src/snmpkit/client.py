@@ -31,6 +31,9 @@ from .smi import table_schema
 
 WALK_BULK_REPETITIONS = 25
 
+# the MAX-ACCESS of columns that a GET cannot read (RFC 2578 section 7.3)
+_UNREADABLE = frozenset(("not-accessible", "accessible-for-notify"))
+
 
 class Session:
     """One SNMP peer: endpoint, protocol version and security state.
@@ -125,47 +128,43 @@ def request(session, pdu_kind, bindings_spec):
     """Issue one request and return the response (OidRef, value) pairs.
 
     A non-zero error-status in the response raises SnmpStatusError, and a
-    GET or SET response that does not echo the request's names SnmpError.
+    GET or SET response that does not echo the request's names SnmpError;
+    the pairs of a GET or SET hold the request's refs, and those of any
+    other request the refs the session's registry read the reply's names
+    into, shared with every other caller.
     """
     pdu = messages.make_request_pdu(pdu_kind, bindings_spec, session.registry,
                                     session.next_request_id())
-    return _pairs(session, pdu)
+    if pdu_kind not in (GET_REQUEST, SET_REQUEST):
+        return [(vb.name, vb.value) for vb in _answer(session, pdu)]
+    names = [vb.name for vb in pdu.bindings]
+    got = _answer(session, pdu, [ref.octets for ref in names],
+                  names.__getitem__)
+    return [(ref, vb.value) for ref, vb in zip(names, got)]
 
 
-def _pairs(session, pdu):
-    """Send pdu, whose names are OidRefs; the response's (OidRef, value)
-    pairs.  A non-zero error-status raises SnmpStatusError.
+def _answer(session, pdu, asked=None, name=None):
+    """Send pdu; the response's bindings.  A non-zero error-status raises
+    SnmpStatusError.
 
-    A GET or SET response must carry the request's names, in order, which
-    are compared by their content octets: each ref's octets are computed
-    before the request is encoded, so they are encoded once, and the
-    pairs hold the request's refs.  A response that does not raises
-    SnmpError.  The names of other responses are the refs the session's
-    registry read them into, shared with every other caller."""
-    asked = [vb.name.octets for vb in pdu.bindings] \
-        if pdu.pdu_type in (GET_REQUEST, SET_REQUEST) else None
+    When asked, the content octets of a GET or SET request's names, is
+    given, the response must carry those names, in order, or SnmpError is
+    raised naming name(i), the request's i-th name, made only then."""
     response = send_pdu(session, pdu)
     status = response.error_status
     if status:
-        name = messages.ERROR_STATUS_NAMES.get(status, str(status))
-        raise SnmpStatusError(status, response.error_index, name)
-    if asked is not None:
-        if [vb.name.octets for vb in response.bindings] != asked:
-            _echo_mismatch(pdu.bindings, response.bindings)
-        return [(vb.name, got.value)
-                for vb, got in zip(pdu.bindings, response.bindings)]
-    return [(vb.name, vb.value) for vb in response.bindings]
-
-
-def _echo_mismatch(asked, got):
-    """Raise SnmpError for the first binding of got whose name is not that
-    of asked's binding at its position, or for their different lengths."""
-    for i, (mine, theirs) in enumerate(zip(asked, got)):
-        if theirs.name.octets != mine.name.octets:
-            raise SnmpError(f"response binding {i + 1} names "
-                            f"{theirs.name!r}, not the requested {mine.name}")
-    raise SnmpError(f"response holds {len(got)} bindings for {len(asked)} "
-                    "requested")
+        label = messages.ERROR_STATUS_NAMES.get(status, str(status))
+        raise SnmpStatusError(status, response.error_index, label)
+    got = response.bindings
+    if asked is not None and [vb.name.octets for vb in got] != asked:
+        for i, (mine, theirs) in enumerate(zip(asked, got)):
+            if theirs.name.octets != mine:
+                raise SnmpError(f"response binding {i + 1} names "
+                                f"{theirs.name!r}, not the requested "
+                                f"{name(i)}")
+        raise SnmpError(f"response holds {len(got)} bindings for "
+                        f"{len(asked)} requested")
+    return got
 
 
 def send_pdu(session, pdu):
@@ -346,7 +345,7 @@ def bulk(session, non_repeaters, max_repetitions, oids):
                                     session.next_request_id())
     pdu.error_status = int(non_repeaters)
     pdu.error_index = int(max_repetitions)
-    return _pairs(session, pdu)
+    return [(vb.name, vb.value) for vb in _answer(session, pdu)]
 
 
 def inform(session, bindings):
@@ -460,32 +459,38 @@ def value_by_column(row, column):
 def select(table_name, from_, **session_kwargs):
     """Fetch a conceptual table as TableRow objects.
 
-    Row indices are discovered by walking the first column only; each
-    row is then fetched with a single multi-binding get, so a table of R
-    rows costs at most R + 2 exchanges regardless of column count.  A
-    row's reply must carry the names asked for, in order, or SnmpError
-    is raised.  Each column's name is encoded once, and each row's
-    names are the columns' octets followed by the row index's.
+    Its readable columns are those whose MAX-ACCESS is neither
+    not-accessible nor accessible-for-notify (RFC 2578 section 7.3); a
+    table with none raises SnmpError.  Row indices are discovered by
+    walking the first readable column only; each row is then fetched with
+    a single multi-binding get of its readable columns, so a table of R
+    rows costs at most R + 2 exchanges regardless of column count.  An
+    index column that is not-accessible is in row.index, not in
+    row.cells.  Each column's name is encoded once, and each row's GET is
+    written from the columns' octets and the row index's: one binding
+    TLV per column, with no ref made for a cell.  A row's reply must
+    carry those names, in order, or SnmpError is raised.
     """
     with _session_for(from_, **session_kwargs) as session:
         _, entry, schema = table_schema(session.registry, table_name)
-        columns = [OidRef(entry.children[arc])
-                   for arc in sorted(entry.children)]
+        columns = [OidRef(node) for _, node in sorted(entry.children.items())
+                   if node.max_access not in _UNREADABLE]
         if not columns:
-            raise SnmpError(f"table {table_name!r} has no columns")
+            raise SnmpError(f"table {table_name!r} has no readable columns")
 
-        first = columns[0]
-        first_arcs = tuple(first.arcs)
-        indices = [tuple(name.arcs)[len(first_arcs):]
-                   for name, _ in _walk(session, first)]
-
+        skip = len(columns[0].arcs)
+        indices = [name.arcs[skip:] for name, _ in _walk(session, columns[0])]
+        heads = [col.octets for col in columns]
         rows = []
         for index in indices:
             tail = ber.subid_octets(index)
-            pdu = Pdu(GET_REQUEST, session.next_request_id(), bindings=[
-                messages.VarBind(col.descendant(index, tail))
-                for col in columns])
-            cells = [(col, value) for col, (_, value)
-                     in zip(columns, _pairs(session, pdu))]
-            rows.append(TableRow(schema, index, cells))
+            asked = [head + tail for head in heads]
+            pdu = Pdu(GET_REQUEST, session.next_request_id(),
+                      bindings=ber.EncodedBindings(
+                          ber.encode_binding(name, ber.NULL)
+                          for name in asked))
+            got = _answer(session, pdu, asked,
+                          lambda i: columns[i].child(*index))
+            rows.append(TableRow(schema, index, [
+                (col, vb.value) for col, vb in zip(columns, got)]))
         return rows

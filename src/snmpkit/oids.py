@@ -99,14 +99,6 @@ class OidRef:
         arcs = tuple(int(a) for a in arcs)
         return OidRef._known(self.node, self.rest + arcs, self.arcs + arcs)
 
-    def descendant(self, arcs, tail):
-        """The ref of arcs, a tuple of ints, below this one, given tail,
-        ber.subid_octets(arcs): below two arcs or more, its octets are
-        this ref's and then tail."""
-        path = self.arcs
-        return OidRef._known(self.node, self.rest + arcs, path + arcs,
-                             self.octets + tail if len(path) > 1 else None)
-
     def __eq__(self, other):
         if not isinstance(other, OidRef):
             return NotImplemented

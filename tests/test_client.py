@@ -1,13 +1,16 @@
-import pytest
+import re
 
-from snmpkit import agent, ber, client, harness, messages, oids, usm
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from snmpkit import agent, ber, client, harness, messages, oids, smi, usm
 from snmpkit.errors import (
     AuthenticationError, EndpointClosedError, SnmpError, SnmpStatusError,
     UsmProtocolError,
 )
 from snmpkit.messages import (
-    FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE, GET_REQUEST, Pdu, REPORT, RESPONSE,
-    ScopedPdu, V1, V2C, V3, V3Message, VarBind, defaults,
+    FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE, GET_REQUEST, CommunityMessage, Pdu,
+    REPORT, RESPONSE, ScopedPdu, V1, V2C, V3, V3Message, VarBind, defaults,
 )
 from snmpkit.mibs import load_core
 
@@ -340,6 +343,167 @@ class TestSelect:
         assert names == sorted(names)
 
 
+# A table indexed by a not-accessible column, as SMIv2 recommends (RFC 2578
+# section 7.7), with an accessible-for-notify column between its two
+# readable ones: neither is readable by a GET (section 7.3).
+HIDDEN_INDEX_MIB = """
+HIDDEN-INDEX-MIB DEFINITIONS ::= BEGIN
+IMPORTS OBJECT-TYPE, enterprises FROM SNMPv2-SMI;
+
+hiddenIndex OBJECT IDENTIFIER ::= { enterprises 7701 }
+
+hiTable OBJECT-TYPE
+    SYNTAX      SEQUENCE OF HiEntry
+    MAX-ACCESS  not-accessible
+    STATUS      current
+    DESCRIPTION "A table whose index is not readable."
+    ::= { hiddenIndex 1 }
+
+hiEntry OBJECT-TYPE
+    SYNTAX      HiEntry
+    MAX-ACCESS  not-accessible
+    STATUS      current
+    DESCRIPTION "One row."
+    INDEX       { hiIndex }
+    ::= { hiTable 1 }
+
+HiEntry ::= SEQUENCE {
+    hiIndex     INTEGER,
+    hiName      OCTET STRING,
+    hiEvent     INTEGER,
+    hiCount     INTEGER
+}
+
+hiIndex OBJECT-TYPE
+    SYNTAX      INTEGER (1..2147483647)
+    MAX-ACCESS  not-accessible
+    STATUS      current
+    DESCRIPTION "Row index."
+    ::= { hiEntry 1 }
+
+hiName OBJECT-TYPE
+    SYNTAX      OCTET STRING
+    MAX-ACCESS  read-only
+    STATUS      current
+    DESCRIPTION "Row name."
+    ::= { hiEntry 2 }
+
+hiEvent OBJECT-TYPE
+    SYNTAX      INTEGER
+    MAX-ACCESS  accessible-for-notify
+    STATUS      current
+    DESCRIPTION "Sent only in notifications."
+    ::= { hiEntry 3 }
+
+hiCount OBJECT-TYPE
+    SYNTAX      INTEGER
+    MAX-ACCESS  read-write
+    STATUS      current
+    DESCRIPTION "Row count."
+    ::= { hiEntry 4 }
+
+END
+"""
+
+_HIDDEN = load_core(oids.Registry())
+smi.load_records(_HIDDEN, smi.compile_text(HIDDEN_INDEX_MIB))
+_READABLE = ("hiName", "hiCount")
+
+
+def _hidden_index_agent(indices):
+    """A tree and context serving hiName and hiCount at indices, a list of
+    arc tuples: hiIndex and hiEvent are served by no handler."""
+    tree, ctx = agent.DispatchTree(), agent.AgentContext(registry=_HIDDEN)
+    held = set(indices)
+    for name in _READABLE:
+        agent.define_table_column(
+            tree, _HIDDEN, name,
+            lambda ctx, ids, name=name: list(indices) if not ids else
+            _cell(name, ids) if ids in held else None)
+    return tree, ctx
+
+
+def _cell(name, index):
+    return ber.OctetString(f"{name}{index}".encode()) if name == "hiName" \
+        else len(index)
+
+
+def _hidden_select(indices, tap=None):
+    """select of hiTable from an agent serving indices; tap(request data)
+    sees every datagram the session sends."""
+    serve = harness.agent_responder(*_hidden_index_agent(indices))
+    if tap is not None:
+        inner = serve
+
+        def serve(data):
+            tap(data)
+            return inner(data)
+    endpoint, channel, clock = harness.connect(serve)
+    session = _open(_HIDDEN, (endpoint, channel, clock))
+    return client.select("hiTable", session), channel
+
+
+# Index arcs at every sub-identifier width boundary: one octet below 128,
+# two from 128, five from 2^28.
+_SUBID = st.sampled_from([0, 1, 127, 128, 16383, 16384, 2 ** 21, 2 ** 28 - 1,
+                          2 ** 28, 2 ** 32 - 1]) | st.integers(0, 2 ** 32 - 1)
+_INDEX = st.one_of(
+    st.tuples(_SUBID),
+    st.lists(_SUBID, min_size=2, max_size=6).map(tuple),
+    # 25 or more five-octet arcs: every name, and so its binding, is too
+    # long for a short-form length
+    st.lists(st.integers(2 ** 28, 2 ** 32 - 1), min_size=25,
+             max_size=40).map(tuple))
+
+
+class TestSelectOfHiddenIndex:
+    def test_rows_come_from_the_first_readable_column(self):
+        rows, channel = _hidden_select([(7,), (130,), (70000,)])
+        assert [row.index for row in rows] == [(7,), (130,), (70000,)]
+        # one GETBULK of the walk, whose reply passes the column's end
+        assert channel.exchanges == len(rows) + 1
+        for row in rows:
+            assert [ref.node.name for ref, _ in row.cells] == list(_READABLE)
+            assert [_plain(value) for _, value in row.cells] == [
+                _cell(name, row.index) for name in _READABLE]
+
+    def test_empty_table(self):
+        rows, channel = _hidden_select([])
+        assert rows == [] and channel.exchanges == 1
+
+    def test_a_table_with_no_readable_column_raises(self):
+        registry = load_core(oids.Registry())
+        smi.load_records(registry, smi.compile_text(
+            HIDDEN_INDEX_MIB.replace("read-only", "not-accessible")
+            .replace("read-write", "accessible-for-notify")))
+        tree, ctx = agent.DispatchTree(), agent.AgentContext()
+        endpoint, channel, clock = harness.connect(
+            harness.agent_responder(tree, ctx))
+        session = _open(registry, (endpoint, channel, clock))
+        with pytest.raises(SnmpError, match="no readable columns"):
+            client.select("hiTable", session)
+        assert channel.exchanges == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_INDEX, min_size=1, max_size=3, unique=True))
+    def test_row_gets_are_the_per_cell_encoding(self, indices):
+        """Each row's GET is, octet for octet, the message of a VarBind per
+        cell named by the column's ref and the index below it."""
+        sent = []
+        rows, _ = _hidden_select(indices, sent.append)
+        assert [row.index for row in rows] == sorted(indices)
+        gets = [messages.decode_message(data) for data in sent]
+        gets = [(data, msg) for data, msg in zip(sent, gets)
+                if msg.pdu.pdu_type == GET_REQUEST]
+        assert len(gets) == len(rows)
+        columns = [_HIDDEN.resolve(name) for name in _READABLE]
+        for (data, msg), row in zip(gets, rows):
+            assert data == messages.encode_message(CommunityMessage(
+                msg.version, msg.community, Pdu(
+                    GET_REQUEST, msg.pdu.request_id, bindings=[
+                        VarBind(col.child(*row.index)) for col in columns])))
+
+
 class TestEchoedNames:
     """A GET or SET reply must carry the names asked for, in order."""
 
@@ -406,6 +570,48 @@ class TestEchoedNames:
         session = self._session(registry, *loopback_agent, responder=short)
         with pytest.raises(SnmpError, match="holds 1 bindings for 2"):
             client.get(session, ["sysName.0", "sysDescr.0"])
+
+    @staticmethod
+    def _on_row_replies(change):
+        """A responder wrapper that applies change to the bindings of each
+        reply to a GET, as a list of VarBinds."""
+        def wrap(serve):
+            def answer(data):
+                reply = serve(data)
+                if messages.decode_message(data).pdu.pdu_type != GET_REQUEST:
+                    return reply
+                msg = messages.decode_message(reply)
+                change(msg.pdu.bindings)
+                return messages.encode_message(msg)
+            return answer
+        return wrap
+
+    def test_select_of_a_row_reply_with_two_names_swapped_raises(
+            self, registry, loopback_agent):
+        def swap(bindings):  # ifType's and ifSpeed's cells
+            bindings[2], bindings[4] = bindings[4], bindings[2]
+
+        session = self._session(registry, *loopback_agent,
+                                responder=self._on_row_replies(swap))
+        got = repr(registry.resolve("ifSpeed.1"))
+        asked = str(registry.resolve("ifType").child(1))
+        assert asked == "1.3.6.1.2.1.2.2.1.3.1"
+        with pytest.raises(SnmpError, match=re.escape(
+                f"response binding 3 names {got}, not the requested "
+                f"{asked}") + "$"):
+            client.select("ifTable", session)
+
+    def test_select_of_a_row_reply_without_its_last_binding_raises(
+            self, registry, loopback_agent):
+        def drop(bindings):
+            del bindings[-1]
+
+        session = self._session(registry, *loopback_agent,
+                                responder=self._on_row_replies(drop))
+        with pytest.raises(SnmpError,
+                           match="^response holds 21 bindings for 22 "
+                                 "requested$"):
+            client.select("ifTable", session)
 
     def test_get_pairs_hold_the_request_refs(self, registry, fabric):
         session = _open(registry, fabric)

@@ -203,23 +203,6 @@ class TestArcsCarriedThrough:
         assert child.arcs == number_list(child)
         assert child.arcs == ref.arcs + tuple(more)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(["1.3", "ifDescr", "sysDescr.0",
-                            "1.3.6.1.4.1.31609.16384"]),
-           st.lists(st.sampled_from([0, 127, 128, 16383, 16384, 2 ** 32 - 1])
-                    | _ARC, max_size=4))
-    def test_descendant_octets_are_a_fresh_encode(self, name, more):
-        ref = _CORE.resolve(name)
-        index = tuple(more)
-        row = ref.descendant(index, ber.subid_octets(index))
-        assert (row.node, row.rest) == (ref.node, ref.rest + index)
-        assert row.arcs == number_list(row) == ref.arcs + index
-        assert row.octets == ber.Oid(row.arcs).octets
-
-    def test_descendant_of_one_arc_encodes_its_own_arcs(self):
-        row = _CORE.resolve("iso").descendant((3, 6), b"\x03\x06")
-        assert row.octets == b"\x2b\x06"
-
 
 @st.composite
 def _spellings(draw):
