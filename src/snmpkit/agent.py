@@ -215,7 +215,7 @@ def dispatch(tree, pdu, ctx, version=V2C, limit=MAX_UDP_PAYLOAD):
     exception values.  GETBULK under v1 answers genErr, and so does a PDU
     that is not a request (Response, Report, SNMPv2-Trap, InformRequest),
     which handle_datagram drops before it gets here.  limit is the most
-    octets the reply may take; GETBULK reads no further than it.
+    octets the reply's answers may take; GETBULK reads no further than it.
     """
     handler = _DISPATCH.get(pdu.pdu_type)
     if handler is None or version == V1 and pdu.pdu_type == GET_BULK_REQUEST:
@@ -318,8 +318,8 @@ def _dispatch_bulk(tree, pdu, ctx, version, limit):
     of the view answers endOfMibView under the name it answered last, a
     repeater in every later repetition; the reply ends with the repetition
     in which the last repeater reaches the end.  No handler is called
-    after the first repetition whose answers pass limit octets, which no
-    reply may hold; handle_datagram keeps the whole repetitions that fit.
+    after the first repetition whose answers pass limit octets, which the
+    reply cannot hold; handle_datagram keeps the whole repetitions that fit.
     An answer with no BER form makes the reply genErr, indexing the first
     request binding one of whose answers read failed."""
     memo = {}
@@ -460,7 +460,8 @@ def handle_datagram(tree, ctx, data, engine=None):
     None.  Request names are read through ctx.registry, which keeps
     them, or are ber.Oids when it is None.  The limit is MAX_UDP_PAYLOAD,
     or a v3 request's smaller msgMaxSize; dispatch reads no more GETBULK
-    answers than it.  The response is framed once and sent as it is when
+    answers than it leaves once a frame as long as the request's, less its
+    bindings, is taken off.  The response is framed once and sent as it is when
     it encodes and is no longer than the limit; _fitted replaces any
     other: it cuts a GETBULK answer, and makes any other genErr or
     tooBig.  A v3 reply is framed by engine.frame, as Reports are, and
@@ -497,7 +498,11 @@ def handle_datagram(tree, ctx, data, engine=None):
         return None
     if not isinstance(pdu, Pdu) or pdu.pdu_type not in _DISPATCH:
         return None  # a trap, an inform, a response or a report
-    response = dispatch(tree, pdu, ctx, version, limit)
+    room = limit
+    if pdu.pdu_type == GET_BULK_REQUEST:  # the reply's frame, as long as
+        room -= len(data) - sum(  # the request's, leaves room to the answers
+            len(ber.encode_binding(vb.name, vb.value)) for vb in pdu.bindings)
+    response = dispatch(tree, pdu, ctx, version, room)
     try:
         framed = frame(response)
     except Exception:  # a handler's value has no BER form

@@ -44,18 +44,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def format_oid(ref):
-    """`MODULE::name.instance` when a named node covers the OID, else dotted."""
+    """`MODULE::name.instance` when a named node covers the OID, else dotted;
+    the node keeps `MODULE::name` as its label, so only arcs are formatted."""
     node = getattr(ref, "node", None)
-    rest = tuple(getattr(ref, "rest", ()))
+    rest = getattr(ref, "rest", ())
     while node is not None and node.name is None:
         rest = (node.value,) + rest
         node = node.parent
-    if node is None or node.parent is None or node.name is None:
-        return "." + ".".join(str(a) for a in ref.arcs)
-    text = f"{node.module or '?'}::{node.name}"
-    if rest:
-        text += "." + ".".join(str(a) for a in rest)
-    return text
+    if node is None or node.parent is None:
+        return "." + ".".join(map(str, ref.arcs))
+    text = node.label
+    if text is None:
+        text = node.label = f"{node.module or '?'}::{node.name}"
+    if len(rest) == 1:
+        return f"{text}.{rest[0]}"
+    return f"{text}.{'.'.join(map(str, rest))}" if rest else text
 
 
 def _format_ticks(ticks):
@@ -260,23 +263,20 @@ def cmd_bulk(args, registry):
 def cmd_table(args, registry):
     with _session(args, registry) as session:
         rows = client.select(args.table, session)
-        if rows:
-            columns = [format_oid(ref).split("::")[-1]
-                       for ref, _ in rows[0].cells]
-        else:
-            _, _, schema = smi.table_schema(registry, args.table)
-            columns = [name for name, _ in schema.columns]
-        widths = [len(c) for c in columns]
-        cells = []
+        _, entry, _ = smi.table_schema(registry, args.table)
+        nodes = [node for _, node in sorted(entry.children.items())]
+        # a not-accessible column is an index (RFC 2578 section 7.7),
+        # which no cell shows, so row.index is shown in its stead
+        index = any(n.max_access == "not-accessible" for n in nodes)
+        lines = [["index"] * index + [n.name for n in nodes
+                                      if n.max_access not in client.UNREADABLE]]
         for row in rows:
-            rendered = [format_value(v, registry).split(": ", 1)[-1]
-                        for _, v in row.cells]
-            cells.append(rendered)
-            widths = [max(w, len(r)) for w, r in zip(widths, rendered)]
-        print("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
-        for rendered in cells:
-            print("  ".join(r.ljust(w)
-                            for r, w in zip(rendered, widths)).rstrip())
+            lines.append([".".join(map(str, row.index))] * index + [
+                format_value(v, registry).split(": ", 1)[-1]
+                for _, v in row.cells])
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        for line in lines:
+            print("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
         if args.count_exchanges:
             print(f"exchanges: {session.exchanges}")
     return EXIT_OK

@@ -32,7 +32,7 @@ from .smi import table_schema
 WALK_BULK_REPETITIONS = 25
 
 # the MAX-ACCESS of columns that a GET cannot read (RFC 2578 section 7.3)
-_UNREADABLE = frozenset(("not-accessible", "accessible-for-notify"))
+UNREADABLE = frozenset(("not-accessible", "accessible-for-notify"))
 
 
 class Session:
@@ -474,7 +474,7 @@ def select(table_name, from_, **session_kwargs):
     with _session_for(from_, **session_kwargs) as session:
         _, entry, schema = table_schema(session.registry, table_name)
         columns = [OidRef(node) for _, node in sorted(entry.children.items())
-                   if node.max_access not in _UNREADABLE]
+                   if node.max_access not in UNREADABLE]
         if not columns:
             raise SnmpError(f"table {table_name!r} has no readable columns")
 

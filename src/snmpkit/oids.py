@@ -22,11 +22,12 @@ NODE_KINDS = ("plain", "object-type", "module-identity", "other")
 
 
 class OidNode:
-    """One arc of the MIB tree with parent link, children map and metadata."""
+    """One arc of the MIB tree with parent link, children map, metadata and
+    label, its `MODULE::name` once rendered, until register revisits it."""
 
     __slots__ = (
         "name", "value", "parent", "children", "module",
-        "node_kind", "syntax", "max_access", "status", "description",
+        "node_kind", "syntax", "max_access", "status", "description", "label",
     )
 
     def __init__(self, value, name=None, parent=None, module=None,
@@ -42,6 +43,7 @@ class OidNode:
         self.max_access = max_access
         self.status = status
         self.description = description
+        self.label = None
 
     @property
     def arcs(self):
@@ -234,6 +236,7 @@ class Registry:
                 raise OidConflictError(
                     f"arc {arc} under {'.'.join(name_list(OidRef(node)))} is "
                     f"{child.name!r}, cannot register {name!r}")
+            child.label = None  # rendered again from what is filled in
             if child.name is None:
                 child.name = name
             if child.module is None:
@@ -307,18 +310,20 @@ class Registry:
         if "::" in text:
             module, text = text.split("::", 1)
         segments = text.split(".")
-        if segments and segments[0] == "":
+        if segments[0] == "":  # a leading dot: arcs from the root
+            segments = segments[1:]
+        elif segments[0] == "0" and len(segments) > 1 and (
+                segments[1] in ("1", "2") or not segments[1].isdigit()):
+            # the paper's 0 for the root (0.1.3.6, 0.iso.3); 0.0, 0.4 are arcs
             segments = segments[1:]
         if not segments:
             return OidRef(self.root)
-        if all(s.isdigit() for s in segments):  # _resolve_arcs' 0 rule
+        if all(s.isdigit() for s in segments):
             try:
                 arcs = tuple(int(s) for s in segments)
             except ValueError:
                 raise OidResolutionError(f"malformed numeric OID {text!r}")
             return self._resolve_arcs(arcs)
-        if segments[0] == "0":  # a mixed spelling such as 0.iso.3
-            segments = segments[1:]
         return _descend_spelling(self._lookup_name(segments[0], module), (),
                                  segments[1:])
 
@@ -336,10 +341,6 @@ class Registry:
 
     def _resolve_arcs(self, arcs):
         """The ref of a tuple of ints, which already holds its arcs."""
-        # A single leading 0 addresses the root itself when more arcs follow
-        # and the first real arc exists beneath the root.
-        if len(arcs) > 1 and arcs[0] == 0 and arcs[1] in self.root.children:
-            arcs = arcs[1:]
         return _descend(self.root, arcs, 0)
 
     def _resolve_sequence(self, seq):

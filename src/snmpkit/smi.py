@@ -102,7 +102,7 @@ def tokenize(source):
 class OidAssignment:
     module: str
     name: str
-    parent: str  # parent name, dotted name+arcs, or "0" for the tree root
+    parent: str  # parent name, dotted name+arcs, or "0" (the root) + arcs
     arc: int
     node_kind: str = "plain"
     syntax: str | None = None
@@ -360,10 +360,8 @@ class _Parser:
             raise MibParseError("OID path needs a parent and an arc",
                                 brace.line, brace.column)
         *head, arc = arcs
-        if anchor is None:
-            # numeric anchor: a leading 0 is the tree root itself
+        if anchor is None:  # numeric: every arc lies below the tree root
             anchor = "0"
-            head = head[1:] if head[0] == 0 else head
         return ".".join([anchor, *map(str, head)]), arc
 
     def _arc(self):
@@ -519,9 +517,9 @@ def read_compiled(source):
 
 
 def _resolve_parent(registry, module, spec):
-    if spec == "0":
-        return OidRef(registry.root)
     first, dot, rest = spec.partition(".")
+    if first == "0":  # the tree root, then arcs
+        return registry.resolve(tuple(int(a) for a in rest.split(".") if a))
     local = registry.module_index.get(module, {})
     if first in local:
         base = OidRef(local[first])

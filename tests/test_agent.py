@@ -1312,6 +1312,33 @@ class TestBulkWorkIsBounded:
         assert reads["probe"] == 1
         assert reads["read"] <= messages.MAX_UDP_PAYLOAD // 7 + 2
 
+    @pytest.mark.parametrize("v3", [False, True])
+    def test_reads_one_repetition_past_the_reply(self, registry, v3):
+        """One repeater with max-repetitions 2^31-1, over a counted column
+        of INTEGER 0, under v2c and under v3 authPriv at msgMaxSize 484:
+        the frame's own overhead counted, reading stops one repetition
+        past what the reply keeps.  It once read up to ten more."""
+        reads = Counter()
+
+        def column(ctx, ids):
+            reads["read" if ids else "probe"] += 1
+            return 0 if ids else 100000
+
+        tree = agent.DispatchTree()
+        tree.register(registry.resolve("ifIndex"), column)
+        pdu = Pdu(GET_BULK_REQUEST, 1, 0, 2 ** 31 - 1,
+                  [VarBind(registry.resolve("ifIndex"))])
+        if v3:
+            responder = _v3_responder(registry, tree)
+            wire, keys = v3_request(responder, pdu, max_size=484)
+            reply = usm.open(responder(wire), keys)[1].pdu
+        else:
+            reply = messages.decode_message(agent.handle_datagram(
+                tree, _ctx(registry), _community_frame(pdu))).pdu
+        assert reply.error_status == 0 and reply.bindings
+        assert reads["probe"] == 1
+        assert reads["read"] <= len(reply.bindings) + 1
+
     @pytest.mark.parametrize("bad", [5, 2500])
     def test_unencodable_value(self, registry, bad):
         """A value with no BER form among the repetitions that fit makes

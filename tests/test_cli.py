@@ -5,11 +5,15 @@ import shlex
 import socket
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from snmpkit import agent, ber, cli
-from snmpkit.errors import OidResolutionError
+from snmpkit import agent, ber, cli, smi
+from snmpkit.errors import (
+    DecodingError, EncodingError, OidConflictError, OidResolutionError,
+)
 from snmpkit.mibs import load_core
-from snmpkit.oids import Registry
+from snmpkit.oids import OidRef, Registry
+from test_client import HIDDEN_INDEX_MIB, _hidden_index_agent
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +61,96 @@ class TestRendering:
         out = cli.format_value(ber.Oid((1, 3, 6, 1, 4, 1, 31609, 2, 1)),
                                registry)
         assert out == "OID: APP-MIB::appAgent"
+
+
+    def test_wire_zero_dot_zero_renders_by_name(self, registry):
+        # RFC 2578 section 2 places zeroDotZero at 0.0
+        name = registry.read(ber.Oid((0, 0)).octets)
+        assert cli.format_oid(name) == "SNMPv2-SMI::zeroDotZero"
+        assert cli.format_value(ber.Oid((0, 0)), registry) == \
+            "OID: SNMPv2-SMI::zeroDotZero"
+
+
+def _walked(ref):
+    """format_oid as it was before a named node kept its label, kept here
+    as the oracle: the parent walk, with `MODULE::name` made each call."""
+    node = getattr(ref, "node", None)
+    rest = tuple(getattr(ref, "rest", ()))
+    while node is not None and node.name is None:
+        rest = (node.value,) + rest
+        node = node.parent
+    if node is None or node.parent is None or node.name is None:
+        return "." + ".".join(str(a) for a in ref.arcs)
+    text = f"{node.module or '?'}::{node.name}"
+    if rest:
+        text += "." + ".".join(str(a) for a in rest)
+    return text
+
+
+# (arcs, name, module): a node registered at arcs, its parents made
+# unnamed when absent.  Few arcs and names, so that registrations meet
+# the same nodes, name unnamed ones, fill in modules and conflict.
+_REGISTRATIONS = st.lists(st.tuples(
+    st.lists(st.integers(0, 3), min_size=1, max_size=5).map(tuple),
+    st.none() | st.sampled_from(["a", "b", "c"]),
+    st.none() | st.sampled_from(["M", "N"])), max_size=12)
+
+
+def _register(registry, registrations):
+    for arcs, name, module in registrations:
+        try:
+            registry.register(module, name, arcs[:-1], arcs[-1])
+        except OidConflictError:
+            pass
+
+
+def _spellings(registry, arcs):
+    """The refs and non-refs that name arcs: resolved, read from the wire
+    when arcs have a BER form, and a ber.Oid."""
+    yield registry.resolve(arcs)
+    yield ber.Oid(arcs)
+    try:
+        yield registry.read(ber.Oid(arcs).octets)
+    except (EncodingError, DecodingError):
+        pass
+
+
+class TestLabels:
+    """format_oid renders every name as the parent walk does, also once a
+    later register names a node or fills in its module."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_REGISTRATIONS,
+           st.lists(st.lists(st.integers(0, 4), max_size=7).map(tuple),
+                    min_size=1, max_size=8),
+           _REGISTRATIONS)
+    @example([((1, 2, 3), "a", None)], [(1, 2, 3, 4), (1, 2)],
+             [((1, 2), "b", "M"), ((1, 2, 3), None, "N")])
+    def test_matches_the_parent_walk(self, before, names, after):
+        registry = Registry()
+        _register(registry, before)
+        refs = [OidRef(registry.root)] + [
+            ref for arcs in names for ref in _spellings(registry, arcs)]
+        for ref in refs:
+            assert cli.format_oid(ref) == _walked(ref)
+        _register(registry, after)
+        for ref in refs:
+            assert cli.format_oid(ref) == _walked(ref)
+
+    def test_a_label_follows_a_later_register(self):
+        registry = Registry()
+        registry.register(None, "a", (1, 2), 3)
+        ref = registry.resolve((1, 2, 3, 4))
+        name = registry.resolve((1, 2))
+        assert (cli.format_oid(ref), cli.format_oid(name)) == \
+            ("?::a.4", "?::iso.2")
+        registry.register("M", None, (1,), 2)
+        registry.register("N", "a", (1, 2), 3)
+        assert (cli.format_oid(ref), cli.format_oid(name)) == \
+            ("N::a.4", "?::iso.2")
+        registry.register("M", "b", (1,), 2)
+        assert (cli.format_oid(ref), cli.format_oid(name)) == \
+            ("N::a.4", "M::b")
 
 
 class _Unresolving:
@@ -167,6 +261,38 @@ class TestCommands:
         assert len(lines) == 4  # header + 2 rows + exchange count
         count = int(lines[-1].split(":")[1])
         assert count <= 4
+
+
+class TestTableIndex:
+    """snmpkit table over HIDDEN-INDEX-MIB, whose index column hiIndex is
+    not-accessible and whose hiEvent is accessible-for-notify."""
+
+    @staticmethod
+    def _table(tmp_path, capsys, indices):
+        module = smi.compile_text(HIDDEN_INDEX_MIB)
+        (tmp_path / "HIDDEN-INDEX-MIB.cmib").write_bytes(
+            smi.emit_bytes(module))
+        tree, ctx = _hidden_index_agent(indices)
+        ctx.address, ctx.port = "127.0.0.1", 0
+        handle = agent.ServiceHandle(tree, ctx)
+        try:
+            host, port = handle.bound_address[:2]
+            code = cli.main(["table", "-M", str(tmp_path), f"{host}:{port}",
+                             "hiTable"])
+        finally:
+            handle.stop()
+        assert code == cli.EXIT_OK
+        return [line.split() for line in capsys.readouterr().out.splitlines()]
+
+    def test_rows_show_their_index(self, tmp_path, capsys):
+        assert self._table(tmp_path, capsys, [(7,), (130, 2)]) == [
+            ["index", "hiName", "hiCount"],
+            ["7", "hiName(7,)", "1"],
+            ["130.2", "hiName(130,", "2)", "2"]]
+
+    def test_an_empty_table_is_headed_alike(self, tmp_path, capsys):
+        assert self._table(tmp_path, capsys, []) == [
+            ["index", "hiName", "hiCount"]]
 
 
 class TestSetCommand:

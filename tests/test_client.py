@@ -484,6 +484,16 @@ class TestSelectOfHiddenIndex:
             client.select("hiTable", session)
         assert channel.exchanges == 0
 
+    def test_a_row_shows_its_index_and_finds_a_cell_by_arcs(self):
+        (row,), _ = _hidden_select([(7, 3)])
+        assert repr(row) == "<HiEntry[7.3] hiName=b'hiName(7, 3)', " \
+            "hiCount=2...>"
+        count = _HIDDEN.resolve("hiCount")
+        for column in (count.arcs, list(count.arcs), count):
+            assert client.value_by_column(row, column) == 2
+        with pytest.raises(SnmpError, match="no column"):
+            client.value_by_column(row, _HIDDEN.resolve("hiIndex").arcs)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_INDEX, min_size=1, max_size=3, unique=True))
     def test_row_gets_are_the_per_cell_encoding(self, indices):

@@ -73,10 +73,18 @@ class TestTreeStructure:
     def test_iso_under_root(self, registry):
         assert registry.root.children[1].name == "iso"
 
-    def test_zero_dot_zero_is_a_root_child(self, registry):
+    def test_zero_dot_zero_is_at_zero_dot_zero(self, registry):
+        # RFC 2578 section 2: zeroDotZero ::= { 0 0 }, below the root's arc 0
         node = registry.resolve("zeroDotZero").node
-        assert node.parent is registry.root
-        assert node.value == 0
+        assert node.arcs == (0, 0)
+        assert node.parent.parent is registry.root
+        assert node.parent.name is None
+
+    def test_an_arc_tuple_keeps_its_leading_zero(self, registry):
+        # 0.1.127 lies below the root's arc 0, not below iso (1.127)
+        ref = registry.resolve((0, 1, 127))
+        assert ref.arcs == (0, 1, 127)
+        assert (ref.node.arcs, ref.rest) == ((0,), (1, 127))
 
 
 class TestRegister:
@@ -169,7 +177,7 @@ class TestFreshRegistryIndependence:
 _CORE = load_core(Registry())
 _ARC = st.integers(0, 12) | st.integers(0, 2 ** 32 - 1)
 # arcs below named nodes, beside them and outside the registry, with or
-# without the leading 0 that addresses the root
+# without a leading arc 0
 _ARCS = st.builds(
     lambda lead, base, tail: lead + base + tuple(tail),
     st.sampled_from([(), (0,)]),
@@ -235,23 +243,23 @@ class TestSpellings:
         node = _CORE.name_index[name][0]
         ref = _CORE.resolve(name)
         dotted = ".".join(map(str, ref.arcs + tuple(arcs)))
-        # the leading-0 rule reads the numbers of an OID below
-        # zeroDotZero, such as 0.1, from the root (see TestResolveNear),
-        # so they are spelled with the 0 that addresses the root
         forms = [".".join([name, *map(str, arcs)]), [name, *arcs],
-                 [node, *arcs], [ref, *arcs],
-                 dotted if ref.arcs[0] else "0." + dotted]
+                 [node, *arcs], [ref, *arcs], dotted]
         want = _CORE.resolve(forms[-1])
         for form in forms:
             got = _CORE.resolve(form)
             assert (got.node, got.rest) == (want.node, want.rest), form
             assert got.arcs == number_list(got) == ref.arcs + tuple(arcs)
 
-    def test_one_leading_zero_rule(self):
-        # a dotted numeric spelling is read as its arc tuple is
-        below_zero = ["0.0.1", (0, 0, 1), "zeroDotZero.1", ["zeroDotZero", 1]]
-        assert {_CORE.resolve(s).arcs for s in below_zero} == {(0, 1)}
-        assert _CORE.resolve("0.1").arcs == _CORE.resolve((0, 1)).arcs
+    def test_a_leading_zero_is_an_arc(self):
+        # zeroDotZero is 0.0, and no spelling of an arc tuple drops its 0
+        below_zero = ["0.0.1", (0, 0, 1), ".0.0.1", "zeroDotZero.1",
+                      ["zeroDotZero", 1]]
+        assert {_CORE.resolve(s).arcs for s in below_zero} == {(0, 0, 1)}
+        assert _CORE.resolve((0, 1)).arcs == _CORE.resolve(".0.1").arcs \
+            == (0, 1)
+        assert _CORE.resolve("0.4.0.127").arcs == (0, 4, 0, 127)
+        # text keeps the paper's 0 for the root, before iso's arc or a name
         assert _CORE.resolve("0.1.3.6.1.2.1.1.1.0") == \
             _CORE.resolve("sysDescr.0")
         assert _CORE.resolve("0.iso.3") == _CORE.resolve("iso.3")
@@ -340,12 +348,12 @@ class TestResolveNear:
 
     def test_leading_zero_after_zero_dot_zero(self):
         # a name read from the wire keeps its leading 0: 0.1.127 lies
-        # below zeroDotZero's node, which sits at the root's arc 0
+        # beside zeroDotZero, below the root's arc 0
         zero, below = self._chain(load_core(Registry()),
                                   [(0, 0), (0, 1, 127)])
-        assert (zero.node.name, zero.rest) == ("zeroDotZero", (0,))
-        assert (below.node.name, below.rest, below.arcs) == \
-            ("zeroDotZero", (1, 127), (0, 1, 127))
+        assert (zero.node.name, zero.rest) == ("zeroDotZero", ())
+        assert (below.node.name, below.node.arcs, below.rest, below.arcs) == \
+            (None, (0,), (1, 127), (0, 1, 127))
 
     def test_siblings_descend_from_the_name_before(self, monkeypatch):
         registry = load_core(Registry())
