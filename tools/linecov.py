@@ -44,11 +44,6 @@ def _lines(frame, event, arg):
     return _lines
 
 
-def _start():
-    threading.settrace(_trace)
-    sys.settrace(_trace)
-
-
 def _stop():
     sys.settrace(None)
     threading.settrace(None)
@@ -115,7 +110,8 @@ def report():
 
 @pytest.hookimpl(tryfirst=True)
 def pytest_load_initial_conftests(early_config, parser, args):
-    _start()
+    threading.settrace(_trace)
+    sys.settrace(_trace)
 
 
 def pytest_unconfigure(config):
