@@ -7,7 +7,8 @@ enable_service serves v1/v2c over UDP.
 
 GETBULK encodes each answer as it reads it and stops reading at the
 repetition that passes the reply's limit, so its work is bounded by what
-one reply can hold; _fitted then keeps the whole repetitions that fit.
+one reply can hold; _fitted then steps down from the last repetition
+read to the whole repetitions that fit.
 Instances that read None are no answer, and are stepped over with no
 bound, by GETNEXT and GETBULK alike.
 
@@ -31,7 +32,7 @@ import platform
 import socket
 import threading
 import time
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, repeat
 
 from . import ber, messages, usm
 from .errors import (
@@ -518,38 +519,24 @@ def _fitted(pdu, response, limit, frame, framed):
     (RFC 3416 sections 4.2.1-4.2.3).
 
     A GETBULK answer, ber.EncodedBindings, keeps the most whole
-    repetitions that fit.  Their count is first estimated from the
-    answers' lengths and framed's overhead, then framed and moved one
-    repetition at a time, since the headers' length octets, and a v3
-    reply's padding, change with the length.  Any other response that
-    does not encode becomes genErr, indexing the request binding of its
-    first answer with no BER form.  A reply that still does not fit,
-    genErr and one that keeps no repetition included, becomes tooBig."""
+    repetitions that fit: the cut frames one repetition fewer than the
+    answer holds, then one fewer per try, until the frame fits.  A frame only
+    grows as repetitions are added, and dispatch reads only a few past
+    the limit, so this takes a few frames.  Any other response that does
+    not encode becomes genErr, indexing the request binding of its first
+    answer with no BER form.  A reply that still does not fit, genErr
+    and one that keeps no repetition included, becomes tooBig."""
     tlvs = response.bindings
     if isinstance(tlvs, ber.EncodedBindings):
         head = min(max(0, pdu.non_repeaters), len(pdu.bindings))
         width = len(pdu.bindings) - head
-        # octets of the answers of the non-repeaters and r repetitions, for
-        # each r up to reps, the response's, which does not fit
-        sizes = list(accumulate(map(len, tlvs), initial=0))[head::width or 1]
-        reps = len(sizes) - 1
-
-        def keep(r):
-            return frame(messages.response_for(
+        r = (len(tlvs) - head) // width - 1 if width else 0
+        while r > 0:
+            framed = frame(messages.response_for(
                 pdu, ber.EncodedBindings(tlvs[:head + r * width])))
-        r = bisect.bisect_right(sizes, limit - len(framed) + sizes[-1]) - 1
-        r = min(max(1, r), reps - 1)
-        if r > 0:
-            framed = keep(r)
             if len(framed) <= limit:
-                while r + 1 < reps and len(more := keep(r + 1)) <= limit:
-                    r, framed = r + 1, more
                 return framed
-            while r > 1:
-                r -= 1
-                framed = keep(r)
-                if len(framed) <= limit:
-                    return framed
+            r -= 1
     elif framed is None:  # an answer has no BER form
         for k, vb in enumerate(tlvs):
             try:
@@ -564,7 +551,8 @@ def _fitted(pdu, response, limit, frame, framed):
 
 
 class ServiceHandle:
-    """A running background SNMP service; stop() is idempotent."""
+    """A running background SNMP service.  Only stop(), which is
+    idempotent, ends it; a socket error is skipped."""
 
     def __init__(self, tree, ctx):
         self.tree = tree
@@ -587,10 +575,8 @@ class ServiceHandle:
         while self._running:
             try:
                 data, peer = self._sock.recvfrom(messages.MAX_UDP_PAYLOAD)
-            except socket.timeout:
+            except OSError:  # a timeout, a socket error, or stop()
                 continue
-            except OSError:
-                break
             reply = handle_datagram(self.tree, self.ctx, data)
             if reply is not None and self._running:
                 try:

@@ -311,19 +311,9 @@ def encode_tag(tag):
 
 def decode_tag(data, offset=0):
     """Return (Tag, consumed); supports the multi-byte high-tag form."""
-    if offset < len(data):
-        tag = _ONE_OCTET_TAGS[data[offset]]
-        if tag is not None:
-            return tag, 1
     number, consumed = _tag_number(data, offset, len(data))
     first = data[offset]
     return Tag(first >> 6, bool(first & 0x20), number), consumed
-
-
-# The Tag of each identifier octet whose tag number fits in it; None
-# where the number continues in further octets.
-_ONE_OCTET_TAGS = [None if b & 0x1F == 0x1F else
-                   Tag(b >> 6, bool(b & 0x20), b & 0x1F) for b in range(256)]
 
 
 def header(data, pos, end, ident, what):

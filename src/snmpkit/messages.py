@@ -6,14 +6,14 @@ variable bindings.  Encoding concatenates TLVs from ber's precomputed
 encoders, with one header encoder per PDU type; each fixed header
 field is written directly, an INTEGER by ber.encode_integer in one step
 and msgFlags as the octets 04 01 flags, with no list of values to
-dispatch on.  Decoding reads the fixed header fields and the v3 frame
-headers (msgGlobalData, msgSecurityParameters, the USM SEQUENCE, the
-scoped PDU) inline when their lengths take the short form, and by
-ber.header, which checks the identifier octet and reads any other
-form, otherwise.  It reads the PDU here too: its header fields, then
-its bindings straight into VarBinds in one pass over their octets.  A
-binding's SEQUENCE, name and value headers are read inline in the
-short form likewise, and by ber.header, or the value table's TLV
+dispatch on.  Decoding reads the v3 frame headers (msgGlobalData,
+msgSecurityParameters, the USM SEQUENCE, the scoped PDU) by ber.header,
+which checks the identifier octet and reads any length form.  It reads
+the fixed header fields inline when their lengths take the short form,
+and by ber.header otherwise.  It reads the PDU here too: its header
+fields, then its bindings straight into VarBinds in one pass over their
+octets.  A binding's SEQUENCE, name and value headers are read inline
+in the short form likewise, and by ber.header, or the value table's TLV
 reader, otherwise; a value's decoder comes from ber.DEFAULT_REGISTRY's
 table by its identifier octet.  Given the oids.Registry its caller
 holds, decoding reads each binding name through Registry.read, from
@@ -21,8 +21,9 @@ the name before it, so a name becomes the registry's kept OidRef;
 without one, a ber.Oid.  A PDU whose type the message's version does
 not define, such as a GetBulk in a v1 message or a Trap-v1 in a v2c or
 v3 one, does not decode.  Any msgSecurityModel decodes; usm.open and
-agent.LocalEngine.open refuse one that is not SECURITY_MODEL_USM.  Both directions record in V3Message.mac_offset where the MAC
-lies in the octets, so usm never walks the headers again.
+agent.LocalEngine.open refuse one that is not SECURITY_MODEL_USM.  Both
+directions record in V3Message.mac_offset where the MAC lies in the
+octets, so usm never walks the headers again.
 """
 
 from __future__ import annotations
@@ -353,11 +354,7 @@ def _read_pdu(data, pos, end, depth, registry, version=V3):
 
 def _read_scoped(data, pos, end, depth, registry):
     """The scoped PDU TLV, its PDU at nesting depth depth."""
-    if pos + 1 < end and data[pos] == 0x30 and \
-            (n := data[pos + 1]) < 0x80 and pos + 2 + n <= end:
-        start, stop = pos + 2, pos + 2 + n
-    else:
-        start, stop = ber.header(data, pos, end, 0x30, "scoped PDU")
+    start, stop = ber.header(data, pos, end, 0x30, "scoped PDU")
     (engine_id, context), at = _read(data, start, stop, b"\x04\x04",
                                      "scoped PDU")
     pdu, at = _read_pdu(data, at, stop, depth, registry)
@@ -393,14 +390,9 @@ def decode_message(data, registry=None):
     if version != V3:
         raise DecodingError(f"unsupported SNMP version {version}")
     # msgGlobalData, msgSecurityParameters and the USM SEQUENCE in it
-    # (RFC 3414 section 2.4), each header read here in its short form
-    # and by ber.header in any other; octets after the USM SEQUENCE in
+    # (RFC 3414 section 2.4); octets after the USM SEQUENCE in
     # msgSecurityParameters are ignored
-    if pos + 1 < end and data[pos] == 0x30 and \
-            (n := data[pos + 1]) < 0x80 and pos + 2 + n <= end:
-        at, stop = pos + 2, pos + 2 + n
-    else:
-        at, stop = ber.header(data, pos, end, 0x30, "msgGlobalData")
+    at, stop = ber.header(data, pos, end, 0x30, "msgGlobalData")
     (msg_id, max_size, flags, sec_model), at = _read(
         data, at, stop, b"\x02\x02\x04\x02", "msgGlobalData")
     _last(at, stop, "msgGlobalData")
@@ -409,16 +401,8 @@ def decode_message(data, registry=None):
     if not 484 <= max_size <= 2 ** 31 - 1:  # RFC 3412 section 6
         raise DecodingError(f"msgMaxSize {max_size} out of range")
     flags = flags[0]
-    if stop + 1 < end and data[stop] == 0x04 and \
-            (n := data[stop + 1]) < 0x80 and stop + 2 + n <= end:
-        at, pos = stop + 2, stop + 2 + n
-    else:
-        at, pos = ber.header(data, stop, end, 0x04, "msgSecurityParameters")
-    if at + 1 < pos and data[at] == 0x30 and \
-            (n := data[at + 1]) < 0x80 and at + 2 + n <= pos:
-        at, stop = at + 2, at + 2 + n
-    else:
-        at, stop = ber.header(data, at, pos, 0x30, "USM security parameters")
+    at, pos = ber.header(data, stop, end, 0x04, "msgSecurityParameters")
+    at, stop = ber.header(data, at, pos, 0x30, "USM security parameters")
     fields, at = _read(data, at, stop, b"\x04\x02\x02\x04\x04",
                        "USM security parameters")
     (priv,), last = _read(data, at, stop, b"\x04", "msgPrivacyParameters")

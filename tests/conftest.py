@@ -243,13 +243,14 @@ def tree_decode_bindings(wire):
 
 
 def v3_request(responder, pdu, user=None, max_size=DEFAULT_MAX_MSG_SIZE,
-               security_model=SECURITY_MODEL_USM):
+               security_model=SECURITY_MODEL_USM, context_engine_id=None):
     """(wire, keys): pdu in a v3 request to responder, a v3 engine with
     engine_id, engine and credential, from a client that has discovered
     it and holds keys, at the credential's security level, as user (the
-    credential's user by default), with msgMaxSize max_size and
-    msgSecurityModel security_model.  usm.open opens the reply with
-    keys."""
+    credential's user by default), with msgMaxSize max_size,
+    msgSecurityModel security_model and contextEngineID
+    context_engine_id (the engine's id by default).  usm.open opens the
+    reply with keys."""
     state, cred = responder.engine, responder.credential
     keys = usm.EngineState()
     keys.adopt(responder.engine_id, state.engine_boots, state.engine_time,
@@ -258,7 +259,8 @@ def v3_request(responder, pdu, user=None, max_size=DEFAULT_MAX_MSG_SIZE,
         1, FLAG_REPORTABLE | cred.security_flags,
         UsmParams(responder.engine_id, state.engine_boots, state.engine_time,
                   user or cred.user.encode()),
-        ScopedPdu(responder.engine_id, b"", pdu), msg_max_size=max_size,
+        ScopedPdu(responder.engine_id if context_engine_id is None
+                  else context_engine_id, b"", pdu), msg_max_size=max_size,
         msg_security_model=security_model)
     return usm.secure(msg, keys), keys
 

@@ -130,6 +130,27 @@ class TestGet:
         # bindings echoed unchanged on v1 error
         assert resp.bindings[0].value is ber.NULL
 
+    @pytest.mark.parametrize("version", [V1, V2C])
+    def test_a_handler_that_raises_reads_no_value(self, registry, version):
+        """noSuchInstance under v2c, and noSuchName under v1."""
+        def column(ctx, ids):
+            if ids == (2,):
+                raise RuntimeError("the device went away")
+            return 2 if not ids else ids[0] * 10
+
+        tree = agent.DispatchTree()
+        agent.define_table_column(tree, registry, "ifMtu", column)
+        pdu = messages.make_request_pdu(
+            GET_REQUEST, ["ifMtu.1", "ifMtu.2"], registry, 5)
+        resp = agent.dispatch(tree, pdu, _ctx(registry), version)
+        if version == V1:
+            assert (resp.error_status, resp.error_index) == \
+                (agent.NO_SUCH_NAME, 2)
+        else:
+            assert resp.error_status == 0
+            assert [vb.value for vb in resp.bindings] == \
+                [10, ber.NO_SUCH_INSTANCE]
+
 
 class TestGetNext:
     def test_walks_in_order(self, registry, loopback_agent):
@@ -465,6 +486,47 @@ class TestService:
             agent.enable_service(port=0, address="127.0.0.1", tree=tree,
                                  ctx=ctx).stop()
         assert raised == []
+
+    def test_an_error_from_recvfrom_does_not_end_the_service(
+            self, registry, loopback_agent):
+        """Only stop() ends the service thread: a socket error, such as
+        the ICMP port-unreachable some hosts report on a later read, is
+        skipped and the next request still gets its reply."""
+        tree, ctx = loopback_agent
+        handle = agent.enable_service(port=0, address="127.0.0.1",
+                                      tree=tree, ctx=ctx)
+        failed = threading.Event()
+
+        class FailingOnce:
+            def __init__(self, sock):
+                self._sock = sock
+
+            def recvfrom(self, size):
+                if not failed.is_set():
+                    failed.set()
+                    raise ConnectionResetError("port unreachable")
+                return self._sock.recvfrom(size)
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        handle._sock = FailingOnce(handle._sock)
+        try:
+            assert failed.wait(2)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.settimeout(2)
+            pdu = messages.make_request_pdu(GET_REQUEST, ["sysName.0"],
+                                            registry, 23)
+            sock.sendto(messages.encode_message(
+                CommunityMessage(V2C, b"public", pdu)),
+                handle.bound_address[:2])
+            data, _ = sock.recvfrom(65507)
+            sock.close()
+            assert messages.decode_message(data).pdu.request_id == 23
+            assert handle._thread.is_alive()
+        finally:
+            handle.stop()
+        assert not handle._thread.is_alive()
 
     def test_default_port_constant(self):
         assert agent.DEFAULT_AGENT_PORT == 8161
@@ -1393,6 +1455,8 @@ class TestCutSearch:
     @given(st.integers(0, 3), st.integers(1, 4),
            st.lists(st.integers(7, 90), min_size=1, max_size=120),
            st.integers(0, 15), st.integers(0, 7), st.integers(40, 3000))
+    @example(0, 1, [30] * 10, 0, 0, 205)  # keeps 6 of 10: frames 9, 8, 7, 6
+    @example(2, 3, [30] * 17, 0, 0, 40)  # no repetition fits: tooBig
     def test_most_repetitions_that_fit(self, head, width, lengths, base,
                                        block, limit):
         def frame(response):
@@ -1419,3 +1483,56 @@ class TestCutSearch:
             assert list(got.bindings) == tlvs[:head + max(fitting) * width]
         else:
             assert (got.error_status, got.bindings) == (agent.TOO_BIG, [])
+
+
+class TestCutFrames:
+    """An oversized GETBULK reply that reads R repetitions and keeps K is
+    framed exactly 1 + R - K times: once in full, then once for each
+    repetition the cut drops."""
+
+    @pytest.mark.parametrize("size", [0, 40, 200])
+    @pytest.mark.parametrize("v3, context_engine_id, max_size", [
+        (False, None, None),
+        (True, None, 484), (True, None, 1500),
+        (True, None, messages.MAX_UDP_PAYLOAD),
+        (True, b"", 484), (True, b"", 1500),
+        (True, b"", messages.MAX_UDP_PAYLOAD),
+    ])
+    def test_one_frame_per_repetition_dropped(
+            self, registry, monkeypatch, v3, context_engine_id, max_size,
+            size):
+        reads = Counter()
+        value = ber.OctetString(b"v" * size)
+
+        def column(ctx, ids):
+            reads["read" if ids else "probe"] += 1
+            return value if ids else 100000
+
+        tree = agent.DispatchTree()
+        tree.register(registry.resolve("ifDescr"), column)
+        pdu = Pdu(GET_BULK_REQUEST, 1, 0, 2 ** 31 - 1,
+                  [VarBind(registry.resolve("ifDescr"))])
+        frames = Counter()
+        if v3:  # authPriv
+            responder = _v3_responder(registry, tree)
+            wire, keys = v3_request(responder, pdu, max_size=max_size,
+                                    context_engine_id=context_engine_id)
+            frame = responder.frame
+
+            def counting(*args):
+                frames["frame"] += 1
+                return frame(*args)
+            monkeypatch.setattr(responder, "frame", counting)
+            reply = usm.open(responder(wire), keys)[1].pdu
+        else:
+            wire, encode = _community_frame(pdu), messages.encode_message
+
+            def counting(msg):
+                frames["frame"] += 1
+                return encode(msg)
+            monkeypatch.setattr(messages, "encode_message", counting)
+            reply = messages.decode_message(agent.handle_datagram(
+                tree, _ctx(registry), wire)).pdu
+        read, kept = reads["read"], len(reply.bindings)
+        assert reply.error_status == 0 and 0 < kept < read
+        assert frames["frame"] == 1 + read - kept

@@ -183,6 +183,37 @@ class TestOperations:
         with pytest.raises(SnmpError):
             client.bulk(session, 0, 5, ["ifDescr"])
 
+    def test_inform_is_acknowledged_in_one_exchange(self, registry):
+        """An InformRequest goes out once; the receiver's Response, which
+        echoes its bindings, is the answer."""
+        informs = []
+
+        def acknowledge(data):
+            msg = messages.decode_message(data)
+            informs.append(msg.pdu.pdu_type)
+            msg.pdu = messages.response_for(msg.pdu, msg.pdu.bindings)
+            return messages.encode_message(msg)
+
+        endpoint, channel, clock = harness.connect(acknowledge)
+        session = client.open_session(
+            "loopback", registry=registry,
+            **harness.loopback_session_kwargs(endpoint, clock))
+        pairs = client.inform(session, [
+            ("sysUpTime.0", ber.TimeTicks(1234)),
+            ("sysName.0", ber.OctetString(b"n"))])
+        assert informs == [messages.INFORM_REQUEST]
+        assert channel.exchanges == session.exchanges == 1
+        assert [(ref.arcs, value) for ref, value in pairs] == [
+            (registry.resolve("sysUpTime.0").arcs, ber.TimeTicks(1234)),
+            (registry.resolve("sysName.0").arcs, ber.OctetString(b"n"))]
+
+    def test_inform_requires_v2c(self, registry, fabric):
+        endpoint, channel, clock = fabric
+        session = _open(registry, fabric, version=V1)
+        with pytest.raises(SnmpError, match="inform requires"):
+            client.inform(session, [("sysName.0", ber.OctetString(b"n"))])
+        assert channel.client_sent == 0
+
     def test_trap_v1_requires_v1(self, registry, fabric):
         session = _open(registry, fabric)
         with pytest.raises(SnmpError):

@@ -8,8 +8,8 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, modes
 from hypothesis import given, settings, strategies as st
 
-from snmpkit import ber, usm
-from snmpkit.errors import SnmpError
+from snmpkit import ber, messages, usm
+from snmpkit.errors import AuthenticationError, SnmpError
 from snmpkit.messages import (
     FLAG_AUTH, FLAG_PRIV, RESPONSE, Pdu, ScopedPdu, UsmParams, V3Message,
     VarBind,
@@ -117,6 +117,14 @@ class TestDesPrivacy:
     def test_short_key_rejected(self):
         with pytest.raises(SnmpError):
             usm.encrypt_scoped_pdu(b"x", b"\x00" * 8, 1)
+
+    def test_decrypt_rejects_a_short_key(self):
+        with pytest.raises(SnmpError, match="shorter than 16"):
+            usm.decrypt_scoped_pdu(b"\x00" * 8, self.KEY[:8], b"\x00" * 8)
+
+    def test_decrypt_rejects_seven_octet_priv_params(self):
+        with pytest.raises(SnmpError, match="8 octets, got 7"):
+            usm.decrypt_scoped_pdu(b"\x00" * 8, self.KEY, b"\x00" * 7)
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(min_size=1, max_size=200), st.integers(0, 2 ** 31),
@@ -321,3 +329,38 @@ class TestSecuredLength:
                                                       bindings=bindings)))
         framed = usm.frame(copy.deepcopy(msg))
         assert len(framed) == len(usm.secure(msg, keys))
+
+
+class TestUnprotect:
+    AUTH = ("sha1", "authpass123")
+
+    def _secured(self, flags):
+        """(msg, wire) of a Response secured as flags ask, and the keys
+        of its authPriv sender."""
+        keys = usm.EngineState()
+        keys.adopt(ENGINE_ID, 1, 100, usm.Credential.create(
+            "user", self.AUTH, ("des", "privpass123")))
+        msg = V3Message(7, flags, UsmParams(ENGINE_ID, 1, 100, b"user"),
+                        ScopedPdu(ENGINE_ID, b"", Pdu(RESPONSE, 5)))
+        return usm.secure(msg, keys), keys
+
+    def test_privacy_without_a_privacy_key(self):
+        """Refused before the MAC is looked at: the auth key alone, which
+        would verify it, holds no key to decrypt with."""
+        wire, _ = self._secured(FLAG_AUTH | FLAG_PRIV)
+        auth_only = usm.EngineState()
+        auth_only.adopt(ENGINE_ID, 1, 100,
+                        usm.Credential.create("user", self.AUTH))
+        msg = messages.decode_message(wire)
+        with pytest.raises(SnmpError, match="no privacy key"):
+            usm.unprotect(msg, wire, auth_only)
+
+    @pytest.mark.parametrize("length", [0, 11, 13])
+    def test_mac_of_the_wrong_length(self, length):
+        wire, keys = self._secured(FLAG_AUTH)
+        msg = messages.decode_message(wire)
+        msg.usm.auth_params = b"\x00" * length
+        wire = messages.encode_message(msg)
+        msg = messages.decode_message(wire)
+        with pytest.raises(AuthenticationError, match="wrong length"):
+            usm.unprotect(msg, wire, keys)

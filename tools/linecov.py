@@ -7,7 +7,8 @@ through sys.settrace for this thread and threading.settrace for
 threads started later, such as the agent's service thread.  Only frames
 of files under src/snmpkit are traced line by line.
 
-A statement is one ast.stmt of those files, docstrings left out.  It ran
+A statement is one ast.stmt of those files, docstrings and the global
+and nonlocal declarations, which emit no line event, left out.  It ran
 when a line event came from one of its own lines: a simple statement's
 lines, a compound statement's header up to its body, or a decorated
 definition's decorators.  The terminal summary prints, per file, how many
@@ -57,7 +58,8 @@ def _is_docstring(node):
 
 def statements(source):
     """{first line: own lines} of each statement in source, docstrings of
-    modules, classes and functions left out."""
+    modules, classes and functions, and global and nonlocal declarations,
+    left out."""
     tree = ast.parse(source)
     docstrings = set()
     for node in ast.walk(tree):
@@ -68,7 +70,8 @@ def statements(source):
             docstrings.add(body[0])
     found = {}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or node in docstrings:
+        if not isinstance(node, ast.stmt) or node in docstrings or \
+                isinstance(node, (ast.Global, ast.Nonlocal)):
             continue
         body = getattr(node, "body", None)
         last = body[0].lineno - 1 if isinstance(body, list) and body \
