@@ -6,9 +6,9 @@ reply that does not encode or fit is replaced in one place, _fitted.
 enable_service serves v1/v2c over UDP.
 
 GETBULK encodes each answer as it reads it and stops reading at the
-repetition that passes the reply's limit, so its work is bounded by what
-one reply can hold; _fitted then steps down from the last repetition
-read to the whole repetitions that fit.
+repetition that passes the room the reply's frame, counted from its
+fields, leaves at its limit, so its work is bounded by what one reply can
+hold; _fitted then frames the whole repetitions before it, which fit.
 Instances that read None are no answer, and are stepped over with no
 bound, by GETNEXT and GETBULK alike.
 
@@ -447,6 +447,31 @@ class LocalEngine:
         return usm.frame(V3Message(msg.msg_id, flags, params, ScopedPdu(
             self.engine_id, context_name, pdu)))
 
+    def around(self, msg, flags, context_name):
+        """The octets that frame writes around the PDU of a reply to msg
+        in context_name, secured as flags ask, and whether its scoped PDU
+        is padded, as handle_datagram's _answers_room takes them: the
+        message's header fields; with privacy, msgData's, none but the
+        padded scoped PDU; then the scoped PDU's context fields."""
+        integer = ber.encode_integer
+        # msgVersion, msgGlobalData and msgSecurityParameters, whose MAC
+        # and 8-octet privacy parameters are there as flags ask
+        head = 3 + _tlv_length(
+            len(integer(msg.msg_id) + integer(messages.DEFAULT_MAX_MSG_SIZE))
+            + 3 + len(integer(messages.SECURITY_MODEL_USM))) + \
+            _tlv_length(_tlv_length(
+                _tlv_length(len(self.engine_id))
+                + len(integer(self.engine.engine_boots)
+                      + integer(self.engine.engine_time))
+                + _tlv_length(len(msg.usm.user_name))
+                + _tlv_length(usm.MAC_LENGTH if flags & FLAG_AUTH else 0)
+                + _tlv_length(8 if flags & FLAG_PRIV else 0)))
+        context = _tlv_length(len(self.engine_id)) + \
+            _tlv_length(len(context_name))
+        if flags & FLAG_PRIV:
+            return [head, 0, context], True
+        return [head, context], False
+
     def seal(self, msg, flags, context_name, pdu):
         """The octets of a reply to msg carrying pdu, secured as flags ask."""
         return self.frame(msg, flags, context_name, pdu).seal(self.engine)
@@ -458,19 +483,21 @@ def handle_datagram(tree, ctx, data, engine=None):
     Returns the reply bytes, or None when the datagram is dropped: it does
     not decode or decrypt, its community is wrong, its PDU is not a
     request, or it is v3 and engine, the LocalEngine that answers v3, is
-    None.  Request names are read through ctx.registry, which keeps
-    them, or are ber.Oids when it is None.  The limit is MAX_UDP_PAYLOAD,
-    or a v3 request's smaller msgMaxSize; dispatch reads no more GETBULK
-    answers than it leaves once a frame as long as the request's, less its
-    bindings, is taken off.  The response is framed once and sent as it is when
-    it encodes and is no longer than the limit; _fitted replaces any
-    other: it cuts a GETBULK answer, and makes any other genErr or
-    tooBig.  A v3 reply is framed by engine.frame, as Reports are, and
-    measured before it is secured once.
+    None.  Request names are decoded as content octets, and read through
+    ctx.registry, which keeps them, or as ber.Oids when it is None, only
+    once the community or engine.open has passed the request, so a sender
+    that fails those checks leaves no name in ctx.registry.  The limit is
+    MAX_UDP_PAYLOAD, or a v3 request's smaller msgMaxSize; dispatch reads
+    no more GETBULK answers than the reply's frame leaves room for at that
+    limit.  The response is framed once and sent as it is when it encodes
+    and is no longer than the limit; _fitted replaces any other: it cuts a
+    GETBULK answer, and makes any other genErr or tooBig.  A v3 reply is
+    framed by engine.frame, as Reports are, and measured before it is
+    secured once.
     """
     ctx.in_pkts += 1
     try:
-        msg = messages.decode_message(data, ctx.registry)
+        msg = messages.decode_message(data, messages.OCTET_NAMES)
         if isinstance(msg, messages.CommunityMessage):
             if msg.community != messages.community_octets(ctx.community):
                 return None
@@ -480,29 +507,41 @@ def handle_datagram(tree, ctx, data, engine=None):
             def frame(response):
                 return messages.encode_message(messages.CommunityMessage(
                     msg.version, msg.community, response))
+
+            def around():  # the version's INTEGER and the community's TLV
+                return [3 + _tlv_length(len(msg.community))], False
         elif engine is None:
             return None
         else:
-            scoped = engine.open(msg, data, ctx.registry)
+            scoped = engine.open(msg, data, messages.OCTET_NAMES)
             if not isinstance(scoped, ScopedPdu):  # a Report, or None
                 return scoped
             pdu, version = scoped.pdu, V3
             limit = min(msg.msg_max_size, MAX_UDP_PAYLOAD)
+            flags = engine.credential.security_flags
 
             def frame(response):
-                return engine.frame(msg, engine.credential.security_flags,
-                                    scoped.context_name, response)
+                return engine.frame(msg, flags, scoped.context_name, response)
 
             def seal(framed):
                 return framed.seal(engine.engine)
+
+            def around():
+                return engine.around(msg, flags, scoped.context_name)
+        if not isinstance(pdu, Pdu) or pdu.pdu_type not in _DISPATCH:
+            return None  # a trap, an inform, a response or a report
+        read = ber.read_oid if ctx.registry is None else ctx.registry.read
+        near = None
+        for vb in pdu.bindings:
+            vb.name = near = read(vb.name, near)
     except SnmpKitError:
         return None
-    if not isinstance(pdu, Pdu) or pdu.pdu_type not in _DISPATCH:
-        return None  # a trap, an inform, a response or a report
     room = limit
-    if pdu.pdu_type == GET_BULK_REQUEST:  # the reply's frame, as long as
-        room -= len(data) - sum(  # the request's, leaves room to the answers
-            len(ber.encode_binding(vb.name, vb.value)) for vb in pdu.bindings)
+    if pdu.pdu_type == GET_BULK_REQUEST:
+        outer, pad = around()
+        # the Response's request-id, and its error-status and -index, 0
+        outer.append(len(ber.encode_integer(pdu.request_id)) + 6)
+        room = _answers_room(limit, outer, pad)
     response = dispatch(tree, pdu, ctx, version, room)
     try:
         framed = frame(response)
@@ -513,6 +552,35 @@ def handle_datagram(tree, ctx, data, engine=None):
     return seal(framed)
 
 
+def _tlv_length(n):
+    """The octets of a TLV with a one-octet identifier and n content
+    octets."""
+    return n + 2 if n < 0x80 else n + 2 + (n.bit_length() + 7) // 8
+
+
+def _content_room(n):
+    """The most content octets of a TLV with a one-octet identifier that
+    is at most n octets long."""
+    c = n - 2
+    while c >= 0x80 and _tlv_length(c) > n:
+        c -= 1
+    return c
+
+
+def _answers_room(limit, outer, pad):
+    """The most octets of binding TLVs in a reply of at most limit octets.
+    Its variable-bindings list lies in nested TLVs, the reply's outermost,
+    whose contents hold outer[i] octets besides the TLV inside, outermost
+    first; with pad, the second of them, a v3 msgData, holds the third
+    padded to whole blocks of 8 octets, as DES pads it."""
+    for i, extra in enumerate(outer):
+        limit = _content_room(limit)
+        if pad and i == 1:
+            limit -= limit % 8
+        limit -= extra
+    return _content_room(limit)
+
+
 def _fitted(pdu, response, limit, frame, framed):
     """The frame of the reply to pdu that replaces response, which does
     not encode, or whose frame, framed, is longer than limit octets
@@ -520,12 +588,13 @@ def _fitted(pdu, response, limit, frame, framed):
 
     A GETBULK answer, ber.EncodedBindings, keeps the most whole
     repetitions that fit: the cut frames one repetition fewer than the
-    answer holds, then one fewer per try, until the frame fits.  A frame only
-    grows as repetitions are added, and dispatch reads only a few past
-    the limit, so this takes a few frames.  Any other response that does
-    not encode becomes genErr, indexing the request binding of its first
-    answer with no BER form.  A reply that still does not fit, genErr
-    and one that keeps no repetition included, becomes tooBig."""
+    answer holds, then one fewer per try, until the frame fits.  A frame
+    only grows as repetitions are added, and for handle_datagram dispatch
+    reads only the one repetition that passes the limit, so its first try
+    fits.  Any other response that does not encode becomes genErr,
+    indexing the request binding of its first answer with no BER form.  A
+    reply that still does not fit, genErr and one that keeps no
+    repetition included, becomes tooBig."""
     tlvs = response.bindings
     if isinstance(tlvs, ber.EncodedBindings):
         head = min(max(0, pdu.non_repeaters), len(pdu.bindings))

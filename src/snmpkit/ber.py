@@ -241,8 +241,9 @@ class Encoded(bytes):
 
 
 class EncodedBindings(list):
-    """Variable bindings encoded already, one binding's TLV per item, which
-    encode_bindings joins as they are."""
+    """Variable bindings encoded already, which encode_bindings joins as
+    they are: one binding's TLV per item, or, in a request, any run of
+    them per item."""
 
 
 @dataclass(frozen=True)

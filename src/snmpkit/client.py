@@ -3,7 +3,10 @@
 Sessions wrap an endpoint plus per-peer protocol state (community or v3
 credential and discovered engine).  Every request, and a v3 engine
 discovery probe, goes out through one _exchange, framed for the session's
-version; a v3 Report is met from one table.  On top of send_pdu sit
+version; a v3 Report is met from one table.  The reply to a GET or SET
+is decoded with its names left as content octets, which _answer compares
+with the request's, so they never enter the session's registry; the
+replies to other requests are read through it.  On top of send_pdu sit
 get/get-next/set/bulk/inform, the compound walk, and the table-oriented
 select; trap_v1 sends without waiting for a reply.
 """
@@ -33,6 +36,8 @@ WALK_BULK_REPETITIONS = 25
 
 # the MAX-ACCESS of columns that a GET cannot read (RFC 2578 section 7.3)
 UNREADABLE = frozenset(("not-accessible", "accessible-for-notify"))
+
+_NULL = ber.encode(ber.NULL)  # a NULL's TLV, 05 00
 
 
 class Session:
@@ -129,9 +134,10 @@ def request(session, pdu_kind, bindings_spec):
 
     A non-zero error-status in the response raises SnmpStatusError, and a
     GET or SET response that does not echo the request's names SnmpError;
-    the pairs of a GET or SET hold the request's refs, and those of any
-    other request the refs the session's registry read the reply's names
-    into, shared with every other caller.
+    the pairs of a GET or SET hold the request's refs, its reply's names
+    compared as octets, and those of any other request the refs the
+    session's registry read the reply's names into, shared with every
+    other caller.
     """
     pdu = messages.make_request_pdu(pdu_kind, bindings_spec, session.registry,
                                     session.next_request_id())
@@ -148,20 +154,21 @@ def _answer(session, pdu, asked=None, name=None):
     SnmpStatusError.
 
     When asked, the content octets of a GET or SET request's names, is
-    given, the response must carry those names, in order, or SnmpError is
-    raised naming name(i), the request's i-th name, made only then."""
+    given, the response's names, content octets as send_pdu leaves them,
+    must be those, in order, or SnmpError is raised naming name(i), the
+    request's i-th name, and the name found, each made a ref only then."""
     response = send_pdu(session, pdu)
     status = response.error_status
     if status:
         label = messages.ERROR_STATUS_NAMES.get(status, str(status))
         raise SnmpStatusError(status, response.error_index, label)
     got = response.bindings
-    if asked is not None and [vb.name.octets for vb in got] != asked:
+    if asked is not None and [vb.name for vb in got] != asked:
         for i, (mine, theirs) in enumerate(zip(asked, got)):
-            if theirs.name.octets != mine:
+            if theirs.name != mine:
                 raise SnmpError(f"response binding {i + 1} names "
-                                f"{theirs.name!r}, not the requested "
-                                f"{name(i)}")
+                                f"{session.registry.read(theirs.name)!r}, "
+                                f"not the requested {name(i)}")
         raise SnmpError(f"response holds {len(got)} bindings for "
                         f"{len(asked)} requested")
     return got
@@ -169,14 +176,16 @@ def _answer(session, pdu, asked=None, name=None):
 
 def send_pdu(session, pdu):
     """Transmit a prebuilt PDU, framed as _FRAMES says for the session's
-    version, and return the matched response PDU.
+    version, and return the matched response PDU, whose names are read as
+    _names says.
     A v3 Report is met as _ON_REPORT says for its first name, then the
     request is sent once more; a second Report raises UsmProtocolError."""
     frame = _FRAMES[session.version]
     reply, response = _exchange(session, *frame(session, pdu))
     if response.pdu_type == REPORT:
-        stats = response.bindings[0].arcs if response.bindings else None
-        _ON_REPORT.get(stats, _resync)(session, reply)
+        first = response.bindings[0].name if response.bindings else None
+        _ON_REPORT.get(getattr(first, "octets", first), _resync)(
+            session, reply)
         pdu.request_id = session.next_request_id()
         _, response = _exchange(session, *frame(session, pdu))
         if response.pdu_type == REPORT:
@@ -204,11 +213,21 @@ def _exchange(session, payload, accept):
     return reply
 
 
+def _names(session, pdu):
+    """What reads the names of a reply to pdu: none for a GET or SET, whose
+    reply's names stay content octets for _answer to compare; else the
+    session's registry."""
+    return messages.OCTET_NAMES if pdu.pdu_type in (GET_REQUEST, SET_REQUEST) \
+        else session.registry
+
+
 def _community_frame(session, pdu):
     """pdu's octets in a community message, and the accept of its reply."""
+    names = _names(session, pdu)
+
     def accept(data):
         try:
-            msg = messages.decode_message(data, session.registry)
+            msg = messages.decode_message(data, names)
         except SnmpKitError:
             return None
         if isinstance(msg, CommunityMessage) and isinstance(msg.pdu, Pdu) \
@@ -244,9 +263,11 @@ def _secured(session, msg, request_id=None):
     undecodable or unauthentic datagrams are ignored, and so is a reply
     other than a Report whose security level differs from msg's (RFC 3412
     section 7.2, step 13), such as a forged one in clear."""
+    names = _names(session, msg.scoped_pdu.pdu)
+
     def accept(data):
         try:
-            reply, scoped = usm.open(data, session.engine, session.registry)
+            reply, scoped = usm.open(data, session.engine, names)
         except AuthenticationError as exc:
             if exc.msg.msg_id == msg.msg_id:
                 raise
@@ -292,10 +313,10 @@ def _resync(session, reply):
 
 _FRAMES = {V1: _community_frame, V2C: _community_frame, V3: _v3_frame}
 
-# Before a v3 Report's request is sent again, by the Report's first name:
-# a changed engine is adopted from the Report, which names it as a
-# discovery Report does (RFC 3414 section 4).
-_ON_REPORT = {messages.USM_STATS_UNKNOWN_ENGINE_IDS: _adopt}
+# Before a v3 Report's request is sent again, by the content octets of the
+# Report's first name: a changed engine is adopted from the Report, which
+# names it as a discovery Report does (RFC 3414 section 4).
+_ON_REPORT = {ber.Oid(messages.USM_STATS_UNKNOWN_ENGINE_IDS).octets: _adopt}
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +487,11 @@ def select(table_name, from_, **session_kwargs):
     a single multi-binding get of its readable columns, so a table of R
     rows costs at most R + 2 exchanges regardless of column count.  An
     index column that is not-accessible is in row.index, not in
-    row.cells.  Each column's name is encoded once, and each row's GET is
-    written from the columns' octets and the row index's: one binding
-    TLV per column, with no ref made for a cell.  A row's reply must
-    carry those names, in order, or SnmpError is raised.
+    row.cells.  Each row's GET is written from one template per length
+    of the index's octets: the octets between the index's in its
+    bindings, joined by them, with no ref made for a cell.  A row's reply
+    must carry those names, in order, or SnmpError is raised; they are
+    compared as octets.
     """
     with _session_for(from_, **session_kwargs) as session:
         _, entry, schema = table_schema(session.registry, table_name)
@@ -481,16 +503,29 @@ def select(table_name, from_, **session_kwargs):
         skip = len(columns[0].arcs)
         indices = [name.arcs[skip:] for name, _ in _walk(session, columns[0])]
         heads = [col.octets for col in columns]
-        rows = []
+        templates, rows = {}, []
         for index in indices:
             tail = ber.subid_octets(index)
-            asked = [head + tail for head in heads]
+            parts = templates.get(len(tail))
+            if parts is None:
+                parts = templates[len(tail)] = _row_template(heads, tail)
             pdu = Pdu(GET_REQUEST, session.next_request_id(),
-                      bindings=ber.EncodedBindings(
-                          ber.encode_binding(name, ber.NULL)
-                          for name in asked))
-            got = _answer(session, pdu, asked,
+                      bindings=ber.EncodedBindings([tail.join(parts)]))
+            got = _answer(session, pdu, [head + tail for head in heads],
                           lambda i: columns[i].child(*index))
             rows.append(TableRow(schema, index, [
                 (col, vb.value) for col, vb in zip(columns, got)]))
         return rows
+
+
+def _row_template(heads, tail):
+    """The octets between the index's in the bindings of a row GET of the
+    columns whose content octets are heads, for any index whose octets are
+    as long as tail's: for each column, the previous binding's NULL, then
+    the binding's SEQUENCE and OID headers and the column's octets; last,
+    the NULL.  Each is cut from the whole binding, so a long-form length
+    comes out as encode_binding writes it."""
+    cut = len(tail) + len(_NULL)
+    parts = [ber.encode_binding(head + tail, ber.NULL)[:-cut]
+             for head in heads]
+    return [parts[0], *(_NULL + part for part in parts[1:]), _NULL]

@@ -18,7 +18,8 @@ reader, otherwise; a value's decoder comes from ber.DEFAULT_REGISTRY's
 table by its identifier octet.  Given the oids.Registry its caller
 holds, decoding reads each binding name through Registry.read, from
 the name before it, so a name becomes the registry's kept OidRef;
-without one, a ber.Oid.  A PDU whose type the message's version does
+without one, a ber.Oid; given OCTET_NAMES, a name stays its content
+octets and nothing reads it.  A PDU whose type the message's version does
 not define, such as a GetBulk in a v1 message or a Trap-v1 in a v2c or
 v3 one, does not decode.  Any msgSecurityModel decodes; usm.open and
 agent.LocalEngine.open refuse one that is not SECURITY_MODEL_USM.  Both
@@ -29,6 +30,7 @@ octets, so usm never walks the headers again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from . import ber
 from .errors import DecodingError, EncodingError, SnmpError
@@ -69,6 +71,10 @@ ERROR_STATUS_NAMES = {
     18: "inconsistentName",
 }
 
+# Given as a decoder's registry, reads no binding name: each stays its
+# content octets, a bytes object, and only the binding's TLV is checked.
+OCTET_NAMES = SimpleNamespace(read=None)
+
 MAX_UDP_PAYLOAD = 65507
 DEFAULT_MAX_MSG_SIZE = MAX_UDP_PAYLOAD
 
@@ -96,7 +102,7 @@ defaults = SnmpDefaults()
 
 @dataclass(slots=True)
 class VarBind:
-    name: object  # OidRef or ber.Oid
+    name: object  # OidRef, ber.Oid, or content octets (OCTET_NAMES)
     value: object = ber.NULL
 
     @property
@@ -288,7 +294,8 @@ def _read_pdu(data, pos, end, depth, registry, version=V3):
     """The PDU TLV at data[pos:end] of a message of version, at nesting
     depth depth, and where it ends.  A PDU type the version does not
     define is a DecodingError.  Binding names are read by registry, an
-    oids.Registry, or are ber.Oids when it is None.  Binding values lie
+    oids.Registry, are ber.Oids when it is None, and stay content octets
+    when it is OCTET_NAMES.  Binding values lie
     three levels deeper; a v1 PDU other than a trap holds no exception
     values."""
     ident = data[pos] if pos < end else 0
@@ -312,7 +319,7 @@ def _read_pdu(data, pos, end, depth, registry, version=V3):
     bindings = []
     append = bindings.append
     read = ber.read_oid if registry is None else registry.read
-    by_octet, name = ber.DEFAULT_REGISTRY._by_octet, None
+    by_octet, near = ber.DEFAULT_REGISTRY._by_octet, None
     depth += 3
     # Each binding is SEQUENCE { OID, value }.  A short-form header is
     # read here; ber.header, or value_at for the value, reads any other
@@ -331,7 +338,9 @@ def _read_pdu(data, pos, end, depth, registry, version=V3):
         else:
             start, value_pos = ber.header(data, start, at, 0x06,
                                           "variable binding name")
-        name = read(data[start:value_pos], name)
+        name = data[start:value_pos]
+        if read is not None:
+            name = near = read(name, near)
         if value_pos + 1 < at and (n := data[value_pos + 1]) < 0x80 and \
                 value_pos + 2 + n == at and \
                 (decoder := by_octet[data[value_pos]]) is not None:
@@ -376,7 +385,8 @@ def decode_scoped_pdu(data, registry=None):
 def decode_message(data, registry=None):
     """Parse one complete SNMP message; inverse of encode_message.  Each
     binding name is read through registry, an oids.Registry, when it is
-    given, as its kept OidRef; else it is a ber.Oid.  A v3 message's
+    given, as its kept OidRef; it stays its content octets when registry
+    is OCTET_NAMES; else it is a ber.Oid.  A v3 message's
     mac_offset is where its MAC lies in data.  Octets after the message's
     SEQUENCE are ignored."""
     data = bytes(data)

@@ -23,6 +23,8 @@ from snmpkit.messages import (
 
 ALICE = usm.Credential.create("alice", ("sha1", "authpass123"),
                               ("des", "privpass123"))
+BOB = usm.Credential.create("bob", ("md5", "bobsecret99"))
+CAROL = usm.Credential.create("carol")
 
 
 def _ctx(registry):
@@ -776,6 +778,40 @@ class TestHostileInput:
                 messages.ScopedPdu(engine_id, b"", trap)))
             assert responder(wire) is None
         assert (responder.report_count, responder.auth_count) == (0, 0)
+
+    def test_senders_failing_the_checks_leave_the_memo_as_it_was(
+            self, registry, loopback_agent):
+        """10,000 v2c GETs with a wrong community, and as many authNoPriv
+        GETs with a wrong MAC, each naming a name never seen, leave the
+        registry's memo as it was, its warm name kept: request names are
+        read only once a request has passed those checks."""
+        tree, ctx = loopback_agent
+        responder = harness.ScriptedV3Responder(tree, ctx, BOB)
+        warm = registry.resolve("sysName.0")
+        warm_get = Pdu(GET_REQUEST, 1, bindings=[VarBind(warm)])
+        for wire in (_community_frame(warm_get),
+                     v3_request(responder, warm_get)[0]):
+            assert agent.handle_datagram(tree, ctx, wire, responder)
+        memo = registry._refs
+        before = dict(memo)
+        assert memo[warm.octets] == warm
+
+        def get(i):
+            name = ber.Oid((1, 3, 6, 1, 4, 1, 31609, 7, i))
+            return Pdu(GET_REQUEST, 1, bindings=[VarBind(name)])
+
+        for i in range(10000):
+            wire = messages.encode_message(
+                CommunityMessage(V2C, b"privat", get(i)))
+            assert agent.handle_datagram(tree, ctx, wire) is None
+        for i in range(10000, 20000):
+            wire = bytearray(v3_request(responder, get(i))[0])
+            at = messages.decode_message(wire).mac_offset
+            wire[at] ^= 1
+            agent.handle_datagram(tree, ctx, bytes(wire), responder)
+        assert responder.report_count == 10000 and responder.auth_count == 1
+        assert len(memo) == len(before)
+        assert all(memo[octets] is ref for octets, ref in before.items())
 
     def _tree(self, registry, bad):
         """sysDescr.0 and two 3-row columns; the value at bad, a (column,
@@ -1536,3 +1572,41 @@ class TestCutFrames:
         read, kept = reads["read"], len(reply.bindings)
         assert reply.error_status == 0 and 0 < kept < read
         assert frames["frame"] == 1 + read - kept
+
+    @pytest.mark.parametrize("credential, context_engine_id, max_size", [
+        (None, None, None),
+        *[(cred, context, max_size)
+          for cred, context in ((ALICE, None), (ALICE, b""),
+                                (BOB, None), (CAROL, None))
+          for max_size in (484, 489, 1500, 1503, messages.MAX_UDP_PAYLOAD)],
+    ], ids=lambda arg: {ALICE: "authPriv", BOB: "authNoPriv",
+                        CAROL: "noAuthNoPriv"}.get(arg, repr(arg)))
+    def test_only_the_repetition_past_the_limit_is_read(
+            self, registry, credential, context_engine_id, max_size):
+        """Every cut reply reads one repetition more than it keeps: the
+        room left to the answers counts the reply's own length octets, its
+        context fields and, with privacy, DES padding.  msgMaxSize 489 and
+        1,503 put the padding's cut in other places than 484 and 1,500."""
+        for size in (0, 1, 2, 3, 5, 8, 13, 40, 127, 200):
+            value = ber.OctetString(b"v" * size)
+            reads = Counter()
+
+            def column(ctx, ids):
+                reads["read"] += bool(ids)
+                return value if ids else 100000
+
+            tree = agent.DispatchTree()
+            tree.register(registry.resolve("ifDescr"), column)
+            pdu = Pdu(GET_BULK_REQUEST, 2 ** 31 - 1, 0, 2 ** 31 - 1,
+                      [VarBind(registry.resolve("ifDescr"))])
+            if credential is None:
+                reply = messages.decode_message(agent.handle_datagram(
+                    tree, _ctx(registry), _community_frame(pdu))).pdu
+            else:
+                responder = harness.ScriptedV3Responder(
+                    tree, _ctx(registry), credential)
+                wire, keys = v3_request(responder, pdu, max_size=max_size,
+                                        context_engine_id=context_engine_id)
+                reply = usm.open(responder(wire), keys)[1].pdu
+            assert reply.error_status == 0
+            assert reads["read"] - len(reply.bindings) == 1, size

@@ -907,6 +907,72 @@ class TestV3WirePath:
         assert forged and value != b"forged" and engine.auth_count == 1
         assert channel.client_sent == 3  # discovery, the get, its resend
 
+    def _noisy_session(self, registry, engine, noise):
+        """A session to engine whose every authenticated request has the
+        datagrams noise(request, msg) delivered ahead of its reply."""
+        def each(payload):
+            msg = messages.decode_message(payload)
+            return noise(payload, msg) if msg.flags & FLAG_AUTH else []
+
+        endpoint = _NoisyEndpoint(engine, each)
+        return client.open_session(
+            "loopback", version=V3, registry=registry, **self.CRED,
+            **harness.loopback_session_kwargs(endpoint,
+                                              harness.VirtualClock()))
+
+    def _decoy(self, registry, engine, msg_id, keys):
+        """An authPriv Response from engine, with msg_id and request-id 0,
+        which no session sends, that says sysName.0 is "decoy", secured by
+        keys."""
+        state = engine.engine
+        return usm.secure(V3Message(
+            msg_id, FLAG_AUTH | FLAG_PRIV, messages.UsmParams(
+                engine.engine_id, state.engine_boots, state.engine_time,
+                b"alice"),
+            ScopedPdu(engine.engine_id, b"", Pdu(
+                RESPONSE, 0, bindings=[VarBind(
+                    registry.resolve("sysName.0"),
+                    ber.OctetString(b"decoy"))]))), keys)
+
+    def test_an_unauthentic_datagram_for_another_msg_id_is_skipped(
+            self, registry, loopback_agent):
+        engine = self._engine(loopback_agent)
+        forger = usm.EngineState()
+        forger.adopt(engine.engine_id, 1, 1000, usm.Credential.create(
+            "alice", ("sha1", "not-the-key"), ("des", "privpass123")))
+
+        def noise(payload, msg):  # the request's msgID + 1, a wrong MAC
+            return [self._decoy(registry, engine, msg.msg_id + 1, forger)]
+
+        session = self._noisy_session(registry, engine, noise)
+        value = client.get(session, "sysName.0")
+        assert value != b"decoy" and engine.auth_count == 1
+
+    def test_a_reply_that_echoes_neither_id_is_skipped(
+            self, registry, loopback_agent):
+        engine = self._engine(loopback_agent)
+
+        def noise(payload, msg):  # authentic, but neither id is the request's
+            return [self._decoy(registry, engine, msg.msg_id + 1,
+                                engine.engine)]
+
+        session = self._noisy_session(registry, engine, noise)
+        value = client.get(session, "sysName.0")
+        assert value != b"decoy" and engine.auth_count == 1
+
+    def test_discovery_answered_without_a_report_raises(self, registry):
+        def responder(data):  # a Response that names an engine
+            msg = messages.decode_message(data)
+            return messages.encode_message(V3Message(
+                msg.msg_id, 0, messages.UsmParams(b"\x80engine", 1, 1000),
+                ScopedPdu(b"\x80engine", b"", Pdu(
+                    RESPONSE, msg.scoped_pdu.pdu.request_id))))
+
+        session = self._session(registry, responder)
+        with pytest.raises(UsmProtocolError,
+                           match="^engine discovery did not yield a Report$"):
+            client.get(session, "sysName.0")
+
     def test_engine_time_follows_the_session_clock(self, registry,
                                                    loopback_agent):
         engine = self._engine(loopback_agent)

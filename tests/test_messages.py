@@ -182,6 +182,35 @@ class TestV3Message:
         with pytest.raises(DecodingError):
             messages.decode_message(broken)
 
+    def _flags_at(self, msg):
+        """msg's octets, as a bytearray, and where its msgFlags TLV,
+        04 01 flags, starts: after msgVersion and msgGlobalData's header,
+        msgID and msgMaxSize, each one short-form TLV here."""
+        wire = bytearray(messages.encode_message(msg))
+        at = 7 + wire[8] + 2
+        at += 2 + wire[at + 1]
+        assert wire[at:at + 3] == bytes((4, 1, msg.flags))
+        return wire, at
+
+    @pytest.mark.parametrize("octets", [b"", b"\x04\x00"])
+    def test_msg_flags_of_other_than_one_octet_are_malformed(self, octets):
+        wire, at = self._flags_at(self._sample())
+        wire[at + 1:at + 3] = bytes((len(octets),)) + octets
+        wire[1] += len(octets) - 1  # the message's and msgGlobalData's
+        wire[6] += len(octets) - 1  # lengths, both short-form
+        with pytest.raises(DecodingError, match="^malformed msgFlags$"):
+            messages.decode_message(bytes(wire))
+
+    def test_priv_flag_without_the_auth_flag_is_refused(self):
+        msg = self._sample(flags=FLAG_AUTH | FLAG_PRIV)
+        msg.usm.priv_params = b"\x00" * 8
+        msg.encrypted_pdu = b"\x00" * 16
+        wire, at = self._flags_at(msg)
+        wire[at + 2] = FLAG_PRIV
+        with pytest.raises(DecodingError,
+                           match="^priv flag set without auth flag$"):
+            messages.decode_message(bytes(wire))
+
     def test_empty_priv_params_rejected(self):
         msg = self._sample(flags=FLAG_AUTH | FLAG_PRIV)
         msg.encrypted_pdu = b"\x00" * 16
