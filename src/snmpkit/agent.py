@@ -28,6 +28,7 @@ with a count.
 from __future__ import annotations
 
 import bisect
+import functools
 import platform
 import socket
 import threading
@@ -449,10 +450,10 @@ class LocalEngine:
 
     def around(self, msg, flags, context_name):
         """The octets that frame writes around the PDU of a reply to msg
-        in context_name, secured as flags ask, and whether its scoped PDU
-        is padded, as handle_datagram's _answers_room takes them: the
-        message's header fields; with privacy, msgData's, none but the
-        padded scoped PDU; then the scoped PDU's context fields."""
+        in context_name, secured as flags ask, as handle_datagram's
+        _answers_room takes them: the message's header fields; with
+        privacy, None for msgData, which holds the padded scoped PDU; then
+        the scoped PDU's context fields."""
         integer = ber.encode_integer
         # msgVersion, msgGlobalData and msgSecurityParameters, whose MAC
         # and 8-octet privacy parameters are there as flags ask
@@ -469,8 +470,8 @@ class LocalEngine:
         context = _tlv_length(len(self.engine_id)) + \
             _tlv_length(len(context_name))
         if flags & FLAG_PRIV:
-            return [head, 0, context], True
-        return [head, context], False
+            return head, None, context
+        return head, context
 
     def seal(self, msg, flags, context_name, pdu):
         """The octets of a reply to msg carrying pdu, secured as flags ask."""
@@ -507,9 +508,6 @@ def handle_datagram(tree, ctx, data, engine=None):
             def frame(response):
                 return messages.encode_message(messages.CommunityMessage(
                     msg.version, msg.community, response))
-
-            def around():  # the version's INTEGER and the community's TLV
-                return [3 + _tlv_length(len(msg.community))], False
         elif engine is None:
             return None
         else:
@@ -525,9 +523,6 @@ def handle_datagram(tree, ctx, data, engine=None):
 
             def seal(framed):
                 return framed.seal(engine.engine)
-
-            def around():
-                return engine.around(msg, flags, scoped.context_name)
         if not isinstance(pdu, Pdu) or pdu.pdu_type not in _DISPATCH:
             return None  # a trap, an inform, a response or a report
         read = ber.read_oid if ctx.registry is None else ctx.registry.read
@@ -538,10 +533,13 @@ def handle_datagram(tree, ctx, data, engine=None):
         return None
     room = limit
     if pdu.pdu_type == GET_BULK_REQUEST:
-        outer, pad = around()
+        # the reply's outer octets: a v1/v2c version's INTEGER and the
+        # community's TLV, or those that engine.around counts
+        outer = engine.around(msg, flags, scoped.context_name) \
+            if version == V3 else (3 + _tlv_length(len(msg.community)),)
         # the Response's request-id, and its error-status and -index, 0
-        outer.append(len(ber.encode_integer(pdu.request_id)) + 6)
-        room = _answers_room(limit, outer, pad)
+        room = _answers_room(limit, outer + (
+            len(ber.encode_integer(pdu.request_id)) + 6,))
     response = dispatch(tree, pdu, ctx, version, room)
     try:
         framed = frame(response)
@@ -560,24 +558,28 @@ def _tlv_length(n):
 
 def _content_room(n):
     """The most content octets of a TLV with a one-octet identifier that
-    is at most n octets long."""
+    is at most n octets long: n less the identifier octet and the length
+    octets of n - 3 content octets, or one more when that many content
+    octets take fewer length octets."""
     c = n - 2
-    while c >= 0x80 and _tlv_length(c) > n:
-        c -= 1
+    if c >= 0x80:
+        c -= ((n - 3).bit_length() + 7) // 8
+        if _tlv_length(c + 1) <= n:
+            c += 1
     return c
 
 
-def _answers_room(limit, outer, pad):
+@functools.lru_cache(maxsize=256)
+def _answers_room(limit, outer):
     """The most octets of binding TLVs in a reply of at most limit octets.
     Its variable-bindings list lies in nested TLVs, the reply's outermost,
     whose contents hold outer[i] octets besides the TLV inside, outermost
-    first; with pad, the second of them, a v3 msgData, holds the third
-    padded to whole blocks of 8 octets, as DES pads it."""
-    for i, extra in enumerate(outer):
+    first; a None in outer marks a v3 msgData, whose content is the TLV
+    inside padded to whole blocks of 8 octets, as DES pads it.  A few
+    frame shapes recur, so the 256 latest are kept."""
+    for extra in outer:
         limit = _content_room(limit)
-        if pad and i == 1:
-            limit -= limit % 8
-        limit -= extra
+        limit -= limit % 8 if extra is None else extra
     return _content_room(limit)
 
 

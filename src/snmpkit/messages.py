@@ -319,7 +319,7 @@ def _read_pdu(data, pos, end, depth, registry, version=V3):
     bindings = []
     append = bindings.append
     read = ber.read_oid if registry is None else registry.read
-    by_octet, near = ber.DEFAULT_REGISTRY._by_octet, None
+    by_octet, name = ber.DEFAULT_REGISTRY._by_octet, None
     depth += 3
     # Each binding is SEQUENCE { OID, value }.  A short-form header is
     # read here; ber.header, or value_at for the value, reads any other
@@ -338,9 +338,8 @@ def _read_pdu(data, pos, end, depth, registry, version=V3):
         else:
             start, value_pos = ber.header(data, start, at, 0x06,
                                           "variable binding name")
-        name = data[start:value_pos]
-        if read is not None:
-            name = near = read(name, near)
+        name = data[start:value_pos] if read is None else \
+            read(data[start:value_pos], name)
         if value_pos + 1 < at and (n := data[value_pos + 1]) < 0x80 and \
                 value_pos + 2 + n == at and \
                 (decoder := by_octet[data[value_pos]]) is not None:
