@@ -559,14 +559,10 @@ def _tlv_length(n):
 def _content_room(n):
     """The most content octets of a TLV with a one-octet identifier that
     is at most n octets long: n less the identifier octet and the length
-    octets of n - 3 content octets, or one more when that many content
-    octets take fewer length octets."""
+    octets that n - 3 content octets take.  Exact for any n below 65,539,
+    so for every frame of one datagram."""
     c = n - 2
-    if c >= 0x80:
-        c -= ((n - 3).bit_length() + 7) // 8
-        if _tlv_length(c + 1) <= n:
-            c += 1
-    return c
+    return c if c < 0x80 else c - ((n - 3).bit_length() + 7) // 8
 
 
 @functools.lru_cache(maxsize=256)

@@ -1610,3 +1610,10 @@ class TestCutFrames:
                 reply = usm.open(responder(wire), keys)[1].pdu
             assert reply.error_status == 0
             assert reads["read"] - len(reply.bindings) == 1, size
+
+    def test_content_room_is_the_most_that_fits(self):
+        """For every TLV size up to one datagram, the content room is the
+        most content octets whose TLV takes no more."""
+        for n in range(2, messages.MAX_UDP_PAYLOAD + 1):
+            c = agent._content_room(n)
+            assert agent._tlv_length(c) <= n < agent._tlv_length(c + 1), n
