@@ -6,11 +6,11 @@ reply that does not encode or fit is replaced in one place, _fitted.
 enable_service serves v1/v2c over UDP.
 
 GETBULK encodes each answer as it reads it and stops reading at the
-repetition that passes the room the reply's frame, counted from its
-fields, leaves at its limit, so its work is bounded by what one reply can
-hold; _fitted then frames the whole repetitions before it, which fit.
-Instances that read None are no answer, and are stepped over with no
-bound, by GETNEXT and GETBULK alike.
+repetition that passes the room the reply's frame, its fields counted
+by messages.layers, leaves at its limit, so its work is bounded by what
+one reply can hold; _fitted then frames the whole repetitions before
+it, which fit.  Instances that read None are no answer, and are
+stepped over with no bound, by GETNEXT and GETBULK alike.
 
 Variables are served by handler functions attached at base OIDs.  Called
 with an empty rest-id list a handler enumerates its children (a ChildSpec:
@@ -28,7 +28,6 @@ with a count.
 from __future__ import annotations
 
 import bisect
-import functools
 import platform
 import socket
 import threading
@@ -402,15 +401,15 @@ class LocalEngine:
         self.report_count = 0
         self.auth_count = 0
 
-    def open(self, msg, wire, registry=None):
-        """msg's scoped PDU, its names read through registry, or the octets
-        of the Report that refuses it, after the checks of RFC 3414
-        section 3.2 in its order: engine id (step 3), user (4), security
-        level (5), digest (6), time window (7).  A refused msg whose
-        reportable flag is clear gets None, no Report (RFC 3412 section
-        7.2), and so, before any check, does one whose msgSecurityModel
-        is not USM (step 4 there).  Raises SnmpKitError when the scoped
-        PDU does not decrypt."""
+    def open(self, msg, wire):
+        """msg's scoped PDU, its names left as content octets
+        (messages.OCTET_NAMES), or the octets of the Report that refuses
+        it, after the checks of RFC 3414 section 3.2 in its order: engine
+        id (step 3), user (4), security level (5), digest (6), time window
+        (7).  A refused msg whose reportable flag is clear gets None, no
+        Report (RFC 3412 section 7.2), and so, before any check, does one
+        whose msgSecurityModel is not USM (step 4 there).  Raises
+        SnmpKitError when the scoped PDU does not decrypt."""
         if msg.msg_security_model != messages.SECURITY_MODEL_USM:
             return None
         params, flags = msg.usm, 0
@@ -423,7 +422,8 @@ class LocalEngine:
             stats = messages.USM_STATS_UNSUPPORTED_SEC_LEVELS
         else:
             try:
-                scoped = usm.unprotect(msg, wire, self.engine, registry)
+                scoped = usm.unprotect(msg, wire, self.engine,
+                                       messages.OCTET_NAMES)
             except NotInTimeWindowError:  # an authenticated Report
                 stats = messages.USM_STATS_NOT_IN_TIME_WINDOWS
                 flags = FLAG_AUTH
@@ -443,35 +443,17 @@ class LocalEngine:
     def frame(self, msg, flags, context_name, pdu):
         """The usm.Frame of a reply to msg carrying pdu, to be secured as
         flags ask: measured as it will go out, and not yet secured."""
+        return usm.frame(self._reply(msg, flags, context_name, pdu))
+
+    def layers(self, msg, flags, context_name, pdu):
+        """The usm.layers of the reply that frame would write."""
+        return usm.layers(self._reply(msg, flags, context_name, pdu))
+
+    def _reply(self, msg, flags, context_name, pdu):
         params = UsmParams(self.engine_id, self.engine.engine_boots,
                            self.engine.engine_time, msg.usm.user_name)
-        return usm.frame(V3Message(msg.msg_id, flags, params, ScopedPdu(
-            self.engine_id, context_name, pdu)))
-
-    def around(self, msg, flags, context_name):
-        """The octets that frame writes around the PDU of a reply to msg
-        in context_name, secured as flags ask, as handle_datagram's
-        _answers_room takes them: the message's header fields; with
-        privacy, None for msgData, which holds the padded scoped PDU; then
-        the scoped PDU's context fields."""
-        integer = ber.encode_integer
-        # msgVersion, msgGlobalData and msgSecurityParameters, whose MAC
-        # and 8-octet privacy parameters are there as flags ask
-        head = 3 + _tlv_length(
-            len(integer(msg.msg_id) + integer(messages.DEFAULT_MAX_MSG_SIZE))
-            + 3 + len(integer(messages.SECURITY_MODEL_USM))) + \
-            _tlv_length(_tlv_length(
-                _tlv_length(len(self.engine_id))
-                + len(integer(self.engine.engine_boots)
-                      + integer(self.engine.engine_time))
-                + _tlv_length(len(msg.usm.user_name))
-                + _tlv_length(usm.MAC_LENGTH if flags & FLAG_AUTH else 0)
-                + _tlv_length(8 if flags & FLAG_PRIV else 0)))
-        context = _tlv_length(len(self.engine_id)) + \
-            _tlv_length(len(context_name))
-        if flags & FLAG_PRIV:
-            return head, None, context
-        return head, context
+        return V3Message(msg.msg_id, flags, params, ScopedPdu(
+            self.engine_id, context_name, pdu))
 
     def seal(self, msg, flags, context_name, pdu):
         """The octets of a reply to msg carrying pdu, secured as flags ask."""
@@ -489,12 +471,13 @@ def handle_datagram(tree, ctx, data, engine=None):
     once the community or engine.open has passed the request, so a sender
     that fails those checks leaves no name in ctx.registry.  The limit is
     MAX_UDP_PAYLOAD, or a v3 request's smaller msgMaxSize; dispatch reads
-    no more GETBULK answers than the reply's frame leaves room for at that
-    limit.  The response is framed once and sent as it is when it encodes
-    and is no longer than the limit; _fitted replaces any other: it cuts a
-    GETBULK answer, and makes any other genErr or tooBig.  A v3 reply is
-    framed by engine.frame, as Reports are, and measured before it is
-    secured once.
+    no more GETBULK answers than the reply's frame, its layers counted by
+    messages.layers or engine.layers, leaves room for at that limit.  The
+    response is framed once and sent as it is when it encodes and is no
+    longer than the limit; _fitted replaces any other: it cuts a GETBULK
+    answer, and makes any other genErr or tooBig.  A v3 reply is framed
+    by engine.frame, as Reports are, and measured before it is secured
+    once.
     """
     ctx.in_pkts += 1
     try:
@@ -511,7 +494,7 @@ def handle_datagram(tree, ctx, data, engine=None):
         elif engine is None:
             return None
         else:
-            scoped = engine.open(msg, data, messages.OCTET_NAMES)
+            scoped = engine.open(msg, data)
             if not isinstance(scoped, ScopedPdu):  # a Report, or None
                 return scoped
             pdu, version = scoped.pdu, V3
@@ -533,13 +516,11 @@ def handle_datagram(tree, ctx, data, engine=None):
         return None
     room = limit
     if pdu.pdu_type == GET_BULK_REQUEST:
-        # the reply's outer octets: a v1/v2c version's INTEGER and the
-        # community's TLV, or those that engine.around counts
-        outer = engine.around(msg, flags, scoped.context_name) \
-            if version == V3 else (3 + _tlv_length(len(msg.community)),)
-        # the Response's request-id, and its error-status and -index, 0
-        room = _answers_room(limit, outer + (
-            len(ber.encode_integer(pdu.request_id)) + 6,))
+        empty = messages.response_for(pdu, [])
+        room = _answers_room(limit, engine.layers(
+            msg, flags, scoped.context_name, empty) if version == V3 else
+            messages.layers(messages.CommunityMessage(
+                msg.version, msg.community, empty)))
     response = dispatch(tree, pdu, ctx, version, room)
     try:
         framed = frame(response)
@@ -548,12 +529,6 @@ def handle_datagram(tree, ctx, data, engine=None):
     if framed is None or len(framed) > limit:
         framed = _fitted(pdu, response, limit, frame, framed)
     return seal(framed)
-
-
-def _tlv_length(n):
-    """The octets of a TLV with a one-octet identifier and n content
-    octets."""
-    return n + 2 if n < 0x80 else n + 2 + (n.bit_length() + 7) // 8
 
 
 def _content_room(n):
@@ -565,14 +540,13 @@ def _content_room(n):
     return c if c < 0x80 else c - ((n - 3).bit_length() + 7) // 8
 
 
-@functools.lru_cache(maxsize=256)
 def _answers_room(limit, outer):
     """The most octets of binding TLVs in a reply of at most limit octets.
     Its variable-bindings list lies in nested TLVs, the reply's outermost,
     whose contents hold outer[i] octets besides the TLV inside, outermost
-    first; a None in outer marks a v3 msgData, whose content is the TLV
-    inside padded to whole blocks of 8 octets, as DES pads it.  A few
-    frame shapes recur, so the 256 latest are kept."""
+    first, as messages.layers gives them; a None in outer marks a v3
+    msgData, whose content is the TLV inside padded to whole blocks of 8
+    octets, as DES pads it."""
     for extra in outer:
         limit = _content_room(limit)
         limit -= limit % 8 if extra is None else extra

@@ -19,15 +19,15 @@ import time
 
 from . import ber, messages, transport, usm
 from .errors import (
-    AuthenticationError, SnmpError, SnmpKitError, SnmpStatusError,
-    UsmProtocolError,
+    AuthenticationError, DecodingError, SnmpError, SnmpKitError,
+    SnmpStatusError, UsmProtocolError,
 )
 from .messages import (
     FLAG_AUTH, FLAG_PRIV, FLAG_REPORTABLE,
     GET_BULK_REQUEST, GET_NEXT_REQUEST, GET_REQUEST, INFORM_REQUEST, REPORT,
     RESPONSE, SET_REQUEST,
     CommunityMessage, Pdu, ScopedPdu, TrapV1Pdu, UsmParams, V3Message,
-    V1, V2C, V3, defaults,
+    VarBind, V1, V2C, V3, defaults,
 )
 from .oids import OidRef
 from .smi import table_schema
@@ -156,7 +156,7 @@ def _answer(session, pdu, asked=None, name=None):
     When asked, the content octets of a GET or SET request's names, is
     given, the response's names, content octets as send_pdu leaves them,
     must be those, in order, or SnmpError is raised naming name(i), the
-    request's i-th name, and the name found, each made a ref only then."""
+    request's i-th name, and the name found as _shown makes it."""
     response = send_pdu(session, pdu)
     status = response.error_status
     if status:
@@ -167,11 +167,23 @@ def _answer(session, pdu, asked=None, name=None):
         for i, (mine, theirs) in enumerate(zip(asked, got)):
             if theirs.name != mine:
                 raise SnmpError(f"response binding {i + 1} names "
-                                f"{session.registry.read(theirs.name)!r}, "
+                                f"{_shown(session, theirs.name)!r}, "
                                 f"not the requested {name(i)}")
         raise SnmpError(f"response holds {len(got)} bindings for "
                         f"{len(asked)} requested")
     return got
+
+
+def _shown(session, name):
+    """A reply's name as an error message shows it: when it was left as
+    content octets, the ref of their arcs, made without entering the
+    session's memo, or the octets themselves when they are malformed."""
+    if not isinstance(name, bytes):
+        return name
+    try:
+        return session.registry.resolve(ber.read_oid(name))
+    except DecodingError:
+        return name
 
 
 def send_pdu(session, pdu):
@@ -189,8 +201,9 @@ def send_pdu(session, pdu):
         pdu.request_id = session.next_request_id()
         _, response = _exchange(session, *frame(session, pdu))
         if response.pdu_type == REPORT:
-            raise UsmProtocolError(
-                f"peer keeps reporting: {response.bindings!r}")
+            raise UsmProtocolError("peer keeps reporting: " + repr([
+                VarBind(_shown(session, vb.name), vb.value)
+                for vb in response.bindings]))
     return response
 
 

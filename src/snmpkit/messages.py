@@ -204,9 +204,14 @@ def pdu_to_ber(pdu):
             pdu.enterprise, pdu.agent_addr, pdu.generic_trap,
             pdu.specific_trap, ber.TimeTicks(pdu.timestamp)))
     else:
-        head = _INTEGER(pdu.request_id) + _INTEGER(pdu.error_status) + \
-            _INTEGER(pdu.error_index)
+        head = _pdu_head(pdu)
     return ber.Encoded(tlv(head + ber.encode_bindings(pdu.bindings)))
+
+
+def _pdu_head(pdu):
+    """A Pdu's request-id, error-status and error-index."""
+    return _INTEGER(pdu.request_id) + _INTEGER(pdu.error_status) + \
+        _INTEGER(pdu.error_index)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +228,7 @@ def encode_message(msg):
     """Serialize a CommunityMessage or V3Message to wire bytes; a
     V3Message's mac_offset is set to where its MAC lies in them."""
     if isinstance(msg, CommunityMessage):
-        return _SEQUENCE(_INTEGER(msg.version)
-                         + _OCTETS(community_octets(msg.community))
-                         + pdu_to_ber(msg.pdu))
+        return _SEQUENCE(_community_head(msg) + pdu_to_ber(msg.pdu))
     if not isinstance(msg, V3Message):
         raise SnmpError(f"cannot encode message of type {type(msg).__name__}")
     if msg.flags & FLAG_PRIV:
@@ -236,25 +239,56 @@ def encode_message(msg):
         data = _OCTETS(msg.encrypted_pdu)
     else:
         data = _scoped_tlv(msg.scoped_pdu)
-    usm = msg.usm
-    priv = _OCTETS(usm.priv_params)
-    sec_params = _SEQUENCE(
-        _OCTETS(usm.engine_id) + _INTEGER(usm.engine_boots)
-        + _INTEGER(usm.engine_time) + _OCTETS(usm.user_name)
-        + _OCTETS(usm.auth_params) + priv)
-    # msgFlags is an OCTET STRING of one octet: 04 01 flags
-    wire = _SEQUENCE(_INTEGER(msg.msg_version) + _SEQUENCE(
-        _INTEGER(msg.msg_id) + _INTEGER(msg.msg_max_size)
-        + bytes((4, 1, msg.flags)) + _INTEGER(msg.msg_security_model))
-        + _OCTETS(sec_params) + data)
+    wire = _SEQUENCE(_v3_head(msg) + data)
     # the MAC's content is followed by the privacy parameters and msgData
-    msg.mac_offset = len(wire) - len(data) - len(priv) - len(usm.auth_params)
+    usm = msg.usm
+    msg.mac_offset = len(wire) - len(data) - len(_OCTETS(usm.priv_params)) \
+        - len(usm.auth_params)
     return wire
 
 
+def _community_head(msg):
+    """A CommunityMessage's version and community."""
+    return _INTEGER(msg.version) + _OCTETS(community_octets(msg.community))
+
+
+def _v3_head(msg):
+    """A V3Message's msgVersion, msgGlobalData and msgSecurityParameters."""
+    usm = msg.usm
+    sec_params = _SEQUENCE(
+        _OCTETS(usm.engine_id) + _INTEGER(usm.engine_boots)
+        + _INTEGER(usm.engine_time) + _OCTETS(usm.user_name)
+        + _OCTETS(usm.auth_params) + _OCTETS(usm.priv_params))
+    # msgFlags is an OCTET STRING of one octet: 04 01 flags
+    return _INTEGER(msg.msg_version) + _SEQUENCE(
+        _INTEGER(msg.msg_id) + _INTEGER(msg.msg_max_size)
+        + bytes((4, 1, msg.flags)) + _INTEGER(msg.msg_security_model)) \
+        + _OCTETS(sec_params)
+
+
+def _context(scoped):
+    """A ScopedPdu's contextEngineID and contextName."""
+    return _OCTETS(scoped.context_engine_id) + _OCTETS(scoped.context_name)
+
+
+def layers(msg):
+    """The octets that encode_message(msg) writes in each TLV around the
+    variable-bindings list of msg's PDU besides the TLV inside, outermost
+    first: the message's fields before its PDU or msgData; None for the
+    msgData of a message with the priv flag, whose content is the scoped
+    PDU padded to whole blocks of 8 octets, as usm.frame pads it; a
+    scoped PDU's context fields; the PDU's request-id, error-status and
+    error-index.  None of them depends on the PDU's bindings."""
+    if isinstance(msg, CommunityMessage):
+        return len(_community_head(msg)), len(_pdu_head(msg.pdu))
+    scoped = msg.scoped_pdu
+    data = (None,) if msg.flags & FLAG_PRIV else ()
+    return (len(_v3_head(msg)),) + data + (len(_context(scoped)),
+                                           len(_pdu_head(scoped.pdu)))
+
+
 def _scoped_tlv(scoped):
-    return _SEQUENCE(_OCTETS(scoped.context_engine_id)
-                     + _OCTETS(scoped.context_name) + pdu_to_ber(scoped.pdu))
+    return _SEQUENCE(_context(scoped) + pdu_to_ber(scoped.pdu))
 
 
 def encode_scoped_pdu(scoped):

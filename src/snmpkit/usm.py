@@ -306,14 +306,28 @@ def frame(msg):
     signing, so a message is measured and secured from one encoding.
     msg's protection fields are set to those zeros.
     """
-    params, plaintext = msg.usm, None
-    if msg.flags & FLAG_AUTH:
-        params.auth_params = bytes(MAC_LENGTH)
+    _blank(msg)
+    plaintext = None
     if msg.flags & FLAG_PRIV:
         plaintext = messages.encode_scoped_pdu(msg.scoped_pdu)
         msg.encrypted_pdu = bytes(len(plaintext) + -len(plaintext) % 8)
-        params.priv_params = bytes(8)
     return Frame(msg, bytearray(messages.encode_message(msg)), plaintext)
+
+
+def layers(msg):
+    """messages.layers of msg as frame writes it, its MAC and privacy
+    parameters the zeros that frame sets."""
+    _blank(msg)
+    return messages.layers(msg)
+
+
+def _blank(msg):
+    """Set msg's MAC and privacy parameters to zeros, as its flags ask."""
+    params = msg.usm
+    if msg.flags & FLAG_AUTH:
+        params.auth_params = bytes(MAC_LENGTH)
+    if msg.flags & FLAG_PRIV:
+        params.priv_params = bytes(8)
 
 
 class Frame:

@@ -612,6 +612,28 @@ class TestEchoedNames:
         with pytest.raises(SnmpError, match="holds 1 bindings for 2"):
             client.get(session, ["sysName.0", "sysDescr.0"])
 
+    @pytest.mark.parametrize("last", [0x01, 0x80],
+                             ids=["unasked", "malformed"])
+    def test_a_reply_name_not_asked_for_is_not_kept(
+            self, registry, loopback_agent, last):
+        """A reply with the request's request-id whose first name is
+        sysName.1, or octets that are no OID, raises SnmpError naming it,
+        and its octets do not enter the registry's memo."""
+        asked = registry.resolve("sysName.0").octets
+        found = asked[:-1] + bytes((last,))
+
+        def rename(serve):
+            return lambda data: serve(data).replace(asked, found)
+
+        session = self._session(registry, *loopback_agent, responder=rename)
+        shown = repr(registry.resolve("sysName.1")) if last == 0x01 \
+            else repr(found)
+        with pytest.raises(SnmpError, match="^" + re.escape(
+                f"response binding 1 names {shown}, not the requested "
+                f"1.3.6.1.2.1.1.5.0") + "$"):
+            client.get(session, ["sysName.0", "sysDescr.0"])
+        assert found not in registry._refs
+
     @staticmethod
     def _on_row_replies(change):
         """A responder wrapper that applies change to the bindings of each
@@ -1005,6 +1027,23 @@ class TestV3WirePath:
         # request and for its one resend
         assert (engine.report_count, engine.auth_count) == (3, 0)
         assert channel.client_sent == channel.agent_sent == 3
+
+    def test_a_second_report_is_shown_with_refs(self, registry,
+                                                loopback_agent):
+        tree, ctx = loopback_agent
+        engine = harness.ScriptedV3Responder(
+            tree, ctx, usm.Credential.create("bob", ("md5", "bobsecret99")))
+        endpoint, channel, clock = harness.connect(engine)
+        session = client.open_session(
+            "loopback", version=V3, user="bob", auth=("md5", "bobsecret99"),
+            priv=("des", "bobprivacy99"), registry=registry,
+            **harness.loopback_session_kwargs(endpoint, clock))
+        stats = registry.resolve(messages.USM_STATS_UNSUPPORTED_SEC_LEVELS)
+        with pytest.raises(UsmProtocolError, match="^" + re.escape(
+                "peer keeps reporting: "
+                f"{[VarBind(stats, ber.Counter32(1))]!r}") + "$"):
+            client.get(session, "sysName.0")
+        assert stats.octets not in registry._refs
 
     def test_refused_security_level_leaves_the_engine_clock(
             self, registry, loopback_agent):

@@ -9,7 +9,7 @@ from conftest import (
     TREE_REGISTRY, pdu_from_ber, tree_decode_bindings, tree_decode_message,
     tree_encode_message, walk_mac_offset,
 )
-from snmpkit import ber, messages
+from snmpkit import ber, messages, usm
 from snmpkit.mibs import load_core
 from snmpkit.errors import DecodingError, EncodingError, SnmpError
 from snmpkit.messages import (
@@ -990,3 +990,44 @@ class TestRegistryReadsNames:
         assert _names_and_values(read) == _names_and_values(plain)
         pdu = getattr(read, "pdu", None) or read.scoped_pdu.pdu
         assert all(isinstance(vb.name, OidRef) for vb in pdu.bindings)
+
+
+class TestLayers:
+    """messages.layers, and usm.layers for a message as usm.frame writes
+    it, give the octets that nest a PDU's variable-bindings list: nesting
+    the list's TLV in them, and with the priv flag padding the scoped PDU
+    to whole blocks of 8 octets, gives the encoding's length."""
+
+    @staticmethod
+    def _nested(layers, inner):
+        for extra in reversed(layers):
+            inner += -inner % 8 if extra is None else extra
+            inner += 2 if inner < 0x80 else 2 + (inner.bit_length() + 7) // 8
+        return inner
+
+    @pytest.mark.parametrize("size", [0, 1, 90, 110, 127, 200, 300, 70000])
+    @pytest.mark.parametrize("community", [b"", b"public", b"c" * 200])
+    def test_community_messages(self, size, community):
+        pdu = Pdu(RESPONSE, 2 ** 31 - 1, 0, 0, [VarBind(
+            ber.Oid((1, 3, 6, 1)), ber.OctetString(b"v" * size))])
+        msg = CommunityMessage(V2C, community, pdu)
+        bindings = len(ber.encode_bindings(pdu.bindings))
+        assert self._nested(messages.layers(msg), bindings) == \
+            len(messages.encode_message(msg))
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 90, 110, 127, 200, 70000])
+    @pytest.mark.parametrize("flags", [0, FLAG_AUTH, FLAG_AUTH | FLAG_PRIV])
+    @pytest.mark.parametrize("engine_id, context", [
+        (b"", b""), (b"\x80\x00\x13\x70\x05harness", b"ctx"),
+        (b"e" * 32, b"c" * 150)])
+    def test_v3_messages(self, size, flags, engine_id, context):
+        def message():
+            pdu = Pdu(RESPONSE, 7, 0, 0, [VarBind(
+                ber.Oid((1, 3, 6, 1)), ber.OctetString(b"v" * size))])
+            return V3Message(2 ** 31 - 1, flags, UsmParams(
+                engine_id, 2 ** 31 - 1, 1000, b"alice"),
+                ScopedPdu(engine_id, context, pdu))
+
+        bindings = len(ber.encode_bindings(message().scoped_pdu.pdu.bindings))
+        assert self._nested(usm.layers(message()), bindings) == \
+            len(usm.frame(message()))
