@@ -1,16 +1,17 @@
 """Embeddable SNMP agent: dispatch tree, message path and UDP service.
 
 handle_datagram, the one message path, answers v1/v2c by community and
-v3 through a LocalEngine, which frames its replies and Reports alike; a
-reply that does not encode or fit is replaced in one place, _fitted.
-enable_service serves v1/v2c over UDP.
+v3 through a LocalEngine, which writes its replies and Reports alike.
+Each reply is framed once; one that does not encode or fit is replaced
+in one place, _fitted.  enable_service serves v1/v2c over UDP.
 
-GETBULK encodes each answer as it reads it and stops reading at the
-repetition that passes the room the reply's frame, its fields counted
-by messages.layers, leaves at its limit, so its work is bounded by what
-one reply can hold; _fitted then frames the whole repetitions before
-it, which fit.  Instances that read None are no answer, and are
-stepped over with no bound, by GETNEXT and GETBULK alike.
+GETBULK encodes each answer as it reads it, and stops reading at the
+first repetition whose answers pass the room that the reply's frame
+leaves at its limit, messages.answers_room (usm.answers_room under v3);
+it drops that repetition and keeps the whole ones before it, which fit,
+so its work is bounded by what one reply can hold.  Instances that read
+None are no answer, and are stepped over with no bound, by GETNEXT and
+GETBULK alike.
 
 Variables are served by handler functions attached at base OIDs.  Called
 with an empty rest-id list a handler enumerates its children (a ChildSpec:
@@ -216,7 +217,8 @@ def dispatch(tree, pdu, ctx, version=V2C, limit=MAX_UDP_PAYLOAD):
     exception values.  GETBULK under v1 answers genErr, and so does a PDU
     that is not a request (Response, Report, SNMPv2-Trap, InformRequest),
     which handle_datagram drops before it gets here.  limit is the most
-    octets the reply's answers may take; GETBULK reads no further than it.
+    octets the reply's answers may take; GETBULK cuts its answer to the
+    whole repetitions that fit it, and answers tooBig when none does.
     """
     handler = _DISPATCH.get(pdu.pdu_type)
     if handler is None or version == V1 and pdu.pdu_type == GET_BULK_REQUEST:
@@ -319,15 +321,17 @@ def _dispatch_bulk(tree, pdu, ctx, version, limit):
     of the view answers endOfMibView under the name it answered last, a
     repeater in every later repetition; the reply ends with the repetition
     in which the last repeater reaches the end.  No handler is called
-    after the first repetition whose answers pass limit octets, which the
-    reply cannot hold; handle_datagram keeps the whole repetitions that fit.
-    An answer with no BER form makes the reply genErr, indexing the first
-    request binding one of whose answers read failed."""
+    after the first repetition whose answers pass limit octets: that
+    repetition is dropped, and the reply keeps the whole ones before it,
+    or is tooBig when it keeps none.  An answer with no BER form, the
+    dropped repetition's included, makes the reply genErr, indexing the
+    first request binding one of whose answers read failed."""
     memo = {}
     names = [vb.name for vb in pdu.bindings]
     head = min(max(0, pdu.non_repeaters), len(names))
     steps = [_instances_after(tree, name.arcs, ctx, memo) for name in names]
     out, size, failed = ber.EncodedBindings(), 0, len(names)
+    kept = 0  # the answers up to the end of the last row that fits
     binding, append = ber.encode_binding, out.append
     live = len(names) - head  # repeaters not yet past the end of the view
     for row in chain([range(head)], repeat(range(head, len(names)),
@@ -351,11 +355,18 @@ def _dispatch_bulk(tree, pdu, ctx, version, limit):
             else:
                 append(tlv)
                 size += len(tlv)
-        if size > limit or not live:
+        if size > limit:
+            break
+        kept = len(out)
+        if not live:
             break
     if failed < len(names):
         return messages.response_for(pdu, list(pdu.bindings), GEN_ERR,
                                      failed + 1)
+    if size > limit:
+        if kept <= head:  # no repetition fits
+            return messages.response_for(pdu, [], TOO_BIG)
+        del out[kept:]
     return messages.response_for(pdu, out)
 
 
@@ -445,10 +456,6 @@ class LocalEngine:
         flags ask: measured as it will go out, and not yet secured."""
         return usm.frame(self._reply(msg, flags, context_name, pdu))
 
-    def layers(self, msg, flags, context_name, pdu):
-        """The usm.layers of the reply that frame would write."""
-        return usm.layers(self._reply(msg, flags, context_name, pdu))
-
     def _reply(self, msg, flags, context_name, pdu):
         params = UsmParams(self.engine_id, self.engine.engine_boots,
                            self.engine.engine_time, msg.usm.user_name)
@@ -470,14 +477,13 @@ def handle_datagram(tree, ctx, data, engine=None):
     ctx.registry, which keeps them, or as ber.Oids when it is None, only
     once the community or engine.open has passed the request, so a sender
     that fails those checks leaves no name in ctx.registry.  The limit is
-    MAX_UDP_PAYLOAD, or a v3 request's smaller msgMaxSize; dispatch reads
-    no more GETBULK answers than the reply's frame, its layers counted by
-    messages.layers or engine.layers, leaves room for at that limit.  The
+    MAX_UDP_PAYLOAD, or a v3 request's smaller msgMaxSize; a GETBULK
+    answer is cut in dispatch, to the room that messages.answers_room (or
+    usm.answers_room under v3) gives the reply's frame at that limit.  The
     response is framed once and sent as it is when it encodes and is no
-    longer than the limit; _fitted replaces any other: it cuts a GETBULK
-    answer, and makes any other genErr or tooBig.  A v3 reply is framed
-    by engine.frame, as Reports are, and measured before it is secured
-    once.
+    longer than the limit; _fitted makes any other genErr or tooBig.  A v3
+    reply is engine._reply's message, framed by usm.frame as engine.frame
+    frames Reports, and measured before it is secured once.
     """
     ctx.in_pkts += 1
     try:
@@ -486,11 +492,12 @@ def handle_datagram(tree, ctx, data, engine=None):
             if msg.community != messages.community_octets(ctx.community):
                 return None
             pdu, version, limit = msg.pdu, msg.version, MAX_UDP_PAYLOAD
-            seal = bytes
+            encode, answers_room, seal = \
+                messages.encode_message, messages.answers_room, bytes
 
-            def frame(response):
-                return messages.encode_message(messages.CommunityMessage(
-                    msg.version, msg.community, response))
+            def reply(response):
+                return messages.CommunityMessage(
+                    msg.version, msg.community, response)
         elif engine is None:
             return None
         else:
@@ -500,9 +507,10 @@ def handle_datagram(tree, ctx, data, engine=None):
             pdu, version = scoped.pdu, V3
             limit = min(msg.msg_max_size, MAX_UDP_PAYLOAD)
             flags = engine.credential.security_flags
+            encode, answers_room = usm.frame, usm.answers_room
 
-            def frame(response):
-                return engine.frame(msg, flags, scoped.context_name, response)
+            def reply(response):
+                return engine._reply(msg, flags, scoped.context_name, response)
 
             def seal(framed):
                 return framed.seal(engine.engine)
@@ -514,13 +522,12 @@ def handle_datagram(tree, ctx, data, engine=None):
             vb.name = near = read(vb.name, near)
     except SnmpKitError:
         return None
+
+    def frame(response):
+        return encode(reply(response))
     room = limit
     if pdu.pdu_type == GET_BULK_REQUEST:
-        empty = messages.response_for(pdu, [])
-        room = _answers_room(limit, engine.layers(
-            msg, flags, scoped.context_name, empty) if version == V3 else
-            messages.layers(messages.CommunityMessage(
-                msg.version, msg.community, empty)))
+        room = answers_room(reply(messages.response_for(pdu, [])), limit)
     response = dispatch(tree, pdu, ctx, version, room)
     try:
         framed = frame(response)
@@ -531,55 +538,14 @@ def handle_datagram(tree, ctx, data, engine=None):
     return seal(framed)
 
 
-def _content_room(n):
-    """The most content octets of a TLV with a one-octet identifier that
-    is at most n octets long: n less the identifier octet and the length
-    octets that n - 3 content octets take.  Exact for any n below 65,539,
-    so for every frame of one datagram."""
-    c = n - 2
-    return c if c < 0x80 else c - ((n - 3).bit_length() + 7) // 8
-
-
-def _answers_room(limit, outer):
-    """The most octets of binding TLVs in a reply of at most limit octets.
-    Its variable-bindings list lies in nested TLVs, the reply's outermost,
-    whose contents hold outer[i] octets besides the TLV inside, outermost
-    first, as messages.layers gives them; a None in outer marks a v3
-    msgData, whose content is the TLV inside padded to whole blocks of 8
-    octets, as DES pads it."""
-    for extra in outer:
-        limit = _content_room(limit)
-        limit -= limit % 8 if extra is None else extra
-    return _content_room(limit)
-
-
 def _fitted(pdu, response, limit, frame, framed):
     """The frame of the reply to pdu that replaces response, which does
     not encode, or whose frame, framed, is longer than limit octets
-    (RFC 3416 sections 4.2.1-4.2.3).
-
-    A GETBULK answer, ber.EncodedBindings, keeps the most whole
-    repetitions that fit: the cut frames one repetition fewer than the
-    answer holds, then one fewer per try, until the frame fits.  A frame
-    only grows as repetitions are added, and for handle_datagram dispatch
-    reads only the one repetition that passes the limit, so its first try
-    fits.  Any other response that does not encode becomes genErr,
-    indexing the request binding of its first answer with no BER form.  A
-    reply that still does not fit, genErr and one that keeps no
-    repetition included, becomes tooBig."""
-    tlvs = response.bindings
-    if isinstance(tlvs, ber.EncodedBindings):
-        head = min(max(0, pdu.non_repeaters), len(pdu.bindings))
-        width = len(pdu.bindings) - head
-        r = (len(tlvs) - head) // width - 1 if width else 0
-        while r > 0:
-            framed = frame(messages.response_for(
-                pdu, ber.EncodedBindings(tlvs[:head + r * width])))
-            if len(framed) <= limit:
-                return framed
-            r -= 1
-    elif framed is None:  # an answer has no BER form
-        for k, vb in enumerate(tlvs):
+    (RFC 3416 sections 4.2.1-4.2.3): genErr, indexing the request binding
+    of response's first answer with no BER form, when that fits, and
+    otherwise tooBig."""
+    if framed is None:  # an answer has no BER form
+        for k, vb in enumerate(response.bindings):
             try:
                 ber.encode_binding(vb.name, vb.value)
             except Exception:

@@ -504,12 +504,6 @@ def _constant_decoder(value):
     return decode_constant
 
 
-def _unknown_kind_decoder(kind):
-    def decode_unknown(data, start, end, depth):
-        raise DecodingError(f"no decoder for registered kind {kind!r}")
-    return decode_unknown
-
-
 _PRIMITIVE_DECODERS = {
     "integer": _decode_integer,
     "octet-string": _decode_octet_string,
@@ -539,6 +533,7 @@ def _compile_decoder(kinds):
     reads the TLV at data[pos:end], and the 256-entry list of decoders
     that one-octet identifiers index (None where the tag is unregistered
     or has more octets); the high-tag form looks its triple up in a dict.
+    A kind with no decoder raises ValueError.
     """
     by_triple = {}
 
@@ -563,9 +558,10 @@ def _compile_decoder(kinds):
             by_triple[triple] = sequence
         elif kind == "tagged-sequence":
             by_triple[triple] = tagged_sequence_decoder(Tag(*triple))
+        elif kind in _PRIMITIVE_DECODERS:
+            by_triple[triple] = _PRIMITIVE_DECODERS[kind]
         else:
-            by_triple[triple] = _PRIMITIVE_DECODERS.get(kind) or \
-                _unknown_kind_decoder(kind)
+            raise ValueError(f"no decoder for kind {kind!r}")
     by_octet = [None] * 256
     for (cls, constructed, number), decoder in by_triple.items():
         if number < 0x1F:
@@ -621,15 +617,19 @@ class TypeRegistry:
     """Maps (class, constructed, number) triples to decode kinds; decode
     reads unregistered triples as Raw.  The decoder table is compiled on
     creation and again on each registration: _decode reads any TLV, and
-    _by_octet is its list of decoders by one-octet identifier."""
+    _by_octet is its list of decoders by one-octet identifier.  A kind
+    that has no decoder raises ValueError, on creation or registration."""
 
     def __init__(self, kinds=None):
         self._table = dict(kinds or {})
         self._decode, self._by_octet = _compile_decoder(self._table)
 
     def register(self, cls, constructed, number, kind):
-        self._table[(cls, int(bool(constructed)), number)] = kind
-        self._decode, self._by_octet = _compile_decoder(self._table)
+        """Decode the triple as kind; a refused kind leaves the registry
+        as it was."""
+        table = {**self._table, (cls, int(bool(constructed)), number): kind}
+        self._decode, self._by_octet = _compile_decoder(table)
+        self._table = table
 
     def copy(self):
         return TypeRegistry(self._table)

@@ -271,20 +271,34 @@ def _context(scoped):
     return _OCTETS(scoped.context_engine_id) + _OCTETS(scoped.context_name)
 
 
-def layers(msg):
-    """The octets that encode_message(msg) writes in each TLV around the
-    variable-bindings list of msg's PDU besides the TLV inside, outermost
-    first: the message's fields before its PDU or msgData; None for the
-    msgData of a message with the priv flag, whose content is the scoped
-    PDU padded to whole blocks of 8 octets, as usm.frame pads it; a
-    scoped PDU's context fields; the PDU's request-id, error-status and
+def answers_room(msg, limit):
+    """The most octets of binding TLVs that msg's PDU may hold for
+    encode_message(msg) to take at most limit octets.  The bindings list
+    lies in nested TLVs: the message's, after its fields; with the priv
+    flag a v3 msgData, whose content is the scoped PDU padded to whole
+    blocks of 8 octets, as usm.frame pads it; a scoped PDU's, after its
+    context fields; the PDU's, after its request-id, error-status and
     error-index.  None of them depends on the PDU's bindings."""
     if isinstance(msg, CommunityMessage):
-        return len(_community_head(msg)), len(_pdu_head(msg.pdu))
-    scoped = msg.scoped_pdu
-    data = (None,) if msg.flags & FLAG_PRIV else ()
-    return (len(_v3_head(msg)),) + data + (len(_context(scoped)),
-                                           len(_pdu_head(scoped.pdu)))
+        pdu = msg.pdu
+        room = _content_room(limit) - len(_community_head(msg))
+    else:
+        pdu = msg.scoped_pdu.pdu
+        room = _content_room(limit) - len(_v3_head(msg))
+        if msg.flags & FLAG_PRIV:
+            room = _content_room(room)
+            room -= room % 8
+        room = _content_room(room) - len(_context(msg.scoped_pdu))
+    return _content_room(_content_room(room) - len(_pdu_head(pdu)))
+
+
+def _content_room(n):
+    """The most content octets of a TLV with a one-octet identifier that
+    is at most n octets long: n less the identifier octet and the length
+    octets that n - 3 content octets take.  Exact for any n below 65,539,
+    so for every frame of one datagram."""
+    c = n - 2
+    return c if c < 0x80 else c - ((n - 3).bit_length() + 7) // 8
 
 
 def _scoped_tlv(scoped):

@@ -314,11 +314,11 @@ def frame(msg):
     return Frame(msg, bytearray(messages.encode_message(msg)), plaintext)
 
 
-def layers(msg):
-    """messages.layers of msg as frame writes it, its MAC and privacy
-    parameters the zeros that frame sets."""
+def answers_room(msg, limit):
+    """messages.answers_room of msg as frame writes it, its MAC and
+    privacy parameters the zeros that frame sets."""
     _blank(msg)
-    return messages.layers(msg)
+    return messages.answers_room(msg, limit)
 
 
 def _blank(msg):

@@ -457,6 +457,30 @@ class TestService:
         assert not handle.running
         agent.disable_service(handle)  # idempotent
 
+    def test_default_service_answers_its_system_group(self, registry):
+        """With no ctx and no tree, enable_service serves the system group
+        of a new AgentContext over the default registry."""
+        handle = agent.enable_service(port=0, address="127.0.0.1")
+        try:
+            host, port = handle.bound_address[:2]
+            assert repr(handle) == f"<SnmpService at 127.0.0.1:{port}>"
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.settimeout(2)
+            pdu = messages.make_request_pdu(GET_REQUEST, ["sysName.0"],
+                                            registry, 23)
+            sock.sendto(messages.encode_message(
+                CommunityMessage(V2C, b"public", pdu)), (host, port))
+            data, _ = sock.recvfrom(65507)
+            sock.close()
+            reply = messages.decode_message(data).pdu
+            assert (reply.request_id, reply.error_status) == (23, 0)
+            assert reply.bindings[0].arcs == registry.resolve("sysName.0").arcs
+            assert bytes(reply.bindings[0].value) == \
+                handle.ctx.name.encode()
+        finally:
+            agent.disable_service(handle)
+        assert not handle.running
+
     def test_given_ctx_keeps_address_and_community(self, registry,
                                                    loopback_agent):
         tree, _ = loopback_agent
@@ -1472,59 +1496,8 @@ class TestBulkWorkIsBounded:
             assert max(reads) == len(resp.bindings) + 1
 
 
-class _Measured:
-    """A stand-in frame: the response it frames, and a length."""
-
-    def __init__(self, response, length):
-        self.response, self.length = response, length
-
-    def __len__(self):
-        return self.length
-
-
-class TestCutSearch:
-    """_fitted keeps the most whole repetitions whose frame fits, starting
-    from its estimate, however the frame's overhead moves with the
-    answers' length, as a v3 reply's padding makes it do."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 3), st.integers(1, 4),
-           st.lists(st.integers(7, 90), min_size=1, max_size=120),
-           st.integers(0, 15), st.integers(0, 7), st.integers(40, 3000))
-    @example(0, 1, [30] * 10, 0, 0, 205)  # keeps 6 of 10: frames 9, 8, 7, 6
-    @example(2, 3, [30] * 17, 0, 0, 40)  # no repetition fits: tooBig
-    def test_most_repetitions_that_fit(self, head, width, lengths, base,
-                                       block, limit):
-        def frame(response):
-            # an overhead that grows with length, and padding to a block
-            size = sum(map(len, response.bindings))
-            pad = -(size + base) % (block + 1)
-            return _Measured(response, size + 20 + base + pad +
-                             3 * (size > 127) + 2 * (size > 255))
-
-        tlvs = ber.EncodedBindings(bytes(n) for n in lengths)
-        del tlvs[head + (len(tlvs) - head) // width * width:]
-        pdu = Pdu(GET_BULK_REQUEST, 1, head, 10,
-                  [VarBind(ber.Oid((1, 3)))] * (head + width))
-        response = messages.response_for(pdu, tlvs)
-        framed = frame(response)
-        if len(framed) <= limit or len(tlvs) < head:
-            return
-        reps = (len(tlvs) - head) // width
-        fitting = [r for r in range(1, reps) if len(frame(
-            messages.response_for(pdu, tlvs[:head + r * width]))) <= limit]
-        got = agent._fitted(pdu, response, limit, frame, framed).response
-        if fitting:
-            assert got.error_status == 0
-            assert list(got.bindings) == tlvs[:head + max(fitting) * width]
-        else:
-            assert (got.error_status, got.bindings) == (agent.TOO_BIG, [])
-
-
 class TestCutFrames:
-    """An oversized GETBULK reply that reads R repetitions and keeps K is
-    framed exactly 1 + R - K times: once in full, then once for each
-    repetition the cut drops."""
+    """An oversized GETBULK reply is cut in dispatch, and framed once."""
 
     @pytest.mark.parametrize("size", [0, 40, 200])
     @pytest.mark.parametrize("v3, context_engine_id, max_size", [
@@ -1534,7 +1507,7 @@ class TestCutFrames:
         (True, b"", 484), (True, b"", 1500),
         (True, b"", messages.MAX_UDP_PAYLOAD),
     ])
-    def test_one_frame_per_repetition_dropped(
+    def test_one_frame_per_cut_reply(
             self, registry, monkeypatch, v3, context_engine_id, max_size,
             size):
         reads = Counter()
@@ -1553,13 +1526,19 @@ class TestCutFrames:
             responder = _v3_responder(registry, tree)
             wire, keys = v3_request(responder, pdu, max_size=max_size,
                                     context_engine_id=context_engine_id)
-            frame = responder.frame
+            frame, encode = usm.frame, messages.encode_scoped_pdu
 
-            def counting(*args):
+            def counting(msg):
                 frames["frame"] += 1
-                return frame(*args)
-            monkeypatch.setattr(responder, "frame", counting)
+                return frame(msg)
+
+            def encoding(scoped):
+                frames["scoped"] += 1
+                return encode(scoped)
+            monkeypatch.setattr(usm, "frame", counting)
+            monkeypatch.setattr(messages, "encode_scoped_pdu", encoding)
             reply = usm.open(responder(wire), keys)[1].pdu
+            assert frames["scoped"] == 1
         else:
             wire, encode = _community_frame(pdu), messages.encode_message
 
@@ -1569,9 +1548,43 @@ class TestCutFrames:
             monkeypatch.setattr(messages, "encode_message", counting)
             reply = messages.decode_message(agent.handle_datagram(
                 tree, _ctx(registry), wire)).pdu
-        read, kept = reads["read"], len(reply.bindings)
-        assert reply.error_status == 0 and 0 < kept < read
-        assert frames["frame"] == 1 + read - kept
+        assert reply.error_status == 0 and 0 < len(reply.bindings)
+        assert reads["read"] == len(reply.bindings) + 1
+        assert frames["frame"] == 1
+
+    @pytest.mark.parametrize("v3", [False, True])
+    def test_unencodable_value_in_the_dropped_repetition(self, registry, v3):
+        """The one repetition read past the room is dropped, but an answer
+        in it with no BER form still makes the reply genErr."""
+        bad = None
+
+        def column(ctx, ids):
+            if not ids:
+                return 3000
+            return True if ids[0] == bad else ber.OctetString(b"s" * 100)
+
+        tree = agent.DispatchTree()
+        tree.register(registry.resolve("ifDescr"), column)
+        pdu = Pdu(GET_BULK_REQUEST, 1, 0, 2000,
+                  [VarBind(registry.resolve("ifDescr"))])
+        if v3:
+            responder = _v3_responder(registry, tree)
+            wire, keys = v3_request(responder, pdu, max_size=1500)
+
+            def answer():
+                return usm.open(responder(wire), keys)[1].pdu
+        else:
+            wire = _community_frame(pdu)
+
+            def answer():
+                return messages.decode_message(agent.handle_datagram(
+                    tree, _ctx(registry), wire)).pdu
+        kept = len(answer().bindings)
+        bad = kept + 1
+        reply = answer()
+        assert (reply.error_status, reply.error_index) == (agent.GEN_ERR, 1)
+        bad = kept + 2
+        assert len(answer().bindings) == kept
 
     @pytest.mark.parametrize("credential, context_engine_id, max_size", [
         (None, None, None),
@@ -1618,5 +1631,5 @@ class TestCutFrames:
             return c + 2 if c < 0x80 else c + 2 + (c.bit_length() + 7) // 8
 
         for n in range(2, messages.MAX_UDP_PAYLOAD + 1):
-            c = agent._content_room(n)
+            c = messages._content_room(n)
             assert tlv_length(c) <= n < tlv_length(c + 1), n

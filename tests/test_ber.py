@@ -206,6 +206,21 @@ class TestRaw:
         assert ber.encode(decoded) == data
 
 
+class TestTypeRegistry:
+    def test_kind_with_no_decoder_is_refused(self):
+        with pytest.raises(ValueError, match="'float'"):
+            ber.TypeRegistry({(ber.PRIVATE, 0, 5): "float"})
+        registry = ber.DEFAULT_REGISTRY.copy()
+        with pytest.raises(ValueError, match="'float'"):
+            registry.register(ber.PRIVATE, 0, 5, "float")
+        # the refused kind is not kept: the tag still reads as Raw, and
+        # later registrations compile
+        registry.register(ber.PRIVATE, 0, 6, "integer")
+        data = bytes([0xC5, 0x01, 7, 0xC6, 0x01, 7])
+        assert isinstance(ber.decode(data, 0, registry)[0], ber.Raw)
+        assert ber.decode(data, 3, registry) == (7, 3)
+
+
 class TestErrors:
     def test_truncated_content(self):
         with pytest.raises(TruncatedError) as exc:

@@ -271,6 +271,22 @@ class TestWalk:
         assert len(pairs) == 1
         assert pairs[0][0].arcs[-2:] == (1, 0)
 
+    def test_v1_walk_raises_an_error_status_other_than_no_such_name(
+            self, registry):
+        """Only noSuchName ends a v1 walk; a column whose second instance
+        has no BER form answers genErr, which the walk raises."""
+        tree = agent.DispatchTree()
+        agent.define_table_column(
+            tree, registry, "ifDescr",
+            lambda ctx, ids: 2 if not ids else
+            ber.OctetString(b"eth0") if ids == (1,) else True)
+        fabric = harness.connect(harness.agent_responder(
+            tree, agent.AgentContext(registry=registry)))
+        session = _open(registry, fabric, version=V1)
+        with pytest.raises(SnmpStatusError) as exc:
+            client.walk(session, "ifDescr")
+        assert exc.value.status_name == "genErr"
+
 
 def _plain(value):
     return bytes(value) if isinstance(value, bytes) else value

@@ -992,42 +992,53 @@ class TestRegistryReadsNames:
         assert all(isinstance(vb.name, OidRef) for vb in pdu.bindings)
 
 
-class TestLayers:
-    """messages.layers, and usm.layers for a message as usm.frame writes
-    it, give the octets that nest a PDU's variable-bindings list: nesting
-    the list's TLV in them, and with the priv flag padding the scoped PDU
-    to whole blocks of 8 octets, gives the encoding's length."""
+# limits at which some TLV around the bindings list crosses a length
+# octet (127/128, 255/256) or the DES padding crosses a block of 8, in
+# every shape below, and the usual maximum message sizes, in bands that
+# each run as a case of their own
+_ROOM_LIMITS = [range(0, 80), range(80, 160), range(160, 240),
+                range(240, 320), range(320, 400), range(400, 480),
+                range(480, 640), range(1490, 1510),
+                range(65490, messages.MAX_UDP_PAYLOAD + 1)]
+_room_limits = pytest.mark.parametrize(
+    "limits", _ROOM_LIMITS, ids=[f"{r.start}-{r.stop - 1}"
+                                 for r in _ROOM_LIMITS])
+
+
+class TestAnswersRoom:
+    """messages.answers_room, and usm.answers_room for a message as
+    usm.frame writes it, are exact: a bindings list of room octets frames
+    within the limit, and one of room + 1 octets does not."""
 
     @staticmethod
-    def _nested(layers, inner):
-        for extra in reversed(layers):
-            inner += -inner % 8 if extra is None else extra
-            inner += 2 if inner < 0x80 else 2 + (inner.bit_length() + 7) // 8
-        return inner
+    def _assert_exact(message, answers_room, frame, limits):
+        for limit in limits:
+            room = answers_room(message([]), limit)
+            if room >= 0:
+                assert len(frame(message([bytes(room)]))) <= limit, limit
+            assert len(frame(message([bytes(max(0, room + 1))]))) > limit, \
+                limit
 
-    @pytest.mark.parametrize("size", [0, 1, 90, 110, 127, 200, 300, 70000])
+    @_room_limits
     @pytest.mark.parametrize("community", [b"", b"public", b"c" * 200])
-    def test_community_messages(self, size, community):
-        pdu = Pdu(RESPONSE, 2 ** 31 - 1, 0, 0, [VarBind(
-            ber.Oid((1, 3, 6, 1)), ber.OctetString(b"v" * size))])
-        msg = CommunityMessage(V2C, community, pdu)
-        bindings = len(ber.encode_bindings(pdu.bindings))
-        assert self._nested(messages.layers(msg), bindings) == \
-            len(messages.encode_message(msg))
+    def test_community_messages(self, community, limits):
+        def message(bindings):
+            return CommunityMessage(V2C, community, Pdu(
+                RESPONSE, 2 ** 31 - 1, 0, 0, ber.EncodedBindings(bindings)))
 
-    @pytest.mark.parametrize("size", [0, 1, 3, 90, 110, 127, 200, 70000])
+        self._assert_exact(message, messages.answers_room,
+                           messages.encode_message, limits)
+
+    @_room_limits
     @pytest.mark.parametrize("flags", [0, FLAG_AUTH, FLAG_AUTH | FLAG_PRIV])
     @pytest.mark.parametrize("engine_id, context", [
         (b"", b""), (b"\x80\x00\x13\x70\x05harness", b"ctx"),
         (b"e" * 32, b"c" * 150)])
-    def test_v3_messages(self, size, flags, engine_id, context):
-        def message():
-            pdu = Pdu(RESPONSE, 7, 0, 0, [VarBind(
-                ber.Oid((1, 3, 6, 1)), ber.OctetString(b"v" * size))])
+    def test_v3_messages(self, flags, engine_id, context, limits):
+        def message(bindings):
+            pdu = Pdu(RESPONSE, 7, 0, 0, ber.EncodedBindings(bindings))
             return V3Message(2 ** 31 - 1, flags, UsmParams(
                 engine_id, 2 ** 31 - 1, 1000, b"alice"),
                 ScopedPdu(engine_id, context, pdu))
 
-        bindings = len(ber.encode_bindings(message().scoped_pdu.pdu.bindings))
-        assert self._nested(usm.layers(message()), bindings) == \
-            len(usm.frame(message()))
+        self._assert_exact(message, usm.answers_room, usm.frame, limits)
