@@ -380,12 +380,13 @@ def _dispatch_set(tree, pdu, ctx, version, limit):
                 pdu, list(pdu.bindings),
                 READ_ONLY if version == V1 else NOT_WRITABLE, i + 1)
     out = []
-    for vb, (base, handler, _) in zip(pdu.bindings, found):
+    for i, (vb, (base, handler, _)) in enumerate(zip(pdu.bindings, found)):
         rest = vb.name.arcs[len(base):]
         try:
             value = handler(ctx, rest, vb.value)
-        except Exception:
-            return messages.response_for(pdu, list(pdu.bindings), GEN_ERR, 0)
+        except Exception:  # error-index names the binding that failed
+            return messages.response_for(pdu, list(pdu.bindings), GEN_ERR,
+                                         i + 1)
         out.append(VarBind(vb.name, value))
     return messages.response_for(pdu, out)
 

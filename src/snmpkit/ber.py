@@ -5,22 +5,21 @@ few thin wrapper types for the application-tagged SNMP kinds.
 
 Decoding is a single pass over one buffer.  The input becomes ``bytes``
 once; each constructed value decodes its children through (start, end)
-offsets into that buffer, so no level copies its payload.  A
-TypeRegistry maps (class, constructed, number) tag triples to kind
-names, and compiles them, whenever a registration changes, into a table
-of decoder functions indexed by identifier octet.  DEFAULT_REGISTRY,
-the one value table, holds the universal and application types, the
-three exception markers and the nine PDU tags, each a TaggedSequence of
-its elements.  Triples with no registration decode to Raw, which keeps
-the original bytes so re-encoding is byte-identical.  Input nested
-deeper than MAX_NESTING constructed levels is a DecodingError.
-header reads one TLV header, checking its identifier octet; messages
-reads its frames and PDUs with it, and looks a binding's value decoder
-up in the registry's table by identifier octet.  oid_arcs builds the
-arcs of an OID whose sub-identifiers all take one octet from a table of
-the first two arcs and the other octets as they are; read_oid makes an
-Oid of them.  ber keeps no name between calls: an oids.Registry keeps
-the names it reads.
+offsets into that buffer, so no level copies its payload.  One fixed
+value table, DECODERS, maps (class, constructed, number) tag triples to
+decoder functions: the universal and application types, the three
+exception markers and the nine PDU tags, each a TaggedSequence of its
+elements.  DECODERS_BY_OCTET is the same table indexed by identifier
+octet, and decode_tlv reads any TLV through them.  Triples with no
+decoder decode to Raw, which keeps the original bytes so re-encoding is
+byte-identical.  Input nested deeper than MAX_NESTING constructed levels
+is a DecodingError.  header reads one TLV header, checking its
+identifier octet; messages reads its frames and PDUs with it, a
+binding's value by DECODERS_BY_OCTET, and any other value by
+decode_tlv.  oid_arcs builds the arcs of an OID whose sub-identifiers
+all take one octet from a table of the first two arcs and the other
+octets as they are; read_oid makes an Oid of them.  ber keeps no name
+between calls: an oids.Registry keeps the names it reads.
 
 Encoding looks up the exact type of a value in a table of encoder
 functions, each holding its precomputed tag octets; tlv_encoder builds
@@ -504,101 +503,55 @@ def _constant_decoder(value):
     return decode_constant
 
 
-_PRIMITIVE_DECODERS = {
-    "integer": _decode_integer,
-    "octet-string": _decode_octet_string,
-    "null": _constant_decoder(NULL),
-    "oid": decode_oid,
-    "ip-address": _decode_ip_address,
-    "counter32": _unsigned_decoder(Counter32),
-    "gauge32": _unsigned_decoder(Gauge32),
-    "timeticks": _unsigned_decoder(TimeTicks),
-    "opaque": _decode_opaque,
-    "counter64": _unsigned_decoder(Counter64),
-    "no-such-object": _constant_decoder(NO_SUCH_OBJECT),
-    "no-such-instance": _constant_decoder(NO_SUCH_INSTANCE),
-    "end-of-mib-view": _constant_decoder(END_OF_MIB_VIEW),
-}
-
-
 def _raw(data, pos, start, end):
     tag, _ = decode_tag(data, pos)
     return Raw(tag, data[start:end], data[pos:end])
 
 
-def _compile_decoder(kinds):
-    """The TLV decoder for a registry's {tag triple: kind} table.
+def _decode_sequence(data, pos, end, depth):
+    if depth >= MAX_NESTING:
+        raise DecodingError(f"nested deeper than {MAX_NESTING} levels")
+    depth += 1
+    out = []
+    append = out.append
+    while pos < end:
+        value, pos = decode_tlv(data, pos, end, depth)
+        append(value)
+    return out
 
-    Returns tlv(data, pos, end, depth) -> (value, end of that TLV), which
-    reads the TLV at data[pos:end], and the 256-entry list of decoders
-    that one-octet identifiers index (None where the tag is unregistered
-    or has more octets); the high-tag form looks its triple up in a dict.
-    A kind with no decoder raises ValueError.
-    """
-    by_triple = {}
 
-    def sequence(data, pos, end, depth):
-        if depth >= MAX_NESTING:
-            raise DecodingError(f"nested deeper than {MAX_NESTING} levels")
-        depth += 1
-        out = []
-        append = out.append
-        while pos < end:
-            value, pos = tlv(data, pos, end, depth)
-            append(value)
-        return out
+def _tagged_sequence_decoder(tag):
+    def decode_tagged(data, start, end, depth):
+        return TaggedSequence(tag, _decode_sequence(data, start, end, depth))
+    return decode_tagged
 
-    def tagged_sequence_decoder(tag):
-        def decode_tagged(data, start, end, depth):
-            return TaggedSequence(tag, sequence(data, start, end, depth))
-        return decode_tagged
 
-    for triple, kind in kinds.items():
-        if kind == "sequence":
-            by_triple[triple] = sequence
-        elif kind == "tagged-sequence":
-            by_triple[triple] = tagged_sequence_decoder(Tag(*triple))
-        elif kind in _PRIMITIVE_DECODERS:
-            by_triple[triple] = _PRIMITIVE_DECODERS[kind]
-        else:
-            raise ValueError(f"no decoder for kind {kind!r}")
-    by_octet = [None] * 256
-    for (cls, constructed, number), decoder in by_triple.items():
-        if number < 0x1F:
-            by_octet[cls << 6 | constructed << 5 | number] = decoder
-
-    def long_header(data, pos, end):
-        """(decoder, content start, length) for a high tag or long length."""
+def decode_tlv(data, pos, end, depth):
+    """(value, end of that TLV) of the TLV at data[pos:end], a bytes
+    object, at nesting depth depth.  Its decoder comes from
+    DECODERS_BY_OCTET by a one-octet identifier, from DECODERS by the
+    triple of a high-tag one; a tag in neither reads as Raw."""
+    if end - pos < 2:
+        raise TruncatedError(2, max(0, end - pos))
+    ident = data[pos]
+    n = data[pos + 1]
+    if ident & 0x1F == 0x1F or n & 0x80:  # a high tag or a long length
         number, used = _tag_number(data, pos, end)
-        ident = data[pos]
-        if used == 1:
-            decoder = by_octet[ident]
-        else:
-            decoder = by_triple.get((ident >> 6, ident >> 5 & 1, number))
+        decoder = DECODERS_BY_OCTET[ident] if used == 1 else \
+            DECODERS.get((ident >> 6, ident >> 5 & 1, number))
         n, start = _length_at(data, pos + used, end)
-        return decoder, start, n
-
-    def tlv(data, pos, end, depth):
-        if end - pos < 2:
-            raise TruncatedError(2, max(0, end - pos))
-        ident = data[pos]
-        n = data[pos + 1]
-        if ident & 0x1F == 0x1F or n & 0x80:
-            decoder, start, n = long_header(data, pos, end)
-        else:
-            decoder, start = by_octet[ident], pos + 2
-        stop = start + n
-        if stop > end:
-            raise TruncatedError(n, end - start)
-        if decoder is None:
-            return _raw(data, pos, start, stop), stop
-        return decoder(data, start, stop, depth), stop
-
-    return tlv, by_octet
+    else:
+        decoder, start = DECODERS_BY_OCTET[ident], pos + 2
+    stop = start + n
+    if stop > end:
+        raise TruncatedError(n, end - start)
+    if decoder is None:
+        return _raw(data, pos, start, stop), stop
+    return decoder(data, start, stop, depth), stop
 
 
 # ---------------------------------------------------------------------------
-# Type registry
+# The value table
 
 TAG_INTEGER = Tag(UNIVERSAL, False, 2)
 TAG_OCTET_STRING = Tag(UNIVERSAL, False, 4)
@@ -612,46 +565,33 @@ TAG_TIMETICKS = Tag(APPLICATION, False, 3)
 TAG_OPAQUE = Tag(APPLICATION, False, 4)
 TAG_COUNTER64 = Tag(APPLICATION, False, 6)
 
+# The decoder of each (class, constructed, number) tag triple that reads
+# as a value: the universal and application types, the three exception
+# markers and the nine PDU tags, each a TaggedSequence of its elements.
+DECODERS = {
+    TAG_INTEGER.triple: _decode_integer,
+    TAG_OCTET_STRING.triple: _decode_octet_string,
+    TAG_NULL.triple: _constant_decoder(NULL),
+    TAG_OID.triple: decode_oid,
+    TAG_SEQUENCE.triple: _decode_sequence,
+    TAG_IPADDRESS.triple: _decode_ip_address,
+    TAG_COUNTER32.triple: _unsigned_decoder(Counter32),
+    TAG_GAUGE32.triple: _unsigned_decoder(Gauge32),
+    TAG_TIMETICKS.triple: _unsigned_decoder(TimeTicks),
+    TAG_OPAQUE.triple: _decode_opaque,
+    TAG_COUNTER64.triple: _unsigned_decoder(Counter64),
+    (CONTEXT, 0, 0): _constant_decoder(NO_SUCH_OBJECT),
+    (CONTEXT, 0, 1): _constant_decoder(NO_SUCH_INSTANCE),
+    (CONTEXT, 0, 2): _constant_decoder(END_OF_MIB_VIEW),
+    **{(CONTEXT, 1, n): _tagged_sequence_decoder(Tag(CONTEXT, True, n))
+       for n in range(9)},
+}
 
-class TypeRegistry:
-    """Maps (class, constructed, number) triples to decode kinds; decode
-    reads unregistered triples as Raw.  The decoder table is compiled on
-    creation and again on each registration: _decode reads any TLV, and
-    _by_octet is its list of decoders by one-octet identifier.  A kind
-    that has no decoder raises ValueError, on creation or registration."""
-
-    def __init__(self, kinds=None):
-        self._table = dict(kinds or {})
-        self._decode, self._by_octet = _compile_decoder(self._table)
-
-    def register(self, cls, constructed, number, kind):
-        """Decode the triple as kind; a refused kind leaves the registry
-        as it was."""
-        table = {**self._table, (cls, int(bool(constructed)), number): kind}
-        self._decode, self._by_octet = _compile_decoder(table)
-        self._table = table
-
-    def copy(self):
-        return TypeRegistry(self._table)
-
-
-DEFAULT_REGISTRY = TypeRegistry({
-    TAG_INTEGER.triple: "integer",
-    TAG_OCTET_STRING.triple: "octet-string",
-    TAG_NULL.triple: "null",
-    TAG_OID.triple: "oid",
-    TAG_SEQUENCE.triple: "sequence",
-    TAG_IPADDRESS.triple: "ip-address",
-    TAG_COUNTER32.triple: "counter32",
-    TAG_GAUGE32.triple: "gauge32",
-    TAG_TIMETICKS.triple: "timeticks",
-    TAG_OPAQUE.triple: "opaque",
-    TAG_COUNTER64.triple: "counter64",
-    (CONTEXT, 0, 0): "no-such-object",
-    (CONTEXT, 0, 1): "no-such-instance",
-    (CONTEXT, 0, 2): "end-of-mib-view",
-    **{(CONTEXT, 1, n): "tagged-sequence" for n in range(9)},
-})
+# DECODERS by identifier octet, None where that octet's tag has no
+# decoder; every tag in DECODERS takes one octet, and an octet whose
+# number bits are all set (a high tag) maps to none.
+DECODERS_BY_OCTET = [DECODERS.get((i >> 6, i >> 5 & 1, i & 0x1F))
+                     for i in range(256)]
 
 
 # ---------------------------------------------------------------------------
@@ -806,14 +746,12 @@ def encode_bindings(bindings):
 # ---------------------------------------------------------------------------
 # Decoding
 
-def decode(data, offset=0, registry=None):
+def decode(data, offset=0):
     """Decode one TLV starting at offset; return (value, consumed).
 
     Malformed input of any kind raises DecodingError.
     """
-    if registry is None:
-        registry = DEFAULT_REGISTRY
     if not isinstance(data, bytes):
         data = bytes(data)
-    value, end = registry._decode(data, offset, len(data), 0)
+    value, end = decode_tlv(data, offset, len(data), 0)
     return value, end - offset

@@ -190,14 +190,15 @@ def send_pdu(session, pdu):
     """Transmit a prebuilt PDU, framed as _FRAMES says for the session's
     version, and return the matched response PDU, whose names are read as
     _names says.
-    A v3 Report is met as _ON_REPORT says for its first name, then the
-    request is sent once more; a second Report raises UsmProtocolError."""
+    A v3 Report has the request sent once more, after adopting the
+    engine an unknownEngineIDs Report names, as a discovery Report does
+    (RFC 3414 section 4); a second Report raises UsmProtocolError."""
     frame = _FRAMES[session.version]
     reply, response = _exchange(session, *frame(session, pdu))
     if response.pdu_type == REPORT:
         first = response.bindings[0].name if response.bindings else None
-        _ON_REPORT.get(getattr(first, "octets", first), _resync)(
-            session, reply)
+        if getattr(first, "octets", first) == _UNKNOWN_ENGINE_IDS:
+            _adopt(session, reply)
         pdu.request_id = session.next_request_id()
         _, response = _exchange(session, *frame(session, pdu))
         if response.pdu_type == REPORT:
@@ -320,16 +321,9 @@ def _adopt(session, reply):
                          usm_params.engine_time, session.credential)
 
 
-def _resync(session, reply):
-    """Nothing: verifying an authenticated Report adopted its engine clock."""
-
-
 _FRAMES = {V1: _community_frame, V2C: _community_frame, V3: _v3_frame}
 
-# Before a v3 Report's request is sent again, by the content octets of the
-# Report's first name: a changed engine is adopted from the Report, which
-# names it as a discovery Report does (RFC 3414 section 4).
-_ON_REPORT = {ber.Oid(messages.USM_STATS_UNKNOWN_ENGINE_IDS).octets: _adopt}
+_UNKNOWN_ENGINE_IDS = ber.Oid(messages.USM_STATS_UNKNOWN_ENGINE_IDS).octets
 
 
 # ---------------------------------------------------------------------------

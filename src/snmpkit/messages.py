@@ -13,9 +13,9 @@ the fixed header fields inline when their lengths take the short form,
 and by ber.header otherwise.  It reads the PDU here too: its header
 fields, then its bindings straight into VarBinds in one pass over their
 octets.  A binding's SEQUENCE, name and value headers are read inline
-in the short form likewise, and by ber.header, or the value table's TLV
-reader, otherwise; a value's decoder comes from ber.DEFAULT_REGISTRY's
-table by its identifier octet.  Given the oids.Registry its caller
+in the short form likewise, and by ber.header, or ber.decode_tlv for
+the value, otherwise; a value's decoder comes from ber.DECODERS_BY_OCTET
+by its identifier octet.  Given the oids.Registry its caller
 holds, decoding reads each binding name through Registry.read, from
 the name before it, so a name becomes the registry's kept OidRef;
 without one, a ber.Oid; given OCTET_NAMES, a name stays its content
@@ -352,7 +352,7 @@ def _read_pdu(data, pos, end, depth, registry, version=V3):
         raise DecodingError(f"no PDU tag of the message's version at "
                             f"octet {pos}")
     pos, end = ber.header(data, pos, end, ident, "PDU")
-    value_at = ber.DEFAULT_REGISTRY._decode
+    value_at = ber.decode_tlv
     if pdu_type == TRAP_V1:
         fields = []
         for kind in (ber.Oid, ber.IpAddress, int, int, int):
@@ -367,7 +367,7 @@ def _read_pdu(data, pos, end, depth, registry, version=V3):
     bindings = []
     append = bindings.append
     read = ber.read_oid if registry is None else registry.read
-    by_octet, name = ber.DEFAULT_REGISTRY._by_octet, None
+    by_octet, name = ber.DECODERS_BY_OCTET, None
     depth += 3
     # Each binding is SEQUENCE { OID, value }.  A short-form header is
     # read here; ber.header, or value_at for the value, reads any other

@@ -84,21 +84,6 @@ def _fields(value, kinds, what):
     return value
 
 
-def _tree_registry():
-    r = ber.DEFAULT_REGISTRY.copy()
-    for n in range(9):
-        r.register(ber.CONTEXT, 1, n, "tagged-sequence")
-    for n, kind in enumerate(("no-such-object", "no-such-instance",
-                              "end-of-mib-view")):
-        r.register(ber.CONTEXT, 0, n, kind)
-    return r
-
-
-# The value tree of SNMP: the universal and application types, the PDU
-# tags, each a generic TaggedSequence, and the exception markers.
-TREE_REGISTRY = _tree_registry()
-
-
 def _tree_bindings(items):
     """VarBinds from a variable-bindings list of the value tree, each item
     checked to be a [Oid, value] list."""
@@ -113,7 +98,7 @@ def _tree_bindings(items):
 
 def pdu_from_ber(ts, version=None):
     """A Pdu or TrapV1Pdu from the TaggedSequence of its value tree, as
-    TREE_REGISTRY decodes it; v1 rejects exception values outside a trap:
+    ber.decode decodes it; v1 rejects exception values outside a trap:
     the formulation that messages' PDU reader is checked against.  Given
     a version, a PDU type it does not define is rejected: RFC 1157 has no
     tags 5-8, RFC 3416 (v2c and v3) no tag 4."""
@@ -165,7 +150,7 @@ def tree_decode_message(data):
     parameters decoded again from their OCTET STRING: the formulation
     that messages.decode_message, which reads each frame in one pass, is
     checked against."""
-    outer, _ = ber.decode(data, registry=TREE_REGISTRY)
+    outer, _ = ber.decode(data)
     if not isinstance(outer, list) or not outer or \
             not isinstance(outer[0], int):
         raise DecodingError("message is not SEQUENCE { version, ... }")
@@ -192,7 +177,7 @@ def tree_decode_message(data):
     flags = flags_octet[0]
     if not isinstance(sec_bytes, bytes):
         raise DecodingError("security parameters are not an OCTET STRING")
-    sec, _ = ber.decode(sec_bytes, registry=TREE_REGISTRY)
+    sec, _ = ber.decode(sec_bytes)
     sec = _fields(sec, (bytes, int, int, bytes, bytes, bytes),
                   "USM security parameters")
     msg = V3Message(int(msg_id), flags, UsmParams(
@@ -238,7 +223,7 @@ def walk_mac_offset(wire):
 def tree_decode_bindings(wire):
     """The bindings of a v1/v2c message read from its generic decoded tree,
     each checked to be a [Oid, value] list."""
-    message, _ = ber.decode(wire, registry=TREE_REGISTRY)
+    message, _ = ber.decode(wire)
     return _tree_bindings(message[2].elements[-1])
 
 

@@ -290,6 +290,34 @@ class TestSet:
         assert resp.error_status == 0
         assert store["value"] == 42
 
+    @pytest.mark.parametrize("version", [V1, V2C], ids=["v1", "v2c"])
+    def test_handler_that_raises_is_named_by_error_index(self, registry,
+                                                         version):
+        # RFC 1157 section 4.1.5, RFC 3416 section 4.2.5: genErr, its
+        # error-index the binding whose handler failed
+        tree = agent.DispatchTree()
+
+        def writable(ctx, ids, new=None):
+            return 0 if not ids else 7
+
+        def failing(ctx, ids, new=None):
+            if not ids:
+                return 0
+            if new is not None:
+                raise RuntimeError("store is down")
+            return 7
+
+        agent.register_variable(tree, registry.resolve("sysContact"),
+                                writable, writable=True)
+        agent.register_variable(tree, registry.resolve("sysName"),
+                                failing, writable=True)
+        pdu = messages.make_request_pdu(
+            SET_REQUEST, [("sysContact.0", 1), ("sysName.0", 2)], registry, 6)
+        resp = agent.dispatch(tree, pdu, _ctx(registry), version)
+        assert (resp.error_status, resp.error_index) == (agent.GEN_ERR, 2)
+        assert [(vb.name, vb.value) for vb in resp.bindings] == \
+            [(vb.name, vb.value) for vb in pdu.bindings]
+
 
 _ECHO_BASE = (1, 3, 6, 1, 4, 1, 31609, 77)
 # sub-identifiers at the edges of one, two and five octets, and any other

@@ -1,4 +1,5 @@
 import copy
+import enum
 import pickle
 import time
 
@@ -60,6 +61,10 @@ class TestLength:
             value, consumed = ber.decode_length(encoded)
             assert value == n and consumed == len(encoded)
 
+    def test_negative_length_refused(self):
+        with pytest.raises(EncodingError, match="negative length -1"):
+            ber.encode_length(-1)
+
     def test_indefinite_form_rejected(self):
         with pytest.raises(UnsupportedFormError):
             ber.decode_length(b"\x80")
@@ -81,6 +86,18 @@ class TestTags:
                     tag = ber.Tag(cls, constructed, number)
                     decoded, _ = ber.decode_tag(ber.encode_tag(tag))
                     assert decoded == tag
+
+    @pytest.mark.parametrize("cls,number,what", [
+        (-1, 0, "class"), (4, 0, "class"),
+        (ber.CONTEXT, -1, "number"), (ber.CONTEXT, 2 ** 31, "number")])
+    def test_bad_class_or_number_refused(self, cls, number, what):
+        with pytest.raises(EncodingError, match=f"bad tag {what}"):
+            ber.Tag(cls, False, number)
+
+    @pytest.mark.parametrize("data", [b"", b"\x9f", b"\x9f\x81"])
+    def test_decode_tag_of_a_cut_identifier_is_truncated(self, data):
+        with pytest.raises(TruncatedError):
+            ber.decode_tag(data)
 
 
 class TestApplicationTypes:
@@ -160,6 +177,7 @@ class TestNullAndMarkers:
     def test_null_singleton(self):
         decoded, _ = ber.decode(ber.encode(ber.NULL))
         assert decoded is ber.NULL
+        assert not ber.NULL
 
     def test_exception_markers(self):
         for marker, tag_byte in ((ber.NO_SUCH_OBJECT, 0x80),
@@ -167,12 +185,6 @@ class TestNullAndMarkers:
                                  (ber.END_OF_MIB_VIEW, 0x82)):
             data = ber.encode(marker)
             assert data == bytes([tag_byte, 0x00])
-            registry = ber.DEFAULT_REGISTRY.copy()
-            registry.register(ber.CONTEXT, 0, 0, "no-such-object")
-            registry.register(ber.CONTEXT, 0, 1, "no-such-instance")
-            registry.register(ber.CONTEXT, 0, 2, "end-of-mib-view")
-            decoded, _ = ber.decode(data, registry=registry)
-            assert decoded is marker
 
     def test_exception_markers_decode_by_default(self):
         for marker, tag_byte in ((ber.NO_SUCH_OBJECT, 0x80),
@@ -206,21 +218,6 @@ class TestRaw:
         assert ber.encode(decoded) == data
 
 
-class TestTypeRegistry:
-    def test_kind_with_no_decoder_is_refused(self):
-        with pytest.raises(ValueError, match="'float'"):
-            ber.TypeRegistry({(ber.PRIVATE, 0, 5): "float"})
-        registry = ber.DEFAULT_REGISTRY.copy()
-        with pytest.raises(ValueError, match="'float'"):
-            registry.register(ber.PRIVATE, 0, 5, "float")
-        # the refused kind is not kept: the tag still reads as Raw, and
-        # later registrations compile
-        registry.register(ber.PRIVATE, 0, 6, "integer")
-        data = bytes([0xC5, 0x01, 7, 0xC6, 0x01, 7])
-        assert isinstance(ber.decode(data, 0, registry)[0], ber.Raw)
-        assert ber.decode(data, 3, registry) == (7, 3)
-
-
 class TestErrors:
     def test_truncated_content(self):
         with pytest.raises(TruncatedError) as exc:
@@ -230,6 +227,26 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(DecodingError):
             ber.decode(b"")
+
+    def test_int_subclass_encodes_as_an_integer(self):
+        class Status(enum.IntEnum):
+            UP = 1
+            DOWN = 300
+
+        assert ber.encode(Status.UP) == b"\x02\x01\x01"
+        assert ber.encode(Status.DOWN) == b"\x02\x02\x01\x2c"
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_any_buffer_decodes_as_its_bytes(self, kind):
+        data = ber.encode([ber.Oid((1, 3, 6)), b"ab"]) + b"\xc5\x01\x07"
+        for offset in (0, len(data) - 3):
+            value, consumed = ber.decode(kind(data), offset)
+            assert (value, consumed) == ber.decode(data, offset)
+        # decoded from bytes, so a Raw hashes and an Oid keeps bytes
+        raw = ber.decode(kind(data), len(data) - 3)[0]
+        assert hash(raw) == hash(ber.decode(data, len(data) - 3)[0])
+        oid = ber.decode(kind(data))[0][0]
+        assert type(oid.octets) is bytes
 
     def test_unencodable_value(self):
         with pytest.raises(EncodingError):

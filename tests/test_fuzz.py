@@ -15,7 +15,6 @@ import os
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import TREE_REGISTRY
 from snmpkit import agent, ber, messages, usm
 from snmpkit.errors import DecodingError, SnmpKitError
 from snmpkit.messages import (
@@ -174,8 +173,6 @@ class TestFuzz:
     @given(_inputs)
     def test_ber_decode(self, data):
         _value_or_decoding_error(ber.decode, data)
-        _value_or_decoding_error(
-            lambda d: ber.decode(d, registry=TREE_REGISTRY), data)
 
     @settings(max_examples=600, deadline=None)
     @given(_inputs)

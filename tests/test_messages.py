@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    TREE_REGISTRY, pdu_from_ber, tree_decode_bindings, tree_decode_message,
+    pdu_from_ber, tree_decode_bindings, tree_decode_message,
     tree_encode_message, walk_mac_offset,
 )
 from snmpkit import ber, messages, usm
@@ -148,7 +147,7 @@ class TestPduRoundTrip:
 
 
 def _reparse(ts):
-    decoded, _ = ber.decode(ber.encode(ts), registry=TREE_REGISTRY)
+    decoded, _ = ber.decode(ber.encode(ts))
     return decoded
 
 
@@ -169,6 +168,18 @@ class TestV3Message:
         msg = self._sample(flags=FLAG_PRIV)
         with pytest.raises(SnmpError):
             messages.encode_message(msg)
+
+    def test_priv_flag_needs_an_encrypted_pdu_on_encode(self):
+        msg = self._sample(flags=FLAG_AUTH | FLAG_PRIV)
+        msg.usm.priv_params = b"\x00" * 8
+        with pytest.raises(SnmpError, match="no encrypted scoped PDU"):
+            messages.encode_message(msg)
+
+    @pytest.mark.parametrize("value", [None, b"\x30\x00",
+                                       Pdu(GET_REQUEST, 1)])
+    def test_only_a_message_encodes(self, value):
+        with pytest.raises(SnmpError, match="cannot encode message of type"):
+            messages.encode_message(value)
 
     def test_priv_requires_auth_on_decode(self):
         msg = self._sample(flags=FLAG_AUTH | FLAG_PRIV)
@@ -409,7 +420,7 @@ _VALUES = st.one_of(
 
 def _value_tree(value):
     """value as the generic codec reads it back."""
-    return ber.decode(ber.encode(value), registry=TREE_REGISTRY)[0]
+    return ber.decode(ber.encode(value))[0]
 
 
 def _seq(content):
@@ -633,8 +644,7 @@ class TestOnePassFrames:
                 oracle = tree_decode_message
             else:
                 data = messages.encode_scoped_pdu(ScopedPdu(b"e", b"", pdu))
-                oracle = functools.partial(
-                    ber.decode, registry=TREE_REGISTRY)
+                oracle = ber.decode
             decode = messages.decode_scoped_pdu if kind == "scoped" \
                 else messages.decode_message
             verdict = accepts(decode, data)
